@@ -1,11 +1,12 @@
-"""Comfort evaluation for candidate agent positions.
+"""Comfort building blocks for candidate agent positions.
 
 Out-group comfort measures how little the dyad would bother passing
-pedestrians: it grows with the worst-case distance between any predicted
+pedestrians: it grows with the distance between the nearest predicted
 pedestrian position and the candidate dyad segment, following a reciprocal
 regression calibrated in millimeters and clamped to [0, 1]. In-group comfort
-measures whether a conversation formation can be kept there and how well the
-best achievable arrangement suits the spatial context.
+is the preference, under the spatial context, of the best arrangement a
+formation allows at the candidate. `planner.score_candidates` combines both
+over a whole candidate grid.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Environment, Pose, Segment, Vec2, distance_point_segment
-from .prediction import PredictedTrajectory
+from .geometry import Pose, Vec2
 from .proxemics import (
     ArrangementType,
     ProxemicsParams,
     SpatialContext,
-    classify_spatial_context,
     context_preference,
     feasible_arrangements,
 )
@@ -42,24 +41,15 @@ class ComfortCoefficients:
             raise ValueError("need scale_mm < 0 and offset > 1")
 
 
-def comfort_from_distance(distance_m: float, coeffs: ComfortCoefficients) -> float:
-    """Comfort contribution of the nearest disturbance at a given distance."""
-    if distance_m <= 0.0:
-        return 0.0
-    raw = coeffs.scale_mm / (distance_m * 1000.0) + coeffs.offset
-    return max(0.0, min(1.0, raw))
+def comfort_from_distance(distance_m: np.ndarray, coeffs: ComfortCoefficients) -> np.ndarray:
+    """Comfort contribution of the nearest disturbance at each given distance.
 
-
-def distance_comfort(g: Segment, positions: list[Vec2], coeffs: ComfortCoefficients) -> float:
-    """Comfort of the dyad segment against pedestrian positions at one instant.
-
-    Only the closest pedestrian matters; with nobody around there is nothing
-    to be uncomfortable about and the score is 1.
+    Distances are in meters; a distance of zero or less scores 0.
     """
-    if not positions:
-        return 1.0
-    d = min(distance_point_segment(p, g) for p in positions)
-    return comfort_from_distance(d, coeffs)
+    raw = coeffs.scale_mm / np.maximum(distance_m * 1000.0, 1e-12) + coeffs.offset
+    comfort = np.clip(raw, 0.0, 1.0)
+    comfort[distance_m <= 0.0] = 0.0
+    return comfort
 
 
 def points_segment_distance(points: np.ndarray, a: Vec2, b: Vec2) -> np.ndarray:
@@ -73,24 +63,6 @@ def points_segment_distance(points: np.ndarray, a: Vec2, b: Vec2) -> np.ndarray:
         return np.hypot(wx, wy)
     t = np.clip((wx * ex + wy * ey) / ee, 0.0, 1.0)
     return np.hypot(wx - t * ex, wy - t * ey)
-
-
-def outgroup_comfort(
-    candidate: Vec2,
-    user: Vec2,
-    trajectories: list[PredictedTrajectory],
-    coeffs: ComfortCoefficients,
-) -> float:
-    """Worst comfort over the whole prediction horizon for a candidate segment."""
-    best = np.inf
-    for traj in trajectories:
-        if traj.points.size == 0:
-            continue
-        d = points_segment_distance(traj.points, user, candidate)
-        best = min(best, float(d.min()))
-    if not np.isfinite(best):
-        return 1.0
-    return comfort_from_distance(best, coeffs)
 
 
 def best_arrangement(
@@ -115,27 +87,3 @@ def best_arrangement(
         if p > best_p:
             best_arr, best_p = arr, p
     return best_arr, best_p
-
-
-def ingroup_comfort(
-    candidate: Vec2,
-    user: Pose,
-    env: Environment | None = None,
-    pedestrians: list | None = None,
-    params: ProxemicsParams = ProxemicsParams(),
-    context: SpatialContext | None = None,
-) -> float:
-    """Comfort of keeping the conversation going at a candidate position.
-
-    Zero when no formation is available there; otherwise the preference of the
-    best feasible arrangement under the spatial context. Callers that already
-    classified the context for this planning event pass it in; otherwise it is
-    derived from the candidate dyad.
-    """
-    if context is None:
-        if env is None:
-            raise ValueError("need either a context or an environment to classify")
-        dyad = Segment(user.position, candidate)
-        context = classify_spatial_context(env, dyad, pedestrians or [], params)
-    _, score = best_arrangement(candidate, user, context, params)
-    return score

@@ -109,7 +109,6 @@ class PlanPhase(enum.Enum):
 class PlanState:
     phase: PlanPhase = PlanPhase.STABLE
     plan: CandidatePlan | None = None
-    time_in_phase: float = 0.0
 
 
 @dataclass
@@ -199,7 +198,7 @@ def _saturation_distance_m(coeffs: ComfortCoefficients) -> float:
     return coeffs.scale_mm / (1000.0 * (1.0 - coeffs.offset))
 
 
-def _score_arrays(
+def score_candidates(
     candidates: list[Vec2],
     user: Pose,
     current_vh: Vec2,
@@ -209,7 +208,15 @@ def _score_arrays(
     prox: ProxemicsParams,
     coeffs: PlannerCoefficients,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (utility, ingroup, outgroup, move, worst approach) arrays."""
+    """Score every candidate against the whole predicted sample cloud at once.
+
+    Returns (utility, ingroup, outgroup, move, approach) arrays in candidate
+    order; approach is each candidate segment's smallest distance to a
+    predicted sample. Samples too far out to pull a candidate below the
+    comfort clamp are skipped (approach is inf when all are), which assumes
+    every candidate lies within max(formation_max, current distance) of the
+    user, as those of `generate_candidates` do.
+    """
     u = user.position
     cand = np.array([(c.x, c.y) for c in candidates])
     ex = cand[:, 0] - u.x
@@ -238,9 +245,7 @@ def _score_arrays(
             dx = wx[:, None] - t * ex[None, :]
             dy = wy[:, None] - t * ey[None, :]
             approach = np.sqrt((dx * dx + dy * dy).min(axis=0))
-            raw = comfort_coeffs.scale_mm / np.maximum(approach * 1000.0, 1e-12) + comfort_coeffs.offset
-            outgroup = np.clip(raw, 0.0, 1.0)
-            outgroup[approach <= 0.0] = 0.0
+            outgroup = comfort_from_distance(approach, comfort_coeffs)
 
     # in-group: formation availability and the best feasible arrangement's
     # context preference, from each candidate's distance and user-side angle
@@ -291,59 +296,8 @@ def _assemble_plan(
     )
 
 
-def score_candidates(
-    candidates: list[Vec2],
-    user: Pose,
-    current_vh: Vec2,
-    context: SpatialContext,
-    trajectories: list[PredictedTrajectory],
-    comfort_coeffs: ComfortCoefficients,
-    prox: ProxemicsParams,
-    coeffs: PlannerCoefficients,
-) -> list[CandidatePlan]:
-    """Score every candidate; the whole sample cloud is shared across them."""
-    utility, ingroup, outgroup, move, _ = _score_arrays(
-        candidates, user, current_vh, context, trajectories, comfort_coeffs, prox, coeffs
-    )
-    return [
-        _assemble_plan(
-            cand, user, context, prox,
-            float(ingroup[i]), float(outgroup[i]), float(move[i]), float(utility[i]),
-        )
-        for i, cand in enumerate(candidates)
-    ]
-
-
-def score_candidate(
-    candidate: Vec2,
-    user: Pose,
-    current_vh: Vec2,
-    context: SpatialContext,
-    trajectories: list[PredictedTrajectory],
-    comfort_coeffs: ComfortCoefficients,
-    prox: ProxemicsParams,
-    coeffs: PlannerCoefficients,
-) -> CandidatePlan:
-    return score_candidates(
-        [candidate], user, current_vh, context, trajectories, comfort_coeffs, prox, coeffs
-    )[0]
-
-
-def decide(candidates: list[CandidatePlan]) -> CandidatePlan:
-    """Highest utility wins; ties prefer the smaller move, then earlier index."""
-    if not candidates:
-        raise ValueError("no candidate plans to decide between")
-    best = candidates[0]
-    for plan in candidates[1:]:
-        if plan.utility > best.utility or (
-            plan.utility == best.utility and plan.move_distance < best.move_distance
-        ):
-            best = plan
-    return best
-
-
 def _argbest(utility: np.ndarray, move: np.ndarray) -> int:
-    """Index with decide()'s tie rule: utility, then move, then position."""
+    """Index of the best candidate: highest utility, then smaller move, then earlier index."""
     ties = np.nonzero(utility == utility.max())[0]
     if ties.size == 1:
         return int(ties[0])
@@ -377,7 +331,7 @@ def step_plan(
     rem = new_pos.distance_to(plan.target_position)
     rem_angle = abs(angle_difference(plan.target_orientation, new_pose.orientation))
     if rem <= params.arrive_position_tol and rem_angle <= math.radians(params.arrive_angle_tol_deg):
-        return PlanState(PlanPhase.STABLE, None, 0.0), new_pose
+        return PlanState(), new_pose
     return state, new_pose
 
 
@@ -415,7 +369,7 @@ def plan_if_needed(
 
     context = classify_spatial_context(snapshot.env, dyad, snapshot.pedestrians, prox)
     candidates = generate_candidates(snapshot.user, snapshot.vh.position, snapshot.env, prox, params)
-    utility, ingroup, outgroup, move, approach = _score_arrays(
+    utility, ingroup, outgroup, move, approach = score_candidates(
         candidates, snapshot.user, snapshot.vh.position, context,
         snapshot.trajectories, comfort_coeffs, prox, coeffs,
     )
@@ -448,8 +402,8 @@ def plan_if_needed(
         float(ingroup[i]), float(outgroup[i]), float(move[i]), float(utility[i]),
     )
     if best.move_distance <= 1e-12:
-        return PlanState(PlanPhase.STABLE, None, state.time_in_phase if state.phase is PlanPhase.STABLE else 0.0), best
-    return PlanState(PlanPhase.ADJUSTING, best, 0.0), best
+        return PlanState(), best
+    return PlanState(PlanPhase.ADJUSTING, best), best
 
 
 class ConflictAvoidancePlanner:
@@ -494,17 +448,10 @@ class ConflictAvoidancePlanner:
                 user, vh, self.env, pedestrians, self.avoid, dt,
                 self.prox.c_space_radius, self.params.horizon_cap,
             )
-            prev_phase = self.state.phase
             self.state, decision = plan_if_needed(
                 snapshot, self.state, self.prox, self.comfort_coeffs, self.coeffs, self.params
             )
             if decision is not None:
                 self.decision_ingroups.append(decision.ingroup)
-            if self.state.phase is not prev_phase:
-                self.state.time_in_phase = 0.0
-        prev_phase = self.state.phase
         self.state, vh = step_plan(self.state, vh, dt, self.params)
-        if self.state.phase is not prev_phase:
-            self.state.time_in_phase = 0.0
-        self.state.time_in_phase += dt
         return vh

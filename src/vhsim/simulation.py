@@ -31,6 +31,7 @@ from .geometry import (
     angle_difference,
     distance_point_segment,
     narrow_passage,
+    open_rect,
     open_square,
 )
 from .planner import ConflictAvoidancePlanner, PlanPhase, PlannerCoefficients, PlannerParams
@@ -122,6 +123,9 @@ class ScenarioConfig:
             (self.vh_max_speed > 0.0, "vh_max_speed", "must be > 0"),
             (self.replan_interval > 0.0, "replan_interval", "must be > 0"),
             (self.spawn_exclusion >= 0.0, "spawn_exclusion", "must be >= 0"),
+            (self.candidate_radial_step > 0.0, "candidate_radial_step", "must be > 0"),
+            (self.candidate_angular_step > 0.0, "candidate_angular_step", "must be > 0"),
+            (self.seed >= 0, "seed", "must be >= 0"),
         ]
         for ok, name, message in checks:
             if not ok:
@@ -136,7 +140,7 @@ class ScenarioConfig:
             return narrow_passage(3.0, 20.0)
         if self.env_side_walls:
             return narrow_passage(self.env_width, self.env_height)
-        return _open_rect(self.env_width, self.env_height)
+        return open_rect(self.env_width, self.env_height)
 
     def proxemics_params(self) -> ProxemicsParams:
         return ProxemicsParams(
@@ -185,13 +189,6 @@ class ScenarioConfig:
         user = Pose(user_pos, (vh_pos - user_pos).angle())
         vh = Pose(vh_pos, (user_pos - vh_pos).angle())
         return user, vh
-
-
-def _open_rect(width: float, height: float) -> Environment:
-    step = width / 5.0
-    top = [Rect(i * step, height - 0.5, (i + 1) * step, height) for i in range(5)]
-    bottom = [Rect(i * step, 0.0, (i + 1) * step, 0.5) for i in range(5)]
-    return Environment(width=width, height=height, walls=[], goal_boxes_top=top, goal_boxes_bottom=bottom)
 
 
 class ConflictKind(enum.Enum):

@@ -240,6 +240,18 @@ class TestMainCli:
         assert code == 2
         assert "density" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("candidate_angular_step", "0"),
+        ("candidate_radial_step", "0"),
+        ("seed", "-1"),
+    ])
+    def test_simulate_names_field_of_unrunnable_scenario(self, tmp_path, capsys, field, value):
+        scenario = tmp_path / "bad.txt"
+        scenario.write_text(f"{field}: {value}\n")
+        code = main(["simulate", "--scenario", str(scenario)])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
     def test_trace_requires_out(self, capsys):
         assert main(["simulate", "--trace"]) == 2
 

@@ -8,12 +8,10 @@ from vhsim.comfort import (
     ComfortCoefficients,
     best_arrangement,
     comfort_from_distance,
-    distance_comfort,
-    ingroup_comfort,
-    outgroup_comfort,
     points_segment_distance,
 )
-from vhsim.geometry import Pose, Segment, Vec2, distance_point_segment, narrow_passage, open_square
+from vhsim.geometry import Pose, Segment, Vec2, distance_point_segment
+from vhsim.planner import PlannerCoefficients, score_candidates
 from vhsim.prediction import PredictedTrajectory
 from vhsim.proxemics import (
     ArrangementType,
@@ -25,6 +23,7 @@ from vhsim.proxemics import (
 
 COEFFS = ComfortCoefficients()
 PROX = ProxemicsParams()
+CTX_OPEN = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
 
 
 def traj_from_points(points, pid=0, dt=0.1):
@@ -33,35 +32,56 @@ def traj_from_points(points, pid=0, dt=0.1):
     return PredictedTrajectory(pid, times, pts, d_min=0.0)
 
 
+def outgroup(candidate, user, trajectories):
+    """The planner's out-group comfort of the segment user-candidate."""
+    _, _, out, _, _ = score_candidates(
+        [candidate], Pose(user, 0.0), candidate, CTX_OPEN, trajectories, COEFFS, PROX, PlannerCoefficients()
+    )
+    return float(out[0])
+
+
+def outgroup_at_instant(g, positions):
+    """Out-group comfort of segment g against pedestrians at one instant."""
+    return outgroup(g.b, g.a, [traj_from_points([(p.x, p.y) for p in positions])] if positions else [])
+
+
+def ingroup(candidate, user, context):
+    """The planner's in-group comfort of a candidate."""
+    _, ins, _, _, _ = score_candidates(
+        [candidate], user, candidate, context, [], COEFFS, PROX, PlannerCoefficients()
+    )
+    return float(ins[0])
+
+
 class TestDistanceComfort:
     def test_zero_at_450mm(self):
         g = Segment(Vec2(0, 0), Vec2(1.5, 0))
-        score = distance_comfort(g, [Vec2(0.75, 0.45)], COEFFS)
+        score = outgroup_at_instant(g, [Vec2(0.75, 0.45)])
         assert score == 0.0
 
     def test_one_at_saturation_distance(self):
         g = Segment(Vec2(0, 0), Vec2(1.5, 0))
-        score = distance_comfort(g, [Vec2(0.75, 0.67005)], COEFFS)
+        score = outgroup_at_instant(g, [Vec2(0.75, 0.67005)])
         assert score == pytest.approx(1.0, abs=1e-3)
 
     def test_empty_set_is_fully_comfortable(self):
-        assert distance_comfort(Segment(Vec2(0, 0), Vec2(1, 0)), [], COEFFS) == 1.0
+        assert outgroup_at_instant(Segment(Vec2(0, 0), Vec2(1, 0)), []) == 1.0
 
     def test_pedestrian_on_segment(self):
         g = Segment(Vec2(0, 0), Vec2(1.5, 0))
-        assert distance_comfort(g, [Vec2(0.5, 0.0)], COEFFS) == 0.0
+        assert outgroup_at_instant(g, [Vec2(0.5, 0.0)]) == 0.0
 
     def test_closest_pedestrian_governs(self):
         g = Segment(Vec2(0, 0), Vec2(1.5, 0))
         near = Vec2(0.75, 0.5)
         far = Vec2(0.75, 3.0)
-        assert distance_comfort(g, [near, far], COEFFS) == distance_comfort(g, [near], COEFFS)
+        assert outgroup_at_instant(g, [near, far]) == outgroup_at_instant(g, [near])
 
     def test_monotone_in_distance(self):
         g = Segment(Vec2(0, 0), Vec2(1.5, 0))
         prev = -1.0
         for mm in range(350, 800, 10):
-            score = distance_comfort(g, [Vec2(0.75, mm / 1000.0)], COEFFS)
+            score = outgroup_at_instant(g, [Vec2(0.75, mm / 1000.0)])
             assert score >= prev
             prev = score
 
@@ -70,7 +90,7 @@ class TestDistanceComfort:
         g = Segment(Vec2(0, 0), Vec2(1.5, 0))
         for _ in range(200):
             p = Vec2(rng.uniform(-2, 4), rng.uniform(-3, 3))
-            score = distance_comfort(g, [p], COEFFS)
+            score = outgroup_at_instant(g, [p])
             assert 0.0 <= score <= 1.0
             d = distance_point_segment(p, g)
             if d <= 0.45:
@@ -82,7 +102,7 @@ class TestDistanceComfort:
 class TestComfortFromDistance:
     def test_formula_at_600mm(self):
         # 3.045 - 1370.25/600
-        assert comfort_from_distance(0.6, COEFFS) == pytest.approx(0.76125, abs=1e-9)
+        assert comfort_from_distance(np.array([0.6]), COEFFS)[0] == pytest.approx(0.76125, abs=1e-9)
 
     def test_coefficient_validation(self):
         with pytest.raises(ValueError):
@@ -93,15 +113,15 @@ class TestComfortFromDistance:
 
 class TestOutgroupComfort:
     def test_no_pedestrians(self):
-        assert outgroup_comfort(Vec2(1.5, 0), Vec2(0, 0), [], COEFFS) == 1.0
+        assert outgroup(Vec2(1.5, 0), Vec2(0, 0), []) == 1.0
 
     def test_path_crossing_segment(self):
         traj = traj_from_points([(0.75, -1.0), (0.75, 0.0), (0.75, 1.0)])
-        assert outgroup_comfort(Vec2(1.5, 0), Vec2(0, 0), [traj], COEFFS) == 0.0
+        assert outgroup(Vec2(1.5, 0), Vec2(0, 0), [traj]) == 0.0
 
     def test_closest_approach_600mm(self):
         traj = traj_from_points([(0.75, 2.0), (0.75, 0.6), (0.75, 1.4)])
-        score = outgroup_comfort(Vec2(1.5, 0), Vec2(0, 0), [traj], COEFFS)
+        score = outgroup(Vec2(1.5, 0), Vec2(0, 0), [traj])
         assert score == pytest.approx(0.76125, abs=1e-9)
 
     def test_equals_min_over_time_of_distance_comfort(self):
@@ -115,23 +135,23 @@ class TestOutgroupComfort:
             for pid in range(n):
                 pts = [(rng.uniform(-2, 3), rng.uniform(-2, 2)) for _ in range(rng.randint(1, 20))]
                 trajs.append(traj_from_points(pts, pid=pid))
-            got = outgroup_comfort(cand, user, trajs, COEFFS)
+            got = outgroup(cand, user, trajs)
             k = max(len(t.points) for t in trajs)
             per_time = []
             for i in range(k):
                 positions = [
                     Vec2(*t.points[i]) for t in trajs if i < len(t.points)
                 ]
-                per_time.append(distance_comfort(g, positions, COEFFS))
+                per_time.append(outgroup_at_instant(g, positions))
             assert got == pytest.approx(min(per_time), abs=1e-12)
 
     def test_never_exceeds_any_time_slice(self):
         traj = traj_from_points([(2.0, 0.0), (0.9, 0.55), (0.2, 2.0)])
         user, cand = Vec2(0, 0), Vec2(1.5, 0)
-        total = outgroup_comfort(cand, user, [traj], COEFFS)
+        total = outgroup(cand, user, [traj])
         g = Segment(user, cand)
         for p in traj.points:
-            assert total <= distance_comfort(g, [Vec2(*p)], COEFFS) + 1e-12
+            assert total <= outgroup_at_instant(g, [Vec2(*p)]) + 1e-12
 
 
 class TestPointsSegmentDistance:
@@ -153,19 +173,19 @@ class TestIngroupComfort:
     def test_open_uncrowded_alpha_zero(self):
         user = Pose(Vec2(0, 0), 0.0)
         ctx = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
-        score = ingroup_comfort(Vec2(1.0, 0.0), user, context=ctx, params=PROX)
+        score = ingroup(Vec2(1.0, 0.0), user, ctx)
         assert score == 1.0  # closed feasible and preferred
 
     def test_out_of_range_candidate(self):
         user = Pose(Vec2(0, 0), 0.0)
         ctx = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
-        assert ingroup_comfort(Vec2(2.0, 0.0), user, context=ctx, params=PROX) == 0.0
+        assert ingroup(Vec2(2.0, 0.0), user, ctx) == 0.0
 
     def test_near_wall_crowded_l_and_open(self):
         user = Pose(Vec2(0, 0), math.radians(80))
         ctx = SpatialContext(Definiteness.NEAR_WALL, Crowdedness.CROWDED)
         # alpha = 80: closed out of reach, feasible {L-shaped, open} -> max(1.0, 0.6)
-        score = ingroup_comfort(Vec2(1.0, 0.0), user, context=ctx, params=PROX)
+        score = ingroup(Vec2(1.0, 0.0), user, ctx)
         assert score == 1.0
 
     def test_value_set(self):
@@ -182,18 +202,8 @@ class TestIngroupComfort:
                 cand = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 if cand == user.position:
                     continue
-                score = ingroup_comfort(cand, user, context=ctx, params=PROX)
+                score = ingroup(cand, user, ctx)
                 assert score in (0.0, 0.2, 0.6, 1.0)
-
-    def test_classifies_context_when_not_given(self):
-        env = open_square(20.0)
-        user = Pose(Vec2(10, 9.25), math.pi / 2)
-        score = ingroup_comfort(Vec2(10, 10.75), user, env=env, pedestrians=[], params=PROX)
-        assert score == 1.0
-
-    def test_requires_env_or_context(self):
-        with pytest.raises(ValueError):
-            ingroup_comfort(Vec2(1, 0), Pose(Vec2(0, 0), 0.0), params=PROX)
 
 
 class TestBestArrangement:

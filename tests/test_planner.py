@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vhsim.comfort import ComfortCoefficients, comfort_from_distance, outgroup_comfort, ingroup_comfort
+from oracles import oracle_decision, oracle_ingroup, oracle_utility
+from vhsim.comfort import ComfortCoefficients, best_arrangement, comfort_from_distance, points_segment_distance
 from vhsim.geometry import Environment, Pose, Segment, Vec2, distance_point_segment, narrow_passage, open_square
 from vhsim.planner import (
     CandidatePlan,
@@ -15,12 +16,11 @@ from vhsim.planner import (
     PlannerCoefficients,
     PlannerParams,
     PlanningSnapshot,
-    decide,
+    _argbest,
     detect_potential_conflict,
     generate_candidates,
     make_snapshot,
     plan_if_needed,
-    score_candidate,
     score_candidates,
     step_plan,
 )
@@ -30,6 +30,7 @@ from vhsim.proxemics import (
     Definiteness,
     ProxemicsParams,
     SpatialContext,
+    classify_spatial_context,
 )
 
 PROX = ProxemicsParams()
@@ -111,27 +112,35 @@ class TestGenerateCandidates:
         assert cands == [Vec2(0.5, 0.4)]
 
 
+def score_one(cand, user, current, trajectories):
+    """(utility, ingroup, outgroup, move) of one candidate, as the planner scores it."""
+    utility, ingroup, outgroup, move, _ = score_candidates(
+        [cand], user, current, CTX_OPEN, trajectories, COMFORT, PROX, COEFFS
+    )
+    return float(utility[0]), float(ingroup[0]), float(outgroup[0]), float(move[0])
+
+
 class TestScoreCandidate:
     def test_utility_at_zero_move(self):
         user = Pose(Vec2(0, 0), 0.0)
         cand = Vec2(1.0, 0.0)
-        plan = score_candidate(cand, user, cand, CTX_OPEN, [], COMFORT, PROX, COEFFS)
-        assert plan.ingroup == 1.0 and plan.outgroup == 1.0
-        assert plan.utility == pytest.approx(2.0)
+        utility, ingroup, outgroup, _ = score_one(cand, user, cand, [])
+        assert ingroup == 1.0 and outgroup == 1.0
+        assert utility == pytest.approx(2.0)
 
     def test_utility_with_two_meter_move(self):
         user = Pose(Vec2(0, 0), 0.0)
         cand = Vec2(1.0, 0.0)
-        plan = score_candidate(cand, user, Vec2(-1.0, 0.0), CTX_OPEN, [], COMFORT, PROX, COEFFS)
-        assert plan.move_distance == pytest.approx(2.0)
-        assert plan.utility == pytest.approx(1.0)
+        utility, _, _, move = score_one(cand, user, Vec2(-1.0, 0.0), [])
+        assert move == pytest.approx(2.0)
+        assert utility == pytest.approx(1.0)
 
     def test_no_formation_candidate(self):
         user = Pose(Vec2(0, 0), 0.0)
         cand = Vec2(-1.0, 0.0)  # behind the user
-        plan = score_candidate(cand, user, Vec2(1.0, 0.0), CTX_OPEN, [], COMFORT, PROX, COEFFS)
-        assert plan.ingroup == 0.0
-        assert plan.utility == pytest.approx(1.0 / (1.0 + 0.5 * plan.move_distance))
+        utility, ingroup, _, move = score_one(cand, user, Vec2(1.0, 0.0), [])
+        assert ingroup == 0.0
+        assert utility == pytest.approx(1.0 / (1.0 + 0.5 * move))
 
     def test_utility_formula_invariant(self):
         rng = random.Random(89)
@@ -141,13 +150,17 @@ class TestScoreCandidate:
             cur = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
             trajs = [straight_traj((rng.uniform(-3, 3), rng.uniform(-3, 3)),
                                    (rng.uniform(-1, 1), rng.uniform(-1, 1)), n=20)]
-            plan = score_candidate(cand, user, cur, CTX_OPEN, trajs, COMFORT, PROX, COEFFS)
-            expected = (plan.ingroup + COEFFS.outgroup_weight * plan.outgroup) / (
-                1.0 + plan.move_distance * COEFFS.move_cost
-            )
-            assert plan.utility == pytest.approx(expected, abs=1e-12)
+            utility, ingroup, outgroup, move = score_one(cand, user, cur, trajs)
+            expected = (ingroup + COEFFS.outgroup_weight * outgroup) / (1.0 + move * COEFFS.move_cost)
+            assert utility == pytest.approx(expected, abs=1e-12)
+            if cand.norm() <= max(PROX.formation_max, cur.norm()):  # within the scorer's reach
+                assert utility == pytest.approx(
+                    oracle_utility(cand, user, cur, CTX_OPEN, trajs, COMFORT, PROX, COEFFS), abs=1e-9
+                )
 
     def test_outgroup_matches_comfort_module(self):
+        # the sample pre-filter and the grid-wide segment distances give the
+        # regression of the exact closest approach
         rng = random.Random(97)
         user = Pose(Vec2(0, 0), 0.0)
         for _ in range(50):
@@ -157,22 +170,21 @@ class TestScoreCandidate:
                               (rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)), n=30, pid=i)
                 for i in range(rng.randint(1, 4))
             ]
-            plan = score_candidate(cand, user, Vec2(1.0, 0.0), CTX_OPEN, trajs, COMFORT, PROX, COEFFS)
-            assert plan.outgroup == pytest.approx(
-                outgroup_comfort(cand, user.position, trajs, COMFORT), abs=1e-9
-            )
+            _, _, outgroup, _ = score_one(cand, user, cand, trajs)
+            closest = min(points_segment_distance(t.points, user.position, cand).min() for t in trajs)
+            assert outgroup == pytest.approx(comfort_from_distance(np.array([closest]), COMFORT)[0], abs=1e-9)
 
     def test_ingroup_matches_comfort_module(self):
+        # the vectorized bands agree with the arrangement a plan is built on
         rng = random.Random(103)
         user = Pose(Vec2(0, 0), 1.0)
         for _ in range(100):
             cand = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
             if cand == user.position:
                 continue
-            plan = score_candidate(cand, user, Vec2(1.0, 0.0), CTX_OPEN, [], COMFORT, PROX, COEFFS)
-            assert plan.ingroup == pytest.approx(
-                ingroup_comfort(cand, user, context=CTX_OPEN, params=PROX), abs=1e-12
-            )
+            _, ingroup, _, _ = score_one(cand, user, Vec2(1.0, 0.0), [])
+            assert ingroup == best_arrangement(cand, user, CTX_OPEN, PROX)[1]
+            assert ingroup == oracle_ingroup(cand, user, CTX_OPEN, PROX)
 
 
 def make_plan(utility, move=0.0, pos=None):
@@ -189,55 +201,45 @@ def make_plan(utility, move=0.0, pos=None):
 
 class TestDecide:
     def test_single(self):
-        p = make_plan(1.0)
-        assert decide([p]) is p
+        assert _argbest(np.array([1.0]), np.array([0.0])) == 0
 
     def test_highest_utility(self):
-        a, b = make_plan(1.8), make_plan(2.0)
-        assert decide([a, b]) is b
+        assert _argbest(np.array([1.8, 2.0]), np.array([0.0, 0.0])) == 1
 
     def test_tie_smaller_move(self):
-        a, b = make_plan(1.5, move=2.0), make_plan(1.5, move=0.5)
-        assert decide([a, b]) is b
+        assert _argbest(np.array([1.5, 1.5]), np.array([2.0, 0.5])) == 1
 
     def test_tie_earlier_index(self):
-        a, b = make_plan(1.5, move=1.0), make_plan(1.5, move=1.0)
-        assert decide([a, b]) is a
+        assert _argbest(np.array([1.5, 1.5]), np.array([1.0, 1.0])) == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            decide([])
+            _argbest(np.array([]), np.array([]))
 
     def test_affine_rescale_invariance(self):
         rng = random.Random(109)
         for _ in range(50):
-            plans = [make_plan(rng.uniform(0, 2), move=rng.uniform(0, 3)) for _ in range(10)]
-            winner = decide(plans)
+            utility = np.array([rng.uniform(0, 2) for _ in range(10)])
+            move = np.array([rng.uniform(0, 3) for _ in range(10)])
             a, b = rng.uniform(0.1, 5.0), rng.uniform(-1, 1)
-            scaled = [replace(p, utility=a * p.utility + b) for p in plans]
-            assert decide(scaled).target_position == winner.target_position
-            assert decide(scaled).move_distance == winner.move_distance
+            assert _argbest(a * utility + b, move) == _argbest(utility, move)
 
     def test_permutation_invariance(self):
         rng = random.Random(113)
-        plans = [
-            make_plan(rng.choice([1.0, 1.5, 2.0]), move=rng.choice([0.5, 1.0]), pos=Vec2(i, 0))
-            for i in range(12)
-        ]
-        winner = decide(plans)
+        utility = np.array([rng.choice([1.0, 1.5, 2.0]) for _ in range(12)])
+        move = np.array([rng.choice([0.5, 1.0]) for _ in range(12)])
+        best = _argbest(utility, move)
         for _ in range(20):
-            shuffled = plans[:]
-            rng.shuffle(shuffled)
-            other = decide(shuffled)
-            assert other.utility == winner.utility
-            assert other.move_distance == winner.move_distance
+            order = np.array(rng.sample(range(12), 12))
+            other = order[_argbest(utility[order], move[order])]
+            assert (utility[other], move[other]) == (utility[best], move[best])
 
 
 class TestStepPlan:
     def _adjusting(self, target, orientation=0.0):
         plan = make_plan(1.0, pos=target)
         plan = replace(plan, target_orientation=orientation)
-        return PlanState(PlanPhase.ADJUSTING, plan, 0.0)
+        return PlanState(PlanPhase.ADJUSTING, plan)
 
     def test_arrives_within_one_tick(self):
         state = self._adjusting(Vec2(0.15, 0.0))
@@ -254,7 +256,7 @@ class TestStepPlan:
         assert new_vh.position.y == 0.0
 
     def test_stable_is_identity(self):
-        state = PlanState(PlanPhase.STABLE, None, 4.2)
+        state = PlanState(PlanPhase.STABLE, None)
         vh = Pose(Vec2(1, 2), 0.7)
         new_state, new_vh = step_plan(state, vh, 0.1, PARAMS)
         assert new_state is state and new_vh is vh
@@ -314,28 +316,46 @@ class TestPlanIfNeeded:
         )
         assert seg_clear == (False, [])
 
+    def oracle_target(self, trajectories):
+        """The oracle's pick for this scene and its utility."""
+        ctx = classify_spatial_context(self.env, Segment(self.user.position, self.vh.position), [], PROX)
+        cands = generate_candidates(self.user, self.vh.position, self.env, PROX, PARAMS)
+        i = oracle_decision(cands, self.user, self.vh.position, ctx, trajectories, COMFORT, PROX, COEFFS, PARAMS)
+        return cands[i], oracle_utility(cands[i], self.user, self.vh.position, ctx, trajectories, COMFORT, PROX, COEFFS)
+
     def test_decision_matches_hand_scored_candidates(self):
+        # safe branch: some candidates clear the pedestrian's path
         t = straight_traj((6.0, 10.75), (1.4, 0.0), n=80, pid=5)
         snap = build_snapshot(self.user, self.vh, self.env, [t])
         state, decision = plan_if_needed(snap, PlanState(), PROX, COMFORT, COEFFS, PARAMS)
-        # oracle: rescore every candidate independently, drop predicted-unsafe
-        # ones (documented planner rule), pick by utility/move/index
-        from vhsim.proxemics import classify_spatial_context
+        target, utility = self.oracle_target([t])
+        assert decision.target_position == target
+        assert decision.utility == pytest.approx(utility, abs=1e-9)
 
-        ctx = classify_spatial_context(self.env, Segment(self.user.position, self.vh.position), [], PROX)
-        cands = generate_candidates(self.user, self.vh.position, self.env, PROX, PARAMS)
-        radius = PARAMS.territory_radius + PARAMS.planning_margin
-        best = None
-        for i, cand in enumerate(cands):
-            plan = score_candidate(cand, self.user, self.vh.position, ctx, [t], COMFORT, PROX, COEFFS)
-            seg = Segment(self.user.position, cand)
-            d = min(distance_point_segment(Vec2(*p), seg) for p in t.points)
-            safe = d >= radius
-            key = (safe, plan.utility, -plan.move_distance, -i)
-            if best is None or key > best[0]:
-                best = (key, plan)
-        assert decision.target_position == best[1].target_position
-        assert decision.utility == pytest.approx(best[1].utility, abs=1e-9)
+    def test_cornered_holds_above_rest_margin(self):
+        # a path 0.45 m below the user reaches every candidate segment, so
+        # none is safe; another 0.32 m above the agent puts holding still
+        # outside the best-clearance band but within territory - rest margin
+        below = straight_traj((6.0, 8.80), (1.4, 0.0), n=80, pid=1)
+        above = straight_traj((6.0, 11.07), (1.4, 0.0), n=80, pid=2)
+        snap = build_snapshot(self.user, self.vh, self.env, [below, above])
+        state, decision = plan_if_needed(snap, PlanState(), PROX, COMFORT, COEFFS, PARAMS)
+        target, utility = self.oracle_target([below, above])
+        assert decision.target_position == target
+        assert decision.utility == pytest.approx(utility, abs=1e-9)
+        assert state.phase is PlanPhase.STABLE and decision.move_distance == 0.0
+
+    def test_cornered_forced_below_rest_margin(self):
+        # as above, but the path 0.20 m above the agent cuts deeper than the
+        # rest margin into the territory, so holding still is dropped
+        below = straight_traj((6.0, 8.80), (1.4, 0.0), n=80, pid=1)
+        above = straight_traj((6.0, 10.95), (1.4, 0.0), n=80, pid=2)
+        snap = build_snapshot(self.user, self.vh, self.env, [below, above])
+        state, decision = plan_if_needed(snap, PlanState(), PROX, COMFORT, COEFFS, PARAMS)
+        target, utility = self.oracle_target([below, above])
+        assert decision.target_position == target
+        assert decision.utility == pytest.approx(utility, abs=1e-9)
+        assert state.phase is PlanPhase.ADJUSTING and decision.move_distance > 0.0
 
     def test_hold_when_outgroup_ignored(self):
         # with zero out-group weight the plain argmax keeps the agent stable
@@ -386,16 +406,14 @@ class TestPlannerLoop:
                 )
                 for i in range(3)
             ]
-            ctx = CTX_OPEN
             cands = generate_candidates(user, vh.position, env, PROX, PARAMS)
-            plans = score_candidates(cands, user, vh.position, ctx, trajs, COMFORT, PROX, COEFFS)
-            winner = decide(plans)
-            zero_in_max = max((p.utility for p in plans if p.ingroup == 0.0), default=0.0)
-            candidates_better = [
-                p for p in plans if p.ingroup > 0 and p.outgroup > 0 and p.utility > zero_in_max
-            ]
-            if candidates_better:
-                assert winner.ingroup > 0.0
+            utility, ingroup, outgroup, move, _ = score_candidates(
+                cands, user, vh.position, CTX_OPEN, trajs, COMFORT, PROX, COEFFS
+            )
+            winner = _argbest(utility, move)
+            zero_in_max = utility[ingroup == 0.0].max(initial=0.0)
+            if ((ingroup > 0) & (outgroup > 0) & (utility > zero_in_max)).any():
+                assert ingroup[winner] > 0.0
 
 
 class TestMakeSnapshot:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -6,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vhsim.geometry import Pose, Segment, Vec2
+from vhsim.geometry import Pose, Segment, Vec2, open_square
 from vhsim.prediction import AvoidanceParams, PedestrianState, Phase
 from vhsim.simulation import (
     ConflictKind,
@@ -324,6 +325,8 @@ class TestScenarioConfig:
         env = cfg.build_environment()
         assert (env.width, env.height) == (8.0, 15.0)
         assert env.walls == []
+        square = ScenarioConfig(environment="custom", env_width=12.0, env_height=12.0)
+        assert square.build_environment() == open_square(12.0)
         walled = ScenarioConfig(environment="custom", env_width=4.0, env_height=15.0, env_side_walls=True)
         assert len(walled.build_environment().walls) == 2
 
@@ -348,9 +351,51 @@ class TestScenarioConfig:
             ("condition", "sometimes"),
             ("environment", "mars"),
             ("min_avoidance_distance", 3.0),
+            ("candidate_angular_step", 0.0),
+            ("candidate_radial_step", 0.0),
+            ("seed", -1),
         ],
     )
     def test_validation(self, field, value):
         cfg = replace(ScenarioConfig(), **{field: value})
         with pytest.raises(ValueError):
             cfg.validate()
+
+
+class TestGoldenTrials:
+    """Every metric and the trace digest of two 60 s proposed trials at seed 1
+    and density 0.25, compared exactly: a change that moves any of them
+    changes the simulated model, its arithmetic or the trace format."""
+
+    GOLDEN = {
+        "square20": (
+            dict(
+                social_conflicts=1, physicality_conflicts=1,
+                stable_time=53.60000000000049, adjusting_time=6.399999999999993,
+                stable_percentage=0.8933333333333415, duration=60.0,
+                mean_ingroup=0.8076923076923077, decision_count=104,
+            ),
+            [("social", 26.400000000000002, 81), ("physicality", 26.400000000000002, 81)],
+            "d69dd8671386a3c4605e26438dac4e7d3f07a790f071ad217f895b257782260c",
+        ),
+        "passage": (
+            dict(
+                social_conflicts=0, physicality_conflicts=0,
+                stable_time=55.10000000000051, adjusting_time=4.899999999999999,
+                stable_percentage=0.9183333333333419, duration=60.0,
+                mean_ingroup=0.9193548387096774, decision_count=62,
+            ),
+            [],
+            "cf232cfdedd8a214ddd8c5a5cdc5b772ab3acbf1b86230378bcbd7568dc79783",
+        ),
+    }
+
+    @pytest.mark.parametrize("environment", sorted(GOLDEN))
+    def test_pinned_metrics_and_trace(self, environment):
+        fields, events, trace_sha = self.GOLDEN[environment]
+        cfg = ScenarioConfig(environment=environment, density=0.25, condition="proposed", duration=60.0, seed=1)
+        trace = io.StringIO()
+        metrics = run_trial(cfg, trace=trace)
+        assert {name: getattr(metrics, name) for name in fields} == fields
+        assert [(e.kind.value, e.time, e.pedestrian_id) for e in metrics.events] == events
+        assert hashlib.sha256(trace.getvalue().encode()).hexdigest() == trace_sha
