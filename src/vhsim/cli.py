@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .simulation import ScenarioConfig, TrialMetrics, reduction_ratio, run_trial
+from .simulation import ScenarioConfig, ScenarioError, TrialMetrics, reduction_ratio, run_trial
 
 SWEEP_AXES = (
     "coefficient_c",
@@ -28,8 +28,8 @@ SWEEP_AXES = (
     "condition",
 )
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
-SCENARIO_KEYS = tuple(_FIELD_TYPES)
+_SCHEMA = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
+SCENARIO_KEYS = tuple(_SCHEMA)
 
 CSV_COLUMNS = (
     "environment", "density", "axis", "value", "replicate", "seed",
@@ -38,27 +38,16 @@ CSV_COLUMNS = (
 )
 
 
-class ScenarioError(ValueError):
-    """Raised for malformed or out-of-range scenario input."""
+_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
+    kind = _SCHEMA[key].metadata["type"]
     raw = raw.strip()
     try:
-        if kind == "bool":
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ScenarioError(f"{key}: cannot parse {raw!r} as {kind}") from exc
+        return _BOOL_WORDS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError) as exc:
+        raise ScenarioError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from exc
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -72,17 +61,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ScenarioError(f"line {lineno}: expected 'key: value', got {body!r}")
         key, raw = body.split(":", 1)
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _SCHEMA:
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _coerce(key, raw)
-    config = ScenarioConfig(**values)
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    return config
+    return ScenarioConfig(**values)
 
 
 def format_scenario(config: ScenarioConfig) -> str:
@@ -138,43 +122,55 @@ def _apply_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     return replace(config, **{axis: float(value)})
 
 
-def _config_key(config: ScenarioConfig) -> tuple:
-    return tuple(sorted(dataclasses.asdict(config).items()))
+def _run_many(configs: list[ScenarioConfig], jobs: int) -> dict[ScenarioConfig, TrialMetrics]:
+    """Run each distinct config once, in up to `jobs` worker processes."""
+    if jobs < 1:
+        raise ScenarioError(f"jobs: must be >= 1, got {jobs}")
+    todo = list(dict.fromkeys(configs))
+    workers = min(jobs, len(todo))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return dict(zip(todo, pool.map(run_trial, todo)))
+    return {cfg: run_trial(cfg) for cfg in todo}
 
 
-def _run_many(configs: list[ScenarioConfig], jobs: int) -> list[TrialMetrics]:
-    """Run trials, deduplicating identical configs, optionally in parallel."""
-    unique: dict[tuple, int] = {}
-    todo: list[ScenarioConfig] = []
-    for cfg in configs:
-        key = _config_key(cfg)
-        if key not in unique:
-            unique[key] = len(todo)
-            todo.append(cfg)
-    if jobs > 1 and len(todo) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_trial, todo))
-    else:
-        results = [run_trial(cfg) for cfg in todo]
-    return [results[unique[_config_key(cfg)]] for cfg in configs]
+def _paired(cfg: ScenarioConfig) -> tuple[ScenarioConfig, ScenarioConfig]:
+    return replace(cfg, condition="none"), replace(cfg, condition="proposed")
 
 
-def _paired_row(
-    axis: str,
-    value,
-    replicate: int,
-    seed: int,
-    cfg: ScenarioConfig,
-    none_metrics: TrialMetrics,
-    prop_metrics: TrialMetrics,
-) -> ResultRow:
+def _trial_row(axis: str, value, replicate: int, cfg: ScenarioConfig, metrics: TrialMetrics) -> ResultRow:
+    """One trial's row, its conflict counts in the columns of its condition."""
     return ResultRow(
         environment=cfg.environment,
         density=cfg.density,
         axis=axis,
         value=str(value),
         replicate=replicate,
-        seed=seed,
+        seed=cfg.seed,
+        stable_pct=metrics.stable_percentage,
+        mean_ingroup=metrics.mean_ingroup,
+        **{
+            f"social_{cfg.condition}": metrics.social_conflicts,
+            f"physicality_{cfg.condition}": metrics.physicality_conflicts,
+        },
+    )
+
+
+def _paired_row(
+    axis: str,
+    value,
+    replicate: int,
+    cfg: ScenarioConfig,
+    metrics: dict[ScenarioConfig, TrialMetrics],
+) -> ResultRow:
+    none_metrics, prop_metrics = (metrics[c] for c in _paired(cfg))
+    return ResultRow(
+        environment=cfg.environment,
+        density=cfg.density,
+        axis=axis,
+        value=str(value),
+        replicate=replicate,
+        seed=cfg.seed,
         social_none=none_metrics.social_conflicts,
         social_proposed=prop_metrics.social_conflicts,
         physicality_none=none_metrics.physicality_conflicts,
@@ -193,40 +189,16 @@ def run_ablation(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
 
     For the condition axis only that condition runs and reductions stay empty.
     """
-    points = []
-    configs: list[ScenarioConfig] = []
-    for value in spec.values:
-        for replicate in range(spec.replicates):
-            seed = spec.seeds[replicate]
-            cfg = _apply_axis(replace(spec.base, seed=seed), spec.axis, value)
-            if spec.axis == "condition":
-                points.append((value, replicate, seed, cfg, len(configs), None))
-                configs.append(cfg)
-            else:
-                cfg_none = replace(cfg, condition="none")
-                cfg_prop = replace(cfg, condition="proposed")
-                points.append((value, replicate, seed, cfg, len(configs), len(configs) + 1))
-                configs.extend([cfg_none, cfg_prop])
-    metrics = _run_many(configs, jobs)
-    rows = []
-    for value, replicate, seed, cfg, i_none, i_prop in points:
-        if i_prop is None:
-            m = metrics[i_none]
-            row = ResultRow(
-                environment=cfg.environment, density=cfg.density, axis=spec.axis,
-                value=str(value), replicate=replicate, seed=seed,
-                stable_pct=m.stable_percentage, mean_ingroup=m.mean_ingroup,
-            )
-            if cfg.condition == "none":
-                row.social_none = m.social_conflicts
-                row.physicality_none = m.physicality_conflicts
-            else:
-                row.social_proposed = m.social_conflicts
-                row.physicality_proposed = m.physicality_conflicts
-            rows.append(row)
-        else:
-            rows.append(_paired_row(spec.axis, value, replicate, seed, cfg, metrics[i_none], metrics[i_prop]))
-    return rows
+    points = [
+        (value, replicate, _apply_axis(replace(spec.base, seed=spec.seeds[replicate]), spec.axis, value))
+        for value in spec.values
+        for replicate in range(spec.replicates)
+    ]
+    if spec.axis == "condition":
+        metrics = _run_many([cfg for _, _, cfg in points], jobs)
+        return [_trial_row(spec.axis, value, replicate, cfg, metrics[cfg]) for value, replicate, cfg in points]
+    metrics = _run_many([c for _, _, cfg in points for c in _paired(cfg)], jobs)
+    return [_paired_row(spec.axis, value, replicate, cfg, metrics) for value, replicate, cfg in points]
 
 
 def run_matrix(
@@ -238,25 +210,19 @@ def run_matrix(
     jobs: int = 1,
 ) -> list[ResultRow]:
     """Full environment-by-density grid with paired conditions per seed."""
+    if replicates < 1:
+        raise ScenarioError("replicates: must be >= 1")
     seeds = seeds or list(range(1, replicates + 1))
     if len(seeds) < replicates:
         raise ScenarioError("seeds: need at least one seed per replicate")
-    points = []
-    configs: list[ScenarioConfig] = []
-    for env_name in environments:
-        for density in densities:
-            for replicate in range(replicates):
-                seed = seeds[replicate]
-                cfg = replace(base, environment=env_name, density=density, seed=seed)
-                cfg_none = replace(cfg, condition="none")
-                cfg_prop = replace(cfg, condition="proposed")
-                points.append((cfg, replicate, seed, len(configs), len(configs) + 1))
-                configs.extend([cfg_none, cfg_prop])
-    metrics = _run_many(configs, jobs)
-    return [
-        _paired_row("", "", replicate, seed, cfg, metrics[i_none], metrics[i_prop])
-        for cfg, replicate, seed, i_none, i_prop in points
+    points = [
+        (replicate, replace(base, environment=env_name, density=density, seed=seeds[replicate]))
+        for env_name in environments
+        for density in densities
+        for replicate in range(replicates)
     ]
+    metrics = _run_many([c for _, cfg in points for c in _paired(cfg)], jobs)
+    return [_paired_row("", "", replicate, cfg, metrics) for replicate, cfg in points]
 
 
 def _fmt(value) -> str:
@@ -326,24 +292,18 @@ def _sum_or_none(values: list) -> int | None:
 
 
 def _load_scenario(path: str | None, overrides: dict) -> ScenarioConfig:
-    if path:
-        config = parse_scenario(Path(path).read_text())
-    else:
-        config = ScenarioConfig()
-    if overrides:
-        config = replace(config, **overrides)
-        try:
-            config.validate()
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-    return config
+    config = parse_scenario(Path(path).read_text()) if path else ScenarioConfig()
+    return replace(config, **overrides)
 
 
-def _parse_list(raw: str, kind=float) -> list:
+def _parse_list(name: str, raw: str, kind=float) -> list:
     items = [item.strip() for item in raw.split(",") if item.strip()]
     if not items:
-        raise ScenarioError(f"expected a comma-separated list, got {raw!r}")
-    return [kind(item) for item in items]
+        raise ScenarioError(f"{name}: expected a comma-separated list, got {raw!r}")
+    try:
+        return [kind(item) for item in items]
+    except ValueError as exc:
+        raise ScenarioError(f"{name}: cannot parse {raw!r} as a list of {kind.__name__}") from exc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -366,19 +326,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     finally:
         if trace_handle is not None:
             trace_handle.close()
-    row = ResultRow(
-        environment=config.environment, density=config.density, axis="", value="",
-        replicate=0, seed=config.seed, stable_pct=metrics.stable_percentage,
-        mean_ingroup=metrics.mean_ingroup,
-    )
-    if config.condition == "none":
-        row.social_none = metrics.social_conflicts
-        row.physicality_none = metrics.physicality_conflicts
-    else:
-        row.social_proposed = metrics.social_conflicts
-        row.physicality_proposed = metrics.physicality_conflicts
     if out_dir is not None:
-        emit_csv([row], out_dir / "metrics.csv")
+        emit_csv([_trial_row("", "", 0, config, metrics)], out_dir / "metrics.csv")
     print(
         f"{config.environment} density={_fmt(config.density)} condition={config.condition} "
         f"seed={config.seed}: social={metrics.social_conflicts} "
@@ -394,9 +343,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     spec = ExperimentSpec(
         base=base,
         axis=args.axis,
-        values=_parse_list(args.values, kind),
+        values=_parse_list("values", args.values, kind),
         replicates=args.replicates,
-        seeds=_parse_list(args.seeds, int) if args.seeds else list(range(1, args.replicates + 1)),
+        seeds=_parse_list("seeds", args.seeds, int) if args.seeds else list(range(1, args.replicates + 1)),
     )
     rows = run_ablation(spec, jobs=args.jobs)
     if args.out:
@@ -411,10 +360,10 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     base = _load_scenario(args.scenario, {})
     rows = run_matrix(
         base,
-        environments=[e.strip() for e in args.environments.split(",") if e.strip()],
-        densities=_parse_list(args.densities, float),
+        environments=_parse_list("environments", args.environments, str),
+        densities=_parse_list("densities", args.densities),
         replicates=args.replicates,
-        seeds=_parse_list(args.seeds, int) if args.seeds else None,
+        seeds=_parse_list("seeds", args.seeds, int) if args.seeds else None,
         jobs=args.jobs,
     )
     if args.out:

@@ -207,38 +207,38 @@ def score_candidates(
     comfort_coeffs: ComfortCoefficients,
     prox: ProxemicsParams,
     coeffs: PlannerCoefficients,
+    radius: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Score every candidate against the whole predicted sample cloud at once.
 
     Returns (utility, ingroup, outgroup, move, approach) arrays in candidate
     order; approach is each candidate segment's smallest distance to a
-    predicted sample. Samples too far out to pull a candidate below the
-    comfort clamp are skipped (approach is inf when all are), which assumes
-    every candidate lies within max(formation_max, current distance) of the
-    user, as those of `generate_candidates` do.
+    predicted sample. Samples too far out to come within the comfort
+    saturation distance or the trigger `radius` of any candidate segment are
+    skipped, so approach is exact below the larger of the two and otherwise
+    exact or inf.
     """
     u = user.position
     cand = np.array([(c.x, c.y) for c in candidates])
     ex = cand[:, 0] - u.x
     ey = cand[:, 1] - u.y
+    ee = ex * ex + ey * ey
 
     # out-group: worst clamped comfort over every predicted sample, which only
-    # depends on the smallest sample-to-segment distance; samples too far from
-    # the user to drag any candidate below the clamp are dropped up front
+    # depends on the smallest sample-to-segment distance; samples farther from
+    # the user than the farthest candidate plus that margin are dropped up front
     n = len(candidates)
     outgroup = np.ones(n)
     approach = np.full(n, np.inf)
     stacked = [t.points for t in trajectories if t.points.size]
     if stacked:
         pts = np.concatenate(stacked, axis=0)
-        reach = max(prox.formation_max, current_vh.distance_to(u))
-        cutoff = reach + _saturation_distance_m(comfort_coeffs) + 1e-6
+        cutoff = math.sqrt(ee.max()) + max(_saturation_distance_m(comfort_coeffs), radius) + 1e-6
         wx = pts[:, 0] - u.x
         wy = pts[:, 1] - u.y
         keep = (wx * wx + wy * wy) <= cutoff * cutoff
         if keep.any():
             wx, wy = wx[keep], wy[keep]
-            ee = ex * ex + ey * ey
             ee_safe = np.where(ee == 0.0, 1.0, ee)
             t = np.outer(wx, ex) + np.outer(wy, ey)
             t = np.clip(t / ee_safe[None, :], 0.0, 1.0)
@@ -371,7 +371,7 @@ def plan_if_needed(
     candidates = generate_candidates(snapshot.user, snapshot.vh.position, snapshot.env, prox, params)
     utility, ingroup, outgroup, move, approach = score_candidates(
         candidates, snapshot.user, snapshot.vh.position, context,
-        snapshot.trajectories, comfort_coeffs, prox, coeffs,
+        snapshot.trajectories, comfort_coeffs, prox, coeffs, radius,
     )
     # Relocation pruning, an out-group mechanism (inert at zero out-group
     # weight). Alternatives must clear the trigger radius or, when nothing

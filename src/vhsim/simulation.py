@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import IO
 
 import numpy as np
@@ -43,93 +43,127 @@ TRACE_SCHEMA = "vhsim-trace/1"
 ENVIRONMENT_PRESETS = ("square12", "square20", "passage", "custom")
 CONDITIONS = ("none", "proposed")
 
+# Work bounds, checked before a trial starts so that no accepted scenario can
+# run away; each is well above what the reference experiments need (the
+# arithmetic is in the README).
+MAX_TICKS = 100_000  # round(duration / dt)
+MAX_PEDESTRIANS = 1_000  # density * environment area
+MAX_SAMPLES = 1_000  # samples per predicted trajectory, horizon_cap / dt
+MAX_SCORE_CELLS = 5_000_000  # pedestrians * samples * candidates in the scorer
 
-class Condition(enum.Enum):
-    NONE = "none"
-    PROPOSED = "proposed"
+
+class ScenarioError(ValueError):
+    """Raised for malformed or out-of-range scenario input."""
 
 
-@dataclass
+def _key(default, *, ge=None, gt=None, le=None, choices=None):
+    """A scenario field of its default's type, bounded below by `ge` (>=) or
+    `gt` (>) and above by `le` (<=), or restricted to `choices`."""
+    return field(default=default, metadata=dict(type=type(default), ge=ge, gt=gt, le=le, choices=choices))
+
+
+def _field_problem(f, value) -> str | None:
+    kind, meta = f.metadata["type"], f.metadata
+    accepted = (int, float) if kind is float else kind  # an int is a valid float
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        return f"must be {kind.__name__}, got {value!r}"
+    if meta["choices"] is not None and value not in meta["choices"]:
+        return f"must be one of {meta['choices']}, got {value!r}"
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"must be finite, got {value!r}"
+    low_ok = (meta["ge"] is None or value >= meta["ge"]) and (meta["gt"] is None or value > meta["gt"])
+    if not (low_ok and (meta["le"] is None or value <= meta["le"])):
+        low = f">= {meta['ge']}" if meta["ge"] is not None else f"> {meta['gt']}"
+        return f"must be {low} and <= {meta['le']}, got {value!r}"
+    return None
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one simulation trial.
 
     All distances in meters, angles in degrees, times in seconds. Every model
     parameter is overridable; the defaults reproduce the reference setup.
+    Each field carries its type and range, and a config checks them, the
+    rules between fields and the work bounds when it is built, so an invalid
+    config cannot exist; violations raise `ScenarioError` naming the fields.
     """
 
-    environment: str = "square12"
-    env_width: float = 12.0
-    env_height: float = 12.0
-    env_side_walls: bool = False
-    density: float = 0.25
-    speed_min: float = 1.0
-    speed_max: float = 1.5
-    condition: str = "proposed"
-    duration: float = 600.0
-    dt: float = 0.1
-    seed: int = 1
-    interpersonal_distance: float = 1.5
-    coefficient_c: float = 1.0
-    coefficient_d: float = 0.5
-    tracking_distance: float = 6.0
-    personal_space: float = 1.2
-    formation_min: float = 0.6
-    crowd_threshold: float = 0.15
-    c_space_radius: float = 6.0
-    min_avoidance_distance: float = 0.67
-    start_avoidance_distance: float = 2.0
-    body_radius: float = 0.4
-    territory_radius: float = 0.40
-    planning_margin: float = 0.20
-    rest_margin: float = 0.10
-    replan_interval: float = 0.5
-    vh_max_speed: float = 1.5
-    vh_turn_rate: float = 180.0
-    user_turn_rate: float = 90.0
-    candidate_radial_step: float = 0.15
-    candidate_angular_step: float = 15.0
-    wall_clearance: float = 0.3
-    arrive_position_tol: float = 0.05
-    arrive_angle_tol: float = 10.0
-    horizon_cap: float = 4.0
-    spawn_exclusion: float = 2.0
-    goal_tolerance: float = 0.3
+    environment: str = _key("square12", choices=ENVIRONMENT_PRESETS)
+    env_width: float = _key(12.0, ge=1.0, le=1000.0)
+    env_height: float = _key(12.0, ge=1.0, le=1000.0)
+    env_side_walls: bool = _key(False)
+    density: float = _key(0.25, ge=0.0, le=4.0)
+    speed_min: float = _key(1.0, ge=0.1, le=3.0)
+    speed_max: float = _key(1.5, ge=0.1, le=3.0)
+    condition: str = _key("proposed", choices=CONDITIONS)
+    duration: float = _key(600.0, gt=0.0, le=86_400.0)
+    dt: float = _key(0.1, ge=0.001, le=1.0)
+    seed: int = _key(1, ge=0, le=2**63 - 1)
+    interpersonal_distance: float = _key(1.5, gt=0.0, le=10.0)
+    coefficient_c: float = _key(1.0, ge=0.0, le=100.0)
+    coefficient_d: float = _key(0.5, ge=0.0, le=100.0)
+    tracking_distance: float = _key(6.0, gt=0.0, le=100.0)
+    personal_space: float = _key(1.2, gt=0.0, le=100.0)
+    formation_min: float = _key(0.6, gt=0.0, le=10.0)
+    crowd_threshold: float = _key(0.15, gt=0.0, le=10.0)
+    c_space_radius: float = _key(6.0, gt=0.0, le=100.0)
+    min_avoidance_distance: float = _key(0.67, gt=0.0, le=100.0)
+    start_avoidance_distance: float = _key(2.0, gt=0.0, le=100.0)
+    body_radius: float = _key(0.4, gt=0.0, le=10.0)
+    territory_radius: float = _key(0.40, gt=0.0, le=10.0)
+    planning_margin: float = _key(0.20, ge=0.0, le=10.0)
+    rest_margin: float = _key(0.10, ge=0.0, le=10.0)
+    replan_interval: float = _key(0.5, gt=0.0, le=3600.0)
+    vh_max_speed: float = _key(1.5, gt=0.0, le=10.0)
+    vh_turn_rate: float = _key(180.0, gt=0.0, le=3600.0)
+    user_turn_rate: float = _key(90.0, ge=0.0, le=3600.0)
+    candidate_radial_step: float = _key(0.15, ge=0.01, le=10.0)
+    candidate_angular_step: float = _key(15.0, ge=0.1, le=360.0)
+    wall_clearance: float = _key(0.3, ge=0.0, le=10.0)
+    arrive_position_tol: float = _key(0.05, ge=0.0, le=10.0)
+    arrive_angle_tol: float = _key(10.0, ge=0.0, le=180.0)
+    horizon_cap: float = _key(4.0, gt=0.0, le=600.0)
+    spawn_exclusion: float = _key(2.0, ge=0.0, le=100.0)
+    goal_tolerance: float = _key(0.3, ge=0.0, le=10.0)
 
-    def validate(self) -> None:
-        checks = [
-            (self.environment in ENVIRONMENT_PRESETS, "environment", f"must be one of {ENVIRONMENT_PRESETS}"),
-            (self.condition in CONDITIONS, "condition", f"must be one of {CONDITIONS}"),
-            (self.density >= 0.0, "density", "must be >= 0"),
-            (self.duration > 0.0, "duration", "must be > 0"),
-            (self.dt > 0.0, "dt", "must be > 0"),
-            (0.0 < self.speed_min <= self.speed_max <= 3.0, "speed_min/speed_max",
-             "must satisfy 0 < speed_min <= speed_max <= 3"),
-            (self.env_width > 0.0 and self.env_height > 0.0, "env_width/env_height", "must be > 0"),
-            (self.interpersonal_distance > self.formation_min, "interpersonal_distance",
-             "must exceed formation_min"),
-            (self.formation_min > 0.0, "formation_min", "must be > 0"),
-            (0.0 < self.min_avoidance_distance <= self.start_avoidance_distance,
-             "min_avoidance_distance", "must satisfy 0 < min <= start"),
-            (self.start_avoidance_distance <= self.tracking_distance, "start_avoidance_distance",
-             "must not exceed tracking_distance"),
-            (self.coefficient_c >= 0.0, "coefficient_c", "must be >= 0"),
-            (self.coefficient_d >= 0.0, "coefficient_d", "must be >= 0"),
-            (self.body_radius > 0.0, "body_radius", "must be > 0"),
-            (self.territory_radius > 0.0, "territory_radius", "must be > 0"),
-            (self.rest_margin >= 0.0, "rest_margin", "must be >= 0"),
-            (self.personal_space > 0.0, "personal_space", "must be > 0"),
-            (self.crowd_threshold > 0.0, "crowd_threshold", "must be > 0"),
-            (self.c_space_radius > 0.0, "c_space_radius", "must be > 0"),
-            (self.vh_max_speed > 0.0, "vh_max_speed", "must be > 0"),
-            (self.replan_interval > 0.0, "replan_interval", "must be > 0"),
-            (self.spawn_exclusion >= 0.0, "spawn_exclusion", "must be >= 0"),
-            (self.candidate_radial_step > 0.0, "candidate_radial_step", "must be > 0"),
-            (self.candidate_angular_step > 0.0, "candidate_angular_step", "must be > 0"),
-            (self.seed >= 0, "seed", "must be >= 0"),
-        ]
-        for ok, name, message in checks:
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            problem = _field_problem(f, getattr(self, f.name))
+            if problem is not None:
+                raise ScenarioError(f"{f.name}: {problem}")
+        env = self.build_environment()
+        user, vh = self.initial_poses(env)
+        ticks = round(self.duration / self.dt)
+        pedestrians = round(self.density * env.width * env.height)
+        samples = math.floor(max(self.horizon_cap, self.dt) / self.dt + 1e-9) + 1
+        band = self.interpersonal_distance - self.formation_min
+        radii = math.floor(band / self.candidate_radial_step + 1e-9) + 1
+        candidates = radii * round(360.0 / self.candidate_angular_step) + 1
+        cells = max(pedestrians, 1) * samples * candidates
+        rules = (
+            ("speed_min, speed_max", self.speed_min <= self.speed_max, "need speed_min <= speed_max"),
+            ("formation_min, interpersonal_distance", self.formation_min < self.interpersonal_distance,
+             "need formation_min < interpersonal_distance"),
+            ("min_avoidance_distance, start_avoidance_distance, tracking_distance",
+             self.min_avoidance_distance <= self.start_avoidance_distance <= self.tracking_distance,
+             "need min_avoidance_distance <= start_avoidance_distance <= tracking_distance"),
+            ("interpersonal_distance, env_width, env_height",
+             all(0.0 < p.x < env.width and 0.0 < p.y < env.height for p in (user.position, vh.position)),
+             f"the dyad must lie strictly inside the {env.width:g} x {env.height:g} m environment"),
+            ("duration, dt", 1 <= ticks <= MAX_TICKS,
+             f"{ticks} ticks (duration / dt) must be between 1 and {MAX_TICKS}"),
+            ("density", pedestrians <= MAX_PEDESTRIANS,
+             f"{pedestrians} pedestrians (density * area) exceed {MAX_PEDESTRIANS}"),
+            ("horizon_cap, dt", samples <= MAX_SAMPLES,
+             f"{samples} samples per trajectory (horizon_cap / dt + 1) exceed {MAX_SAMPLES}"),
+            ("density, horizon_cap, dt, candidate_radial_step, candidate_angular_step",
+             cells <= MAX_SCORE_CELLS,
+             f"{pedestrians} pedestrians * {samples} samples * {candidates} candidates exceed {MAX_SCORE_CELLS}"),
+        )
+        for names, ok, message in rules:
             if not ok:
-                raise ValueError(f"{name}: {message}")
+                raise ScenarioError(f"{names}: {message}")
 
     def build_environment(self) -> Environment:
         if self.environment == "square12":
@@ -419,14 +453,13 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
     and the agent advances, the user turns, conflicts are detected on entry
     edges, and phase timers accumulate.
     """
-    config.validate()
     env = config.build_environment()
     user, vh = config.initial_poses(env)
     avoid = config.avoidance_params()
     walkers = _spawn_walkers(config, env, Segment(user.position, vh.position))
 
     planner: ConflictAvoidancePlanner | None = None
-    if config.condition == Condition.PROPOSED.value:
+    if config.condition == "proposed":
         planner = ConflictAvoidancePlanner(
             env,
             config.proxemics_params(),

@@ -1,9 +1,11 @@
+import concurrent.futures
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import vhsim.cli as cli
 from vhsim.cli import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -191,6 +193,30 @@ class TestRunAblation:
 
 
 class TestRunMatrix:
+    def test_parallel_pool_sized_to_distinct_trials(self, monkeypatch):
+        # an in-process stand-in for the process pool, recording its size
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        base = ScenarioConfig(**FAST)
+        serial = run_matrix(base, ["square12"], [0.1], replicates=1, seeds=[1])
+        parallel = run_matrix(base, ["square12"], [0.1], replicates=1, seeds=[1], jobs=8)
+        assert sizes == [2]
+        assert parallel == serial
+
     def test_grid_shape(self):
         base = ScenarioConfig(**FAST)
         rows = run_matrix(base, ["square12", "passage"], [0.05, 0.1], replicates=2, seeds=[1, 2])
@@ -244,12 +270,40 @@ class TestMainCli:
         ("candidate_angular_step", "0"),
         ("candidate_radial_step", "0"),
         ("seed", "-1"),
+        ("duration", "inf"),
+        ("density", "inf"),
+        ("dt", "1e-9"),
+        ("duration", "1e300"),
+        ("horizon_cap", "nan"),
+        ("replan_interval", "inf"),
+        ("planning_margin", "-5"),
+        ("goal_tolerance", "-1"),
+        ("vh_turn_rate", "-1"),
+        ("arrive_position_tol", "-1"),
+        pytest.param("env_height", "1\nenvironment: custom\nenv_width: 1", id="custom-1x1-room"),
     ])
     def test_simulate_names_field_of_unrunnable_scenario(self, tmp_path, capsys, field, value):
         scenario = tmp_path / "bad.txt"
         scenario.write_text(f"{field}: {value}\n")
         code = main(["simulate", "--scenario", str(scenario)])
         assert code == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,field", [
+        ("ablate --axis density --values -1", "density"),
+        ("ablate --axis density --values abc", "values"),
+        ("ablate --axis density --values 0.1 --jobs 0", "jobs"),
+        ("matrix --environments foo", "environment"),
+        ("matrix --densities x", "densities"),
+        ("matrix --jobs 0", "jobs"),
+        ("matrix --replicates 0", "replicates"),
+    ])
+    def test_sweep_argument_error_names_field(self, monkeypatch, capsys, command, field):
+        def no_trial(config):
+            raise AssertionError("a trial ran before the sweep arguments were checked")
+
+        monkeypatch.setattr(cli, "run_trial", no_trial)
+        assert main(command.split()) == 2
         assert field in capsys.readouterr().err
 
     def test_trace_requires_out(self, capsys):

@@ -153,10 +153,19 @@ class TestScoreCandidate:
             utility, ingroup, outgroup, move = score_one(cand, user, cur, trajs)
             expected = (ingroup + COEFFS.outgroup_weight * outgroup) / (1.0 + move * COEFFS.move_cost)
             assert utility == pytest.approx(expected, abs=1e-12)
-            if cand.norm() <= max(PROX.formation_max, cur.norm()):  # within the scorer's reach
-                assert utility == pytest.approx(
-                    oracle_utility(cand, user, cur, CTX_OPEN, trajs, COMFORT, PROX, COEFFS), abs=1e-9
-                )
+            assert utility == pytest.approx(
+                oracle_utility(cand, user, cur, CTX_OPEN, trajs, COMFORT, PROX, COEFFS), abs=1e-9
+            )
+
+    def test_approach_exact_within_trigger_radius(self):
+        # the only sample is 2.27 m from the user, beyond the candidate plus
+        # the 0.67 m comfort saturation, but within a 0.9 m trigger radius
+        user = Pose(Vec2(0, 0), 0.0)
+        cand = Vec2(1.5, 0.0)
+        *_, approach = score_candidates(
+            [cand], user, cand, CTX_OPEN, [traj([(2.27, 0.0)])], COMFORT, PROX, COEFFS, 0.9
+        )
+        assert approach[0] == pytest.approx(0.77, abs=1e-12)
 
     def test_outgroup_matches_comfort_module(self):
         # the sample pre-filter and the grid-wide segment distances give the
@@ -356,6 +365,25 @@ class TestPlanIfNeeded:
         assert decision.target_position == target
         assert decision.utility == pytest.approx(utility, abs=1e-9)
         assert state.phase is PlanPhase.ADJUSTING and decision.move_distance > 0.0
+
+    @pytest.mark.parametrize("arc_radius,holds", [(0.95, False), (1.10, True)])
+    def test_safe_branch_holds_only_above_rest_margin(self, arc_radius, holds):
+        # samples on two arcs around the user, 40-60 deg either side of the
+        # dyad, leave safe only candidates that cost a move of 1.6 m or more,
+        # and pass the agent at arc_radius * cos 60 deg: holding still wins
+        # the utility whenever it stays in the pool, which it may only above
+        # territory radius + rest margin (0.5 m)
+        arcs = [
+            traj([(10.0 + arc_radius * math.cos(math.radians(a)), 9.25 + arc_radius * math.sin(math.radians(a)))
+                  for a in range(lo, lo + 21)], pid=pid)
+            for pid, lo in ((1, 40), (2, 120))
+        ]
+        snap = build_snapshot(self.user, self.vh, self.env, arcs)
+        state, decision = plan_if_needed(snap, PlanState(), PROX, COMFORT, COEFFS, PARAMS)
+        target, utility = self.oracle_target(arcs)
+        assert decision.target_position == target
+        assert decision.utility == pytest.approx(utility, abs=1e-9)
+        assert (decision.move_distance == 0.0) is holds
 
     def test_hold_when_outgroup_ignored(self):
         # with zero out-group weight the plain argmax keeps the agent stable

@@ -346,6 +346,7 @@ class TestScenarioConfig:
         [
             ("density", -1.0),
             ("duration", 0.0),
+            ("duration", 0.04),
             ("dt", 0.0),
             ("speed_min", 0.0),
             ("condition", "sometimes"),
@@ -354,12 +355,15 @@ class TestScenarioConfig:
             ("candidate_angular_step", 0.0),
             ("candidate_radial_step", 0.0),
             ("seed", -1),
+            ("seed", 2**64),
+            ("seed", True),
+            pytest.param("density", 10**400, id="density-10**400"),
+            ("env_side_walls", "yes"),
         ],
     )
     def test_validation(self, field, value):
-        cfg = replace(ScenarioConfig(), **{field: value})
         with pytest.raises(ValueError):
-            cfg.validate()
+            replace(ScenarioConfig(), **{field: value})
 
 
 class TestGoldenTrials:
