@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -439,13 +440,17 @@ class ConflictAvoidancePlanner:
         dt: float,
         user: Pose,
         vh: Pose,
-        pedestrians: list[PedestrianState],
+        pedestrians: Callable[[], list[PedestrianState]],
     ) -> Pose:
-        """One tick: maybe replan, then execute the active plan."""
+        """One tick: maybe replan, then execute the active plan.
+
+        `pedestrians` is called for the crowd's states only on the ticks
+        that check for conflicts.
+        """
         if t >= self._next_check - 1e-9:
             self._next_check = t + self.params.replan_interval
             snapshot = make_snapshot(
-                user, vh, self.env, pedestrians, self.avoid, dt,
+                user, vh, self.env, pedestrians(), self.avoid, dt,
                 self.prox.c_space_radius, self.params.horizon_cap,
             )
             self.state, decision = plan_if_needed(

@@ -17,6 +17,11 @@ import numpy as np
 
 from .geometry import Segment, Vec2, distance_point_segment
 
+# Speeds below this (m/s) count as standing still: for a subnormal speed,
+# 1 / speed overflows and speed * speed underflows. Trials give every
+# pedestrian a speed of 0 or at least 0.1 m/s.
+STATIONARY_SPEED = 1e-9
+
 
 class Phase(enum.Enum):
     DIRECT = "direct"
@@ -98,7 +103,7 @@ def linear_extrapolate(ped: PedestrianState, t: float) -> Vec2:
 def min_approach_distance(ped: PedestrianState, user: Vec2) -> float:
     """Closest distance the straight-line extrapolation comes to the user."""
     speed = ped.velocity.norm()
-    if speed == 0.0:
+    if speed < STATIONARY_SPEED:
         raise ValueError("stationary pedestrian has no approach trajectory")
     wx, wy = user.x - ped.position.x, user.y - ped.position.y
     t_star = max(0.0, (wx * ped.velocity.x + wy * ped.velocity.y) / (speed * speed))
@@ -195,7 +200,7 @@ def predict_trajectory(
     n = int(math.floor(horizon / dt + 1e-9)) + 1
     times = np.arange(n) * dt
     speed = ped.velocity.norm()
-    if speed == 0.0:
+    if speed < STATIONARY_SPEED:
         pts = np.tile((ped.position.x, ped.position.y), (n, 1))
         d_min = ped.position.distance_to(user)
         return PredictedTrajectory(ped.id, times, pts, d_min)

@@ -250,11 +250,19 @@ class TrialMetrics:
     decision_count: int = 0
 
 
-@dataclass
-class _Walker:
-    state: PedestrianState
-    rng: np.random.Generator
-    goal_side: int  # 0 = top boxes, 1 = bottom boxes
+_PHASES = (Phase.DIRECT, Phase.AVOIDING, Phase.RETURNING)  # phase codes 0, 1, 2
+_DIRECT, _AVOIDING, _RETURNING = range(3)
+# Routing margin (m): a pedestrian whose array step lies within this distance
+# of a phase-changing condition takes the scalar `step_pedestrian` instead,
+# so the scalar rule decides every edge case.
+_MARGIN = 1e-6
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Element-wise `math.hypot`, bit for bit: np.hypot and sqrt(x*x + y*y)
+    differ from it in the last ulp on some inputs, and a step length or a
+    direction computed from them would move a pedestrian."""
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, x.size)
 
 
 def _pedestrian_rng(seed: int, ped_id: int) -> np.random.Generator:
@@ -268,9 +276,136 @@ def _draw_goal(rng: np.random.Generator, boxes: list[Rect]) -> Vec2:
     return Vec2(x, y)
 
 
-def _spawn_walkers(config: ScenarioConfig, env: Environment, dyad: Segment) -> list[_Walker]:
+def _waypoint_xy(waypoint: Vec2 | None) -> tuple[float, float]:
+    return (math.nan, math.nan) if waypoint is None else (waypoint.x, waypoint.y)
+
+
+def _pedestrian_state(i, position, velocity, goal, speed, phase, waypoint) -> PedestrianState:
+    wx, wy = waypoint
+    return PedestrianState(
+        id=i, position=Vec2(*position), velocity=Vec2(*velocity), goal=Vec2(*goal),
+        preferred_speed=speed, phase=_PHASES[phase], waypoint=None if math.isnan(wx) else Vec2(wx, wy),
+    )
+
+
+class Crowd:
+    """The pedestrians as arrays, one row per pedestrian id.
+
+    `step` advances every pedestrian whose tick is a straight walk toward its
+    target (the goal, or the waypoint while avoiding) in one array step, goal
+    arrival and the RETURNING -> DIRECT switch beyond the start range
+    included. Only a pedestrian whose phase could change on the tick goes
+    through the scalar `step_pedestrian`: a possible dodge trigger, a
+    waypoint arrival, a target closer than the routing margin, or a
+    RETURNING pedestrian on the start-range boundary. A pedestrian that
+    reaches its goal draws the next one from its own generator.
+    """
+
+    def __init__(
+        self,
+        pedestrians: list[PedestrianState],
+        rngs: list[np.random.Generator],
+        goal_sides: list[int],
+        env: Environment,
+        avoid: AvoidanceParams,
+        dt: float,
+        goal_tolerance: float,
+    ) -> None:
+        n = len(pedestrians)
+        if any(p.id != i for i, p in enumerate(pedestrians)):
+            raise ValueError("pedestrian ids must equal their row indices 0..n-1")
+        self.position = np.array([(p.position.x, p.position.y) for p in pedestrians], float).reshape(n, 2)
+        self.velocity = np.array([(p.velocity.x, p.velocity.y) for p in pedestrians], float).reshape(n, 2)
+        self.goal = np.array([(p.goal.x, p.goal.y) for p in pedestrians], float).reshape(n, 2)
+        self.speed = np.array([p.preferred_speed for p in pedestrians], float)
+        self.phase = np.array([_PHASES.index(p.phase) for p in pedestrians], np.int8)
+        self.waypoint = np.array([_waypoint_xy(p.waypoint) for p in pedestrians], float).reshape(n, 2)
+        self.goal_side = list(goal_sides)  # 0 = top boxes, 1 = bottom boxes
+        self.rngs = rngs
+        self.env = env
+        self.avoid = avoid
+        self.dt = dt
+        self.goal_tolerance = goal_tolerance
+        self._step_length = self.speed * dt
+
+    def __len__(self) -> int:
+        return self.speed.size
+
+    def state(self, i: int) -> PedestrianState:
+        return _pedestrian_state(
+            i, self.position[i].tolist(), self.velocity[i].tolist(), self.goal[i].tolist(),
+            float(self.speed[i]), int(self.phase[i]), self.waypoint[i].tolist(),
+        )
+
+    def states(self) -> list[PedestrianState]:
+        columns = (self.position, self.velocity, self.goal, self.speed, self.phase, self.waypoint)
+        return list(map(_pedestrian_state, range(len(self)), *(c.tolist() for c in columns)))
+
+    def step(self, user: Vec2) -> None:
+        """Advance every pedestrian by dt, as `step_pedestrian` followed by a
+        goal re-roll on arrival would."""
+        if not len(self):
+            return
+        avoid, pos, step = self.avoid, self.position, self._step_length
+        phase = self.phase.copy()
+        avoiding = phase == _AVOIDING
+        target = np.where(avoiding[:, None], self.waypoint, self.goal)
+        to_target = target - pos
+        t_dist = _hypot(to_target[:, 0], to_target[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):  # a target this close goes scalar
+            direction = to_target / t_dist[:, None]
+        new_pos = pos + direction * step[:, None]
+        velocity = direction * self.speed[:, None]
+
+        # Route every pedestrian whose phase could change to the scalar rule.
+        # The distance to the user is the complex modulus, within an ulp of
+        # the scalar rule's math.hypot, so each test keeps a margin on the
+        # scalar side.
+        rel = complex(user.x, user.y) - pos.view(complex)[:, 0]
+        d_user = np.abs(rel)
+        reach, lower = avoid.start_avoidance + _MARGIN, avoid.start_avoidance - _MARGIN
+        scalar = set()
+        for i in (phase == _RETURNING).nonzero()[0].tolist():
+            if d_user[i] > reach:
+                phase[i] = _DIRECT
+            elif d_user[i] >= lower:
+                scalar.add(i)
+        miss_limit = (avoid.min_avoidance + _MARGIN) ** 2
+        for i in ((d_user <= reach) & (phase == _DIRECT)).nonzero()[0].tolist():
+            (dx, dy), (rx, ry) = direction[i].tolist(), (rel[i].real, rel[i].imag)
+            dist, proj = math.hypot(rx, ry), rx * dx + ry * dy
+            if proj > -_MARGIN and dist * dist - proj * proj < miss_limit:
+                scalar.add(i)  # a possible dodge trigger
+        for i in (t_dist <= step + _MARGIN).nonzero()[0].tolist():
+            if avoiding[i] or t_dist[i] < _MARGIN:
+                scalar.add(i)
+            elif t_dist[i] <= step[i]:
+                new_pos[i] = target[i]  # arrives at its goal
+        for i in scalar:
+            s = step_pedestrian(self.state(i), user, self.dt, avoid)
+            new_pos[i] = s.position.x, s.position.y
+            velocity[i] = s.velocity.x, s.velocity.y
+            phase[i] = _PHASES.index(s.phase)
+            self.waypoint[i] = _waypoint_xy(s.waypoint)
+
+        tolerance = self.goal_tolerance
+        near_goal = np.abs(new_pos.view(complex)[:, 0] - self.goal.view(complex)[:, 0]) <= tolerance + _MARGIN
+        for i in near_goal.nonzero()[0].tolist():
+            (x, y), (gx, gy) = new_pos[i].tolist(), self.goal[i].tolist()
+            if math.hypot(x - gx, y - gy) <= tolerance:
+                side = self.goal_side[i] = 1 - self.goal_side[i]
+                goal = _draw_goal(self.rngs[i], self.env.goal_boxes_top if side == 0 else self.env.goal_boxes_bottom)
+                self.goal[i] = goal.x, goal.y
+                phase[i] = _DIRECT
+                self.waypoint[i] = math.nan, math.nan
+        self.position, self.velocity, self.phase = new_pos, velocity, phase
+
+
+def _spawn_crowd(config: ScenarioConfig, env: Environment, dyad: Segment) -> Crowd:
     count = int(round(config.density * env.width * env.height))
-    walkers: list[_Walker] = []
+    states: list[PedestrianState] = []
+    rngs: list[np.random.Generator] = []
+    sides: list[int] = []
     for ped_id in range(count):
         rng = _pedestrian_rng(config.seed, ped_id)
         exclusion = config.spawn_exclusion
@@ -289,19 +424,20 @@ def _spawn_walkers(config: ScenarioConfig, env: Environment, dyad: Segment) -> l
         direction = goal - position
         n = direction.norm()
         velocity = direction * (speed / n) if n > 1e-12 else Vec2(0.0, 0.0)
-        state = PedestrianState(
+        states.append(PedestrianState(
             id=ped_id, position=position, velocity=velocity, goal=goal,
             preferred_speed=speed, phase=Phase.DIRECT,
-        )
-        walkers.append(_Walker(state=state, rng=rng, goal_side=side))
-    return walkers
+        ))
+        rngs.append(rng)
+        sides.append(side)
+    return Crowd(states, rngs, sides, env, config.avoidance_params(), config.dt, config.goal_tolerance)
 
 
 def spawn_flow(config: ScenarioConfig) -> list[PedestrianState]:
     """Initial pedestrian population for a scenario."""
     env = config.build_environment()
     user, vh = config.initial_poses(env)
-    return [w.state for w in _spawn_walkers(config, env, Segment(user.position, vh.position))]
+    return _spawn_crowd(config, env, Segment(user.position, vh.position)).states()
 
 
 def step_pedestrian(
@@ -402,7 +538,7 @@ def step_user(user: Pose, vh: Pose, dt: float, turn_rate_deg: float = 90.0) -> P
 
 
 def detect_events(
-    pedestrians: list[PedestrianState],
+    positions: np.ndarray,
     dyad: Segment,
     vh_position: Vec2,
     inside_territory: np.ndarray,
@@ -413,21 +549,22 @@ def detect_events(
 ) -> tuple[list[ConflictEvent], np.ndarray, np.ndarray]:
     """Entry-edge conflict detection against the current dyad and agent body.
 
-    A pedestrian dwelling inside produces one event per entry episode. The
-    inside flags from the previous tick are consumed and replaced.
+    `positions` is an (n, 2) array whose row i is pedestrian i, so an
+    event's pedestrian id is its row index. A pedestrian dwelling inside
+    produces one event per entry episode. The inside flags from the previous
+    tick are consumed and replaced.
     """
-    if not pedestrians:
+    if not len(positions):
         return [], inside_territory, inside_body
-    pts = np.array([(p.position.x, p.position.y) for p in pedestrians])
-    d_seg = points_segment_distance(pts, dyad.a, dyad.b)
-    d_body = np.hypot(pts[:, 0] - vh_position.x, pts[:, 1] - vh_position.y)
+    d_seg = points_segment_distance(positions, dyad.a, dyad.b)
+    d_body = np.hypot(positions[:, 0] - vh_position.x, positions[:, 1] - vh_position.y)
     now_territory = d_seg < territory_radius
     now_body = d_body < body_radius
     events: list[ConflictEvent] = []
     for idx in np.nonzero(now_territory & ~inside_territory)[0]:
-        events.append(ConflictEvent(ConflictKind.SOCIAL, time, pedestrians[int(idx)].id))
+        events.append(ConflictEvent(ConflictKind.SOCIAL, time, int(idx)))
     for idx in np.nonzero(now_body & ~inside_body)[0]:
-        events.append(ConflictEvent(ConflictKind.PHYSICALITY, time, pedestrians[int(idx)].id))
+        events.append(ConflictEvent(ConflictKind.PHYSICALITY, time, int(idx)))
     return events, now_territory, now_body
 
 
@@ -456,7 +593,7 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
     env = config.build_environment()
     user, vh = config.initial_poses(env)
     avoid = config.avoidance_params()
-    walkers = _spawn_walkers(config, env, Segment(user.position, vh.position))
+    crowd = _spawn_crowd(config, env, Segment(user.position, vh.position))
 
     planner: ConflictAvoidancePlanner | None = None
     if config.condition == "proposed":
@@ -470,7 +607,7 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
         )
 
     n_ticks = int(round(config.duration / config.dt))
-    n_peds = len(walkers)
+    n_peds = len(crowd)
     inside_territory = np.zeros(n_peds, dtype=bool)
     inside_body = np.zeros(n_peds, dtype=bool)
     events: list[ConflictEvent] = []
@@ -480,30 +617,17 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
     if trace is not None:
         trace.write(json.dumps(_trace_header(config), sort_keys=True) + "\n")
 
-    states = [w.state for w in walkers]
     for k in range(n_ticks):
         t = k * config.dt
-
-        for i, w in enumerate(walkers):
-            s = step_pedestrian(w.state, user.position, config.dt, avoid)
-            if s.position.distance_to(s.goal) <= config.goal_tolerance:
-                w.goal_side = 1 - w.goal_side
-                boxes = env.goal_boxes_top if w.goal_side == 0 else env.goal_boxes_bottom
-                new_goal = _draw_goal(w.rng, boxes)
-                s = PedestrianState(
-                    id=s.id, position=s.position, velocity=s.velocity, goal=new_goal,
-                    preferred_speed=s.preferred_speed, phase=Phase.DIRECT, waypoint=None,
-                )
-            w.state = s
-            states[i] = s
+        crowd.step(user.position)
 
         if planner is not None:
-            vh = planner.update(t, config.dt, user, vh, states)
+            vh = planner.update(t, config.dt, user, vh, crowd.states)
 
         user = step_user(user, vh, config.dt, config.user_turn_rate)
 
         tick_events, inside_territory, inside_body = detect_events(
-            states, Segment(user.position, vh.position), vh.position,
+            crowd.position, Segment(user.position, vh.position), vh.position,
             inside_territory, inside_body,
             config.territory_radius, config.body_radius, t,
         )
@@ -521,7 +645,7 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
                 "user": _round2(user.position) + [round(user.orientation, 4)],
                 "vh": _round2(vh.position) + [round(vh.orientation, 4)],
                 "phase": (planner.state.phase.value if planner is not None else "stable"),
-                "peds": [_round2(s.position) for s in states],
+                "peds": [[round(x, 4), round(y, 4)] for x, y in crowd.position.tolist()],
                 "events": [[e.kind.value, e.pedestrian_id] for e in tick_events],
             }
             trace.write(json.dumps(line, sort_keys=True) + "\n")

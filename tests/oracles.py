@@ -1,14 +1,19 @@
 """Scalar reference implementations that the tests compare vhsim against.
 
 Each one recomputes a production result the slow, obvious way: per
-candidate and per sample in plain Python, or, for the disc clip, by clipping
-a fine polygon.
+candidate, per sample or per pedestrian in plain Python, or, for the disc
+clip, by clipping a fine polygon.
 """
 
 import math
+from dataclasses import dataclass, replace
 
-from vhsim.geometry import Pose, Rect, Segment, Vec2, distance_point_segment
+import numpy as np
+
+from vhsim.geometry import Environment, Pose, Rect, Segment, Vec2, distance_point_segment
+from vhsim.prediction import AvoidanceParams, PedestrianState, Phase
 from vhsim.proxemics import ArrangementType, ProxemicsParams, SpatialContext, context_preference
+from vhsim.simulation import step_pedestrian
 
 
 def oracle_ingroup(candidate: Vec2, user: Pose, context: SpatialContext, prox: ProxemicsParams) -> float:
@@ -108,3 +113,26 @@ def polygon_disc_rect_area(center: Vec2, radius: float, rect: Rect, vertices: in
             return 0.0
     twice = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]))
     return abs(twice) * 0.5
+
+
+@dataclass
+class OracleWalker:
+    state: PedestrianState
+    rng: np.random.Generator
+    goal_side: int  # 0 = top boxes, 1 = bottom boxes
+
+
+def oracle_crowd_tick(walkers: list[OracleWalker], user: Vec2, env: Environment, dt: float,
+                      avoid: AvoidanceParams, goal_tolerance: float) -> None:
+    """One tick of the crowd, pedestrian by pedestrian: the scalar dodge rule,
+    then, within the goal tolerance, the other side's next goal from the
+    pedestrian's own generator."""
+    for w in walkers:
+        s = step_pedestrian(w.state, user, dt, avoid)
+        if s.position.distance_to(s.goal) <= goal_tolerance:
+            w.goal_side = 1 - w.goal_side
+            boxes = env.goal_boxes_top if w.goal_side == 0 else env.goal_boxes_bottom
+            box = boxes[int(w.rng.integers(len(boxes)))]
+            goal = Vec2(float(w.rng.uniform(box.x_min, box.x_max)), float(w.rng.uniform(box.y_min, box.y_max)))
+            s = replace(s, goal=goal, phase=Phase.DIRECT, waypoint=None)
+        w.state = s

@@ -414,7 +414,7 @@ class TestPlannerLoop:
         vh = Pose(Vec2(6, 6.75), 1.5 * math.pi)
         start = vh
         for k in range(100):
-            vh = planner.update(k * 0.1, 0.1, user, vh, [])
+            vh = planner.update(k * 0.1, 0.1, user, vh, list)
             assert planner.state.phase is PlanPhase.STABLE
         assert vh.position == start.position
 

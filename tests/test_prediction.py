@@ -82,6 +82,27 @@ class TestMinApproach:
             min_approach_distance(make_ped((1, 0), (0, 0)), Vec2(0, 0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("speed", [5e-324, 1e-300, 9e-10])
+class TestBelowStationarySpeed:
+    """A speed under 1e-9 m/s is standing still: no NaN samples from
+    inf * 0, and no ZeroDivisionError."""
+
+    def ped(self, speed):
+        return PedestrianState(id=0, position=Vec2(2, 1), velocity=Vec2(speed, 0.0), goal=Vec2(10, 1),
+                               preferred_speed=speed)
+
+    def test_prediction_stands_still(self, speed):
+        ped = self.ped(speed)
+        traj = predict_trajectory(ped, Vec2(0, 0), 2.0, 0.5, PARAMS)
+        assert all(p == ped.position for _, p in traj.samples)
+        assert traj.d_min == ped.position.distance_to(Vec2(0, 0))
+
+    def test_min_approach_rejected(self, speed):
+        with pytest.raises(ValueError):
+            min_approach_distance(self.ped(speed), Vec2(0, 0))
+
+
 class TestAvoidanceGeometry:
     def test_arcsin_half(self):
         params = AvoidanceParams(min_avoidance=0.67, start_avoidance=1.34)

@@ -172,16 +172,17 @@ class TestStepUser:
 
 
 class TestDetectEvents:
+    # pedestrians are rows of an (n, 2) position array; row i is pedestrian i
     def setup_method(self):
         self.dyad = Segment(Vec2(0, 0), Vec2(0, 1.5))
         self.vh = Vec2(0, 1.5)
 
     def _run(self, positions, flags=None):
-        peds = [make_ped(p, (10, 10), pid=i) for i, p in enumerate(positions)]
-        n = len(peds)
+        pts = np.array(positions, float).reshape(-1, 2)
+        n = len(pts)
         t_flags = np.zeros(n, bool) if flags is None else flags[0]
         b_flags = np.zeros(n, bool) if flags is None else flags[1]
-        return detect_events(peds, self.dyad, self.vh, t_flags, b_flags, 0.45, 0.4, 1.0)
+        return detect_events(pts, self.dyad, self.vh, t_flags, b_flags, 0.45, 0.4, 1.0)
 
     def test_crossing_between_gives_social_only(self):
         events, t_f, b_f = self._run([(0.2, 0.75)])
@@ -197,35 +198,40 @@ class TestDetectEvents:
         events, _, _ = self._run([(0.55, 0.75)])
         assert events == []
 
+    def test_event_ids_are_row_indices(self):
+        events, _, _ = self._run([(5.0, 5.0), (0.2, 0.75), (5.0, 6.0), (0.05, 1.45)])
+        assert [(e.kind.value, e.pedestrian_id) for e in events] == [
+            ("social", 1), ("social", 3), ("physicality", 3),
+        ]
+
     def test_edge_triggered_once(self):
-        positions = [(0.1, 0.75)]
-        peds = [make_ped(positions[0], (10, 10), pid=0)]
+        pts = np.array([(0.1, 0.75)])
         t_flags = np.zeros(1, bool)
         b_flags = np.zeros(1, bool)
         total = 0
         for k in range(5):  # dwell inside for 5 ticks
             events, t_flags, b_flags = detect_events(
-                peds, self.dyad, self.vh, t_flags, b_flags, 0.45, 0.4, k * 0.1
+                pts, self.dyad, self.vh, t_flags, b_flags, 0.45, 0.4, k * 0.1
             )
             total += len(events)
         assert total == 1
 
     def test_reentry_triggers_again(self):
-        ped_in = [make_ped((0.1, 0.75), (10, 10), pid=0)]
-        ped_out = [make_ped((3.0, 0.75), (10, 10), pid=0)]
+        ped_in = np.array([(0.1, 0.75)])
+        ped_out = np.array([(3.0, 0.75)])
         t_flags = np.zeros(1, bool)
         b_flags = np.zeros(1, bool)
         count = 0
-        for peds in (ped_in, ped_out, ped_in):
+        for pts in (ped_in, ped_out, ped_in):
             events, t_flags, b_flags = detect_events(
-                peds, self.dyad, self.vh, t_flags, b_flags, 0.45, 0.4, 0.0
+                pts, self.dyad, self.vh, t_flags, b_flags, 0.45, 0.4, 0.0
             )
             count += sum(1 for e in events if e.kind is ConflictKind.SOCIAL)
         assert count == 2
 
     def test_empty_scene(self):
         events, t_f, b_f = detect_events(
-            [], self.dyad, self.vh, np.zeros(0, bool), np.zeros(0, bool), 0.45, 0.4, 0.0
+            np.zeros((0, 2)), self.dyad, self.vh, np.zeros(0, bool), np.zeros(0, bool), 0.45, 0.4, 0.0
         )
         assert events == []
 
