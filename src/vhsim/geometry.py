@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -119,6 +121,26 @@ def distance_point_segment(p: Vec2, s: Segment) -> float:
     t = (wx * ex + wy * ey) / ee
     t = max(0.0, min(1.0, t))
     return math.hypot(wx - t * ex, wy - t * ey)
+
+
+def hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Element-wise `math.hypot`, bit for bit: np.hypot and sqrt(x*x + y*y)
+    differ from it in the last ulp on some inputs, and a distance that
+    decides a branch or an inclusive bound must be the one the scalar rules
+    compute."""
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, x.size)
+
+
+def distance_points_segment(points: np.ndarray, s: Segment) -> np.ndarray:
+    """`distance_point_segment` for each row of an (n, 2) array, bit for bit."""
+    ax, ay = s.a.x, s.a.y
+    ex, ey = s.b.x - ax, s.b.y - ay
+    wx, wy = points[:, 0] - ax, points[:, 1] - ay
+    ee = ex * ex + ey * ey
+    if ee == 0.0:
+        return hypot(wx, wy)
+    t = np.clip((wx * ex + wy * ey) / ee, 0.0, 1.0)
+    return hypot(wx - t * ex, wy - t * ey)
 
 
 def distance_segment_segment(s1: Segment, s2: Segment) -> float:
@@ -245,11 +267,12 @@ class Environment:
         return Vec2(min(max(p.x, 0.0), self.width), min(max(p.y, 0.0), self.height))
 
 
-def nearest_wall_distance(env: Environment, p: Vec2) -> float:
-    """Distance from a point to the nearest declared wall; inf when no walls."""
+def nearest_wall_distance(env: Environment, points: np.ndarray) -> np.ndarray:
+    """Distance from each row of an (n, 2) array of points to the nearest
+    declared wall; inf when there are no walls."""
     if not env.walls:
-        return math.inf
-    return min(distance_point_segment(p, w) for w in env.walls)
+        return np.full(len(points), math.inf)
+    return np.minimum.reduce([distance_points_segment(points, w) for w in env.walls])
 
 
 def nearest_wall_distance_segment(env: Environment, s: Segment) -> float:

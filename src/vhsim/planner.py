@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +31,7 @@ from .geometry import (
 )
 from .prediction import (
     AvoidanceParams,
-    PedestrianState,
-    PredictedTrajectory,
+    Prediction,
     anticipated_pedestrians,
     prediction_horizon,
     predict_trajectory,
@@ -114,54 +112,56 @@ class PlanState:
 
 @dataclass
 class PlanningSnapshot:
-    """Everything the planner needs about the world at one instant."""
+    """Everything the planner needs about the world at one instant.
+
+    positions: every pedestrian's position, an (n, 2) array
+    trajectories: the tracked pedestrians' predicted paths
+    """
 
     user: Pose
     vh: Pose
     env: Environment
-    pedestrians: list[PedestrianState]
-    trajectories: list[PredictedTrajectory]
+    positions: np.ndarray
+    trajectories: Prediction
 
 
 def make_snapshot(
     user: Pose,
     vh: Pose,
     env: Environment,
-    pedestrians: list[PedestrianState],
+    crowd,
     avoid_params: AvoidanceParams,
     dt: float,
     c_space_radius: float,
     horizon_cap: float = 4.0,
 ) -> PlanningSnapshot:
-    """Predict every pedestrian worth anticipating on a shared sample grid."""
+    """Predict every pedestrian of the crowd (a `simulation.Crowd`) worth
+    anticipating on a shared sample grid."""
     dyad = Segment(user.position, vh.position)
-    tracked = anticipated_pedestrians(pedestrians, dyad, avoid_params)
-    trajectories: list[PredictedTrajectory] = []
-    if tracked:
-        horizon = max(prediction_horizon(tracked, dyad, c_space_radius, horizon_cap), dt)
-        trajectories = [
-            predict_trajectory(p, user.position, horizon, dt, avoid_params) for p in tracked
-        ]
-    return PlanningSnapshot(user, vh, env, pedestrians, trajectories)
+    rows = anticipated_pedestrians(crowd.position, dyad, avoid_params)
+    if rows.size:
+        horizon = max(
+            prediction_horizon(crowd.position[rows], crowd.velocity[rows], dyad, c_space_radius, horizon_cap), dt
+        )
+        prediction = predict_trajectory(crowd, rows, user.position, horizon, dt, avoid_params)
+    else:
+        prediction = Prediction(rows, np.empty(0), np.empty((0, 2)), user.position)
+    return PlanningSnapshot(user, vh, env, crowd.position, prediction)
 
 
 def detect_potential_conflict(
     dyad: Segment,
-    trajectories: list[PredictedTrajectory],
+    prediction: Prediction,
     radius: float,
 ) -> tuple[bool, list[int]]:
-    """Whether any predicted sample intrudes the capsule around the dyad."""
-    kept = [t for t in trajectories if t.points.size]
-    if not kept:
+    """Whether any predicted sample intrudes the capsule around the dyad, and
+    the ids of the pedestrians whose samples do."""
+    if not len(prediction):
         return False, []
-    pts = np.concatenate([t.points for t in kept], axis=0)
-    hit = points_segment_distance(pts, dyad.a, dyad.b) < radius
-    if not bool(hit.any()):
+    hit = points_segment_distance(prediction.points, dyad.a, dyad.b) < radius
+    if not hit.any():
         return False, []
-    offsets = np.cumsum([0] + [t.points.shape[0] for t in kept[:-1]])
-    per_traj = np.logical_or.reduceat(hit, offsets)
-    offenders = [t.pedestrian_id for t, flag in zip(kept, per_traj) if flag]
-    return bool(offenders), offenders
+    return True, prediction.ids[hit.reshape(len(prediction), -1).any(axis=1)].tolist()
 
 
 def generate_candidates(
@@ -170,28 +170,26 @@ def generate_candidates(
     env: Environment,
     prox: ProxemicsParams,
     params: PlannerParams,
-) -> list[Vec2]:
-    """Polar grid of target positions around the user, plus the current spot.
+) -> np.ndarray:
+    """Polar grid of target positions around the user, plus the current spot,
+    as an (m, 2) array.
 
     Radii span the formation distance bounds; positions outside the bounds or
-    hugging a wall are dropped. The current position is always last, so
-    holding still is always an option.
+    hugging a wall are dropped. Rows run radius by radius, bearings
+    counter-clockwise from +x. The current position is always the last row,
+    so holding still is always an option.
     """
-    candidates: list[Vec2] = []
     n_radii = int(math.floor((prox.formation_max - prox.formation_min) / params.radial_step + 1e-9)) + 1
     n_bearings = int(round(360.0 / params.angular_step_deg))
-    for i in range(n_radii):
-        r = prox.formation_min + i * params.radial_step
-        for k in range(n_bearings):
-            theta = math.radians(k * params.angular_step_deg)
-            p = Vec2(user.position.x + r * math.cos(theta), user.position.y + r * math.sin(theta))
-            if not env.contains(p):
-                continue
-            if env.walls and nearest_wall_distance(env, p) < params.wall_clearance:
-                continue
-            candidates.append(p)
-    candidates.append(current_vh)
-    return candidates
+    bearings = [math.radians(k * params.angular_step_deg) for k in range(n_bearings)]
+    r = prox.formation_min + np.arange(n_radii)[:, None] * params.radial_step
+    x = user.position.x + r * np.array([math.cos(b) for b in bearings])
+    y = user.position.y + r * np.array([math.sin(b) for b in bearings])
+    grid = np.column_stack((x.ravel(), y.ravel()))
+    keep = (0.0 <= grid[:, 0]) & (grid[:, 0] <= env.width) & (0.0 <= grid[:, 1]) & (grid[:, 1] <= env.height)
+    if env.walls:
+        keep &= ~(nearest_wall_distance(env, grid) < params.wall_clearance)
+    return np.vstack((grid[keep], (current_vh.x, current_vh.y)))
 
 
 def _saturation_distance_m(coeffs: ComfortCoefficients) -> float:
@@ -200,17 +198,18 @@ def _saturation_distance_m(coeffs: ComfortCoefficients) -> float:
 
 
 def score_candidates(
-    candidates: list[Vec2],
+    candidates: np.ndarray,
     user: Pose,
     current_vh: Vec2,
     context: SpatialContext,
-    trajectories: list[PredictedTrajectory],
+    points: np.ndarray,
     comfort_coeffs: ComfortCoefficients,
     prox: ProxemicsParams,
     coeffs: PlannerCoefficients,
     radius: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Score every candidate against the whole predicted sample cloud at once.
+    """Score every candidate of an (m, 2) array against the whole predicted
+    sample cloud, an (N, 2) array of `points`, at once.
 
     Returns (utility, ingroup, outgroup, move, approach) arrays in candidate
     order; approach is each candidate segment's smallest distance to a
@@ -220,9 +219,8 @@ def score_candidates(
     exact or inf.
     """
     u = user.position
-    cand = np.array([(c.x, c.y) for c in candidates])
-    ex = cand[:, 0] - u.x
-    ey = cand[:, 1] - u.y
+    ex = candidates[:, 0] - u.x
+    ey = candidates[:, 1] - u.y
     ee = ex * ex + ey * ey
 
     # out-group: worst clamped comfort over every predicted sample, which only
@@ -231,12 +229,10 @@ def score_candidates(
     n = len(candidates)
     outgroup = np.ones(n)
     approach = np.full(n, np.inf)
-    stacked = [t.points for t in trajectories if t.points.size]
-    if stacked:
-        pts = np.concatenate(stacked, axis=0)
+    if points.size:
         cutoff = math.sqrt(ee.max()) + max(_saturation_distance_m(comfort_coeffs), radius) + 1e-6
-        wx = pts[:, 0] - u.x
-        wy = pts[:, 1] - u.y
+        wx = points[:, 0] - u.x
+        wy = points[:, 1] - u.y
         keep = (wx * wx + wy * wy) <= cutoff * cutoff
         if keep.any():
             wx, wy = wx[keep], wy[keep]
@@ -266,7 +262,7 @@ def score_candidates(
     best_p = np.where(alpha >= 30.0, np.maximum(best_p, p_open), best_p)
     ingroup = np.where(available, best_p, 0.0)
 
-    move = np.hypot(cand[:, 0] - current_vh.x, cand[:, 1] - current_vh.y)
+    move = np.hypot(candidates[:, 0] - current_vh.x, candidates[:, 1] - current_vh.y)
     utility = (ingroup + coeffs.outgroup_weight * outgroup) / (1.0 + move * coeffs.move_cost)
     return utility, ingroup, outgroup, move, approach
 
@@ -368,11 +364,11 @@ def plan_if_needed(
         if not conflicted:
             return state, None
 
-    context = classify_spatial_context(snapshot.env, dyad, snapshot.pedestrians, prox)
+    context = classify_spatial_context(snapshot.env, dyad, snapshot.positions, prox)
     candidates = generate_candidates(snapshot.user, snapshot.vh.position, snapshot.env, prox, params)
     utility, ingroup, outgroup, move, approach = score_candidates(
         candidates, snapshot.user, snapshot.vh.position, context,
-        snapshot.trajectories, comfort_coeffs, prox, coeffs, radius,
+        snapshot.trajectories.points, comfort_coeffs, prox, coeffs, radius,
     )
     # Relocation pruning, an out-group mechanism (inert at zero out-group
     # weight). Alternatives must clear the trigger radius or, when nothing
@@ -399,7 +395,7 @@ def plan_if_needed(
     j = _argbest(utility[pool], move[pool])
     i = int(pool[j])
     best = _assemble_plan(
-        candidates[i], snapshot.user, context, prox,
+        Vec2(*candidates[i].tolist()), snapshot.user, context, prox,
         float(ingroup[i]), float(outgroup[i]), float(move[i]), float(utility[i]),
     )
     if best.move_distance <= 1e-12:
@@ -440,17 +436,17 @@ class ConflictAvoidancePlanner:
         dt: float,
         user: Pose,
         vh: Pose,
-        pedestrians: Callable[[], list[PedestrianState]],
+        crowd,
     ) -> Pose:
         """One tick: maybe replan, then execute the active plan.
 
-        `pedestrians` is called for the crowd's states only on the ticks
-        that check for conflicts.
+        `crowd` is the `simulation.Crowd`; its arrays are read only on the
+        ticks that check for conflicts.
         """
         if t >= self._next_check - 1e-9:
             self._next_check = t + self.params.replan_interval
             snapshot = make_snapshot(
-                user, vh, self.env, pedestrians(), self.avoid, dt,
+                user, vh, self.env, crowd, self.avoid, dt,
                 self.prox.c_space_radius, self.params.horizon_cap,
             )
             self.state, decision = plan_if_needed(

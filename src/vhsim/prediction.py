@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Segment, Vec2, distance_point_segment
+from .geometry import Segment, Vec2, distance_points_segment, hypot
 
 # Speeds below this (m/s) count as standing still: for a subnormal speed,
 # 1 / speed overflows and speed * speed underflows. Trials give every
@@ -27,6 +28,11 @@ class Phase(enum.Enum):
     DIRECT = "direct"
     AVOIDING = "avoiding"
     RETURNING = "returning"
+
+
+# A crowd stores each pedestrian's phase as its index in this tuple.
+PHASES = (Phase.DIRECT, Phase.AVOIDING, Phase.RETURNING)
+_AVOIDING, _RETURNING = PHASES.index(Phase.AVOIDING), PHASES.index(Phase.RETURNING)
 
 
 @dataclass(frozen=True)
@@ -62,18 +68,49 @@ class PedestrianState:
     waypoint: Vec2 | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class PredictedTrajectory:
-    """Sampled future positions of one pedestrian plus its closest approach."""
+    """One pedestrian's sampled future positions, a view into a `Prediction`."""
 
     pedestrian_id: int
     times: np.ndarray
     points: np.ndarray
-    d_min: float
+    user: Vec2
+
+    @property
+    def d_min(self) -> float:
+        """Closest predicted approach to the user."""
+        return float(hypot(self.points[:, 0] - self.user.x, self.points[:, 1] - self.user.y).min())
 
     @property
     def samples(self) -> list[tuple[float, Vec2]]:
         return [(float(t), Vec2(float(p[0]), float(p[1]))) for t, p in zip(self.times, self.points)]
+
+
+@dataclass(frozen=True)
+class Prediction:
+    """Every tracked pedestrian's future positions on one shared time grid.
+
+    `points` holds len(ids) blocks of len(times) rows: block i is pedestrian
+    ids[i]'s path. As a sequence it yields one `PredictedTrajectory` per
+    pedestrian.
+    """
+
+    ids: np.ndarray
+    times: np.ndarray
+    points: np.ndarray
+    user: Vec2
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __getitem__(self, i: int) -> PredictedTrajectory:
+        i = range(len(self))[i]
+        n = self.times.size
+        return PredictedTrajectory(int(self.ids[i]), self.times, self.points[i * n:(i + 1) * n], self.user)
+
+    def __iter__(self) -> Iterator[PredictedTrajectory]:
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -157,58 +194,78 @@ def choose_waypoint(geom: AvoidanceGeometry, heading: Vec2, to_user: Vec2) -> Ve
     return geom.waypoint_right
 
 
-def _sample_legs(legs: list[tuple[Vec2, Vec2, float]], arc: np.ndarray) -> np.ndarray:
-    """Sample points along consecutive constant-speed legs.
-
-    legs: (start point, unit direction, length) with the last length infinite.
-    arc: monotone arc-length values to sample at.
-    """
-    starts = np.empty(len(legs))
-    acc = 0.0
-    for i, (_, _, length) in enumerate(legs):
-        starts[i] = acc
-        acc += length
-    idx = np.minimum(np.searchsorted(starts, arc, side="right") - 1, len(legs) - 1)
-    idx = np.maximum(idx, 0)
-    pts = np.empty((arc.size, 2))
-    for i, (base, direction, _) in enumerate(legs):
-        mask = idx == i
-        if not mask.any():
-            continue
-        local = arc[mask] - starts[i]
-        pts[mask, 0] = base.x + direction.x * local
-        pts[mask, 1] = base.y + direction.y * local
-    return pts
-
-
 def predict_trajectory(
-    ped: PedestrianState,
+    crowd,
+    rows: np.ndarray,
     user: Vec2,
     horizon: float,
     dt: float,
     params: AvoidanceParams,
-) -> PredictedTrajectory:
-    """Sample the pedestrian's future path at step dt over the horizon.
+) -> Prediction:
+    """Sample the given rows of the crowd at step dt over a shared horizon.
 
-    Pedestrians already detouring continue to their waypoint and then head for
-    their goal. Pedestrians on a straight course that would pass closer than
-    the clearance radius get the detour inserted at the range where they
+    `crowd` is a `simulation.Crowd`: its `position`, `velocity`, `phase` and
+    `waypoint` arrays are read, and `state(i)` for a detouring pedestrian.
+    Pedestrians already detouring continue to their waypoint and then head
+    for their goal. Pedestrians on a straight course that would pass closer
+    than the clearance radius get the detour inserted at the range where they
     would start turning (immediately, if already inside that range).
+
+    Most rows walk straight along their velocity and are sampled in one
+    array step. A detour has up to three constant-speed legs, built by the
+    scalar `_build_legs` and sampled together in `_sample_legs`.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     n = int(math.floor(horizon / dt + 1e-9)) + 1
     times = np.arange(n) * dt
-    speed = ped.velocity.norm()
-    if speed < STATIONARY_SPEED:
-        pts = np.tile((ped.position.x, ped.position.y), (n, 1))
-        d_min = ped.position.distance_to(user)
-        return PredictedTrajectory(ped.id, times, pts, d_min)
+    pos, vel = crowd.position[rows], crowd.velocity[rows]
+    speed = hypot(vel[:, 0], vel[:, 1])
+    moving = speed >= STATIONARY_SPEED
+    v_dir = np.zeros_like(vel)
+    v_dir[moving] = vel[moving] * (1.0 / speed[moving])[:, None]
 
-    legs = _build_legs(ped, user, params)
-    pts = _sample_legs(legs, times * speed)
-    d = np.hypot(pts[:, 0] - user.x, pts[:, 1] - user.y)
-    return PredictedTrajectory(ped.id, times, pts, float(d.min()))
+    # the straight-course rule of `_build_legs`: a row that is neither
+    # returning nor avoiding toward a waypoint detours when it heads toward
+    # the user and would pass inside the clearance
+    phase = crowd.phase[rows]
+    avoiding = (phase == _AVOIDING) & ~np.isnan(crowd.waypoint[rows, 0])
+    w = np.array([user.x, user.y]) - pos
+    rng = hypot(w[:, 0], w[:, 1])
+    proj = w[:, 0] * v_dir[:, 0] + w[:, 1] * v_dir[:, 1]
+    miss = np.sqrt(np.maximum(0.0, rng * rng - proj * proj))
+    detour = (phase != _RETURNING) & ~avoiding & (proj > 0.0) & (miss < params.min_avoidance)
+
+    arc = times * speed[:, None]
+    points = pos[:, None, :] + v_dir[:, None, :] * arc[:, :, None]
+    legged = np.flatnonzero(moving & (avoiding | detour))
+    if legged.size:
+        paths = [_build_legs(crowd.state(i), user, params) for i in rows[legged].tolist()]
+        points[legged] = _sample_legs(paths, arc[legged])
+    points[~moving] = pos[~moving, None, :]
+    return Prediction(rows, times, points.reshape(rows.size * n, 2), user)
+
+
+def _sample_legs(paths: list[list[tuple[Vec2, Vec2, float]]], arc: np.ndarray) -> np.ndarray:
+    """Sample paths of up to three consecutive constant-speed legs.
+
+    paths: per path, its legs as (start point, unit direction, length), the
+    last length infinite. arc: (paths, samples) arc lengths to sample at,
+    non-decreasing along each row. Returns (paths, samples, 2) points.
+    """
+    base = np.zeros((len(paths), 3, 2))
+    direction = np.zeros((len(paths), 3, 2))
+    start = np.full((len(paths), 3), math.inf)  # unused legs never begin
+    for j, legs in enumerate(paths):
+        acc = 0.0
+        for leg, (point, unit, length) in enumerate(legs):
+            base[j, leg] = point.x, point.y
+            direction[j, leg] = unit.x, unit.y
+            start[j, leg] = acc
+            acc += length
+    leg = (arc >= start[:, 1, None]).astype(np.intp) + (arc >= start[:, 2, None])
+    row = np.arange(len(paths))[:, None]
+    return base[row, leg] + direction[row, leg] * (arc - start[row, leg])[:, :, None]
 
 
 def _goal_direction(from_point: Vec2, goal: Vec2, fallback: Vec2) -> Vec2:
@@ -268,44 +325,35 @@ def _build_legs(ped: PedestrianState, user: Vec2, params: AvoidanceParams) -> li
     return legs
 
 
-def anticipated_pedestrians(
-    pedestrians: list[PedestrianState],
-    dyad: Segment,
-    params: AvoidanceParams,
-) -> list[PedestrianState]:
-    """Pedestrians close enough to the dyad to be worth predicting (inclusive)."""
-    return [p for p in pedestrians if distance_point_segment(p.position, dyad) <= params.anticipate]
-
-
-def exit_time_from_disc(ped: PedestrianState, center: Vec2, radius: float) -> float:
-    """Time until the straight-line path leaves a disc; 0 if it never enters.
-
-    A stationary pedestrian inside the disc yields +inf (callers cap it).
-    """
-    wx, wy = ped.position.x - center.x, ped.position.y - center.y
-    vx, vy = ped.velocity.x, ped.velocity.y
-    vv = vx * vx + vy * vy
-    inside = wx * wx + wy * wy <= radius * radius
-    if vv == 0.0:
-        return math.inf if inside else 0.0
-    b = wx * vx + wy * vy
-    c = wx * wx + wy * wy - radius * radius
-    disc = b * b - vv * c
-    if disc < 0.0:
-        return 0.0
-    t2 = (-b + math.sqrt(disc)) / vv
-    return max(0.0, t2)
+def anticipated_pedestrians(positions: np.ndarray, dyad: Segment, params: AvoidanceParams) -> np.ndarray:
+    """Rows of an (n, 2) position array close enough to the dyad to be worth
+    predicting (inclusive)."""
+    return np.flatnonzero(distance_points_segment(positions, dyad) <= params.anticipate)
 
 
 def prediction_horizon(
-    pedestrians: list[PedestrianState],
+    positions: np.ndarray,
+    velocities: np.ndarray,
     dyad: Segment,
     c_space_radius: float,
     cap: float = 15.0,
 ) -> float:
-    """Shared horizon: until every pedestrian has left the dyad's c-space."""
+    """Shared horizon: until every pedestrian's straight-line path has left
+    the disc of radius `c_space_radius` around the dyad's midpoint.
+
+    A path that never enters the disc needs no time; a stationary pedestrian
+    inside it never leaves, which gives the cap.
+    """
     mid = dyad.midpoint()
-    t = 0.0
-    for ped in pedestrians:
-        t = max(t, exit_time_from_disc(ped, mid, c_space_radius))
-    return min(t, cap)
+    wx, wy = positions[:, 0] - mid.x, positions[:, 1] - mid.y
+    vx, vy = velocities[:, 0], velocities[:, 1]
+    vv = vx * vx + vy * vy
+    ww = wx * wx + wy * wy
+    rr = c_space_radius * c_space_radius
+    if ((vv == 0.0) & (ww <= rr)).any():
+        return cap
+    b = wx * vx + wy * vy
+    disc = b * b - vv * (ww - rr)
+    leaves = (vv != 0.0) & (disc >= 0.0)
+    exits = (-b[leaves] + np.sqrt(disc[leaves])) / vv[leaves]
+    return min(max(0.0, float(exits.max(initial=0.0))), cap)

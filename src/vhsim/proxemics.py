@@ -13,14 +13,17 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import (
     Environment,
     Pose,
     Segment,
     Vec2,
     angle_between,
-    nearest_wall_distance_segment,
     disc_rect_intersection_area,
+    hypot,
+    nearest_wall_distance_segment,
 )
 
 
@@ -207,22 +210,23 @@ def agent_orientation_for(user: Pose, position: Vec2, arrangement: ArrangementTy
 def classify_spatial_context(
     env: Environment,
     dyad: Segment,
-    pedestrians: list,
+    positions: np.ndarray,
     params: ProxemicsParams,
 ) -> SpatialContext:
     """Classify the dyad's surroundings by definiteness and crowdedness.
 
     Near-wall when any declared wall comes within the personal-space radius of
-    the dyad segment. Crowded when the pedestrian count inside the c-space
-    disc (centered on the dyad midpoint, clipped to the environment bounds)
-    divided by the clipped disc area reaches the density threshold.
+    the dyad segment. Crowded when the count of pedestrian `positions` (an
+    (n, 2) array) inside the c-space disc (centered on the dyad midpoint,
+    clipped to the environment bounds) divided by the clipped disc area
+    reaches the density threshold.
     """
     wall_dist = nearest_wall_distance_segment(env, dyad)
     definiteness = Definiteness.NEAR_WALL if wall_dist < params.r_ps else Definiteness.OPEN_SPACE
 
     mid = dyad.midpoint()
     r = params.c_space_radius
-    count = sum(1 for ped in pedestrians if ped.position.distance_to(mid) <= r)
+    count = int((hypot(positions[:, 0] - mid.x, positions[:, 1] - mid.y) <= r).sum())
     area = disc_rect_intersection_area(mid, r, env.bounds())
     crowded = area > 0.0 and (count / area) >= params.crowd_threshold
     crowdedness = Crowdedness.CROWDED if crowded else Crowdedness.UNCROWDED

@@ -30,11 +30,13 @@ from .geometry import (
     Vec2,
     angle_difference,
     distance_point_segment,
+    hypot,
     narrow_passage,
     open_rect,
     open_square,
 )
 from .planner import ConflictAvoidancePlanner, PlanPhase, PlannerCoefficients, PlannerParams
+from .prediction import PHASES as _PHASES
 from .prediction import AvoidanceParams, PedestrianState, Phase, avoidance_geometry, choose_waypoint
 from .proxemics import ProxemicsParams
 
@@ -250,19 +252,11 @@ class TrialMetrics:
     decision_count: int = 0
 
 
-_PHASES = (Phase.DIRECT, Phase.AVOIDING, Phase.RETURNING)  # phase codes 0, 1, 2
-_DIRECT, _AVOIDING, _RETURNING = range(3)
+_DIRECT, _AVOIDING, _RETURNING = range(3)  # indices into _PHASES
 # Routing margin (m): a pedestrian whose array step lies within this distance
 # of a phase-changing condition takes the scalar `step_pedestrian` instead,
 # so the scalar rule decides every edge case.
 _MARGIN = 1e-6
-
-
-def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Element-wise `math.hypot`, bit for bit: np.hypot and sqrt(x*x + y*y)
-    differ from it in the last ulp on some inputs, and a step length or a
-    direction computed from them would move a pedestrian."""
-    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, x.size)
 
 
 def _pedestrian_rng(seed: int, ped_id: int) -> np.random.Generator:
@@ -351,7 +345,7 @@ class Crowd:
         avoiding = phase == _AVOIDING
         target = np.where(avoiding[:, None], self.waypoint, self.goal)
         to_target = target - pos
-        t_dist = _hypot(to_target[:, 0], to_target[:, 1])
+        t_dist = hypot(to_target[:, 0], to_target[:, 1])
         with np.errstate(divide="ignore", invalid="ignore"):  # a target this close goes scalar
             direction = to_target / t_dist[:, None]
         new_pos = pos + direction * step[:, None]
@@ -622,7 +616,7 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
         crowd.step(user.position)
 
         if planner is not None:
-            vh = planner.update(t, config.dt, user, vh, crowd.states)
+            vh = planner.update(t, config.dt, user, vh, crowd)
 
         user = step_user(user, vh, config.dt, config.user_turn_rate)
 

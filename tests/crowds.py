@@ -1,0 +1,34 @@
+"""Hand-written pedestrians and sample paths as the arrays the planner reads."""
+
+from dataclasses import replace
+
+import numpy as np
+
+from vhsim.geometry import Environment, Vec2
+from vhsim.prediction import AvoidanceParams, PedestrianState, Prediction, PredictedTrajectory, predict_trajectory
+from vhsim.simulation import Crowd
+
+
+def crowd_of(pedestrians: list[PedestrianState]) -> Crowd:
+    """A crowd whose row i is pedestrians[i]; their ids must be 0..n-1."""
+    n = len(pedestrians)
+    return Crowd(pedestrians, [None] * n, [0] * n, Environment(1.0, 1.0), AvoidanceParams(), 0.1, 0.0)
+
+
+def positions_of(pedestrians: list[PedestrianState]) -> np.ndarray:
+    return np.array([(p.position.x, p.position.y) for p in pedestrians], float).reshape(len(pedestrians), 2)
+
+
+def predict_one(ped: PedestrianState, user: Vec2, horizon: float, dt: float,
+                params: AvoidanceParams) -> PredictedTrajectory:
+    """One pedestrian's predicted path, through the crowd-wide prediction."""
+    return predict_trajectory(crowd_of([replace(ped, id=0)]), np.array([0]), user, horizon, dt, params)[0]
+
+
+def prediction_of(*paths, ids=None) -> Prediction:
+    """A prediction holding the given sample paths, which must be equally
+    long, 0.1 s apart, around a user at the origin; ids default to 0, 1, ..."""
+    points = np.array(paths, float).reshape(-1, 2)
+    n = len(paths[0]) if paths else 0
+    ids = np.arange(len(paths)) if ids is None else np.array(ids, int)
+    return Prediction(ids, np.arange(n) * 0.1, points, Vec2(0.0, 0.0))

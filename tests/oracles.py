@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from vhsim.geometry import Environment, Pose, Rect, Segment, Vec2, distance_point_segment
-from vhsim.prediction import AvoidanceParams, PedestrianState, Phase
+from vhsim.prediction import STATIONARY_SPEED, AvoidanceParams, PedestrianState, Phase, _build_legs
 from vhsim.proxemics import ArrangementType, ProxemicsParams, SpatialContext, context_preference
 from vhsim.simulation import step_pedestrian
 
@@ -87,6 +87,28 @@ def oracle_decision(candidates, user, current_vh, context, trajectories, comfort
     return -max(ranked)[2]
 
 
+def oracle_candidates(user: Pose, current_vh: Vec2, env: Environment, prox: ProxemicsParams,
+                      params) -> list[Vec2]:
+    """The planner's candidate grid, point by point: radius by radius and
+    bearing by bearing, dropping points outside the bounds or closer than
+    the wall clearance to a wall, then the current spot."""
+    candidates = []
+    n_radii = int(math.floor((prox.formation_max - prox.formation_min) / params.radial_step + 1e-9)) + 1
+    n_bearings = int(round(360.0 / params.angular_step_deg))
+    for i in range(n_radii):
+        r = prox.formation_min + i * params.radial_step
+        for k in range(n_bearings):
+            theta = math.radians(k * params.angular_step_deg)
+            p = Vec2(user.position.x + r * math.cos(theta), user.position.y + r * math.sin(theta))
+            if not env.contains(p):
+                continue
+            if env.walls and min(distance_point_segment(p, w) for w in env.walls) < params.wall_clearance:
+                continue
+            candidates.append(p)
+    candidates.append(current_vh)
+    return candidates
+
+
 def polygon_disc_rect_area(center: Vec2, radius: float, rect: Rect, vertices: int) -> float:
     """Area of a disc clipped to a rectangle, from a Sutherland-Hodgman clip
     of the inscribed regular polygon with the given number of vertices."""
@@ -136,3 +158,76 @@ def oracle_crowd_tick(walkers: list[OracleWalker], user: Vec2, env: Environment,
             goal = Vec2(float(w.rng.uniform(box.x_min, box.x_max)), float(w.rng.uniform(box.y_min, box.y_max)))
             s = replace(s, goal=goal, phase=Phase.DIRECT, waypoint=None)
         w.state = s
+
+
+def _sample_legs(legs: list[tuple[Vec2, Vec2, float]], arc: np.ndarray) -> np.ndarray:
+    """Sample points along consecutive constant-speed legs.
+
+    legs: (start point, unit direction, length) with the last length infinite.
+    arc: monotone arc-length values to sample at.
+    """
+    starts = np.empty(len(legs))
+    acc = 0.0
+    for i, (_, _, length) in enumerate(legs):
+        starts[i] = acc
+        acc += length
+    idx = np.minimum(np.searchsorted(starts, arc, side="right") - 1, len(legs) - 1)
+    idx = np.maximum(idx, 0)
+    pts = np.empty((arc.size, 2))
+    for i, (base, direction, _) in enumerate(legs):
+        mask = idx == i
+        if not mask.any():
+            continue
+        local = arc[mask] - starts[i]
+        pts[mask, 0] = base.x + direction.x * local
+        pts[mask, 1] = base.y + direction.y * local
+    return pts
+
+
+def oracle_trajectory(ped: PedestrianState, user: Vec2, horizon: float, dt: float,
+                      params: AvoidanceParams) -> tuple[np.ndarray, np.ndarray]:
+    """(times, points) of one pedestrian's predicted path: its legs from the
+    scalar `_build_legs`, sampled leg by leg; standing still below
+    STATIONARY_SPEED."""
+    n = int(math.floor(horizon / dt + 1e-9)) + 1
+    times = np.arange(n) * dt
+    speed = ped.velocity.norm()
+    if speed < STATIONARY_SPEED:
+        return times, np.tile((ped.position.x, ped.position.y), (n, 1))
+    return times, _sample_legs(_build_legs(ped, user, params), times * speed)
+
+
+def exit_time_from_disc(ped: PedestrianState, center: Vec2, radius: float) -> float:
+    """Time until the straight-line path leaves a disc; 0 if it never enters.
+
+    A stationary pedestrian inside the disc yields +inf (callers cap it).
+    """
+    wx, wy = ped.position.x - center.x, ped.position.y - center.y
+    vx, vy = ped.velocity.x, ped.velocity.y
+    vv = vx * vx + vy * vy
+    inside = wx * wx + wy * wy <= radius * radius
+    if vv == 0.0:
+        return math.inf if inside else 0.0
+    b = wx * vx + wy * vy
+    c = wx * wx + wy * wy - radius * radius
+    disc = b * b - vv * c
+    if disc < 0.0:
+        return 0.0
+    t2 = (-b + math.sqrt(disc)) / vv
+    return max(0.0, t2)
+
+
+def oracle_snapshot(pedestrians: list[PedestrianState], user: Vec2, vh: Vec2, avoid: AvoidanceParams,
+                    dt: float, c_space_radius: float, cap: float) -> tuple[list[int], float, np.ndarray]:
+    """(tracked ids, horizon, points) of `make_snapshot`'s prediction, one
+    pedestrian at a time: the ones within the anticipation range of the dyad,
+    the time until the last of them leaves the c-space disc (capped, and at
+    least dt), and their paths stacked in id order."""
+    dyad = Segment(user, vh)
+    tracked = [p for p in pedestrians if distance_point_segment(p.position, dyad) <= avoid.anticipate]
+    t = 0.0
+    for p in tracked:
+        t = max(t, exit_time_from_disc(p, dyad.midpoint(), c_space_radius))
+    horizon = max(min(t, cap), dt)
+    paths = [oracle_trajectory(p, user, horizon, dt, avoid)[1] for p in tracked]
+    return [p.id for p in tracked], horizon, np.concatenate(paths) if paths else np.empty((0, 2))

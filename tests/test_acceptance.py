@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crowds import crowd_of, predict_one
 from oracles import oracle_utility
 from vhsim.cli import emit_csv, ResultRow
 from vhsim.comfort import ComfortCoefficients
@@ -25,13 +26,7 @@ from vhsim.planner import (
     make_snapshot,
     score_candidates,
 )
-from vhsim.prediction import (
-    AvoidanceParams,
-    PedestrianState,
-    PredictedTrajectory,
-    avoidance_geometry,
-    predict_trajectory,
-)
+from vhsim.prediction import AvoidanceParams, PedestrianState, avoidance_geometry
 from vhsim.proxemics import (
     ArrangementType,
     Crowdedness,
@@ -111,10 +106,11 @@ class TestCriterion1ComfortEndpoints:
         cand = Vec2(1.5, 0)
 
         def outgroup(height):
-            sample = PredictedTrajectory(0, np.zeros(1), np.array([[0.75, height]]), d_min=0.0)
+            sample = np.array([[0.75, height]])
             _, _, out, _, _ = score_candidates(
-                [cand], user, cand, SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED),
-                [sample], coeffs, ProxemicsParams(), PlannerCoefficients(),
+                np.array([[cand.x, cand.y]]), user, cand,
+                SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED),
+                sample, coeffs, ProxemicsParams(), PlannerCoefficients(),
             )
             return float(out[0])
 
@@ -142,7 +138,7 @@ class TestCriterion2AvoidanceGeometry:
                 goal=Vec2(40.0, offset), preferred_speed=speed,
             )
             horizon = (start_range + 8.0) / speed
-            traj = predict_trajectory(ped, Vec2(0, 0), horizon, dt, params)
+            traj = predict_one(ped, Vec2(0, 0), horizon, dt, params)
             worst = max(worst, abs(traj.d_min - d_min))
             assert d_min - speed * dt - 1e-9 <= traj.d_min <= d_min + speed * dt + 1e-9
 
@@ -202,7 +198,7 @@ def planner_snapshots():
                 goal=Vec2(px + 20 * math.cos(heading), py + 20 * math.sin(heading)),
                 preferred_speed=speed,
             ))
-        snap = make_snapshot(user, vh, env, peds, avoid, 0.1, prox.c_space_radius, params.horizon_cap)
+        snap = make_snapshot(user, vh, env, crowd_of(peds), avoid, 0.1, prox.c_space_radius, params.horizon_cap)
         context = SpatialContext(
             rng.choice(list(Definiteness)), rng.choice(list(Crowdedness))
         )
@@ -215,7 +211,7 @@ def production_winner(env, user, vh, context, trajectories, params):
     prox, comfort, coeffs = ProxemicsParams(), ComfortCoefficients(), PlannerCoefficients()
     cands = generate_candidates(user, vh.position, env, prox, params)
     utility, _, _, move, _ = score_candidates(
-        cands, user, vh.position, context, trajectories, comfort, prox, coeffs
+        cands, user, vh.position, context, trajectories.points, comfort, prox, coeffs
     )
     return cands, utility, _argbest(utility, move)
 
@@ -228,8 +224,8 @@ class TestCriterion4PlannerOracle:
         for env, user, vh, context, trajectories in planner_snapshots:
             cands, utility, best = production_winner(env, user, vh, context, trajectories, PlannerParams())
             oracle_max = max(
-                oracle_utility(c, user, vh.position, context, trajectories, comfort, prox, coeffs)
-                for c in cands
+                oracle_utility(Vec2(*c), user, vh.position, context, trajectories, comfort, prox, coeffs)
+                for c in cands.tolist()
             )
             worst_exact = max(worst_exact, oracle_max - float(utility[best]))
         elapsed = time.perf_counter() - t0

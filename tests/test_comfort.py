@@ -12,7 +12,6 @@ from vhsim.comfort import (
 )
 from vhsim.geometry import Pose, Segment, Vec2, distance_point_segment
 from vhsim.planner import PlannerCoefficients, score_candidates
-from vhsim.prediction import PredictedTrajectory
 from vhsim.proxemics import (
     ArrangementType,
     Crowdedness,
@@ -26,16 +25,17 @@ PROX = ProxemicsParams()
 CTX_OPEN = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
 
 
-def traj_from_points(points, pid=0, dt=0.1):
-    pts = np.asarray(points, dtype=float)
-    times = np.arange(len(pts)) * dt
-    return PredictedTrajectory(pid, times, pts, d_min=0.0)
+def traj_from_points(points):
+    """One pedestrian's predicted samples, an (n, 2) array."""
+    return np.asarray(points, dtype=float).reshape(-1, 2)
 
 
 def outgroup(candidate, user, trajectories):
     """The planner's out-group comfort of the segment user-candidate."""
+    points = np.concatenate(trajectories) if trajectories else np.empty((0, 2))
     _, _, out, _, _ = score_candidates(
-        [candidate], Pose(user, 0.0), candidate, CTX_OPEN, trajectories, COEFFS, PROX, PlannerCoefficients()
+        np.array([[candidate.x, candidate.y]]), Pose(user, 0.0), candidate, CTX_OPEN, points, COEFFS, PROX,
+        PlannerCoefficients(),
     )
     return float(out[0])
 
@@ -48,7 +48,8 @@ def outgroup_at_instant(g, positions):
 def ingroup(candidate, user, context):
     """The planner's in-group comfort of a candidate."""
     _, ins, _, _, _ = score_candidates(
-        [candidate], user, candidate, context, [], COEFFS, PROX, PlannerCoefficients()
+        np.array([[candidate.x, candidate.y]]), user, candidate, context, np.empty((0, 2)), COEFFS, PROX,
+        PlannerCoefficients(),
     )
     return float(ins[0])
 
@@ -132,15 +133,15 @@ class TestOutgroupComfort:
         for _ in range(50):
             n = rng.randint(1, 4)
             trajs = []
-            for pid in range(n):
+            for _ in range(n):
                 pts = [(rng.uniform(-2, 3), rng.uniform(-2, 2)) for _ in range(rng.randint(1, 20))]
-                trajs.append(traj_from_points(pts, pid=pid))
+                trajs.append(traj_from_points(pts))
             got = outgroup(cand, user, trajs)
-            k = max(len(t.points) for t in trajs)
+            k = max(len(t) for t in trajs)
             per_time = []
             for i in range(k):
                 positions = [
-                    Vec2(*t.points[i]) for t in trajs if i < len(t.points)
+                    Vec2(*t[i]) for t in trajs if i < len(t)
                 ]
                 per_time.append(outgroup_at_instant(g, positions))
             assert got == pytest.approx(min(per_time), abs=1e-12)
@@ -150,7 +151,7 @@ class TestOutgroupComfort:
         user, cand = Vec2(0, 0), Vec2(1.5, 0)
         total = outgroup(cand, user, [traj])
         g = Segment(user, cand)
-        for p in traj.points:
+        for p in traj:
             assert total <= outgroup_at_instant(g, [Vec2(*p)]) + 1e-12
 
 

@@ -14,9 +14,9 @@ import pytest
 
 from oracles import OracleWalker, oracle_crowd_tick
 from vhsim import simulation
-from vhsim.geometry import Segment, Vec2, open_square
+from vhsim.geometry import Segment, Vec2, hypot, open_square
 from vhsim.prediction import AvoidanceParams, PedestrianState, Phase
-from vhsim.simulation import Crowd, ScenarioConfig, _hypot, _spawn_crowd
+from vhsim.simulation import Crowd, ScenarioConfig, _spawn_crowd
 
 AVOID = AvoidanceParams()
 PHASE_CODE = {Phase.DIRECT: 0, Phase.AVOIDING: 1, Phase.RETURNING: 2}
@@ -151,5 +151,5 @@ def test_distance_helper_is_math_hypot_where_numpy_is_not():
     exact = np.array([math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
     trap = np.hypot(x, y) != exact
     assert trap.any(), "no input separates np.hypot from math.hypot; the test has lost its teeth"
-    assert (_hypot(x[trap], y[trap]) == exact[trap]).all()
-    assert (_hypot(x, y) == exact).all()
+    assert (hypot(x[trap], y[trap]) == exact[trap]).all()
+    assert (hypot(x, y) == exact).all()

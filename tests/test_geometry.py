@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from oracles import polygon_disc_rect_area
@@ -14,6 +15,7 @@ from vhsim.geometry import (
     angle_difference,
     disc_rect_intersection_area,
     distance_point_segment,
+    distance_points_segment,
     distance_segment_segment,
     narrow_passage,
     nearest_wall_distance,
@@ -111,22 +113,22 @@ class TestAngles:
 class TestEnvironment:
     def test_narrow_passage_centerline(self):
         env = narrow_passage(3.0, 20.0)
-        assert nearest_wall_distance(env, Vec2(1.5, 10.0)) == pytest.approx(1.5)
+        assert nearest_wall_distance(env, np.array([[1.5, 10.0]]))[0] == pytest.approx(1.5)
 
     def test_half_meter_from_wall(self):
         env = narrow_passage(3.0, 20.0)
-        assert nearest_wall_distance(env, Vec2(0.5, 4.0)) == pytest.approx(0.5)
+        assert nearest_wall_distance(env, np.array([[0.5, 4.0]]))[0] == pytest.approx(0.5)
 
     def test_open_square_has_no_walls(self):
         env = open_square(20.0)
         assert env.walls == []
-        assert nearest_wall_distance(env, env.center()) == math.inf
+        assert nearest_wall_distance(env, np.array([[10.0, 10.0]]))[0] == math.inf
 
     def test_declared_walls_only(self):
         # 20x20 bounds with a single interior wall: distance by hand geometry
         wall = Segment(Vec2(4.0, 0.0), Vec2(4.0, 20.0))
         env = Environment(width=20.0, height=20.0, walls=[wall])
-        assert nearest_wall_distance(env, Vec2(10.0, 10.0)) == pytest.approx(6.0)
+        assert nearest_wall_distance(env, np.array([[10.0, 10.0]]))[0] == pytest.approx(6.0)
 
     def test_wall_outside_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -147,6 +149,17 @@ class TestEnvironment:
         env = narrow_passage(3.0, 20.0)
         dyad = Segment(Vec2(0.75, 10.0), Vec2(2.25, 10.0))
         assert nearest_wall_distance_segment(env, dyad) == pytest.approx(0.75)
+
+
+class TestDistancePointsSegment:
+    @pytest.mark.parametrize("b", [Vec2(2.5, 1.75), Vec2(-1.0, 0.5)], ids=["segment", "degenerate"])
+    def test_rows_equal_the_scalar_distance_bit_for_bit(self, b):
+        # points on both sides and beyond both ends, so every clamp branch runs
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-6.0, 6.0, (4000, 2))
+        s = Segment(Vec2(-1.0, 0.5), b)
+        want = np.array([distance_point_segment(Vec2(x, y), s) for x, y in pts.tolist()])
+        assert (distance_points_segment(pts, s).view(np.uint64) == want.view(np.uint64)).all()
 
 
 class TestSegmentSegment:

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import oracle_decision, oracle_ingroup, oracle_utility
+from crowds import crowd_of, positions_of, prediction_of
+from oracles import oracle_candidates, oracle_decision, oracle_ingroup, oracle_utility
 from vhsim.comfort import ComfortCoefficients, best_arrangement, comfort_from_distance, points_segment_distance
 from vhsim.geometry import Environment, Pose, Segment, Vec2, distance_point_segment, narrow_passage, open_square
 from vhsim.planner import (
@@ -24,7 +25,7 @@ from vhsim.planner import (
     score_candidates,
     step_plan,
 )
-from vhsim.prediction import AvoidanceParams, PedestrianState, PredictedTrajectory
+from vhsim.prediction import AvoidanceParams, PedestrianState
 from vhsim.proxemics import (
     Crowdedness,
     Definiteness,
@@ -32,6 +33,7 @@ from vhsim.proxemics import (
     SpatialContext,
     classify_spatial_context,
 )
+from vhsim.simulation import ScenarioConfig
 
 PROX = ProxemicsParams()
 COEFFS = PlannerCoefficients()
@@ -40,32 +42,41 @@ PARAMS = PlannerParams()
 CTX_OPEN = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
 
 
-def traj(points, pid=0, dt=0.1):
-    pts = np.asarray(points, dtype=float)
-    return PredictedTrajectory(pid, np.arange(len(pts)) * dt, pts, d_min=0.0)
+def traj(points, pid=0):
+    """One predicted path: (pedestrian id, (n, 2) samples)."""
+    return pid, np.asarray(points, dtype=float)
 
 
 def straight_traj(start, vel, n=60, pid=0, dt=0.1):
     pts = [(start[0] + vel[0] * dt * i, start[1] + vel[1] * dt * i) for i in range(n)]
-    return traj(pts, pid=pid, dt=dt)
+    return traj(pts, pid=pid)
+
+
+def cloud(*trajs):
+    """The prediction holding the given equally long paths."""
+    return prediction_of(*(pts for _, pts in trajs), ids=[pid for pid, _ in trajs])
+
+
+def rows(*candidates):
+    return np.array([(c.x, c.y) for c in candidates], float).reshape(len(candidates), 2)
 
 
 class TestDetectConflict:
     def test_empty(self):
         dyad = Segment(Vec2(0, 0), Vec2(0, 1.5))
-        assert detect_potential_conflict(dyad, [], 0.45) == (False, [])
+        assert detect_potential_conflict(dyad, cloud(), 0.45) == (False, [])
 
     def test_through_midpoint(self):
         dyad = Segment(Vec2(0, 0), Vec2(0, 1.5))
         t = straight_traj((-2, 0.75), (1.0, 0), pid=7)
-        conflict, ids = detect_potential_conflict(dyad, [t], 0.45)
+        conflict, ids = detect_potential_conflict(dyad, cloud(t), 0.45)
         assert conflict and ids == [7]
 
     def test_skirting_outside_radius(self):
         dyad = Segment(Vec2(0, 0), Vec2(0, 1.5))
         offset = 0.45 + 0.1
         t = straight_traj((-2, 1.5 + offset), (1.0, 0), pid=3)
-        conflict, ids = detect_potential_conflict(dyad, [t], 0.45)
+        conflict, ids = detect_potential_conflict(dyad, cloud(t), 0.45)
         assert not conflict and ids == []
 
     def test_multiple_offenders(self):
@@ -73,7 +84,7 @@ class TestDetectConflict:
         a = straight_traj((-2, 0.75), (1.0, 0), pid=1)
         b = straight_traj((2, 0.75), (-1.0, 0), pid=2)
         clean = straight_traj((-5, 8), (1.0, 0), pid=3)
-        conflict, ids = detect_potential_conflict(dyad, [a, b, clean], 0.45)
+        conflict, ids = detect_potential_conflict(dyad, cloud(a, b, clean), 0.45)
         assert conflict and ids == [1, 2]
 
 
@@ -83,7 +94,7 @@ class TestGenerateCandidates:
         user = Pose(Vec2(10, 10), 0.0)
         cands = generate_candidates(user, Vec2(10, 11.5), env, PROX, PARAMS)
         assert len(cands) == 7 * 24 + 1
-        assert cands[-1] == Vec2(10, 11.5)
+        assert cands[-1].tolist() == [10, 11.5]
 
     def test_wall_filtering_matches_hand_rule(self):
         env = narrow_passage(3.0, 20.0)
@@ -102,20 +113,32 @@ class TestGenerateCandidates:
                     expected += 1
         assert len(cands) == expected + 1
         for c in cands[:-1]:
-            assert 0.3 <= c.x <= 2.7
+            assert 0.3 <= c[0] <= 2.7
+
+    @pytest.mark.parametrize("environment", ["square20", "passage"])
+    def test_rows_equal_the_scalar_grid_bit_for_bit(self, environment):
+        # users across the whole area, so bounds and walls cut the grid
+        env = ScenarioConfig(environment=environment).build_environment()
+        rng = random.Random(17)
+        for _ in range(200):
+            user = Pose(Vec2(rng.uniform(0.0, env.width), rng.uniform(0.0, env.height)), 0.0)
+            current = Vec2(rng.uniform(0.0, env.width), rng.uniform(0.0, env.height))
+            got = generate_candidates(user, current, env, PROX, PARAMS)
+            want = np.array([(c.x, c.y) for c in oracle_candidates(user, current, env, PROX, PARAMS)])
+            assert got.shape == want.shape and (got.view(np.uint64) == want.view(np.uint64)).all()
 
     def test_degenerate_env_keeps_only_current(self):
         # corner distance 0.57 m < smallest ring radius, so the grid is empty
         env = Environment(width=0.8, height=0.8)
         user = Pose(Vec2(0.4, 0.4), 0.0)
         cands = generate_candidates(user, Vec2(0.5, 0.4), env, PROX, PARAMS)
-        assert cands == [Vec2(0.5, 0.4)]
+        assert cands.tolist() == [[0.5, 0.4]]
 
 
 def score_one(cand, user, current, trajectories):
     """(utility, ingroup, outgroup, move) of one candidate, as the planner scores it."""
     utility, ingroup, outgroup, move, _ = score_candidates(
-        [cand], user, current, CTX_OPEN, trajectories, COMFORT, PROX, COEFFS
+        rows(cand), user, current, CTX_OPEN, cloud(*trajectories).points, COMFORT, PROX, COEFFS
     )
     return float(utility[0]), float(ingroup[0]), float(outgroup[0]), float(move[0])
 
@@ -154,7 +177,7 @@ class TestScoreCandidate:
             expected = (ingroup + COEFFS.outgroup_weight * outgroup) / (1.0 + move * COEFFS.move_cost)
             assert utility == pytest.approx(expected, abs=1e-12)
             assert utility == pytest.approx(
-                oracle_utility(cand, user, cur, CTX_OPEN, trajs, COMFORT, PROX, COEFFS), abs=1e-9
+                oracle_utility(cand, user, cur, CTX_OPEN, cloud(*trajs), COMFORT, PROX, COEFFS), abs=1e-9
             )
 
     def test_approach_exact_within_trigger_radius(self):
@@ -163,7 +186,7 @@ class TestScoreCandidate:
         user = Pose(Vec2(0, 0), 0.0)
         cand = Vec2(1.5, 0.0)
         *_, approach = score_candidates(
-            [cand], user, cand, CTX_OPEN, [traj([(2.27, 0.0)])], COMFORT, PROX, COEFFS, 0.9
+            rows(cand), user, cand, CTX_OPEN, np.array([[2.27, 0.0]]), COMFORT, PROX, COEFFS, 0.9
         )
         assert approach[0] == pytest.approx(0.77, abs=1e-12)
 
@@ -180,7 +203,7 @@ class TestScoreCandidate:
                 for i in range(rng.randint(1, 4))
             ]
             _, _, outgroup, _ = score_one(cand, user, cand, trajs)
-            closest = min(points_segment_distance(t.points, user.position, cand).min() for t in trajs)
+            closest = min(points_segment_distance(pts, user.position, cand).min() for _, pts in trajs)
             assert outgroup == pytest.approx(comfort_from_distance(np.array([closest]), COMFORT)[0], abs=1e-9)
 
     def test_ingroup_matches_comfort_module(self):
@@ -293,7 +316,7 @@ class TestStepPlan:
 
 
 def build_snapshot(user, vh, env, trajectories, pedestrians=None):
-    return PlanningSnapshot(user, vh, env, pedestrians or [], trajectories)
+    return PlanningSnapshot(user, vh, env, positions_of(pedestrians or []), cloud(*trajectories))
 
 
 class TestPlanIfNeeded:
@@ -320,17 +343,18 @@ class TestPlanIfNeeded:
             decision.target_position, Segment(Vec2(6.0, 10.75), Vec2(6.0 + 1.4 * 7.9, 10.75))
         )
         seg_clear = detect_potential_conflict(
-            Segment(self.user.position, decision.target_position), [t],
+            Segment(self.user.position, decision.target_position), cloud(t),
             PARAMS.territory_radius + PARAMS.planning_margin,
         )
         assert seg_clear == (False, [])
 
     def oracle_target(self, trajectories):
         """The oracle's pick for this scene and its utility."""
-        ctx = classify_spatial_context(self.env, Segment(self.user.position, self.vh.position), [], PROX)
-        cands = generate_candidates(self.user, self.vh.position, self.env, PROX, PARAMS)
-        i = oracle_decision(cands, self.user, self.vh.position, ctx, trajectories, COMFORT, PROX, COEFFS, PARAMS)
-        return cands[i], oracle_utility(cands[i], self.user, self.vh.position, ctx, trajectories, COMFORT, PROX, COEFFS)
+        ctx = classify_spatial_context(self.env, Segment(self.user.position, self.vh.position), positions_of([]), PROX)
+        cands = [Vec2(*c) for c in generate_candidates(self.user, self.vh.position, self.env, PROX, PARAMS).tolist()]
+        paths = cloud(*trajectories)
+        i = oracle_decision(cands, self.user, self.vh.position, ctx, paths, COMFORT, PROX, COEFFS, PARAMS)
+        return cands[i], oracle_utility(cands[i], self.user, self.vh.position, ctx, paths, COMFORT, PROX, COEFFS)
 
     def test_decision_matches_hand_scored_candidates(self):
         # safe branch: some candidates clear the pedestrian's path
@@ -414,7 +438,7 @@ class TestPlannerLoop:
         vh = Pose(Vec2(6, 6.75), 1.5 * math.pi)
         start = vh
         for k in range(100):
-            vh = planner.update(k * 0.1, 0.1, user, vh, list)
+            vh = planner.update(k * 0.1, 0.1, user, vh, crowd_of([]))
             assert planner.state.phase is PlanPhase.STABLE
         assert vh.position == start.position
 
@@ -436,7 +460,7 @@ class TestPlannerLoop:
             ]
             cands = generate_candidates(user, vh.position, env, PROX, PARAMS)
             utility, ingroup, outgroup, move, _ = score_candidates(
-                cands, user, vh.position, CTX_OPEN, trajs, COMFORT, PROX, COEFFS
+                cands, user, vh.position, CTX_OPEN, cloud(*trajs).points, COMFORT, PROX, COEFFS
             )
             winner = _argbest(utility, move)
             zero_in_max = utility[ingroup == 0.0].max(initial=0.0)
@@ -449,20 +473,20 @@ class TestMakeSnapshot:
         env = open_square(20.0)
         user = Pose(Vec2(10, 9.25), math.pi / 2)
         vh = Pose(Vec2(10, 10.75), 1.5 * math.pi)
-        near = PedestrianState(1, Vec2(12, 10), Vec2(-1, 0), Vec2(0, 10), 1.0)
-        far = PedestrianState(2, Vec2(19, 19), Vec2(-1, 0), Vec2(0, 19), 1.0)
-        snap = make_snapshot(user, vh, env, [near, far], AvoidanceParams(), 0.1, 6.0)
-        assert [t.pedestrian_id for t in snap.trajectories] == [1]
+        near = PedestrianState(0, Vec2(12, 10), Vec2(-1, 0), Vec2(0, 10), 1.0)
+        far = PedestrianState(1, Vec2(19, 19), Vec2(-1, 0), Vec2(0, 19), 1.0)
+        snap = make_snapshot(user, vh, env, crowd_of([near, far]), AvoidanceParams(), 0.1, 6.0)
+        assert [t.pedestrian_id for t in snap.trajectories] == [0]
 
     def test_shared_sample_grid(self):
         env = open_square(20.0)
         user = Pose(Vec2(10, 9.25), math.pi / 2)
         vh = Pose(Vec2(10, 10.75), 1.5 * math.pi)
         peds = [
-            PedestrianState(1, Vec2(12, 10), Vec2(-1.2, 0), Vec2(0, 10), 1.2),
-            PedestrianState(2, Vec2(8, 12), Vec2(0.5, -1.0), Vec2(12, 0), 1.118),
+            PedestrianState(0, Vec2(12, 10), Vec2(-1.2, 0), Vec2(0, 10), 1.2),
+            PedestrianState(1, Vec2(8, 12), Vec2(0.5, -1.0), Vec2(12, 0), 1.118),
         ]
-        snap = make_snapshot(user, vh, env, peds, AvoidanceParams(), 0.1, 6.0)
+        snap = make_snapshot(user, vh, env, crowd_of(peds), AvoidanceParams(), 0.1, 6.0)
         assert len(snap.trajectories) == 2
         t0, t1 = snap.trajectories
         assert np.array_equal(t0.times, t1.times)

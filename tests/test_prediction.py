@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from crowds import crowd_of, positions_of, predict_one
 from vhsim.geometry import Segment, Vec2
 from vhsim.prediction import (
     AvoidanceParams,
@@ -12,10 +13,8 @@ from vhsim.prediction import (
     anticipated_pedestrians,
     avoidance_geometry,
     choose_waypoint,
-    exit_time_from_disc,
     linear_extrapolate,
     min_approach_distance,
-    predict_trajectory,
     prediction_horizon,
 )
 
@@ -94,7 +93,7 @@ class TestBelowStationarySpeed:
 
     def test_prediction_stands_still(self, speed):
         ped = self.ped(speed)
-        traj = predict_trajectory(ped, Vec2(0, 0), 2.0, 0.5, PARAMS)
+        traj = predict_one(ped, Vec2(0, 0), 2.0, 0.5, PARAMS)
         assert all(p == ped.position for _, p in traj.samples)
         assert traj.d_min == ped.position.distance_to(Vec2(0, 0))
 
@@ -172,7 +171,7 @@ class TestChooseWaypoint:
 class TestPredictTrajectory:
     def test_far_miss_equals_linear(self):
         ped = make_ped((-5, 2), (1.2, 0), goal=(10, 2))
-        traj = predict_trajectory(ped, Vec2(0, 0), horizon=5.0, dt=0.1, params=PARAMS)
+        traj = predict_one(ped, Vec2(0, 0), horizon=5.0, dt=0.1, params=PARAMS)
         for t, p in traj.samples:
             expected = linear_extrapolate(ped, t)
             assert p.x == pytest.approx(expected.x, abs=1e-9)
@@ -180,13 +179,13 @@ class TestPredictTrajectory:
 
     def test_head_on_keeps_clearance(self):
         ped = make_ped((-5, 0.05), (1.3, 0), goal=(10, 0.05))
-        traj = predict_trajectory(ped, Vec2(0, 0), horizon=9.0, dt=0.1, params=PARAMS)
+        traj = predict_one(ped, Vec2(0, 0), horizon=9.0, dt=0.1, params=PARAMS)
         v_dt = 1.3 * 0.1
         assert traj.d_min == pytest.approx(PARAMS.min_avoidance, abs=v_dt)
 
     def test_already_inside_start_range(self):
         ped = make_ped((-1.2, 0.0), (1.0, 0), goal=(10, 0))
-        traj = predict_trajectory(ped, Vec2(0, 0), horizon=6.0, dt=0.05, params=PARAMS)
+        traj = predict_one(ped, Vec2(0, 0), horizon=6.0, dt=0.05, params=PARAMS)
         assert traj.d_min == pytest.approx(PARAMS.min_avoidance, abs=1.0 * 0.05)
         # detour starts immediately: the second sample already deviates
         p1 = traj.samples[1][1]
@@ -195,31 +194,31 @@ class TestPredictTrajectory:
     def test_degenerate_equal_distances(self):
         params = AvoidanceParams(min_avoidance=0.67, start_avoidance=0.67)
         ped = make_ped((-0.67, 0.0), (1.0, 0), goal=(10, 0))
-        traj = predict_trajectory(ped, Vec2(0, 0), horizon=3.0, dt=0.05, params=params)
+        traj = predict_one(ped, Vec2(0, 0), horizon=3.0, dt=0.05, params=params)
         assert traj.d_min >= 0.67 - 1.0 * 0.05
 
     def test_deterministic(self):
         ped = make_ped((-4, 0.3), (1.1, -0.05), goal=(9, -1))
-        a = predict_trajectory(ped, Vec2(0, 0), 8.0, 0.1, PARAMS)
-        b = predict_trajectory(ped, Vec2(0, 0), 8.0, 0.1, PARAMS)
+        a = predict_one(ped, Vec2(0, 0), 8.0, 0.1, PARAMS)
+        b = predict_one(ped, Vec2(0, 0), 8.0, 0.1, PARAMS)
         assert np.array_equal(a.points, b.points)
         assert a.d_min == b.d_min
 
     def test_d_min_matches_samples(self):
         ped = make_ped((-5, 0.4), (1.25, 0), goal=(10, 0.4))
-        traj = predict_trajectory(ped, Vec2(0, 0), 8.0, 0.1, PARAMS)
+        traj = predict_one(ped, Vec2(0, 0), 8.0, 0.1, PARAMS)
         d = min(Vec2(0, 0).distance_to(p) for _, p in traj.samples)
         assert traj.d_min == pytest.approx(d, abs=1e-12)
 
     def test_stationary_pedestrian(self):
         ped = make_ped((2, 1), (0, 0))
-        traj = predict_trajectory(ped, Vec2(0, 0), 2.0, 0.5, PARAMS)
+        traj = predict_one(ped, Vec2(0, 0), 2.0, 0.5, PARAMS)
         assert all(p == ped.position for _, p in traj.samples)
 
     def test_avoiding_phase_heads_to_waypoint_then_goal(self):
         wp = Vec2(0.5, 0.8)
         ped = make_ped((0, 0), (0.53, 0.85), goal=(5, 0), phase=Phase.AVOIDING, waypoint=wp)
-        traj = predict_trajectory(ped, Vec2(2, 0), 6.0, 0.1, PARAMS)
+        traj = predict_one(ped, Vec2(2, 0), 6.0, 0.1, PARAMS)
         pts = traj.points
         d_wp = np.hypot(pts[:, 0] - wp.x, pts[:, 1] - wp.y)
         assert d_wp.min() < 0.06  # passes through the waypoint
@@ -228,7 +227,7 @@ class TestPredictTrajectory:
 
     def test_sample_grid(self):
         ped = make_ped((0, 0), (1, 0))
-        traj = predict_trajectory(ped, Vec2(10, 10), 1.0, 0.25, PARAMS)
+        traj = predict_one(ped, Vec2(10, 10), 1.0, 0.25, PARAMS)
         assert [round(t, 6) for t, _ in traj.samples] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
@@ -247,7 +246,7 @@ class TestRealizedClearanceSweep:
             ped = make_ped((-start_range, offset), (speed, 0), goal=(30, offset))
             dt = 0.1
             horizon = (start_range + 8.0) / speed
-            traj = predict_trajectory(ped, Vec2(0, 0), horizon, dt, params)
+            traj = predict_one(ped, Vec2(0, 0), horizon, dt, params)
             assert traj.d_min >= d_min - speed * dt - 1e-9
             assert traj.d_min <= d_min + speed * dt + 1e-9
 
@@ -258,13 +257,24 @@ class TestAnticipated:
         far = make_ped((10, 0), (1, 0), pid=1)
         near = make_ped((3, 0), (1, 0), pid=2)
         edge = make_ped((6, 0.0), (1, 0), pid=3)
-        got = anticipated_pedestrians([far, near, edge], dyad, PARAMS)
-        assert [p.id for p in got] == [2, 3]
+        peds = [far, near, edge]
+        got = anticipated_pedestrians(positions_of(peds), dyad, PARAMS)
+        assert [peds[i].id for i in got] == [2, 3]
 
     def test_boundary_inclusive(self):
         dyad = Segment(Vec2(0, 0), Vec2(0, 1.0))
         ped = make_ped((6.0, 0.0), (1, 0), pid=9)
-        assert anticipated_pedestrians([ped], dyad, PARAMS) == [ped]
+        assert anticipated_pedestrians(positions_of([ped]), dyad, PARAMS).tolist() == [0]
+
+    def test_boundary_inclusive_where_numpy_hypot_is_not(self):
+        # exactly 6 m from the dyad's end by math.hypot, the distance the
+        # scalar rule measures; np.hypot and sqrt(x*x + y*y) read one ulp more
+        dx, dy = -2.6326286130146603, -5.3915922125042535
+        assert math.hypot(dx, dy) == PARAMS.anticipate < np.hypot(dx, dy)
+        assert PARAMS.anticipate < math.sqrt(dx * dx + dy * dy)
+        dyad = Segment(Vec2(0, 0), Vec2(0, 1.5))
+        positions = np.array([[dx, dy], [math.nextafter(dx, -math.inf), dy]])
+        assert anticipated_pedestrians(positions, dyad, PARAMS).tolist() == [0]
 
 
 class TestParamsValidation:
@@ -280,25 +290,37 @@ class TestParamsValidation:
             AvoidanceParams(min_avoidance=0.5, start_avoidance=7.0, anticipate=6.0)
 
 
+def exit_time(ped: PedestrianState, radius: float) -> float:
+    """The shared horizon of one pedestrian around the origin, uncapped."""
+    crowd = crowd_of([ped])
+    return prediction_horizon(crowd.position, crowd.velocity, Segment(Vec2(0, 0), Vec2(0, 0)), radius, math.inf)
+
+
 class TestHorizon:
     def test_exit_time_crossing(self):
         ped = make_ped((-10, 0), (1, 0))
-        t = exit_time_from_disc(ped, Vec2(0, 0), 6.0)
+        t = exit_time(ped, 6.0)
         assert t == pytest.approx(16.0)
 
     def test_exit_time_inside(self):
         ped = make_ped((0, 0), (2, 0))
-        assert exit_time_from_disc(ped, Vec2(0, 0), 6.0) == pytest.approx(3.0)
+        assert exit_time(ped, 6.0) == pytest.approx(3.0)
 
     def test_never_entering(self):
         ped = make_ped((-10, 8), (1, 0))
-        assert exit_time_from_disc(ped, Vec2(0, 0), 6.0) == 0.0
+        assert exit_time(ped, 6.0) == 0.0
 
     def test_stationary_inside_is_inf(self):
         ped = make_ped((1, 0), (0, 0))
-        assert exit_time_from_disc(ped, Vec2(0, 0), 6.0) == math.inf
+        assert exit_time(ped, 6.0) == math.inf
 
     def test_horizon_capped(self):
         dyad = Segment(Vec2(0, 0), Vec2(0, 1.5))
         slow = make_ped((-5.9, 0.75), (0.1, 0))
-        assert prediction_horizon([slow], dyad, 6.0, cap=15.0) == 15.0
+        crowd = crowd_of([slow])
+        assert prediction_horizon(crowd.position, crowd.velocity, dyad, 6.0, cap=15.0) == 15.0
+
+    def test_stationary_inside_gives_the_cap(self):
+        dyad = Segment(Vec2(0, 0), Vec2(0, 1.5))
+        crowd = crowd_of([make_ped((-10, 0.75), (1.4, 0)), make_ped((3, 0.75), (0, 0), pid=1)])
+        assert prediction_horizon(crowd.position, crowd.velocity, dyad, 6.0, cap=4.0) == 4.0

@@ -1,0 +1,125 @@
+"""The crowd-wide prediction against the scalar, one-pedestrian-at-a-time path.
+
+`make_snapshot` predicts every tracked row of the crowd in one array pass.
+On every check tick of two trials, and on hand-built scenes that force the
+rare branches, its tracked ids, horizon and sample points must equal
+`oracles.oracle_snapshot` bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from crowds import crowd_of
+from oracles import oracle_snapshot, oracle_trajectory
+from vhsim import planner
+from vhsim.geometry import Pose, Segment, Vec2
+from vhsim.prediction import (
+    STATIONARY_SPEED,
+    AvoidanceParams,
+    PedestrianState,
+    Phase,
+    _build_legs,
+    anticipated_pedestrians,
+    predict_trajectory,
+    prediction_horizon,
+)
+from vhsim.simulation import ScenarioConfig, run_trial
+
+AVOID = AvoidanceParams()
+
+
+def bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def row_kind(ped: PedestrianState, user: Vec2, avoid: AvoidanceParams) -> str:
+    if ped.velocity.norm() < STATIONARY_SPEED:
+        return "stationary"
+    if ped.phase is Phase.RETURNING:
+        return "returning"
+    if ped.phase is Phase.AVOIDING and ped.waypoint is not None:
+        return "avoiding"
+    return {1: "straight", 2: "detour now", 3: "detour ahead"}[len(_build_legs(ped, user, avoid))]
+
+
+@pytest.mark.parametrize("environment", ["square20", "passage"])
+def test_every_check_tick_matches_the_scalar_path(environment, monkeypatch):
+    original = planner.make_snapshot
+    kinds: dict[str, int] = {}
+    checks = []
+
+    def checked(user, vh, env, crowd, avoid, dt, c_space_radius, horizon_cap):
+        snap = original(user, vh, env, crowd, avoid, dt, c_space_radius, horizon_cap)
+        states = crowd.states()
+        ids, horizon, points = oracle_snapshot(states, user.position, vh.position, avoid, dt,
+                                               c_space_radius, horizon_cap)
+        got = snap.trajectories
+        assert got.ids.tolist() == ids
+        assert (bits(got.points) == bits(points)).all()
+        if ids:
+            dyad = Segment(user.position, vh.position)
+            rows = anticipated_pedestrians(crowd.position, dyad, avoid)
+            got_horizon = max(prediction_horizon(crowd.position[rows], crowd.velocity[rows], dyad,
+                                                 c_space_radius, horizon_cap), dt)
+            assert bits([got_horizon]) == bits([horizon])
+            assert (bits(got.times) == bits(oracle_trajectory(states[ids[0]], user.position, horizon, dt,
+                                                              avoid)[0])).all()
+        for i in ids:
+            kind = row_kind(states[i], user.position, avoid)
+            kinds[kind] = kinds.get(kind, 0) + 1
+        checks.append(len(ids))
+        return snap
+
+    monkeypatch.setattr(planner, "make_snapshot", checked)
+    run_trial(ScenarioConfig(environment=environment, density=0.25, condition="proposed", duration=120.0, seed=1))
+    assert len(checks) == 240 and sum(checks) > 0
+    assert {"straight", "detour ahead", "detour now", "avoiding", "returning"} <= set(kinds), kinds
+
+
+def ped(pid, position, velocity, goal=(30.0, 0.0), phase=Phase.DIRECT, waypoint=None) -> PedestrianState:
+    return PedestrianState(id=pid, position=Vec2(*position), velocity=Vec2(*velocity), goal=Vec2(*goal),
+                           preferred_speed=math.hypot(*velocity), phase=phase,
+                           waypoint=None if waypoint is None else Vec2(*waypoint))
+
+
+def hand_built_scene() -> list[PedestrianState]:
+    """One row of each kind the prediction branches on, the user at the origin."""
+    return [
+        ped(0, (2.0, 1.0), (0.0, 0.0)),  # standing still
+        ped(1, (2.0, -1.0), (5e-324, 0.0)),  # slower than STATIONARY_SPEED
+        ped(2, (-5.0, 2.0), (1.2, 0.0)),  # straight, passing wide
+        ped(3, (3.0, 0.1), (1.1, 0.0)),  # straight, walking away
+        ped(4, (-5.0, 0.1), (1.3, 0.0)),  # detour ahead
+        ped(5, (-1.2, 0.05), (1.0, 0.0)),  # detour now: inside the start range
+        ped(6, (-0.6, -0.9), (0.9, 0.6), phase=Phase.AVOIDING, waypoint=(0.5, -0.8)),
+        ped(7, (0.5, -0.8), (0.9, 0.6), phase=Phase.AVOIDING, waypoint=(0.5 + 4e-10, -0.8)),  # at its waypoint
+        ped(8, (-4.0, 0.1), (1.2, 0.0), phase=Phase.AVOIDING),  # avoiding without a waypoint: detour rule
+        ped(9, (1.0, 0.7), (1.2, 0.1), phase=Phase.RETURNING),
+    ]
+
+
+def test_hand_built_rows_match_the_scalar_path():
+    peds = hand_built_scene()
+    user = Vec2(0.0, 0.0)
+    kinds = [row_kind(p, user, AVOID) for p in peds]
+    assert kinds == ["stationary", "stationary", "straight", "straight", "detour ahead", "detour now",
+                     "avoiding", "avoiding", "detour ahead", "returning"]
+    got = predict_trajectory(crowd_of(peds), np.arange(len(peds)), user, 6.0, 0.1, AVOID)
+    assert len(got) == len(peds) and got.ids.tolist() == list(range(len(peds)))
+    for p, view in zip(peds, got):
+        times, points = oracle_trajectory(p, user, 6.0, 0.1, AVOID)
+        assert (bits(view.times) == bits(times)).all()
+        assert (bits(view.points) == bits(points)).all(), f"pedestrian {p.id} ({kinds[p.id]})"
+    assert (got[0].points == (2.0, 1.0)).all() and (got[1].points == (2.0, -1.0)).all()
+
+
+def test_hand_built_snapshot_matches_the_scalar_path():
+    peds = hand_built_scene()
+    user, vh = Vec2(0.0, 0.0), Vec2(0.0, 1.5)
+    env = ScenarioConfig(environment="square20").build_environment()
+    snap = planner.make_snapshot(Pose(user, 0.0), Pose(vh, 0.0), env, crowd_of(peds), AVOID, 0.1, 6.0, 4.0)
+    ids, horizon, points = oracle_snapshot(peds, user, vh, AVOID, 0.1, 6.0, 4.0)
+    assert snap.trajectories.ids.tolist() == ids and horizon == 4.0  # a stationary row inside the disc
+    assert (bits(snap.trajectories.points) == bits(points)).all()

@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from crowds import positions_of
 from vhsim.geometry import Pose, Segment, Vec2, narrow_passage, open_square
 from vhsim.prediction import PedestrianState
 from vhsim.proxemics import (
@@ -161,20 +163,20 @@ class TestSpatialContext:
         env = open_square(20.0)
         dyad = Segment(Vec2(10, 9.25), Vec2(10, 10.75))
         peds = [_ped(0, Vec2(1, 1)), _ped(1, Vec2(19, 19))]
-        ctx = classify_spatial_context(env, dyad, peds, PARAMS)
+        ctx = classify_spatial_context(env, dyad, positions_of(peds), PARAMS)
         assert ctx == SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
 
     def test_passage_dyad_across_corridor_is_near_wall(self):
         env = narrow_passage(3.0, 20.0)
         dyad = Segment(Vec2(0.75, 10.0), Vec2(2.25, 10.0))
-        ctx = classify_spatial_context(env, dyad, [], PARAMS)
+        ctx = classify_spatial_context(env, dyad, positions_of([]), PARAMS)
         # nearest wall at 0.75 m < 1.2 m personal space
         assert ctx.definiteness is Definiteness.NEAR_WALL
 
     def test_passage_centerline_dyad_is_open_space(self):
         env = narrow_passage(3.0, 20.0)
         dyad = Segment(Vec2(1.5, 9.25), Vec2(1.5, 10.75))
-        ctx = classify_spatial_context(env, dyad, [], PARAMS)
+        ctx = classify_spatial_context(env, dyad, positions_of([]), PARAMS)
         # 1.5 m to both walls exceeds the 1.2 m threshold
         assert ctx.definiteness is Definiteness.OPEN_SPACE
 
@@ -187,14 +189,30 @@ class TestSpatialContext:
             _ped(i, Vec2(rng.uniform(0, 12), rng.uniform(0, 12)))
             for i in range(36)
         ]
-        ctx = classify_spatial_context(env, dyad, peds, PARAMS)
+        ctx = classify_spatial_context(env, dyad, positions_of(peds), PARAMS)
         assert ctx.crowdedness is Crowdedness.CROWDED
 
     def test_empty_scene_uncrowded(self):
         env = open_square(12.0)
         dyad = Segment(Vec2(6, 5.25), Vec2(6, 6.75))
-        ctx = classify_spatial_context(env, dyad, [], PARAMS)
+        ctx = classify_spatial_context(env, dyad, positions_of([]), PARAMS)
         assert ctx.crowdedness is Crowdedness.UNCROWDED
+
+    def test_count_inclusive_where_numpy_hypot_is_not(self):
+        # exactly on the c-space circle by math.hypot, the distance the count
+        # measures; np.hypot and sqrt(x*x + y*y) read one ulp beyond it. One
+        # pedestrian in the clipped quarter disc (28.3 m^2) is crowded at a
+        # threshold of 0.03 per m^2.
+        x, y = 4.3438986187338715, 4.138906231139088
+        assert math.hypot(x, y) == PARAMS.c_space_radius < np.hypot(x, y)
+        assert PARAMS.c_space_radius < math.sqrt(x * x + y * y)
+        params = ProxemicsParams(crowd_threshold=0.03)
+        env = open_square(12.0)
+        dyad = Segment(Vec2(0.0, -0.75), Vec2(0.0, 0.75))  # midpoint at the origin
+        on_circle = classify_spatial_context(env, dyad, np.array([[x, y]]), params)
+        beyond = classify_spatial_context(env, dyad, np.array([[math.nextafter(x, math.inf), y]]), params)
+        assert on_circle.crowdedness is Crowdedness.CROWDED
+        assert beyond.crowdedness is Crowdedness.UNCROWDED
 
 
 class TestPreferenceTable:
