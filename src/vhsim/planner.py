@@ -235,13 +235,25 @@ def score_candidates(
         wy = points[:, 1] - u.y
         keep = (wx * wx + wy * wy) <= cutoff * cutoff
         if keep.any():
-            wx, wy = wx[keep], wy[keep]
+            # each sample's projection on each candidate segment, clamped to
+            # the segment, then the squared distance, in two (kept, m)
+            # buffers written in place; the per-cell operations and their
+            # order fix the result's bits, which the tests compare with the
+            # dense form in tests/oracles.py
+            wx, wy = wx[keep, None], wy[keep, None]
             ee_safe = np.where(ee == 0.0, 1.0, ee)
-            t = np.outer(wx, ex) + np.outer(wy, ey)
-            t = np.clip(t / ee_safe[None, :], 0.0, 1.0)
-            dx = wx[:, None] - t * ex[None, :]
-            dy = wy[:, None] - t * ey[None, :]
-            approach = np.sqrt((dx * dx + dy * dy).min(axis=0))
+            t = wx * ex
+            t += wy * ey
+            t /= ee_safe
+            np.clip(t, 0.0, 1.0, out=t)
+            dx = t * ex
+            np.subtract(wx, dx, out=dx)
+            dx *= dx
+            t *= ey
+            np.subtract(wy, t, out=t)
+            t *= t
+            dx += t
+            approach = np.sqrt(dx.min(axis=0))
             outgroup = comfort_from_distance(approach, comfort_coeffs)
 
     # in-group: formation availability and the best feasible arrangement's

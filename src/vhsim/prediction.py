@@ -130,23 +130,6 @@ class AvoidanceGeometry:
     waypoint_right: Vec2
 
 
-def linear_extrapolate(ped: PedestrianState, t: float) -> Vec2:
-    """Constant-velocity position estimate at time t >= 0."""
-    if t < 0.0:
-        raise ValueError("extrapolation time must be non-negative")
-    return Vec2(ped.position.x + ped.velocity.x * t, ped.position.y + ped.velocity.y * t)
-
-
-def min_approach_distance(ped: PedestrianState, user: Vec2) -> float:
-    """Closest distance the straight-line extrapolation comes to the user."""
-    speed = ped.velocity.norm()
-    if speed < STATIONARY_SPEED:
-        raise ValueError("stationary pedestrian has no approach trajectory")
-    wx, wy = user.x - ped.position.x, user.y - ped.position.y
-    t_star = max(0.0, (wx * ped.velocity.x + wy * ped.velocity.y) / (speed * speed))
-    return math.hypot(wx - ped.velocity.x * t_star, wy - ped.velocity.y * t_star)
-
-
 def avoidance_geometry(ped: PedestrianState, user: Vec2, params: AvoidanceParams) -> AvoidanceGeometry:
     """Build both detour waypoints from the pedestrian's current range.
 

@@ -87,6 +87,38 @@ def oracle_decision(candidates, user, current_vh, context, trajectories, comfort
     return -max(ranked)[2]
 
 
+def oracle_linear(ped: PedestrianState, t: float) -> Vec2:
+    """Constant-velocity position estimate at time t."""
+    return Vec2(ped.position.x + ped.velocity.x * t, ped.position.y + ped.velocity.y * t)
+
+
+def oracle_approach(candidates: np.ndarray, user: Pose, points: np.ndarray, reach: float) -> np.ndarray:
+    """Each candidate segment's smallest distance to a sample within `reach`
+    of the farthest candidate, in the planner's original out-of-place form:
+    full (samples, candidates) matrices from `np.outer` and `np.clip`. Every
+    cell goes through the same IEEE operations as `score_candidates`, so the
+    two agree bit for bit; inf when no sample is that close."""
+    u = user.position
+    ex = candidates[:, 0] - u.x
+    ey = candidates[:, 1] - u.y
+    ee = ex * ex + ey * ey
+    approach = np.full(len(candidates), np.inf)
+    if points.size:
+        cutoff = math.sqrt(ee.max()) + reach + 1e-6
+        wx = points[:, 0] - u.x
+        wy = points[:, 1] - u.y
+        keep = (wx * wx + wy * wy) <= cutoff * cutoff
+        if keep.any():
+            wx, wy = wx[keep], wy[keep]
+            ee_safe = np.where(ee == 0.0, 1.0, ee)
+            t = np.outer(wx, ex) + np.outer(wy, ey)
+            t = np.clip(t / ee_safe[None, :], 0.0, 1.0)
+            dx = wx[:, None] - t * ex[None, :]
+            dy = wy[:, None] - t * ey[None, :]
+            approach = np.sqrt((dx * dx + dy * dy).min(axis=0))
+    return approach
+
+
 def oracle_candidates(user: Pose, current_vh: Vec2, env: Environment, prox: ProxemicsParams,
                       params) -> list[Vec2]:
     """The planner's candidate grid, point by point: radius by radius and

@@ -1,12 +1,14 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import vhsim.planner as planner_module
 from crowds import crowd_of, positions_of, prediction_of
-from oracles import oracle_candidates, oracle_decision, oracle_ingroup, oracle_utility
+from oracles import oracle_approach, oracle_candidates, oracle_decision, oracle_ingroup, oracle_utility
 from vhsim.comfort import ComfortCoefficients, best_arrangement, comfort_from_distance, points_segment_distance
 from vhsim.geometry import Environment, Pose, Segment, Vec2, distance_point_segment, narrow_passage, open_square
 from vhsim.planner import (
@@ -18,6 +20,7 @@ from vhsim.planner import (
     PlannerParams,
     PlanningSnapshot,
     _argbest,
+    _saturation_distance_m,
     detect_potential_conflict,
     generate_candidates,
     make_snapshot,
@@ -33,7 +36,7 @@ from vhsim.proxemics import (
     SpatialContext,
     classify_spatial_context,
 )
-from vhsim.simulation import ScenarioConfig
+from vhsim.simulation import ScenarioConfig, run_trial
 
 PROX = ProxemicsParams()
 COEFFS = PlannerCoefficients()
@@ -217,6 +220,100 @@ class TestScoreCandidate:
             _, ingroup, _, _ = score_one(cand, user, Vec2(1.0, 0.0), [])
             assert ingroup == best_arrangement(cand, user, CTX_OPEN, PROX)[1]
             assert ingroup == oracle_ingroup(cand, user, CTX_OPEN, PROX)
+
+
+def old_form_scores(candidates, user, current_vh, context, points, comfort, prox, coeffs, radius=0.0):
+    """The five arrays of `score_candidates` with the approach distances
+    from the out-of-place oracle. In-group and move come from a call with no
+    samples, which never enters the approach block."""
+    _, ingroup, _, move, _ = score_candidates(
+        candidates, user, current_vh, context, np.empty((0, 2)), comfort, prox, coeffs, radius
+    )
+    approach = oracle_approach(candidates, user, points, max(_saturation_distance_m(comfort), radius))
+    outgroup = comfort_from_distance(approach, comfort)
+    utility = (ingroup + coeffs.outgroup_weight * outgroup) / (1.0 + move * coeffs.move_cost)
+    return utility, ingroup, outgroup, move, approach
+
+
+def assert_bitwise(actual, expected):
+    for name, a, e in zip(("utility", "ingroup", "outgroup", "move", "approach"), actual, expected):
+        assert a.dtype == e.dtype == np.float64 and a.shape == e.shape, name
+        assert np.array_equal(a.view(np.uint64), e.view(np.uint64)), name
+
+
+class TestScoreKernelExact:
+    """The in-place approach kernel gives the out-of-place form's outputs bit
+    for bit: every cell sees the same IEEE operations in the same order."""
+
+    @pytest.mark.parametrize("environment", ["square20", "passage"])
+    def test_every_call_of_a_trial(self, environment, monkeypatch):
+        calls = []
+
+        def recording(*args):
+            out = score_candidates(*args)
+            calls.append((tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args), out))
+            return out
+
+        monkeypatch.setattr(planner_module, "score_candidates", recording)
+        cfg = ScenarioConfig(environment=environment, density=0.25, condition="proposed", duration=120.0, seed=1)
+        run_trial(cfg)
+        assert len(calls) >= 20
+        assert sum(np.isfinite(out[4]).all() for _, out in calls) >= 20
+        for args, out in calls:
+            assert_bitwise(out, old_form_scores(*args))
+
+    def hand_call(self, candidates, points, radius=0.0, user=Pose(Vec2(0, 0), 0.3)):
+        candidates = np.asarray(candidates, float)
+        points = np.asarray(points, float).reshape(-1, 2)
+        current = Vec2(*candidates[-1])
+        args = (candidates, user, current, CTX_OPEN, points, COMFORT, PROX, COEFFS, radius)
+        out = score_candidates(*args)
+        assert_bitwise(out, old_form_scores(*args))
+        return out
+
+    def test_no_sample_within_cutoff(self):
+        *_, outgroup, _, approach = self.hand_call([(1.0, 0.0), (0.0, 1.2)], [(9.0, 9.0), (-8.0, 7.5)])
+        assert np.isinf(approach).all() and (outgroup == 1.0).all()
+
+    def test_single_sample(self):
+        *_, approach = self.hand_call([(1.0, 0.0), (0.6, 0.9), (-1.3, 0.2)], [(0.7, 0.4)])
+        assert np.isfinite(approach).all()
+
+    def test_candidate_at_user_hits_zero_length_guard(self):
+        points = np.random.default_rng(5).uniform(-1.5, 1.5, (40, 2))
+        *_, approach = self.hand_call([(0.9, -0.4), (0.0, 0.0)], points)
+        # a zero-length segment is the user's point itself
+        assert approach[1] == np.sqrt((points[:, 0] ** 2 + points[:, 1] ** 2).min())
+
+    def test_trigger_radius_beyond_saturation(self):
+        rng = np.random.default_rng(11)
+        radius = 2.0 * _saturation_distance_m(COMFORT)
+        points = rng.uniform(-3.5, 3.5, (300, 2))
+        *_, approach = self.hand_call([(1.2, 0.3), (-0.5, 1.0), (0.75, -0.75)], points, radius)
+        assert np.isfinite(approach).all()
+
+
+class TestScoreMemory:
+    def test_peak_allocation_two_arrays(self):
+        # ROADMAP robustness: the scorer holds at most two (samples,
+        # candidates) float64 arrays at once, not one per temporary
+        user = Pose(Vec2(10.0, 10.0), 0.0)
+        candidates = generate_candidates(user, Vec2(10.0, 11.5), open_square(20.0), PROX, PARAMS)
+        n = -(-1_000_000 // len(candidates))
+        points = np.random.default_rng(3).uniform(8.5, 11.5, (n, 2))
+        cells = n * len(candidates)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            *_, approach = score_candidates(
+                candidates, user, Vec2(10.0, 11.5), CTX_OPEN, points, COMFORT, PROX, COEFFS, 0.6
+            )
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(approach).all()
+        assert peak <= 2.5 * cells * 8
 
 
 def make_plan(utility, move=0.0, pos=None):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from crowds import crowd_of, positions_of, predict_one
+from oracles import oracle_linear
 from vhsim.geometry import Segment, Vec2
 from vhsim.prediction import (
     AvoidanceParams,
@@ -13,8 +14,6 @@ from vhsim.prediction import (
     anticipated_pedestrians,
     avoidance_geometry,
     choose_waypoint,
-    linear_extrapolate,
-    min_approach_distance,
     prediction_horizon,
 )
 
@@ -45,47 +44,11 @@ def min_distance_on_segment(a: Vec2, b: Vec2, point: Vec2, steps: int = 20000) -
     return best
 
 
-class TestLinearExtrapolate:
-    def test_basic(self):
-        ped = make_ped((0, 0), (1, 0))
-        assert linear_extrapolate(ped, 2.0) == Vec2(2.0, 0.0)
-
-    def test_identity_at_zero(self):
-        ped = make_ped((3, -1), (0.4, 0.9))
-        assert linear_extrapolate(ped, 0.0) == ped.position
-
-    def test_negative_velocity(self):
-        ped = make_ped((1, 1), (0, -1.5))
-        assert linear_extrapolate(ped, 2.0) == Vec2(1.0, -2.0)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            linear_extrapolate(make_ped((0, 0), (1, 0)), -1.0)
-
-
-class TestMinApproach:
-    def test_head_on(self):
-        ped = make_ped((-5, 0), (1, 0))
-        assert min_approach_distance(ped, Vec2(0, 0)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_perpendicular_offset(self):
-        ped = make_ped((-5, 1), (1, 0))
-        assert min_approach_distance(ped, Vec2(0, 0)) == pytest.approx(1.0)
-
-    def test_walking_away(self):
-        ped = make_ped((3, 0), (1, 0))
-        assert min_approach_distance(ped, Vec2(0, 0)) == pytest.approx(3.0)
-
-    def test_stationary_rejected(self):
-        with pytest.raises(ValueError):
-            min_approach_distance(make_ped((1, 0), (0, 0)), Vec2(0, 0))
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("speed", [5e-324, 1e-300, 9e-10])
 class TestBelowStationarySpeed:
     """A speed under 1e-9 m/s is standing still: no NaN samples from
-    inf * 0, and no ZeroDivisionError."""
+    inf * 0."""
 
     def ped(self, speed):
         return PedestrianState(id=0, position=Vec2(2, 1), velocity=Vec2(speed, 0.0), goal=Vec2(10, 1),
@@ -96,10 +59,6 @@ class TestBelowStationarySpeed:
         traj = predict_one(ped, Vec2(0, 0), 2.0, 0.5, PARAMS)
         assert all(p == ped.position for _, p in traj.samples)
         assert traj.d_min == ped.position.distance_to(Vec2(0, 0))
-
-    def test_min_approach_rejected(self, speed):
-        with pytest.raises(ValueError):
-            min_approach_distance(self.ped(speed), Vec2(0, 0))
 
 
 class TestAvoidanceGeometry:
@@ -173,7 +132,7 @@ class TestPredictTrajectory:
         ped = make_ped((-5, 2), (1.2, 0), goal=(10, 2))
         traj = predict_one(ped, Vec2(0, 0), horizon=5.0, dt=0.1, params=PARAMS)
         for t, p in traj.samples:
-            expected = linear_extrapolate(ped, t)
+            expected = oracle_linear(ped, t)
             assert p.x == pytest.approx(expected.x, abs=1e-9)
             assert p.y == pytest.approx(expected.y, abs=1e-9)
 
