@@ -92,6 +92,19 @@ def oracle_linear(ped: PedestrianState, t: float) -> Vec2:
     return Vec2(ped.position.x + ped.velocity.x * t, ped.position.y + ped.velocity.y * t)
 
 
+def oracle_min_approach(ped: PedestrianState, user: Vec2) -> float:
+    """Closest distance the straight-line extrapolation comes to the user.
+
+    A pedestrian slower than `STATIONARY_SPEED` has no approach course.
+    """
+    speed = ped.velocity.norm()
+    if speed < STATIONARY_SPEED:
+        raise ValueError("stationary pedestrian has no approach trajectory")
+    wx, wy = user.x - ped.position.x, user.y - ped.position.y
+    t_star = max(0.0, (wx * ped.velocity.x + wy * ped.velocity.y) / (speed * speed))
+    return math.hypot(wx - ped.velocity.x * t_star, wy - ped.velocity.y * t_star)
+
+
 def oracle_approach(candidates: np.ndarray, user: Pose, points: np.ndarray, reach: float) -> np.ndarray:
     """Each candidate segment's smallest distance to a sample within `reach`
     of the farthest candidate, in the planner's original out-of-place form:

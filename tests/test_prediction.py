@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crowds import crowd_of, positions_of, predict_one
-from oracles import oracle_linear
+from oracles import oracle_linear, oracle_min_approach
 from vhsim.geometry import Segment, Vec2
 from vhsim.prediction import (
     AvoidanceParams,
@@ -59,6 +59,15 @@ class TestBelowStationarySpeed:
         traj = predict_one(ped, Vec2(0, 0), 2.0, 0.5, PARAMS)
         assert all(p == ped.position for _, p in traj.samples)
         assert traj.d_min == ped.position.distance_to(Vec2(0, 0))
+
+    def test_min_approach_rejected(self, speed):
+        # heading straight for the user, yet too slow to have an approach
+        # course: the reference rejects it and the prediction inserts no detour
+        ped, user = self.ped(speed), Vec2(6, 1)
+        with pytest.raises(ValueError):
+            oracle_min_approach(ped, user)
+        traj = predict_one(ped, user, 2.0, 0.5, PARAMS)
+        assert all(p == ped.position for _, p in traj.samples)
 
 
 class TestAvoidanceGeometry:
@@ -135,6 +144,7 @@ class TestPredictTrajectory:
             expected = oracle_linear(ped, t)
             assert p.x == pytest.approx(expected.x, abs=1e-9)
             assert p.y == pytest.approx(expected.y, abs=1e-9)
+        assert traj.d_min == pytest.approx(oracle_min_approach(ped, Vec2(0, 0)), abs=1.2 * 0.1)
 
     def test_head_on_keeps_clearance(self):
         ped = make_ped((-5, 0.05), (1.3, 0), goal=(10, 0.05))
