@@ -2,10 +2,9 @@
 human sharing a public space with pedestrians who cannot see it."""
 
 from .geometry import Environment, Pose, Segment, Vec2, narrow_passage, open_square
-from .prediction import AvoidanceParams, PedestrianState, Phase, PredictedTrajectory, Prediction
-from .proxemics import ArrangementType, ProxemicsParams, SpatialContext
-from .comfort import ComfortCoefficients
-from .planner import CandidatePlan, ConflictAvoidancePlanner, PlannerCoefficients, PlannerParams, PlanPhase
+from .prediction import PedestrianState, Phase, PredictedTrajectory, Prediction
+from .proxemics import ArrangementType, SpatialContext
+from .planner import CandidatePlan, ConflictAvoidancePlanner, PlanPhase
 from .simulation import (
     ConflictEvent,
     ConflictKind,

@@ -11,42 +11,30 @@ over a whole candidate grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import Pose, Vec2
-from .proxemics import (
-    ArrangementType,
-    ProxemicsParams,
-    SpatialContext,
-    context_preference,
-    feasible_arrangements,
-)
+from .proxemics import ArrangementType, SpatialContext, context_preference, feasible_arrangements
+
+if TYPE_CHECKING:
+    from .simulation import ScenarioConfig
+
+# The reciprocal regression, scale_mm / distance_mm + offset: the score is 0
+# at or below 450 mm and saturates at 1 from about 670 mm outward.
+COMFORT_SCALE_MM = -1370.25
+COMFORT_OFFSET = 3.045
+# distance (m) at which the regression reaches its upper clamp
+SATURATION_DISTANCE_M = COMFORT_SCALE_MM / (1000.0 * (1.0 - COMFORT_OFFSET))
 
 
-@dataclass(frozen=True)
-class ComfortCoefficients:
-    """Reciprocal-regression parameters; distances evaluated in millimeters.
-
-    With the defaults the score is 0 at or below 450 mm and saturates at 1
-    from about 670 mm outward.
-    """
-
-    scale_mm: float = -1370.25
-    offset: float = 3.045
-
-    def __post_init__(self) -> None:
-        if not (self.scale_mm < 0.0 and self.offset > 1.0):
-            raise ValueError("need scale_mm < 0 and offset > 1")
-
-
-def comfort_from_distance(distance_m: np.ndarray, coeffs: ComfortCoefficients) -> np.ndarray:
+def comfort_from_distance(distance_m: np.ndarray) -> np.ndarray:
     """Comfort contribution of the nearest disturbance at each given distance.
 
     Distances are in meters; a distance of zero or less scores 0.
     """
-    raw = coeffs.scale_mm / np.maximum(distance_m * 1000.0, 1e-12) + coeffs.offset
+    raw = COMFORT_SCALE_MM / np.maximum(distance_m * 1000.0, 1e-12) + COMFORT_OFFSET
     comfort = np.clip(raw, 0.0, 1.0)
     comfort[distance_m <= 0.0] = 0.0
     return comfort
@@ -69,14 +57,14 @@ def best_arrangement(
     candidate: Vec2,
     user: Pose,
     context: SpatialContext,
-    params: ProxemicsParams,
+    config: ScenarioConfig,
 ) -> tuple[ArrangementType | None, float]:
     """Best feasible arrangement at a position and its preference weight.
 
     Returns (None, 0.0) when no formation is available. Ties go to the more
     closed arrangement.
     """
-    feasible = feasible_arrangements(user, candidate, params)
+    feasible = feasible_arrangements(user, candidate, config)
     if not feasible:
         return None, 0.0
     best_arr, best_p = None, -1.0

@@ -55,9 +55,6 @@ class Vec2:
         """Direction of the vector in [0, 2*pi)."""
         return math.atan2(self.y, self.x) % TWO_PI
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y)
-
 
 def normalize_angle(angle: float) -> float:
     """Wrap an angle to [0, 2*pi)."""
@@ -262,9 +259,6 @@ class Environment:
 
     def center(self) -> Vec2:
         return Vec2(0.5 * self.width, 0.5 * self.height)
-
-    def clamp_inside(self, p: Vec2) -> Vec2:
-        return Vec2(min(max(p.x, 0.0), self.width), min(max(p.y, 0.0), self.height))
 
 
 def nearest_wall_distance(env: Environment, points: np.ndarray) -> np.ndarray:

@@ -12,15 +12,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .comfort import (
-    ComfortCoefficients,
-    best_arrangement,
-    comfort_from_distance,
-    points_segment_distance,
-)
+from .comfort import SATURATION_DISTANCE_M, best_arrangement, comfort_from_distance, points_segment_distance
 from .geometry import (
     Environment,
     Pose,
@@ -29,61 +25,18 @@ from .geometry import (
     angle_difference,
     nearest_wall_distance,
 )
-from .prediction import (
-    AvoidanceParams,
-    Prediction,
-    anticipated_pedestrians,
-    prediction_horizon,
-    predict_trajectory,
-)
+from .prediction import Prediction, anticipated_pedestrians, prediction_horizon, predict_trajectory
 from .proxemics import (
     DISTANCE_TOL,
     ArrangementType,
-    ProxemicsParams,
     SpatialContext,
     agent_orientation_for,
     classify_spatial_context,
     context_preference,
 )
 
-
-@dataclass(frozen=True)
-class PlannerCoefficients:
-    """Utility weights: out-group comfort weight and per-meter move cost."""
-
-    outgroup_weight: float = 1.0
-    move_cost: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.outgroup_weight < 0.0 or self.move_cost < 0.0:
-            raise ValueError("coefficients must be non-negative")
-
-
-@dataclass(frozen=True)
-class PlannerParams:
-    """Territory geometry, candidate grid, and motion limits.
-
-    territory_radius: capsule radius around the dyad segment that defines the
-                      group's territory for conflict purposes (m)
-    planning_margin:  extra radius used only when deciding whether to replan,
-                      absorbing prediction discretization (m)
-    rest_margin:      predicted clearance above the territory radius the agent
-                      must keep before it may choose to absorb a marginal
-                      threat instead of relocating (m)
-    """
-
-    territory_radius: float = 0.40
-    planning_margin: float = 0.20
-    rest_margin: float = 0.10
-    replan_interval: float = 0.5
-    radial_step: float = 0.15
-    angular_step_deg: float = 15.0
-    wall_clearance: float = 0.3
-    max_speed: float = 1.5
-    turn_rate_deg: float = 180.0
-    arrive_position_tol: float = 0.05
-    arrive_angle_tol_deg: float = 10.0
-    horizon_cap: float = 4.0
+if TYPE_CHECKING:
+    from .simulation import ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -130,20 +83,17 @@ def make_snapshot(
     vh: Pose,
     env: Environment,
     crowd,
-    avoid_params: AvoidanceParams,
-    dt: float,
-    c_space_radius: float,
-    horizon_cap: float = 4.0,
+    config: ScenarioConfig,
 ) -> PlanningSnapshot:
     """Predict every pedestrian of the crowd (a `simulation.Crowd`) worth
-    anticipating on a shared sample grid."""
+    anticipating on a shared sample grid of step `config.dt`."""
     dyad = Segment(user.position, vh.position)
-    rows = anticipated_pedestrians(crowd.position, dyad, avoid_params)
+    rows = anticipated_pedestrians(crowd.position, dyad, config)
     if rows.size:
-        horizon = max(
-            prediction_horizon(crowd.position[rows], crowd.velocity[rows], dyad, c_space_radius, horizon_cap), dt
+        horizon = prediction_horizon(
+            crowd.position[rows], crowd.velocity[rows], dyad, config.c_space_radius, config.horizon_cap
         )
-        prediction = predict_trajectory(crowd, rows, user.position, horizon, dt, avoid_params)
+        prediction = predict_trajectory(crowd, rows, user.position, max(horizon, config.dt), config.dt, config)
     else:
         prediction = Prediction(rows, np.empty(0), np.empty((0, 2)), user.position)
     return PlanningSnapshot(user, vh, env, crowd.position, prediction)
@@ -168,8 +118,7 @@ def generate_candidates(
     user: Pose,
     current_vh: Vec2,
     env: Environment,
-    prox: ProxemicsParams,
-    params: PlannerParams,
+    config: ScenarioConfig,
 ) -> np.ndarray:
     """Polar grid of target positions around the user, plus the current spot,
     as an (m, 2) array.
@@ -179,22 +128,18 @@ def generate_candidates(
     counter-clockwise from +x. The current position is always the last row,
     so holding still is always an option.
     """
-    n_radii = int(math.floor((prox.formation_max - prox.formation_min) / params.radial_step + 1e-9)) + 1
-    n_bearings = int(round(360.0 / params.angular_step_deg))
-    bearings = [math.radians(k * params.angular_step_deg) for k in range(n_bearings)]
-    r = prox.formation_min + np.arange(n_radii)[:, None] * params.radial_step
+    radial_step, angular_step = config.candidate_radial_step, config.candidate_angular_step
+    n_radii = int(math.floor((config.interpersonal_distance - config.formation_min) / radial_step + 1e-9)) + 1
+    n_bearings = int(round(360.0 / angular_step))
+    bearings = [math.radians(k * angular_step) for k in range(n_bearings)]
+    r = config.formation_min + np.arange(n_radii)[:, None] * radial_step
     x = user.position.x + r * np.array([math.cos(b) for b in bearings])
     y = user.position.y + r * np.array([math.sin(b) for b in bearings])
     grid = np.column_stack((x.ravel(), y.ravel()))
     keep = (0.0 <= grid[:, 0]) & (grid[:, 0] <= env.width) & (0.0 <= grid[:, 1]) & (grid[:, 1] <= env.height)
     if env.walls:
-        keep &= ~(nearest_wall_distance(env, grid) < params.wall_clearance)
+        keep &= ~(nearest_wall_distance(env, grid) < config.wall_clearance)
     return np.vstack((grid[keep], (current_vh.x, current_vh.y)))
-
-
-def _saturation_distance_m(coeffs: ComfortCoefficients) -> float:
-    # distance at which the comfort regression reaches its upper clamp
-    return coeffs.scale_mm / (1000.0 * (1.0 - coeffs.offset))
 
 
 def score_candidates(
@@ -203,10 +148,7 @@ def score_candidates(
     current_vh: Vec2,
     context: SpatialContext,
     points: np.ndarray,
-    comfort_coeffs: ComfortCoefficients,
-    prox: ProxemicsParams,
-    coeffs: PlannerCoefficients,
-    radius: float = 0.0,
+    config: ScenarioConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Score every candidate of an (m, 2) array against the whole predicted
     sample cloud, an (N, 2) array of `points`, at once.
@@ -214,9 +156,9 @@ def score_candidates(
     Returns (utility, ingroup, outgroup, move, approach) arrays in candidate
     order; approach is each candidate segment's smallest distance to a
     predicted sample. Samples too far out to come within the comfort
-    saturation distance or the trigger `radius` of any candidate segment are
-    skipped, so approach is exact below the larger of the two and otherwise
-    exact or inf.
+    saturation distance or the trigger radius (territory radius plus
+    planning margin) of any candidate segment are skipped, so approach is
+    exact below the larger of the two and otherwise exact or inf.
     """
     u = user.position
     ex = candidates[:, 0] - u.x
@@ -230,7 +172,8 @@ def score_candidates(
     outgroup = np.ones(n)
     approach = np.full(n, np.inf)
     if points.size:
-        cutoff = math.sqrt(ee.max()) + max(_saturation_distance_m(comfort_coeffs), radius) + 1e-6
+        radius = config.territory_radius + config.planning_margin
+        cutoff = math.sqrt(ee.max()) + max(SATURATION_DISTANCE_M, radius) + 1e-6
         wx = points[:, 0] - u.x
         wy = points[:, 1] - u.y
         keep = (wx * wx + wy * wy) <= cutoff * cutoff
@@ -254,7 +197,7 @@ def score_candidates(
             t *= t
             dx += t
             approach = np.sqrt(dx.min(axis=0))
-            outgroup = comfort_from_distance(approach, comfort_coeffs)
+            outgroup = comfort_from_distance(approach)
 
     # in-group: formation availability and the best feasible arrangement's
     # context preference, from each candidate's distance and user-side angle
@@ -262,8 +205,8 @@ def score_candidates(
     bearing = np.arctan2(ey, ex)
     alpha = np.degrees(np.abs(np.angle(np.exp(1j * (bearing - user.orientation)))))
     available = (
-        (dist >= prox.formation_min - DISTANCE_TOL)
-        & (dist <= prox.formation_max + DISTANCE_TOL)
+        (dist >= config.formation_min - DISTANCE_TOL)
+        & (dist <= config.interpersonal_distance + DISTANCE_TOL)
         & (alpha <= 90.0)
     )
     p_closed = context_preference(context, ArrangementType.CLOSED)
@@ -275,7 +218,7 @@ def score_candidates(
     ingroup = np.where(available, best_p, 0.0)
 
     move = np.hypot(candidates[:, 0] - current_vh.x, candidates[:, 1] - current_vh.y)
-    utility = (ingroup + coeffs.outgroup_weight * outgroup) / (1.0 + move * coeffs.move_cost)
+    utility = (ingroup + config.coefficient_c * outgroup) / (1.0 + move * config.coefficient_d)
     return utility, ingroup, outgroup, move, approach
 
 
@@ -283,13 +226,13 @@ def _assemble_plan(
     candidate: Vec2,
     user: Pose,
     context: SpatialContext,
-    prox: ProxemicsParams,
+    config: ScenarioConfig,
     ingroup: float,
     outgroup: float,
     move: float,
     utility: float,
 ) -> CandidatePlan:
-    arrangement, _ = best_arrangement(candidate, user, context, prox)
+    arrangement, _ = best_arrangement(candidate, user, context, config)
     if arrangement is None:
         orientation = (user.position - candidate).angle() if candidate != user.position else 0.0
     else:
@@ -317,7 +260,7 @@ def step_plan(
     state: PlanState,
     vh: Pose,
     dt: float,
-    params: PlannerParams,
+    config: ScenarioConfig,
 ) -> tuple[PlanState, Pose]:
     """Advance the agent toward the active plan under speed and turn limits."""
     if dt <= 0.0:
@@ -327,19 +270,19 @@ def step_plan(
     plan = state.plan
     to_target = plan.target_position - vh.position
     dist = to_target.norm()
-    max_step = params.max_speed * dt
+    max_step = config.vh_max_speed * dt
     if dist <= max_step:
         new_pos = plan.target_position
     else:
         new_pos = vh.position + to_target * (max_step / dist)
     d_theta = angle_difference(plan.target_orientation, vh.orientation)
-    max_rot = math.radians(params.turn_rate_deg) * dt
+    max_rot = math.radians(config.vh_turn_rate) * dt
     new_theta = vh.orientation + max(-max_rot, min(max_rot, d_theta))
     new_pose = Pose(new_pos, new_theta)
 
     rem = new_pos.distance_to(plan.target_position)
     rem_angle = abs(angle_difference(plan.target_orientation, new_pose.orientation))
-    if rem <= params.arrive_position_tol and rem_angle <= math.radians(params.arrive_angle_tol_deg):
+    if rem <= config.arrive_position_tol and rem_angle <= math.radians(config.arrive_angle_tol):
         return PlanState(), new_pose
     return state, new_pose
 
@@ -347,10 +290,7 @@ def step_plan(
 def plan_if_needed(
     snapshot: PlanningSnapshot,
     state: PlanState,
-    prox: ProxemicsParams,
-    comfort_coeffs: ComfortCoefficients,
-    coeffs: PlannerCoefficients,
-    params: PlannerParams,
+    config: ScenarioConfig,
 ) -> tuple[PlanState, CandidatePlan | None]:
     """Replan when the territory is threatened and no valid plan is running.
 
@@ -363,7 +303,7 @@ def plan_if_needed(
     the agent absorbs marginal threats at the utility's discretion but never
     rests through a foreseen territory intrusion.
     """
-    radius = params.territory_radius + params.planning_margin
+    radius = config.territory_radius + config.planning_margin
     dyad = Segment(snapshot.user.position, snapshot.vh.position)
 
     if state.phase is PlanPhase.ADJUSTING and state.plan is not None:
@@ -376,11 +316,10 @@ def plan_if_needed(
         if not conflicted:
             return state, None
 
-    context = classify_spatial_context(snapshot.env, dyad, snapshot.positions, prox)
-    candidates = generate_candidates(snapshot.user, snapshot.vh.position, snapshot.env, prox, params)
+    context = classify_spatial_context(snapshot.env, dyad, snapshot.positions, config)
+    candidates = generate_candidates(snapshot.user, snapshot.vh.position, snapshot.env, config)
     utility, ingroup, outgroup, move, approach = score_candidates(
-        candidates, snapshot.user, snapshot.vh.position, context,
-        snapshot.trajectories.points, comfort_coeffs, prox, coeffs, radius,
+        candidates, snapshot.user, snapshot.vh.position, context, snapshot.trajectories.points, config
     )
     # Relocation pruning, an out-group mechanism (inert at zero out-group
     # weight). Alternatives must clear the trigger radius or, when nothing
@@ -388,18 +327,18 @@ def plan_if_needed(
     # stays on the table for the utility to arbitrate unless the predicted
     # intrusion cuts deeper than the rest margin, in which case relocation is
     # forced: resting there would realize a conflict the agent foresaw.
-    if coeffs.outgroup_weight > 0.0:
+    if config.coefficient_c > 0.0:
         safe = approach >= radius
         hold = move <= 1e-12
         if safe.any():
             # resting beats a safe move only for threats clearing the
             # territory by the rest margin
-            keep = safe | (hold & (approach >= params.territory_radius + params.rest_margin))
+            keep = safe | (hold & (approach >= config.territory_radius + config.rest_margin))
         else:
             # cornered: stand ground unless the intrusion cuts deeper than
             # the rest margin into the territory, otherwise chase clearance
             keep = (approach >= approach.max() - 0.10) | (
-                hold & (approach >= params.territory_radius - params.rest_margin)
+                hold & (approach >= config.territory_radius - config.rest_margin)
             )
         pool = np.nonzero(keep)[0]
     else:
@@ -407,7 +346,7 @@ def plan_if_needed(
     j = _argbest(utility[pool], move[pool])
     i = int(pool[j])
     best = _assemble_plan(
-        Vec2(*candidates[i].tolist()), snapshot.user, context, prox,
+        Vec2(*candidates[i].tolist()), snapshot.user, context, config,
         float(ingroup[i]), float(outgroup[i]), float(move[i]), float(utility[i]),
     )
     if best.move_distance <= 1e-12:
@@ -423,48 +362,25 @@ class ConflictAvoidancePlanner:
     decision for downstream metrics.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        prox: ProxemicsParams,
-        avoid: AvoidanceParams,
-        comfort_coeffs: ComfortCoefficients,
-        coeffs: PlannerCoefficients,
-        params: PlannerParams,
-    ) -> None:
+    def __init__(self, env: Environment, config: ScenarioConfig) -> None:
         self.env = env
-        self.prox = prox
-        self.avoid = avoid
-        self.comfort_coeffs = comfort_coeffs
-        self.coeffs = coeffs
-        self.params = params
+        self.config = config
         self.state = PlanState()
         self.decision_ingroups: list[float] = []
         self._next_check = 0.0
 
-    def update(
-        self,
-        t: float,
-        dt: float,
-        user: Pose,
-        vh: Pose,
-        crowd,
-    ) -> Pose:
-        """One tick: maybe replan, then execute the active plan.
+    def update(self, t: float, user: Pose, vh: Pose, crowd) -> Pose:
+        """One tick of `config.dt`: maybe replan, then execute the active plan.
 
         `crowd` is the `simulation.Crowd`; its arrays are read only on the
         ticks that check for conflicts.
         """
+        config = self.config
         if t >= self._next_check - 1e-9:
-            self._next_check = t + self.params.replan_interval
-            snapshot = make_snapshot(
-                user, vh, self.env, crowd, self.avoid, dt,
-                self.prox.c_space_radius, self.params.horizon_cap,
-            )
-            self.state, decision = plan_if_needed(
-                snapshot, self.state, self.prox, self.comfort_coeffs, self.coeffs, self.params
-            )
+            self._next_check = t + config.replan_interval
+            snapshot = make_snapshot(user, vh, self.env, crowd, config)
+            self.state, decision = plan_if_needed(snapshot, self.state, config)
             if decision is not None:
                 self.decision_ingroups.append(decision.ingroup)
-        self.state, vh = step_plan(self.state, vh, dt, self.params)
+        self.state, vh = step_plan(self.state, vh, config.dt, config)
         return vh

@@ -13,10 +13,14 @@ import enum
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import Segment, Vec2, distance_points_segment, hypot
+
+if TYPE_CHECKING:
+    from .simulation import ScenarioConfig
 
 # Speeds below this (m/s) count as standing still: for a subnormal speed,
 # 1 / speed overflows and speed * speed underflows. Trials give every
@@ -33,26 +37,6 @@ class Phase(enum.Enum):
 # A crowd stores each pedestrian's phase as its index in this tuple.
 PHASES = (Phase.DIRECT, Phase.AVOIDING, Phase.RETURNING)
 _AVOIDING, _RETURNING = PHASES.index(Phase.AVOIDING), PHASES.index(Phase.RETURNING)
-
-
-@dataclass(frozen=True)
-class AvoidanceParams:
-    """Distances governing how pedestrians dodge the user.
-
-    min_avoidance:   clearance kept from the user while passing (m)
-    start_avoidance: range at which a deviating pedestrian begins to turn (m)
-    anticipate:      range within which pedestrians are worth predicting (m)
-    """
-
-    min_avoidance: float = 0.67
-    start_avoidance: float = 2.0
-    anticipate: float = 6.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.min_avoidance <= self.start_avoidance):
-            raise ValueError("need 0 < min_avoidance <= start_avoidance")
-        if self.start_avoidance > self.anticipate:
-            raise ValueError("start_avoidance must not exceed anticipate")
 
 
 @dataclass
@@ -130,7 +114,7 @@ class AvoidanceGeometry:
     waypoint_right: Vec2
 
 
-def avoidance_geometry(ped: PedestrianState, user: Vec2, params: AvoidanceParams) -> AvoidanceGeometry:
+def avoidance_geometry(ped: PedestrianState, user: Vec2, config: ScenarioConfig) -> AvoidanceGeometry:
     """Build both detour waypoints from the pedestrian's current range.
 
     The turn angle comes from arcsin(clearance / range) and the waypoint sits
@@ -143,12 +127,12 @@ def avoidance_geometry(ped: PedestrianState, user: Vec2, params: AvoidanceParams
     r = to_user.norm()
     if r == 0.0:
         raise ValueError("pedestrian and user coincide")
-    ratio = min(1.0, params.min_avoidance / r)
+    ratio = min(1.0, config.min_avoidance_distance / r)
     angle = math.asin(ratio)
     u_dir = to_user * (1.0 / r)
     cos_a = math.cos(angle)
     if cos_a < 1e-9:
-        distance = params.min_avoidance
+        distance = config.min_avoidance_distance
     else:
         distance = r / cos_a
     dir_left = u_dir.rotated(angle)
@@ -183,7 +167,7 @@ def predict_trajectory(
     user: Vec2,
     horizon: float,
     dt: float,
-    params: AvoidanceParams,
+    config: ScenarioConfig,
 ) -> Prediction:
     """Sample the given rows of the crowd at step dt over a shared horizon.
 
@@ -217,13 +201,13 @@ def predict_trajectory(
     rng = hypot(w[:, 0], w[:, 1])
     proj = w[:, 0] * v_dir[:, 0] + w[:, 1] * v_dir[:, 1]
     miss = np.sqrt(np.maximum(0.0, rng * rng - proj * proj))
-    detour = (phase != _RETURNING) & ~avoiding & (proj > 0.0) & (miss < params.min_avoidance)
+    detour = (phase != _RETURNING) & ~avoiding & (proj > 0.0) & (miss < config.min_avoidance_distance)
 
     arc = times * speed[:, None]
     points = pos[:, None, :] + v_dir[:, None, :] * arc[:, :, None]
     legged = np.flatnonzero(moving & (avoiding | detour))
     if legged.size:
-        paths = [_build_legs(crowd.state(i), user, params) for i in rows[legged].tolist()]
+        paths = [_build_legs(crowd.state(i), user, config) for i in rows[legged].tolist()]
         points[legged] = _sample_legs(paths, arc[legged])
     points[~moving] = pos[~moving, None, :]
     return Prediction(rows, times, points.reshape(rows.size * n, 2), user)
@@ -259,7 +243,7 @@ def _goal_direction(from_point: Vec2, goal: Vec2, fallback: Vec2) -> Vec2:
     return d * (1.0 / n)
 
 
-def _build_legs(ped: PedestrianState, user: Vec2, params: AvoidanceParams) -> list[tuple[Vec2, Vec2, float]]:
+def _build_legs(ped: PedestrianState, user: Vec2, config: ScenarioConfig) -> list[tuple[Vec2, Vec2, float]]:
     v_dir = ped.velocity * (1.0 / ped.velocity.norm())
 
     if ped.phase is Phase.AVOIDING and ped.waypoint is not None:
@@ -282,19 +266,19 @@ def _build_legs(ped: PedestrianState, user: Vec2, params: AvoidanceParams) -> li
     if proj <= 0.0:
         return [(ped.position, v_dir, math.inf)]
     miss = math.sqrt(max(0.0, rng * rng - proj * proj))
-    if miss >= params.min_avoidance:
+    if miss >= config.min_avoidance_distance:
         return [(ped.position, v_dir, math.inf)]
 
-    if rng <= params.start_avoidance:
+    if rng <= config.start_avoidance_distance:
         trigger_arc = 0.0
         trigger = ped.position
     else:
-        back = math.sqrt(max(0.0, params.start_avoidance**2 - miss * miss))
+        back = math.sqrt(max(0.0, config.start_avoidance_distance**2 - miss * miss))
         trigger_arc = proj - back
         trigger = ped.position + v_dir * trigger_arc
 
     probe = replace(ped, position=trigger)
-    geom = avoidance_geometry(probe, user, params)
+    geom = avoidance_geometry(probe, user, config)
     waypoint = choose_waypoint(geom, v_dir, user - trigger)
     to_wp = waypoint - trigger
     wp_dist = to_wp.norm()
@@ -308,10 +292,10 @@ def _build_legs(ped: PedestrianState, user: Vec2, params: AvoidanceParams) -> li
     return legs
 
 
-def anticipated_pedestrians(positions: np.ndarray, dyad: Segment, params: AvoidanceParams) -> np.ndarray:
-    """Rows of an (n, 2) position array close enough to the dyad to be worth
-    predicting (inclusive)."""
-    return np.flatnonzero(distance_points_segment(positions, dyad) <= params.anticipate)
+def anticipated_pedestrians(positions: np.ndarray, dyad: Segment, config: ScenarioConfig) -> np.ndarray:
+    """Rows of an (n, 2) position array within the tracking distance of the
+    dyad (inclusive), the ones worth predicting."""
+    return np.flatnonzero(distance_points_segment(positions, dyad) <= config.tracking_distance)
 
 
 def prediction_horizon(
@@ -319,7 +303,7 @@ def prediction_horizon(
     velocities: np.ndarray,
     dyad: Segment,
     c_space_radius: float,
-    cap: float = 15.0,
+    cap: float,
 ) -> float:
     """Shared horizon: until every pedestrian's straight-line path has left
     the disc of radius `c_space_radius` around the dyad's midpoint.

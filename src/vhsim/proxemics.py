@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .geometry import (
     hypot,
     nearest_wall_distance_segment,
 )
+
+if TYPE_CHECKING:
+    from .simulation import ScenarioConfig
 
 
 class ArrangementType(enum.Enum):
@@ -62,33 +66,6 @@ class RelativeAngles:
 class SpatialContext:
     definiteness: Definiteness
     crowdedness: Crowdedness
-
-
-@dataclass(frozen=True)
-class ProxemicsParams:
-    """Personal-space and formation parameters.
-
-    r_ps:              personal-space radius, the near-wall threshold (m)
-    formation_min:     smallest user-agent distance that still reads as a
-                       conversation (m)
-    formation_max:     largest such distance (m)
-    crowd_threshold:   instantaneous density (persons/m^2) at or above which
-                       the surroundings count as crowded
-    c_space_radius:    radius of the disc, centered on the dyad midpoint,
-                       inside which flow is measured (m)
-    """
-
-    r_ps: float = 1.2
-    formation_min: float = 0.6
-    formation_max: float = 1.5
-    crowd_threshold: float = 0.15
-    c_space_radius: float = 6.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.formation_min < self.formation_max):
-            raise ValueError("formation distance bounds must satisfy 0 < min < max")
-        if self.r_ps <= 0.0:
-            raise ValueError("r_ps must be positive")
 
 
 # Preference of a dyad for each arrangement under each spatial context
@@ -143,7 +120,7 @@ def user_angle_to(user: Pose, target: Vec2) -> float:
     return min(math.degrees(angle_between(user.heading(), target - user.position)), 180.0)
 
 
-def is_fformation_available(user: Pose, candidate: Pose, params: ProxemicsParams) -> bool:
+def is_fformation_available(user: Pose, candidate: Pose, config: ScenarioConfig) -> bool:
     """Whether a formation can be maintained at the candidate position.
 
     Requires the separation to fall inside the formation distance bounds
@@ -151,7 +128,7 @@ def is_fformation_available(user: Pose, candidate: Pose, params: ProxemicsParams
     always orient itself to satisfy its own side.
     """
     dist = user.position.distance_to(candidate.position)
-    if not (params.formation_min - DISTANCE_TOL <= dist <= params.formation_max + DISTANCE_TOL):
+    if not (config.formation_min - DISTANCE_TOL <= dist <= config.interpersonal_distance + DISTANCE_TOL):
         return False
     return user_angle_to(user, candidate.position) <= MAX_AGENT_ANGLE_DEG
 
@@ -171,7 +148,7 @@ def classify_arrangement(angles: RelativeAngles) -> ArrangementType:
     return ArrangementType.OPEN
 
 
-def feasible_arrangements(user: Pose, candidate_position: Vec2, params: ProxemicsParams) -> set[ArrangementType]:
+def feasible_arrangements(user: Pose, candidate_position: Vec2, config: ScenarioConfig) -> set[ArrangementType]:
     """Arrangement types achievable at a position as the agent turns freely.
 
     With alpha fixed by geometry and beta free in [0, 90], the reachable sum
@@ -179,7 +156,7 @@ def feasible_arrangements(user: Pose, candidate_position: Vec2, params: Proxemic
     intersects that interval. Empty when no formation is available at all.
     """
     probe = Pose(candidate_position, 0.0)
-    if user.position == candidate_position or not is_fformation_available(user, probe, params):
+    if user.position == candidate_position or not is_fformation_available(user, probe, config):
         return set()
     alpha = user_angle_to(user, candidate_position)
     feasible = {ArrangementType.L_SHAPED}
@@ -211,7 +188,7 @@ def classify_spatial_context(
     env: Environment,
     dyad: Segment,
     positions: np.ndarray,
-    params: ProxemicsParams,
+    config: ScenarioConfig,
 ) -> SpatialContext:
     """Classify the dyad's surroundings by definiteness and crowdedness.
 
@@ -222,13 +199,13 @@ def classify_spatial_context(
     reaches the density threshold.
     """
     wall_dist = nearest_wall_distance_segment(env, dyad)
-    definiteness = Definiteness.NEAR_WALL if wall_dist < params.r_ps else Definiteness.OPEN_SPACE
+    definiteness = Definiteness.NEAR_WALL if wall_dist < config.personal_space else Definiteness.OPEN_SPACE
 
     mid = dyad.midpoint()
-    r = params.c_space_radius
+    r = config.c_space_radius
     count = int((hypot(positions[:, 0] - mid.x, positions[:, 1] - mid.y) <= r).sum())
     area = disc_rect_intersection_area(mid, r, env.bounds())
-    crowded = area > 0.0 and (count / area) >= params.crowd_threshold
+    crowded = area > 0.0 and (count / area) >= config.crowd_threshold
     crowdedness = Crowdedness.CROWDED if crowded else Crowdedness.UNCROWDED
     return SpatialContext(definiteness, crowdedness)
 

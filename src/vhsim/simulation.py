@@ -21,7 +21,7 @@ from typing import IO
 
 import numpy as np
 
-from .comfort import ComfortCoefficients, points_segment_distance
+from .comfort import points_segment_distance
 from .geometry import (
     Environment,
     Pose,
@@ -35,10 +35,9 @@ from .geometry import (
     open_rect,
     open_square,
 )
-from .planner import ConflictAvoidancePlanner, PlanPhase, PlannerCoefficients, PlannerParams
+from .planner import ConflictAvoidancePlanner, PlanPhase
 from .prediction import PHASES as _PHASES
-from .prediction import AvoidanceParams, PedestrianState, Phase, avoidance_geometry, choose_waypoint
-from .proxemics import ProxemicsParams
+from .prediction import PedestrianState, Phase, avoidance_geometry, choose_waypoint
 
 TRACE_SCHEMA = "vhsim-trace/1"
 
@@ -178,44 +177,6 @@ class ScenarioConfig:
             return narrow_passage(self.env_width, self.env_height)
         return open_rect(self.env_width, self.env_height)
 
-    def proxemics_params(self) -> ProxemicsParams:
-        return ProxemicsParams(
-            r_ps=self.personal_space,
-            formation_min=self.formation_min,
-            formation_max=self.interpersonal_distance,
-            crowd_threshold=self.crowd_threshold,
-            c_space_radius=self.c_space_radius,
-        )
-
-    def avoidance_params(self) -> AvoidanceParams:
-        return AvoidanceParams(
-            min_avoidance=self.min_avoidance_distance,
-            start_avoidance=self.start_avoidance_distance,
-            anticipate=self.tracking_distance,
-        )
-
-    def comfort_coefficients(self) -> ComfortCoefficients:
-        return ComfortCoefficients()
-
-    def planner_coefficients(self) -> PlannerCoefficients:
-        return PlannerCoefficients(outgroup_weight=self.coefficient_c, move_cost=self.coefficient_d)
-
-    def planner_params(self) -> PlannerParams:
-        return PlannerParams(
-            territory_radius=self.territory_radius,
-            planning_margin=self.planning_margin,
-            rest_margin=self.rest_margin,
-            replan_interval=self.replan_interval,
-            radial_step=self.candidate_radial_step,
-            angular_step_deg=self.candidate_angular_step,
-            wall_clearance=self.wall_clearance,
-            max_speed=self.vh_max_speed,
-            turn_rate_deg=self.vh_turn_rate,
-            arrive_position_tol=self.arrive_position_tol,
-            arrive_angle_tol_deg=self.arrive_angle_tol,
-            horizon_cap=self.horizon_cap,
-        )
-
     def initial_poses(self, env: Environment) -> tuple[Pose, Pose]:
         """User and agent face each other across the middle of the environment."""
         center = env.center()
@@ -301,9 +262,7 @@ class Crowd:
         rngs: list[np.random.Generator],
         goal_sides: list[int],
         env: Environment,
-        avoid: AvoidanceParams,
-        dt: float,
-        goal_tolerance: float,
+        config: ScenarioConfig,
     ) -> None:
         n = len(pedestrians)
         if any(p.id != i for i, p in enumerate(pedestrians)):
@@ -317,10 +276,8 @@ class Crowd:
         self.goal_side = list(goal_sides)  # 0 = top boxes, 1 = bottom boxes
         self.rngs = rngs
         self.env = env
-        self.avoid = avoid
-        self.dt = dt
-        self.goal_tolerance = goal_tolerance
-        self._step_length = self.speed * dt
+        self.config = config
+        self._step_length = self.speed * config.dt
 
     def __len__(self) -> int:
         return self.speed.size
@@ -340,7 +297,7 @@ class Crowd:
         goal re-roll on arrival would."""
         if not len(self):
             return
-        avoid, pos, step = self.avoid, self.position, self._step_length
+        config, pos, step = self.config, self.position, self._step_length
         phase = self.phase.copy()
         avoiding = phase == _AVOIDING
         target = np.where(avoiding[:, None], self.waypoint, self.goal)
@@ -357,14 +314,14 @@ class Crowd:
         # scalar side.
         rel = complex(user.x, user.y) - pos.view(complex)[:, 0]
         d_user = np.abs(rel)
-        reach, lower = avoid.start_avoidance + _MARGIN, avoid.start_avoidance - _MARGIN
+        reach, lower = config.start_avoidance_distance + _MARGIN, config.start_avoidance_distance - _MARGIN
         scalar = set()
         for i in (phase == _RETURNING).nonzero()[0].tolist():
             if d_user[i] > reach:
                 phase[i] = _DIRECT
             elif d_user[i] >= lower:
                 scalar.add(i)
-        miss_limit = (avoid.min_avoidance + _MARGIN) ** 2
+        miss_limit = (config.min_avoidance_distance + _MARGIN) ** 2
         for i in ((d_user <= reach) & (phase == _DIRECT)).nonzero()[0].tolist():
             (dx, dy), (rx, ry) = direction[i].tolist(), (rel[i].real, rel[i].imag)
             dist, proj = math.hypot(rx, ry), rx * dx + ry * dy
@@ -376,13 +333,13 @@ class Crowd:
             elif t_dist[i] <= step[i]:
                 new_pos[i] = target[i]  # arrives at its goal
         for i in scalar:
-            s = step_pedestrian(self.state(i), user, self.dt, avoid)
+            s = step_pedestrian(self.state(i), user, config)
             new_pos[i] = s.position.x, s.position.y
             velocity[i] = s.velocity.x, s.velocity.y
             phase[i] = _PHASES.index(s.phase)
             self.waypoint[i] = _waypoint_xy(s.waypoint)
 
-        tolerance = self.goal_tolerance
+        tolerance = config.goal_tolerance
         near_goal = np.abs(new_pos.view(complex)[:, 0] - self.goal.view(complex)[:, 0]) <= tolerance + _MARGIN
         for i in near_goal.nonzero()[0].tolist():
             (x, y), (gx, gy) = new_pos[i].tolist(), self.goal[i].tolist()
@@ -424,7 +381,7 @@ def _spawn_crowd(config: ScenarioConfig, env: Environment, dyad: Segment) -> Cro
         ))
         rngs.append(rng)
         sides.append(side)
-    return Crowd(states, rngs, sides, env, config.avoidance_params(), config.dt, config.goal_tolerance)
+    return Crowd(states, rngs, sides, env, config)
 
 
 def spawn_flow(config: ScenarioConfig) -> list[PedestrianState]:
@@ -437,10 +394,9 @@ def spawn_flow(config: ScenarioConfig) -> list[PedestrianState]:
 def step_pedestrian(
     ped: PedestrianState,
     user: Vec2,
-    dt: float,
-    params: AvoidanceParams,
+    config: ScenarioConfig,
 ) -> PedestrianState:
-    """Advance one pedestrian by dt with the three-phase user-dodging rule.
+    """Advance one pedestrian by `config.dt` with the three-phase user-dodging rule.
 
     The pedestrian heads for its goal, deviates to a waypoint when the user
     sits in its way inside the start-avoidance range, and resumes course after
@@ -453,7 +409,7 @@ def step_pedestrian(
     speed = ped.preferred_speed
 
     dist_user = math.hypot(user.x - px, user.y - py)
-    if phase is Phase.RETURNING and dist_user > params.start_avoidance:
+    if phase is Phase.RETURNING and dist_user > config.start_avoidance_distance:
         phase = Phase.DIRECT
 
     if phase is Phase.AVOIDING and waypoint is not None:
@@ -471,16 +427,16 @@ def step_pedestrian(
     else:
         dir_x, dir_y = tx / t_dist, ty / t_dist
 
-    if phase is Phase.DIRECT and dist_user <= params.start_avoidance and dist_user > 0.0:
+    if phase is Phase.DIRECT and dist_user <= config.start_avoidance_distance and dist_user > 0.0:
         proj = (user.x - px) * dir_x + (user.y - py) * dir_y
         if proj > 0.0:
             miss = math.sqrt(max(0.0, dist_user * dist_user - proj * proj))
-            if miss < params.min_avoidance:
+            if miss < config.min_avoidance_distance:
                 probe = PedestrianState(
                     id=ped.id, position=Vec2(px, py), velocity=Vec2(dir_x, dir_y),
                     goal=ped.goal, preferred_speed=speed,
                 )
-                geom = avoidance_geometry(probe, user, params)
+                geom = avoidance_geometry(probe, user, config)
                 waypoint = choose_waypoint(geom, Vec2(dir_x, dir_y), Vec2(user.x - px, user.y - py))
                 phase = Phase.AVOIDING
                 target = waypoint
@@ -489,7 +445,7 @@ def step_pedestrian(
                 if t_dist > 1e-12:
                     dir_x, dir_y = tx / t_dist, ty / t_dist
 
-    step = speed * dt
+    step = speed * config.dt
     if t_dist <= step:
         if phase is Phase.AVOIDING:
             # reach the waypoint and spend the leftover resuming toward the goal
@@ -521,7 +477,7 @@ def step_pedestrian(
     )
 
 
-def step_user(user: Pose, vh: Pose, dt: float, turn_rate_deg: float = 90.0) -> Pose:
+def step_user(user: Pose, vh: Pose, dt: float, turn_rate_deg: float) -> Pose:
     """The user stays put and turns to keep watching the agent."""
     if dt <= 0.0:
         return user
@@ -586,19 +542,11 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
     """
     env = config.build_environment()
     user, vh = config.initial_poses(env)
-    avoid = config.avoidance_params()
     crowd = _spawn_crowd(config, env, Segment(user.position, vh.position))
 
     planner: ConflictAvoidancePlanner | None = None
     if config.condition == "proposed":
-        planner = ConflictAvoidancePlanner(
-            env,
-            config.proxemics_params(),
-            avoid,
-            config.comfort_coefficients(),
-            config.planner_coefficients(),
-            config.planner_params(),
-        )
+        planner = ConflictAvoidancePlanner(env, config)
 
     n_ticks = int(round(config.duration / config.dt))
     n_peds = len(crowd)
@@ -616,7 +564,7 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
         crowd.step(user.position)
 
         if planner is not None:
-            vh = planner.update(t, config.dt, user, vh, crowd)
+            vh = planner.update(t, user, vh, crowd)
 
         user = step_user(user, vh, config.dt, config.user_turn_rate)
 

@@ -5,14 +5,14 @@ from dataclasses import replace
 import numpy as np
 
 from vhsim.geometry import Environment, Vec2
-from vhsim.prediction import AvoidanceParams, PedestrianState, Prediction, PredictedTrajectory, predict_trajectory
-from vhsim.simulation import Crowd
+from vhsim.prediction import PedestrianState, Prediction, PredictedTrajectory, predict_trajectory
+from vhsim.simulation import Crowd, ScenarioConfig
 
 
 def crowd_of(pedestrians: list[PedestrianState]) -> Crowd:
     """A crowd whose row i is pedestrians[i]; their ids must be 0..n-1."""
     n = len(pedestrians)
-    return Crowd(pedestrians, [None] * n, [0] * n, Environment(1.0, 1.0), AvoidanceParams(), 0.1, 0.0)
+    return Crowd(pedestrians, [None] * n, [0] * n, Environment(1.0, 1.0), ScenarioConfig(goal_tolerance=0.0))
 
 
 def positions_of(pedestrians: list[PedestrianState]) -> np.ndarray:
@@ -20,9 +20,9 @@ def positions_of(pedestrians: list[PedestrianState]) -> np.ndarray:
 
 
 def predict_one(ped: PedestrianState, user: Vec2, horizon: float, dt: float,
-                params: AvoidanceParams) -> PredictedTrajectory:
+                config: ScenarioConfig) -> PredictedTrajectory:
     """One pedestrian's predicted path, through the crowd-wide prediction."""
-    return predict_trajectory(crowd_of([replace(ped, id=0)]), np.array([0]), user, horizon, dt, params)[0]
+    return predict_trajectory(crowd_of([replace(ped, id=0)]), np.array([0]), user, horizon, dt, config)[0]
 
 
 def prediction_of(*paths, ids=None) -> Prediction:

@@ -10,17 +10,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from vhsim.comfort import COMFORT_OFFSET, COMFORT_SCALE_MM
 from vhsim.geometry import Environment, Pose, Rect, Segment, Vec2, distance_point_segment
-from vhsim.prediction import STATIONARY_SPEED, AvoidanceParams, PedestrianState, Phase, _build_legs
-from vhsim.proxemics import ArrangementType, ProxemicsParams, SpatialContext, context_preference
-from vhsim.simulation import step_pedestrian
+from vhsim.prediction import STATIONARY_SPEED, PedestrianState, Phase, _build_legs
+from vhsim.proxemics import ArrangementType, SpatialContext, context_preference
+from vhsim.simulation import ScenarioConfig, step_pedestrian
 
 
-def oracle_ingroup(candidate: Vec2, user: Pose, context: SpatialContext, prox: ProxemicsParams) -> float:
+def oracle_ingroup(candidate: Vec2, user: Pose, context: SpatialContext, config: ScenarioConfig) -> float:
     """Independent in-group scoring: raw trigonometry plus the banded table."""
     dx, dy = candidate.x - user.position.x, candidate.y - user.position.y
     dist = math.hypot(dx, dy)
-    if dist == 0.0 or not (prox.formation_min - 1e-9 <= dist <= prox.formation_max + 1e-9):
+    if dist == 0.0 or not (config.formation_min - 1e-9 <= dist <= config.interpersonal_distance + 1e-9):
         return 0.0
     bearing = math.atan2(dy, dx)
     alpha = abs(math.degrees(math.atan2(math.sin(bearing - user.orientation),
@@ -35,7 +36,7 @@ def oracle_ingroup(candidate: Vec2, user: Pose, context: SpatialContext, prox: P
     return max(context_preference(context, a) for a in feasible)
 
 
-def oracle_utility(candidate, user, current_vh, context, trajectories, comfort, prox, coeffs):
+def oracle_utility(candidate, user, current_vh, context, trajectories, config):
     seg = Segment(user.position, candidate)
     d_best = math.inf
     for traj in trajectories:
@@ -46,13 +47,13 @@ def oracle_utility(candidate, user, current_vh, context, trajectories, comfort, 
     elif d_best <= 0.0:
         out = 0.0
     else:
-        out = max(0.0, min(1.0, comfort.scale_mm / (d_best * 1000.0) + comfort.offset))
-    ins = oracle_ingroup(candidate, user, context, prox)
+        out = max(0.0, min(1.0, COMFORT_SCALE_MM / (d_best * 1000.0) + COMFORT_OFFSET))
+    ins = oracle_ingroup(candidate, user, context, config)
     move = candidate.distance_to(current_vh)
-    return (ins + coeffs.outgroup_weight * out) / (1.0 + move * coeffs.move_cost)
+    return (ins + config.coefficient_c * out) / (1.0 + move * config.coefficient_d)
 
 
-def oracle_decision(candidates, user, current_vh, context, trajectories, comfort, prox, coeffs, params):
+def oracle_decision(candidates, user, current_vh, context, trajectories, config):
     """Index of the candidate `plan_if_needed` should pick, from its docstring.
 
     Candidates whose segment to the user clears the trigger radius are safe.
@@ -63,7 +64,7 @@ def oracle_decision(candidates, user, current_vh, context, trajectories, comfort
     rest margin into the territory. The highest utility wins, then the
     smaller move, then the earlier index.
     """
-    radius = params.territory_radius + params.planning_margin
+    radius = config.territory_radius + config.planning_margin
     clearance = []
     for cand in candidates:
         seg = Segment(user.position, cand)
@@ -73,14 +74,14 @@ def oracle_decision(candidates, user, current_vh, context, trajectories, comfort
         ))
     hold = [cand.distance_to(current_vh) <= 1e-12 for cand in candidates]
     if any(d >= radius for d in clearance):
-        keep = [d >= radius or (h and d >= params.territory_radius + params.rest_margin)
+        keep = [d >= radius or (h and d >= config.territory_radius + config.rest_margin)
                 for d, h in zip(clearance, hold)]
     else:
         best = max(clearance)
-        keep = [d >= best - 0.10 or (h and d >= params.territory_radius - params.rest_margin)
+        keep = [d >= best - 0.10 or (h and d >= config.territory_radius - config.rest_margin)
                 for d, h in zip(clearance, hold)]
     ranked = [
-        (oracle_utility(cand, user, current_vh, context, trajectories, comfort, prox, coeffs),
+        (oracle_utility(cand, user, current_vh, context, trajectories, config),
          -cand.distance_to(current_vh), -i)
         for i, cand in enumerate(candidates) if keep[i]
     ]
@@ -132,22 +133,22 @@ def oracle_approach(candidates: np.ndarray, user: Pose, points: np.ndarray, reac
     return approach
 
 
-def oracle_candidates(user: Pose, current_vh: Vec2, env: Environment, prox: ProxemicsParams,
-                      params) -> list[Vec2]:
+def oracle_candidates(user: Pose, current_vh: Vec2, env: Environment, config: ScenarioConfig) -> list[Vec2]:
     """The planner's candidate grid, point by point: radius by radius and
     bearing by bearing, dropping points outside the bounds or closer than
     the wall clearance to a wall, then the current spot."""
     candidates = []
-    n_radii = int(math.floor((prox.formation_max - prox.formation_min) / params.radial_step + 1e-9)) + 1
-    n_bearings = int(round(360.0 / params.angular_step_deg))
+    radial_step, angular_step = config.candidate_radial_step, config.candidate_angular_step
+    n_radii = int(math.floor((config.interpersonal_distance - config.formation_min) / radial_step + 1e-9)) + 1
+    n_bearings = int(round(360.0 / angular_step))
     for i in range(n_radii):
-        r = prox.formation_min + i * params.radial_step
+        r = config.formation_min + i * radial_step
         for k in range(n_bearings):
-            theta = math.radians(k * params.angular_step_deg)
+            theta = math.radians(k * angular_step)
             p = Vec2(user.position.x + r * math.cos(theta), user.position.y + r * math.sin(theta))
             if not env.contains(p):
                 continue
-            if env.walls and min(distance_point_segment(p, w) for w in env.walls) < params.wall_clearance:
+            if env.walls and min(distance_point_segment(p, w) for w in env.walls) < config.wall_clearance:
                 continue
             candidates.append(p)
     candidates.append(current_vh)
@@ -189,14 +190,13 @@ class OracleWalker:
     goal_side: int  # 0 = top boxes, 1 = bottom boxes
 
 
-def oracle_crowd_tick(walkers: list[OracleWalker], user: Vec2, env: Environment, dt: float,
-                      avoid: AvoidanceParams, goal_tolerance: float) -> None:
+def oracle_crowd_tick(walkers: list[OracleWalker], user: Vec2, env: Environment, config: ScenarioConfig) -> None:
     """One tick of the crowd, pedestrian by pedestrian: the scalar dodge rule,
     then, within the goal tolerance, the other side's next goal from the
     pedestrian's own generator."""
     for w in walkers:
-        s = step_pedestrian(w.state, user, dt, avoid)
-        if s.position.distance_to(s.goal) <= goal_tolerance:
+        s = step_pedestrian(w.state, user, config)
+        if s.position.distance_to(s.goal) <= config.goal_tolerance:
             w.goal_side = 1 - w.goal_side
             boxes = env.goal_boxes_top if w.goal_side == 0 else env.goal_boxes_bottom
             box = boxes[int(w.rng.integers(len(boxes)))]
@@ -230,7 +230,7 @@ def _sample_legs(legs: list[tuple[Vec2, Vec2, float]], arc: np.ndarray) -> np.nd
 
 
 def oracle_trajectory(ped: PedestrianState, user: Vec2, horizon: float, dt: float,
-                      params: AvoidanceParams) -> tuple[np.ndarray, np.ndarray]:
+                      config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """(times, points) of one pedestrian's predicted path: its legs from the
     scalar `_build_legs`, sampled leg by leg; standing still below
     STATIONARY_SPEED."""
@@ -239,7 +239,7 @@ def oracle_trajectory(ped: PedestrianState, user: Vec2, horizon: float, dt: floa
     speed = ped.velocity.norm()
     if speed < STATIONARY_SPEED:
         return times, np.tile((ped.position.x, ped.position.y), (n, 1))
-    return times, _sample_legs(_build_legs(ped, user, params), times * speed)
+    return times, _sample_legs(_build_legs(ped, user, config), times * speed)
 
 
 def exit_time_from_disc(ped: PedestrianState, center: Vec2, radius: float) -> float:
@@ -262,17 +262,17 @@ def exit_time_from_disc(ped: PedestrianState, center: Vec2, radius: float) -> fl
     return max(0.0, t2)
 
 
-def oracle_snapshot(pedestrians: list[PedestrianState], user: Vec2, vh: Vec2, avoid: AvoidanceParams,
-                    dt: float, c_space_radius: float, cap: float) -> tuple[list[int], float, np.ndarray]:
+def oracle_snapshot(pedestrians: list[PedestrianState], user: Vec2, vh: Vec2,
+                    config: ScenarioConfig) -> tuple[list[int], float, np.ndarray]:
     """(tracked ids, horizon, points) of `make_snapshot`'s prediction, one
-    pedestrian at a time: the ones within the anticipation range of the dyad,
+    pedestrian at a time: the ones within the tracking distance of the dyad,
     the time until the last of them leaves the c-space disc (capped, and at
     least dt), and their paths stacked in id order."""
     dyad = Segment(user, vh)
-    tracked = [p for p in pedestrians if distance_point_segment(p.position, dyad) <= avoid.anticipate]
+    tracked = [p for p in pedestrians if distance_point_segment(p.position, dyad) <= config.tracking_distance]
     t = 0.0
     for p in tracked:
-        t = max(t, exit_time_from_disc(p, dyad.midpoint(), c_space_radius))
-    horizon = max(min(t, cap), dt)
-    paths = [oracle_trajectory(p, user, horizon, dt, avoid)[1] for p in tracked]
+        t = max(t, exit_time_from_disc(p, dyad.midpoint(), config.c_space_radius))
+    horizon = max(min(t, config.horizon_cap), config.dt)
+    paths = [oracle_trajectory(p, user, horizon, config.dt, config)[1] for p in tracked]
     return [p.id for p in tracked], horizon, np.concatenate(paths) if paths else np.empty((0, 2))

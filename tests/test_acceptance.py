@@ -16,22 +16,18 @@ import pytest
 from crowds import crowd_of, predict_one
 from oracles import oracle_utility
 from vhsim.cli import emit_csv, ResultRow
-from vhsim.comfort import ComfortCoefficients
 from vhsim.geometry import Pose, Vec2, open_square
 from vhsim.planner import (
-    PlannerCoefficients,
-    PlannerParams,
     _argbest,
     generate_candidates,
     make_snapshot,
     score_candidates,
 )
-from vhsim.prediction import AvoidanceParams, PedestrianState, avoidance_geometry
+from vhsim.prediction import PedestrianState, avoidance_geometry
 from vhsim.proxemics import (
     ArrangementType,
     Crowdedness,
     Definiteness,
-    ProxemicsParams,
     RelativeAngles,
     SpatialContext,
     classify_arrangement,
@@ -101,7 +97,6 @@ class TestCriterion1ComfortEndpoints:
     def test_regression_endpoints(self):
         # the planner's out-group score for the dyad (0,0)-(1.5,0) against
         # one predicted pedestrian sample above its midpoint
-        coeffs = ComfortCoefficients()
         user = Pose(Vec2(0, 0), 0.0)
         cand = Vec2(1.5, 0)
 
@@ -110,7 +105,7 @@ class TestCriterion1ComfortEndpoints:
             _, _, out, _, _ = score_candidates(
                 np.array([[cand.x, cand.y]]), user, cand,
                 SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED),
-                sample, coeffs, ProxemicsParams(), PlannerCoefficients(),
+                sample, ScenarioConfig(),
             )
             return float(out[0])
 
@@ -129,7 +124,9 @@ class TestCriterion2AvoidanceGeometry:
         for _ in range(1000):
             d_min = rng.uniform(0.2, 1.5)
             d_start = d_min + rng.uniform(1e-6, 2.0)
-            params = AvoidanceParams(min_avoidance=d_min, start_avoidance=d_start, anticipate=60.0)
+            config = ScenarioConfig(
+                min_avoidance_distance=d_min, start_avoidance_distance=d_start, tracking_distance=60.0
+            )
             speed = rng.uniform(1.0, 1.5)
             offset = rng.uniform(-0.95, 0.95) * d_min
             start_range = d_start + rng.uniform(0.5, 3.0)
@@ -138,7 +135,7 @@ class TestCriterion2AvoidanceGeometry:
                 goal=Vec2(40.0, offset), preferred_speed=speed,
             )
             horizon = (start_range + 8.0) / speed
-            traj = predict_one(ped, Vec2(0, 0), horizon, dt, params)
+            traj = predict_one(ped, Vec2(0, 0), horizon, dt, config)
             worst = max(worst, abs(traj.d_min - d_min))
             assert d_min - speed * dt - 1e-9 <= traj.d_min <= d_min + speed * dt + 1e-9
 
@@ -146,7 +143,7 @@ class TestCriterion2AvoidanceGeometry:
                 id=0, position=Vec2(-d_start, 0.0), velocity=Vec2(1.0, 0.0),
                 goal=Vec2(40.0, 0.0), preferred_speed=1.0,
             )
-            geom = avoidance_geometry(probe, Vec2(0, 0), params)
+            geom = avoidance_geometry(probe, Vec2(0, 0), config)
             arcsin_err = max(arcsin_err, abs(geom.angle - math.asin(d_min / d_start)))
         ok = arcsin_err <= 1e-12
         report(2, "avoidance geometry", ok, f"max |angle err|={arcsin_err:.2e}, max |d_min err|={worst:.3f}")
@@ -177,9 +174,7 @@ def planner_snapshots():
     """100 random scenes: user, agent, 1-6 pedestrians nearby, a random context."""
     rng = random.Random(99)
     env = open_square(20.0)
-    prox = ProxemicsParams()
-    params = PlannerParams()
-    avoid = AvoidanceParams()
+    config = ScenarioConfig()
     scenes = []
     for case in range(100):
         user = Pose(Vec2(rng.uniform(8, 12), rng.uniform(8, 12)), rng.uniform(0, 2 * math.pi))
@@ -198,7 +193,7 @@ def planner_snapshots():
                 goal=Vec2(px + 20 * math.cos(heading), py + 20 * math.sin(heading)),
                 preferred_speed=speed,
             ))
-        snap = make_snapshot(user, vh, env, crowd_of(peds), avoid, 0.1, prox.c_space_radius, params.horizon_cap)
+        snap = make_snapshot(user, vh, env, crowd_of(peds), config)
         context = SpatialContext(
             rng.choice(list(Definiteness)), rng.choice(list(Crowdedness))
         )
@@ -206,25 +201,22 @@ def planner_snapshots():
     return scenes
 
 
-def production_winner(env, user, vh, context, trajectories, params):
+def production_winner(env, user, vh, context, trajectories, config):
     """Candidate grid, scores and winner as the planner computes them, before pruning."""
-    prox, comfort, coeffs = ProxemicsParams(), ComfortCoefficients(), PlannerCoefficients()
-    cands = generate_candidates(user, vh.position, env, prox, params)
-    utility, _, _, move, _ = score_candidates(
-        cands, user, vh.position, context, trajectories.points, comfort, prox, coeffs
-    )
+    cands = generate_candidates(user, vh.position, env, config)
+    utility, _, _, move, _ = score_candidates(cands, user, vh.position, context, trajectories.points, config)
     return cands, utility, _argbest(utility, move)
 
 
 class TestCriterion4PlannerOracle:
     def test_4a_production_decision_matches_oracle(self, planner_snapshots):
-        prox, comfort, coeffs = ProxemicsParams(), ComfortCoefficients(), PlannerCoefficients()
+        config = ScenarioConfig()
         t0 = time.perf_counter()
         worst_exact = 0.0
         for env, user, vh, context, trajectories in planner_snapshots:
-            cands, utility, best = production_winner(env, user, vh, context, trajectories, PlannerParams())
+            cands, utility, best = production_winner(env, user, vh, context, trajectories, config)
             oracle_max = max(
-                oracle_utility(Vec2(*c), user, vh.position, context, trajectories, comfort, prox, coeffs)
+                oracle_utility(Vec2(*c), user, vh.position, context, trajectories, config)
                 for c in cands.tolist()
             )
             worst_exact = max(worst_exact, oracle_max - float(utility[best]))
@@ -239,11 +231,12 @@ class TestCriterion4PlannerOracle:
         # position is predicted-conflicted or a clean wedge is narrower than
         # one bearing step. Grids fine enough to close the gap break the
         # trial-runtime budget. Reported honestly rather than loosened.
-        fine = PlannerParams(radial_step=0.0375, angular_step_deg=3.75)
+        config = ScenarioConfig()
+        fine = replace(config, candidate_radial_step=0.0375, candidate_angular_step=3.75)
         worst_fine = math.inf
         fine_violations = 0
         for env, user, vh, context, trajectories in planner_snapshots:
-            _, utility, best = production_winner(env, user, vh, context, trajectories, PlannerParams())
+            _, utility, best = production_winner(env, user, vh, context, trajectories, config)
             _, fine_utility, _ = production_winner(env, user, vh, context, trajectories, fine)
             fine_max = float(fine_utility.max())
             ratio = float(utility[best]) / fine_max if fine_max > 0 else 1.0

@@ -4,24 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from vhsim.comfort import (
-    ComfortCoefficients,
-    best_arrangement,
-    comfort_from_distance,
-    points_segment_distance,
-)
+from vhsim.comfort import best_arrangement, comfort_from_distance, points_segment_distance
 from vhsim.geometry import Pose, Segment, Vec2, distance_point_segment
-from vhsim.planner import PlannerCoefficients, score_candidates
-from vhsim.proxemics import (
-    ArrangementType,
-    Crowdedness,
-    Definiteness,
-    ProxemicsParams,
-    SpatialContext,
-)
+from vhsim.planner import score_candidates
+from vhsim.proxemics import ArrangementType, Crowdedness, Definiteness, SpatialContext
+from vhsim.simulation import ScenarioConfig
 
-COEFFS = ComfortCoefficients()
-PROX = ProxemicsParams()
+CONFIG = ScenarioConfig()
 CTX_OPEN = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
 
 
@@ -34,8 +23,7 @@ def outgroup(candidate, user, trajectories):
     """The planner's out-group comfort of the segment user-candidate."""
     points = np.concatenate(trajectories) if trajectories else np.empty((0, 2))
     _, _, out, _, _ = score_candidates(
-        np.array([[candidate.x, candidate.y]]), Pose(user, 0.0), candidate, CTX_OPEN, points, COEFFS, PROX,
-        PlannerCoefficients(),
+        np.array([[candidate.x, candidate.y]]), Pose(user, 0.0), candidate, CTX_OPEN, points, CONFIG
     )
     return float(out[0])
 
@@ -48,8 +36,7 @@ def outgroup_at_instant(g, positions):
 def ingroup(candidate, user, context):
     """The planner's in-group comfort of a candidate."""
     _, ins, _, _, _ = score_candidates(
-        np.array([[candidate.x, candidate.y]]), user, candidate, context, np.empty((0, 2)), COEFFS, PROX,
-        PlannerCoefficients(),
+        np.array([[candidate.x, candidate.y]]), user, candidate, context, np.empty((0, 2)), CONFIG
     )
     return float(ins[0])
 
@@ -103,13 +90,7 @@ class TestDistanceComfort:
 class TestComfortFromDistance:
     def test_formula_at_600mm(self):
         # 3.045 - 1370.25/600
-        assert comfort_from_distance(np.array([0.6]), COEFFS)[0] == pytest.approx(0.76125, abs=1e-9)
-
-    def test_coefficient_validation(self):
-        with pytest.raises(ValueError):
-            ComfortCoefficients(scale_mm=100.0, offset=3.0)
-        with pytest.raises(ValueError):
-            ComfortCoefficients(scale_mm=-100.0, offset=0.5)
+        assert comfort_from_distance(np.array([0.6]))[0] == pytest.approx(0.76125, abs=1e-9)
 
 
 class TestOutgroupComfort:
@@ -212,12 +193,12 @@ class TestBestArrangement:
         user = Pose(Vec2(0, 0), 0.0)
         ctx = SpatialContext(Definiteness.NEAR_WALL, Crowdedness.UNCROWDED)
         # alpha = 0: feasible {closed, L}; both score 0.6 near a wall uncrowded
-        arrangement, score = best_arrangement(Vec2(1.0, 0.0), user, ctx, PROX)
+        arrangement, score = best_arrangement(Vec2(1.0, 0.0), user, ctx, CONFIG)
         assert arrangement is ArrangementType.CLOSED
         assert score == 0.6
 
     def test_no_formation(self):
         user = Pose(Vec2(0, 0), 0.0)
         ctx = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
-        arrangement, score = best_arrangement(Vec2(-1.0, 0.0), user, ctx, PROX)
+        arrangement, score = best_arrangement(Vec2(-1.0, 0.0), user, ctx, CONFIG)
         assert arrangement is None and score == 0.0

@@ -15,10 +15,10 @@ import pytest
 from oracles import OracleWalker, oracle_crowd_tick
 from vhsim import simulation
 from vhsim.geometry import Segment, Vec2, hypot, open_square
-from vhsim.prediction import AvoidanceParams, PedestrianState, Phase
+from vhsim.prediction import PedestrianState, Phase
 from vhsim.simulation import Crowd, ScenarioConfig, _spawn_crowd
 
-AVOID = AvoidanceParams()
+CONFIG = ScenarioConfig()
 PHASE_CODE = {Phase.DIRECT: 0, Phase.AVOIDING: 1, Phase.RETURNING: 2}
 ORIGIN = Vec2(0.0, 0.0)
 
@@ -40,7 +40,7 @@ def oracle_rows(walkers: list[OracleWalker]) -> np.ndarray:
 def run_pair(crowd: Crowd, walkers: list[OracleWalker], user: Vec2, ticks: int) -> None:
     for tick in range(ticks):
         crowd.step(user)
-        oracle_crowd_tick(walkers, user, crowd.env, crowd.dt, crowd.avoid, crowd.goal_tolerance)
+        oracle_crowd_tick(walkers, user, crowd.env, crowd.config)
         got, want = crowd_rows(crowd).view(np.uint64), oracle_rows(walkers).view(np.uint64)
         bad = np.nonzero((got != want).any(axis=1))[0]
         if bad.size:
@@ -83,7 +83,7 @@ def scene(*states: PedestrianState, goal_tolerance: float = 0.3) -> tuple[Crowd,
                             goal=Vec2(15.0, 19.7), preferred_speed=1.3)
     peds = list(states) + [extra]
     rngs = [np.random.default_rng(i) for i in range(len(peds))]
-    crowd = Crowd(peds, rngs, [0] * len(peds), open_square(20.0), AVOID, 0.1, goal_tolerance)
+    crowd = Crowd(peds, rngs, [0] * len(peds), open_square(20.0), ScenarioConfig(goal_tolerance=goal_tolerance))
     walkers = [OracleWalker(s, copy.deepcopy(rng), 0) for s, rng in zip(peds, rngs)]
     return crowd, walkers
 
@@ -102,7 +102,7 @@ def test_trigger_at_exactly_the_start_range(scalar_calls):
     # triggers, where the crowd's routing distance (the modulus of the
     # complex offset) reads one ulp beyond it
     dx, dy = 1.7351907623351672, -0.9945416121544143
-    assert math.hypot(dx, dy) == AVOID.start_avoidance < np.abs(complex(dx, dy))
+    assert math.hypot(dx, dy) == CONFIG.start_avoidance_distance < np.abs(complex(dx, dy))
     crowd, walkers = scene(walker((-dx, -dy), (2.0 * dx, 2.0 * dy)))
     run_pair(crowd, walkers, ORIGIN, 1)
     assert scalar_calls == [0] and crowd.phase[0] == PHASE_CODE[Phase.AVOIDING]
@@ -121,7 +121,7 @@ def test_returning_on_the_start_range_boundary(scalar_calls):
     # exactly at the start range by math.hypot, so still RETURNING; the
     # crowd's routing distance reads one ulp beyond it
     x, y = 1.376165892632652, 1.4512640820865705
-    assert math.hypot(x, y) == AVOID.start_avoidance < np.abs(complex(-x, -y))
+    assert math.hypot(x, y) == CONFIG.start_avoidance_distance < np.abs(complex(-x, -y))
     crowd, walkers = scene(walker((x, y), (5.0 * x, 5.0 * y), phase=Phase.RETURNING))
     run_pair(crowd, walkers, ORIGIN, 1)
     assert scalar_calls == [0] and crowd.phase[0] == PHASE_CODE[Phase.RETURNING]

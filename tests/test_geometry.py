@@ -220,8 +220,3 @@ class TestVec2:
     def test_normalize_zero_rejected(self):
         with pytest.raises(ValueError):
             Vec2(0, 0).normalized()
-
-    def test_finite_check(self):
-        assert Vec2(1.0, 2.0).is_finite()
-        assert not Vec2(float("nan"), 0.0).is_finite()
-        assert not Vec2(0.0, float("inf")).is_finite()

@@ -9,18 +9,15 @@ import pytest
 import vhsim.planner as planner_module
 from crowds import crowd_of, positions_of, prediction_of
 from oracles import oracle_approach, oracle_candidates, oracle_decision, oracle_ingroup, oracle_utility
-from vhsim.comfort import ComfortCoefficients, best_arrangement, comfort_from_distance, points_segment_distance
+from vhsim.comfort import SATURATION_DISTANCE_M, best_arrangement, comfort_from_distance, points_segment_distance
 from vhsim.geometry import Environment, Pose, Segment, Vec2, distance_point_segment, narrow_passage, open_square
 from vhsim.planner import (
     CandidatePlan,
     ConflictAvoidancePlanner,
     PlanPhase,
     PlanState,
-    PlannerCoefficients,
-    PlannerParams,
     PlanningSnapshot,
     _argbest,
-    _saturation_distance_m,
     detect_potential_conflict,
     generate_candidates,
     make_snapshot,
@@ -28,20 +25,16 @@ from vhsim.planner import (
     score_candidates,
     step_plan,
 )
-from vhsim.prediction import AvoidanceParams, PedestrianState
+from vhsim.prediction import PedestrianState
 from vhsim.proxemics import (
     Crowdedness,
     Definiteness,
-    ProxemicsParams,
     SpatialContext,
     classify_spatial_context,
 )
 from vhsim.simulation import ScenarioConfig, run_trial
 
-PROX = ProxemicsParams()
-COEFFS = PlannerCoefficients()
-COMFORT = ComfortCoefficients()
-PARAMS = PlannerParams()
+CONFIG = ScenarioConfig()
 CTX_OPEN = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
 
 
@@ -95,14 +88,14 @@ class TestGenerateCandidates:
     def test_open_square_full_grid(self):
         env = open_square(20.0)
         user = Pose(Vec2(10, 10), 0.0)
-        cands = generate_candidates(user, Vec2(10, 11.5), env, PROX, PARAMS)
+        cands = generate_candidates(user, Vec2(10, 11.5), env, CONFIG)
         assert len(cands) == 7 * 24 + 1
         assert cands[-1].tolist() == [10, 11.5]
 
     def test_wall_filtering_matches_hand_rule(self):
         env = narrow_passage(3.0, 20.0)
         user = Pose(Vec2(0.5, 10.0), 0.0)
-        cands = generate_candidates(user, Vec2(1.5, 10.0), env, PROX, PARAMS)
+        cands = generate_candidates(user, Vec2(1.5, 10.0), env, CONFIG)
         # independent count: keep grid points inside bounds and at least
         # 0.3 m from both long walls (x in [0.3, 2.7])
         expected = 0
@@ -126,22 +119,22 @@ class TestGenerateCandidates:
         for _ in range(200):
             user = Pose(Vec2(rng.uniform(0.0, env.width), rng.uniform(0.0, env.height)), 0.0)
             current = Vec2(rng.uniform(0.0, env.width), rng.uniform(0.0, env.height))
-            got = generate_candidates(user, current, env, PROX, PARAMS)
-            want = np.array([(c.x, c.y) for c in oracle_candidates(user, current, env, PROX, PARAMS)])
+            got = generate_candidates(user, current, env, CONFIG)
+            want = np.array([(c.x, c.y) for c in oracle_candidates(user, current, env, CONFIG)])
             assert got.shape == want.shape and (got.view(np.uint64) == want.view(np.uint64)).all()
 
     def test_degenerate_env_keeps_only_current(self):
         # corner distance 0.57 m < smallest ring radius, so the grid is empty
         env = Environment(width=0.8, height=0.8)
         user = Pose(Vec2(0.4, 0.4), 0.0)
-        cands = generate_candidates(user, Vec2(0.5, 0.4), env, PROX, PARAMS)
+        cands = generate_candidates(user, Vec2(0.5, 0.4), env, CONFIG)
         assert cands.tolist() == [[0.5, 0.4]]
 
 
 def score_one(cand, user, current, trajectories):
     """(utility, ingroup, outgroup, move) of one candidate, as the planner scores it."""
     utility, ingroup, outgroup, move, _ = score_candidates(
-        rows(cand), user, current, CTX_OPEN, cloud(*trajectories).points, COMFORT, PROX, COEFFS
+        rows(cand), user, current, CTX_OPEN, cloud(*trajectories).points, CONFIG
     )
     return float(utility[0]), float(ingroup[0]), float(outgroup[0]), float(move[0])
 
@@ -177,10 +170,10 @@ class TestScoreCandidate:
             trajs = [straight_traj((rng.uniform(-3, 3), rng.uniform(-3, 3)),
                                    (rng.uniform(-1, 1), rng.uniform(-1, 1)), n=20)]
             utility, ingroup, outgroup, move = score_one(cand, user, cur, trajs)
-            expected = (ingroup + COEFFS.outgroup_weight * outgroup) / (1.0 + move * COEFFS.move_cost)
+            expected = (ingroup + CONFIG.coefficient_c * outgroup) / (1.0 + move * CONFIG.coefficient_d)
             assert utility == pytest.approx(expected, abs=1e-12)
             assert utility == pytest.approx(
-                oracle_utility(cand, user, cur, CTX_OPEN, cloud(*trajs), COMFORT, PROX, COEFFS), abs=1e-9
+                oracle_utility(cand, user, cur, CTX_OPEN, cloud(*trajs), CONFIG), abs=1e-9
             )
 
     def test_approach_exact_within_trigger_radius(self):
@@ -188,9 +181,8 @@ class TestScoreCandidate:
         # the 0.67 m comfort saturation, but within a 0.9 m trigger radius
         user = Pose(Vec2(0, 0), 0.0)
         cand = Vec2(1.5, 0.0)
-        *_, approach = score_candidates(
-            rows(cand), user, cand, CTX_OPEN, np.array([[2.27, 0.0]]), COMFORT, PROX, COEFFS, 0.9
-        )
+        config = replace(CONFIG, territory_radius=0.4, planning_margin=0.5)
+        *_, approach = score_candidates(rows(cand), user, cand, CTX_OPEN, np.array([[2.27, 0.0]]), config)
         assert approach[0] == pytest.approx(0.77, abs=1e-12)
 
     def test_outgroup_matches_comfort_module(self):
@@ -207,7 +199,7 @@ class TestScoreCandidate:
             ]
             _, _, outgroup, _ = score_one(cand, user, cand, trajs)
             closest = min(points_segment_distance(pts, user.position, cand).min() for _, pts in trajs)
-            assert outgroup == pytest.approx(comfort_from_distance(np.array([closest]), COMFORT)[0], abs=1e-9)
+            assert outgroup == pytest.approx(comfort_from_distance(np.array([closest]))[0], abs=1e-9)
 
     def test_ingroup_matches_comfort_module(self):
         # the vectorized bands agree with the arrangement a plan is built on
@@ -218,20 +210,19 @@ class TestScoreCandidate:
             if cand == user.position:
                 continue
             _, ingroup, _, _ = score_one(cand, user, Vec2(1.0, 0.0), [])
-            assert ingroup == best_arrangement(cand, user, CTX_OPEN, PROX)[1]
-            assert ingroup == oracle_ingroup(cand, user, CTX_OPEN, PROX)
+            assert ingroup == best_arrangement(cand, user, CTX_OPEN, CONFIG)[1]
+            assert ingroup == oracle_ingroup(cand, user, CTX_OPEN, CONFIG)
 
 
-def old_form_scores(candidates, user, current_vh, context, points, comfort, prox, coeffs, radius=0.0):
+def old_form_scores(candidates, user, current_vh, context, points, config):
     """The five arrays of `score_candidates` with the approach distances
     from the out-of-place oracle. In-group and move come from a call with no
     samples, which never enters the approach block."""
-    _, ingroup, _, move, _ = score_candidates(
-        candidates, user, current_vh, context, np.empty((0, 2)), comfort, prox, coeffs, radius
-    )
-    approach = oracle_approach(candidates, user, points, max(_saturation_distance_m(comfort), radius))
-    outgroup = comfort_from_distance(approach, comfort)
-    utility = (ingroup + coeffs.outgroup_weight * outgroup) / (1.0 + move * coeffs.move_cost)
+    _, ingroup, _, move, _ = score_candidates(candidates, user, current_vh, context, np.empty((0, 2)), config)
+    radius = config.territory_radius + config.planning_margin
+    approach = oracle_approach(candidates, user, points, max(SATURATION_DISTANCE_M, radius))
+    outgroup = comfort_from_distance(approach)
+    utility = (ingroup + config.coefficient_c * outgroup) / (1.0 + move * config.coefficient_d)
     return utility, ingroup, outgroup, move, approach
 
 
@@ -262,11 +253,11 @@ class TestScoreKernelExact:
         for args, out in calls:
             assert_bitwise(out, old_form_scores(*args))
 
-    def hand_call(self, candidates, points, radius=0.0, user=Pose(Vec2(0, 0), 0.3)):
+    def hand_call(self, candidates, points, config=CONFIG, user=Pose(Vec2(0, 0), 0.3)):
         candidates = np.asarray(candidates, float)
         points = np.asarray(points, float).reshape(-1, 2)
         current = Vec2(*candidates[-1])
-        args = (candidates, user, current, CTX_OPEN, points, COMFORT, PROX, COEFFS, radius)
+        args = (candidates, user, current, CTX_OPEN, points, config)
         out = score_candidates(*args)
         assert_bitwise(out, old_form_scores(*args))
         return out
@@ -287,9 +278,9 @@ class TestScoreKernelExact:
 
     def test_trigger_radius_beyond_saturation(self):
         rng = np.random.default_rng(11)
-        radius = 2.0 * _saturation_distance_m(COMFORT)
+        config = replace(CONFIG, planning_margin=2.0 * SATURATION_DISTANCE_M - CONFIG.territory_radius)
         points = rng.uniform(-3.5, 3.5, (300, 2))
-        *_, approach = self.hand_call([(1.2, 0.3), (-0.5, 1.0), (0.75, -0.75)], points, radius)
+        *_, approach = self.hand_call([(1.2, 0.3), (-0.5, 1.0), (0.75, -0.75)], points, config)
         assert np.isfinite(approach).all()
 
 
@@ -298,7 +289,7 @@ class TestScoreMemory:
         # ROADMAP robustness: the scorer holds at most two (samples,
         # candidates) float64 arrays at once, not one per temporary
         user = Pose(Vec2(10.0, 10.0), 0.0)
-        candidates = generate_candidates(user, Vec2(10.0, 11.5), open_square(20.0), PROX, PARAMS)
+        candidates = generate_candidates(user, Vec2(10.0, 11.5), open_square(20.0), CONFIG)
         n = -(-1_000_000 // len(candidates))
         points = np.random.default_rng(3).uniform(8.5, 11.5, (n, 2))
         cells = n * len(candidates)
@@ -306,9 +297,7 @@ class TestScoreMemory:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            *_, approach = score_candidates(
-                candidates, user, Vec2(10.0, 11.5), CTX_OPEN, points, COMFORT, PROX, COEFFS, 0.6
-            )
+            *_, approach = score_candidates(candidates, user, Vec2(10.0, 11.5), CTX_OPEN, points, CONFIG)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -373,27 +362,27 @@ class TestStepPlan:
     def test_arrives_within_one_tick(self):
         state = self._adjusting(Vec2(0.15, 0.0))
         vh = Pose(Vec2(0, 0), 0.0)
-        new_state, new_vh = step_plan(state, vh, 0.1, PARAMS)
+        new_state, new_vh = step_plan(state, vh, 0.1, CONFIG)
         assert new_vh.position == Vec2(0.15, 0.0)
         assert new_state.phase is PlanPhase.STABLE
 
     def test_moves_exactly_speed_limit(self):
         state = self._adjusting(Vec2(3.0, 0.0))
         vh = Pose(Vec2(0, 0), 0.0)
-        _, new_vh = step_plan(state, vh, 0.1, PARAMS)
+        _, new_vh = step_plan(state, vh, 0.1, CONFIG)
         assert new_vh.position.x == pytest.approx(0.15)
         assert new_vh.position.y == 0.0
 
     def test_stable_is_identity(self):
         state = PlanState(PlanPhase.STABLE, None)
         vh = Pose(Vec2(1, 2), 0.7)
-        new_state, new_vh = step_plan(state, vh, 0.1, PARAMS)
+        new_state, new_vh = step_plan(state, vh, 0.1, CONFIG)
         assert new_state is state and new_vh is vh
 
     def test_rotation_rate_limited(self):
         state = self._adjusting(Vec2(0.0, 0.0), orientation=math.pi)
         vh = Pose(Vec2(0, 0), 0.0)
-        _, new_vh = step_plan(state, vh, 0.1, PARAMS)
+        _, new_vh = step_plan(state, vh, 0.1, CONFIG)
         assert new_vh.orientation == pytest.approx(math.radians(18.0))
 
     def test_never_exceeds_max_speed(self):
@@ -403,13 +392,13 @@ class TestStepPlan:
             vh = Pose(Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)), rng.uniform(0, 6.28))
             state = self._adjusting(target, orientation=rng.uniform(0, 6.28))
             dt = rng.choice([0.05, 0.1, 0.2])
-            _, new_vh = step_plan(state, vh, dt, PARAMS)
+            _, new_vh = step_plan(state, vh, dt, CONFIG)
             moved = new_vh.position.distance_to(vh.position)
-            assert moved <= PARAMS.max_speed * dt + 1e-9
+            assert moved <= CONFIG.vh_max_speed * dt + 1e-9
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
-            step_plan(PlanState(), Pose(Vec2(0, 0), 0.0), 0.0, PARAMS)
+            step_plan(PlanState(), Pose(Vec2(0, 0), 0.0), 0.0, CONFIG)
 
 
 def build_snapshot(user, vh, env, trajectories, pedestrians=None):
@@ -424,14 +413,14 @@ class TestPlanIfNeeded:
 
     def test_no_conflict_stays_stable(self):
         snap = build_snapshot(self.user, self.vh, self.env, [])
-        state, decision = plan_if_needed(snap, PlanState(), PROX, COMFORT, COEFFS, PARAMS)
+        state, decision = plan_if_needed(snap, PlanState(), CONFIG)
         assert state.phase is PlanPhase.STABLE and decision is None
 
     def test_conflict_elsewhere_adjusts(self):
         # a pedestrian will walk straight through the current agent position
         t = straight_traj((6.0, 10.75), (1.4, 0.0), n=80, pid=5)
         snap = build_snapshot(self.user, self.vh, self.env, [t])
-        state, decision = plan_if_needed(snap, PlanState(), PROX, COMFORT, COEFFS, PARAMS)
+        state, decision = plan_if_needed(snap, PlanState(), CONFIG)
         assert state.phase is PlanPhase.ADJUSTING
         assert decision is not None
         assert decision.move_distance > 0.0
@@ -441,23 +430,24 @@ class TestPlanIfNeeded:
         )
         seg_clear = detect_potential_conflict(
             Segment(self.user.position, decision.target_position), cloud(t),
-            PARAMS.territory_radius + PARAMS.planning_margin,
+            CONFIG.territory_radius + CONFIG.planning_margin,
         )
         assert seg_clear == (False, [])
 
     def oracle_target(self, trajectories):
         """The oracle's pick for this scene and its utility."""
-        ctx = classify_spatial_context(self.env, Segment(self.user.position, self.vh.position), positions_of([]), PROX)
-        cands = [Vec2(*c) for c in generate_candidates(self.user, self.vh.position, self.env, PROX, PARAMS).tolist()]
+        dyad = Segment(self.user.position, self.vh.position)
+        ctx = classify_spatial_context(self.env, dyad, positions_of([]), CONFIG)
+        cands = [Vec2(*c) for c in generate_candidates(self.user, self.vh.position, self.env, CONFIG).tolist()]
         paths = cloud(*trajectories)
-        i = oracle_decision(cands, self.user, self.vh.position, ctx, paths, COMFORT, PROX, COEFFS, PARAMS)
-        return cands[i], oracle_utility(cands[i], self.user, self.vh.position, ctx, paths, COMFORT, PROX, COEFFS)
+        i = oracle_decision(cands, self.user, self.vh.position, ctx, paths, CONFIG)
+        return cands[i], oracle_utility(cands[i], self.user, self.vh.position, ctx, paths, CONFIG)
 
     def test_decision_matches_hand_scored_candidates(self):
         # safe branch: some candidates clear the pedestrian's path
         t = straight_traj((6.0, 10.75), (1.4, 0.0), n=80, pid=5)
         snap = build_snapshot(self.user, self.vh, self.env, [t])
-        state, decision = plan_if_needed(snap, PlanState(), PROX, COMFORT, COEFFS, PARAMS)
+        state, decision = plan_if_needed(snap, PlanState(), CONFIG)
         target, utility = self.oracle_target([t])
         assert decision.target_position == target
         assert decision.utility == pytest.approx(utility, abs=1e-9)
@@ -469,7 +459,7 @@ class TestPlanIfNeeded:
         below = straight_traj((6.0, 8.80), (1.4, 0.0), n=80, pid=1)
         above = straight_traj((6.0, 11.07), (1.4, 0.0), n=80, pid=2)
         snap = build_snapshot(self.user, self.vh, self.env, [below, above])
-        state, decision = plan_if_needed(snap, PlanState(), PROX, COMFORT, COEFFS, PARAMS)
+        state, decision = plan_if_needed(snap, PlanState(), CONFIG)
         target, utility = self.oracle_target([below, above])
         assert decision.target_position == target
         assert decision.utility == pytest.approx(utility, abs=1e-9)
@@ -481,7 +471,7 @@ class TestPlanIfNeeded:
         below = straight_traj((6.0, 8.80), (1.4, 0.0), n=80, pid=1)
         above = straight_traj((6.0, 10.95), (1.4, 0.0), n=80, pid=2)
         snap = build_snapshot(self.user, self.vh, self.env, [below, above])
-        state, decision = plan_if_needed(snap, PlanState(), PROX, COMFORT, COEFFS, PARAMS)
+        state, decision = plan_if_needed(snap, PlanState(), CONFIG)
         target, utility = self.oracle_target([below, above])
         assert decision.target_position == target
         assert decision.utility == pytest.approx(utility, abs=1e-9)
@@ -500,7 +490,7 @@ class TestPlanIfNeeded:
             for pid, lo in ((1, 40), (2, 120))
         ]
         snap = build_snapshot(self.user, self.vh, self.env, arcs)
-        state, decision = plan_if_needed(snap, PlanState(), PROX, COMFORT, COEFFS, PARAMS)
+        state, decision = plan_if_needed(snap, PlanState(), CONFIG)
         target, utility = self.oracle_target(arcs)
         assert decision.target_position == target
         assert decision.utility == pytest.approx(utility, abs=1e-9)
@@ -510,32 +500,29 @@ class TestPlanIfNeeded:
         # with zero out-group weight the plain argmax keeps the agent stable
         t = straight_traj((6.0, 10.75), (1.4, 0.0), n=80, pid=5)
         snap = build_snapshot(self.user, self.vh, self.env, [t])
-        coeffs = PlannerCoefficients(outgroup_weight=0.0, move_cost=0.5)
-        state, decision = plan_if_needed(snap, PlanState(), PROX, COMFORT, coeffs, PARAMS)
+        config = replace(CONFIG, coefficient_c=0.0, coefficient_d=0.5)
+        state, decision = plan_if_needed(snap, PlanState(), config)
         assert state.phase is PlanPhase.STABLE
         assert decision is not None and decision.move_distance == 0.0
 
     def test_keeps_clean_active_plan(self):
         t = straight_traj((6.0, 10.75), (1.4, 0.0), n=80, pid=5)
         snap = build_snapshot(self.user, self.vh, self.env, [t])
-        state, decision = plan_if_needed(snap, PlanState(), PROX, COMFORT, COEFFS, PARAMS)
+        state, decision = plan_if_needed(snap, PlanState(), CONFIG)
         assert state.phase is PlanPhase.ADJUSTING
-        again, decision2 = plan_if_needed(snap, state, PROX, COMFORT, COEFFS, PARAMS)
+        again, decision2 = plan_if_needed(snap, state, CONFIG)
         assert again is state and decision2 is None
 
 
 class TestPlannerLoop:
     def test_never_leaves_stable_without_pedestrians(self):
         env = open_square(12.0)
-        prox = ProxemicsParams()
-        planner = ConflictAvoidancePlanner(
-            env, prox, AvoidanceParams(), COMFORT, COEFFS, PARAMS
-        )
+        planner = ConflictAvoidancePlanner(env, CONFIG)
         user = Pose(Vec2(6, 5.25), math.pi / 2)
         vh = Pose(Vec2(6, 6.75), 1.5 * math.pi)
         start = vh
         for k in range(100):
-            vh = planner.update(k * 0.1, 0.1, user, vh, crowd_of([]))
+            vh = planner.update(k * 0.1, user, vh, crowd_of([]))
             assert planner.state.phase is PlanPhase.STABLE
         assert vh.position == start.position
 
@@ -555,9 +542,9 @@ class TestPlannerLoop:
                 )
                 for i in range(3)
             ]
-            cands = generate_candidates(user, vh.position, env, PROX, PARAMS)
+            cands = generate_candidates(user, vh.position, env, CONFIG)
             utility, ingroup, outgroup, move, _ = score_candidates(
-                cands, user, vh.position, CTX_OPEN, cloud(*trajs).points, COMFORT, PROX, COEFFS
+                cands, user, vh.position, CTX_OPEN, cloud(*trajs).points, CONFIG
             )
             winner = _argbest(utility, move)
             zero_in_max = utility[ingroup == 0.0].max(initial=0.0)
@@ -572,7 +559,7 @@ class TestMakeSnapshot:
         vh = Pose(Vec2(10, 10.75), 1.5 * math.pi)
         near = PedestrianState(0, Vec2(12, 10), Vec2(-1, 0), Vec2(0, 10), 1.0)
         far = PedestrianState(1, Vec2(19, 19), Vec2(-1, 0), Vec2(0, 19), 1.0)
-        snap = make_snapshot(user, vh, env, crowd_of([near, far]), AvoidanceParams(), 0.1, 6.0)
+        snap = make_snapshot(user, vh, env, crowd_of([near, far]), CONFIG)
         assert [t.pedestrian_id for t in snap.trajectories] == [0]
 
     def test_shared_sample_grid(self):
@@ -583,7 +570,7 @@ class TestMakeSnapshot:
             PedestrianState(0, Vec2(12, 10), Vec2(-1.2, 0), Vec2(0, 10), 1.2),
             PedestrianState(1, Vec2(8, 12), Vec2(0.5, -1.0), Vec2(12, 0), 1.118),
         ]
-        snap = make_snapshot(user, vh, env, crowd_of(peds), AvoidanceParams(), 0.1, 6.0)
+        snap = make_snapshot(user, vh, env, crowd_of(peds), CONFIG)
         assert len(snap.trajectories) == 2
         t0, t1 = snap.trajectories
         assert np.array_equal(t0.times, t1.times)

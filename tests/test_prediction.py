@@ -8,7 +8,6 @@ from crowds import crowd_of, positions_of, predict_one
 from oracles import oracle_linear, oracle_min_approach
 from vhsim.geometry import Segment, Vec2
 from vhsim.prediction import (
-    AvoidanceParams,
     PedestrianState,
     Phase,
     anticipated_pedestrians,
@@ -16,8 +15,9 @@ from vhsim.prediction import (
     choose_waypoint,
     prediction_horizon,
 )
+from vhsim.simulation import ScenarioConfig
 
-PARAMS = AvoidanceParams()
+CONFIG = ScenarioConfig()
 
 
 def make_ped(pos, vel, goal=None, pid=0, phase=Phase.DIRECT, waypoint=None):
@@ -56,7 +56,7 @@ class TestBelowStationarySpeed:
 
     def test_prediction_stands_still(self, speed):
         ped = self.ped(speed)
-        traj = predict_one(ped, Vec2(0, 0), 2.0, 0.5, PARAMS)
+        traj = predict_one(ped, Vec2(0, 0), 2.0, 0.5, CONFIG)
         assert all(p == ped.position for _, p in traj.samples)
         assert traj.d_min == ped.position.distance_to(Vec2(0, 0))
 
@@ -66,30 +66,31 @@ class TestBelowStationarySpeed:
         ped, user = self.ped(speed), Vec2(6, 1)
         with pytest.raises(ValueError):
             oracle_min_approach(ped, user)
-        traj = predict_one(ped, user, 2.0, 0.5, PARAMS)
+        traj = predict_one(ped, user, 2.0, 0.5, CONFIG)
         assert all(p == ped.position for _, p in traj.samples)
 
 
 class TestAvoidanceGeometry:
     def test_arcsin_half(self):
-        params = AvoidanceParams(min_avoidance=0.67, start_avoidance=1.34)
+        config = ScenarioConfig(min_avoidance_distance=0.67, start_avoidance_distance=1.34)
         ped = make_ped((-1.34, 0), (1, 0))
-        geom = avoidance_geometry(ped, Vec2(0, 0), params)
+        geom = avoidance_geometry(ped, Vec2(0, 0), config)
         assert geom.angle == pytest.approx(math.radians(30.0), abs=1e-12)
 
     def test_sixty_degrees_doubles_range(self):
         # sin 60 ratio makes the waypoint leg twice the trigger range
         d_start = 2.0
         d_min = d_start * math.sin(math.radians(60.0))
-        params = AvoidanceParams(min_avoidance=d_min, start_avoidance=d_start)
+        config = ScenarioConfig(min_avoidance_distance=d_min, start_avoidance_distance=d_start)
         ped = make_ped((-d_start, 0), (1, 0))
-        geom = avoidance_geometry(ped, Vec2(0, 0), params)
+        geom = avoidance_geometry(ped, Vec2(0, 0), config)
         assert geom.distance == pytest.approx(2.0 * d_start, rel=1e-12)
 
     def test_waypoints_tangent_to_clearance_circle(self):
         user = Vec2(0, 0)
         ped = make_ped((-2, 0), (1, 0))
-        geom = avoidance_geometry(ped, user, AvoidanceParams(min_avoidance=0.67, start_avoidance=2.0))
+        config = ScenarioConfig(min_avoidance_distance=0.67, start_avoidance_distance=2.0)
+        geom = avoidance_geometry(ped, user, config)
         for wp in (geom.waypoint_left, geom.waypoint_right):
             realized = min_distance_on_segment(ped.position, wp, user)
             assert realized == pytest.approx(0.67, abs=1e-6)
@@ -102,7 +103,7 @@ class TestAvoidanceGeometry:
             r = rng.uniform(0.7, 2.0)
             pos = Vec2(r * math.cos(angle), r * math.sin(angle))
             ped = make_ped((pos.x, pos.y), (-math.cos(angle), -math.sin(angle)))
-            geom = avoidance_geometry(ped, user, PARAMS)
+            geom = avoidance_geometry(ped, user, CONFIG)
             # reflect the left waypoint across the pedestrian-to-user line
             axis = (user - ped.position).normalized()
             rel = geom.waypoint_left - ped.position
@@ -113,25 +114,25 @@ class TestAvoidanceGeometry:
 
     def test_coincident_rejected(self):
         with pytest.raises(ValueError):
-            avoidance_geometry(make_ped((0, 0), (1, 0)), Vec2(0, 0), PARAMS)
+            avoidance_geometry(make_ped((0, 0), (1, 0)), Vec2(0, 0), CONFIG)
 
 
 class TestChooseWaypoint:
     def test_user_offset_left_passes_right(self):
         ped = make_ped((-2, -0.1), (1, 0))  # user slightly left of travel line
-        geom = avoidance_geometry(ped, Vec2(0, 0), PARAMS)
+        geom = avoidance_geometry(ped, Vec2(0, 0), CONFIG)
         chosen = choose_waypoint(geom, ped.velocity, Vec2(0, 0) - ped.position)
         assert chosen == geom.waypoint_right
 
     def test_user_offset_right_passes_left(self):
         ped = make_ped((-2, 0.1), (1, 0))
-        geom = avoidance_geometry(ped, Vec2(0, 0), PARAMS)
+        geom = avoidance_geometry(ped, Vec2(0, 0), CONFIG)
         chosen = choose_waypoint(geom, ped.velocity, Vec2(0, 0) - ped.position)
         assert chosen == geom.waypoint_left
 
     def test_exact_tie_goes_right(self):
         ped = make_ped((-2, 0), (1, 0))
-        geom = avoidance_geometry(ped, Vec2(0, 0), PARAMS)
+        geom = avoidance_geometry(ped, Vec2(0, 0), CONFIG)
         chosen = choose_waypoint(geom, ped.velocity, Vec2(0, 0) - ped.position)
         assert chosen == geom.waypoint_right
 
@@ -139,7 +140,7 @@ class TestChooseWaypoint:
 class TestPredictTrajectory:
     def test_far_miss_equals_linear(self):
         ped = make_ped((-5, 2), (1.2, 0), goal=(10, 2))
-        traj = predict_one(ped, Vec2(0, 0), horizon=5.0, dt=0.1, params=PARAMS)
+        traj = predict_one(ped, Vec2(0, 0), horizon=5.0, dt=0.1, config=CONFIG)
         for t, p in traj.samples:
             expected = oracle_linear(ped, t)
             assert p.x == pytest.approx(expected.x, abs=1e-9)
@@ -148,46 +149,46 @@ class TestPredictTrajectory:
 
     def test_head_on_keeps_clearance(self):
         ped = make_ped((-5, 0.05), (1.3, 0), goal=(10, 0.05))
-        traj = predict_one(ped, Vec2(0, 0), horizon=9.0, dt=0.1, params=PARAMS)
+        traj = predict_one(ped, Vec2(0, 0), horizon=9.0, dt=0.1, config=CONFIG)
         v_dt = 1.3 * 0.1
-        assert traj.d_min == pytest.approx(PARAMS.min_avoidance, abs=v_dt)
+        assert traj.d_min == pytest.approx(CONFIG.min_avoidance_distance, abs=v_dt)
 
     def test_already_inside_start_range(self):
         ped = make_ped((-1.2, 0.0), (1.0, 0), goal=(10, 0))
-        traj = predict_one(ped, Vec2(0, 0), horizon=6.0, dt=0.05, params=PARAMS)
-        assert traj.d_min == pytest.approx(PARAMS.min_avoidance, abs=1.0 * 0.05)
+        traj = predict_one(ped, Vec2(0, 0), horizon=6.0, dt=0.05, config=CONFIG)
+        assert traj.d_min == pytest.approx(CONFIG.min_avoidance_distance, abs=1.0 * 0.05)
         # detour starts immediately: the second sample already deviates
         p1 = traj.samples[1][1]
         assert abs(p1.y) > 1e-6
 
     def test_degenerate_equal_distances(self):
-        params = AvoidanceParams(min_avoidance=0.67, start_avoidance=0.67)
+        config = ScenarioConfig(min_avoidance_distance=0.67, start_avoidance_distance=0.67)
         ped = make_ped((-0.67, 0.0), (1.0, 0), goal=(10, 0))
-        traj = predict_one(ped, Vec2(0, 0), horizon=3.0, dt=0.05, params=params)
+        traj = predict_one(ped, Vec2(0, 0), horizon=3.0, dt=0.05, config=config)
         assert traj.d_min >= 0.67 - 1.0 * 0.05
 
     def test_deterministic(self):
         ped = make_ped((-4, 0.3), (1.1, -0.05), goal=(9, -1))
-        a = predict_one(ped, Vec2(0, 0), 8.0, 0.1, PARAMS)
-        b = predict_one(ped, Vec2(0, 0), 8.0, 0.1, PARAMS)
+        a = predict_one(ped, Vec2(0, 0), 8.0, 0.1, CONFIG)
+        b = predict_one(ped, Vec2(0, 0), 8.0, 0.1, CONFIG)
         assert np.array_equal(a.points, b.points)
         assert a.d_min == b.d_min
 
     def test_d_min_matches_samples(self):
         ped = make_ped((-5, 0.4), (1.25, 0), goal=(10, 0.4))
-        traj = predict_one(ped, Vec2(0, 0), 8.0, 0.1, PARAMS)
+        traj = predict_one(ped, Vec2(0, 0), 8.0, 0.1, CONFIG)
         d = min(Vec2(0, 0).distance_to(p) for _, p in traj.samples)
         assert traj.d_min == pytest.approx(d, abs=1e-12)
 
     def test_stationary_pedestrian(self):
         ped = make_ped((2, 1), (0, 0))
-        traj = predict_one(ped, Vec2(0, 0), 2.0, 0.5, PARAMS)
+        traj = predict_one(ped, Vec2(0, 0), 2.0, 0.5, CONFIG)
         assert all(p == ped.position for _, p in traj.samples)
 
     def test_avoiding_phase_heads_to_waypoint_then_goal(self):
         wp = Vec2(0.5, 0.8)
         ped = make_ped((0, 0), (0.53, 0.85), goal=(5, 0), phase=Phase.AVOIDING, waypoint=wp)
-        traj = predict_one(ped, Vec2(2, 0), 6.0, 0.1, PARAMS)
+        traj = predict_one(ped, Vec2(2, 0), 6.0, 0.1, CONFIG)
         pts = traj.points
         d_wp = np.hypot(pts[:, 0] - wp.x, pts[:, 1] - wp.y)
         assert d_wp.min() < 0.06  # passes through the waypoint
@@ -196,7 +197,7 @@ class TestPredictTrajectory:
 
     def test_sample_grid(self):
         ped = make_ped((0, 0), (1, 0))
-        traj = predict_one(ped, Vec2(10, 10), 1.0, 0.25, PARAMS)
+        traj = predict_one(ped, Vec2(10, 10), 1.0, 0.25, CONFIG)
         assert [round(t, 6) for t, _ in traj.samples] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
@@ -208,14 +209,16 @@ class TestRealizedClearanceSweep:
         for _ in range(200):
             d_min = rng.uniform(0.2, 1.5)
             d_start = d_min + rng.uniform(0.0, 2.0)
-            params = AvoidanceParams(min_avoidance=d_min, start_avoidance=d_start, anticipate=50.0)
+            config = ScenarioConfig(
+                min_avoidance_distance=d_min, start_avoidance_distance=d_start, tracking_distance=50.0
+            )
             speed = rng.uniform(1.0, 1.5)
             offset = rng.uniform(-0.9, 0.9) * d_min
             start_range = d_start + rng.uniform(0.5, 4.0)
             ped = make_ped((-start_range, offset), (speed, 0), goal=(30, offset))
             dt = 0.1
             horizon = (start_range + 8.0) / speed
-            traj = predict_one(ped, Vec2(0, 0), horizon, dt, params)
+            traj = predict_one(ped, Vec2(0, 0), horizon, dt, config)
             assert traj.d_min >= d_min - speed * dt - 1e-9
             assert traj.d_min <= d_min + speed * dt + 1e-9
 
@@ -227,36 +230,23 @@ class TestAnticipated:
         near = make_ped((3, 0), (1, 0), pid=2)
         edge = make_ped((6, 0.0), (1, 0), pid=3)
         peds = [far, near, edge]
-        got = anticipated_pedestrians(positions_of(peds), dyad, PARAMS)
+        got = anticipated_pedestrians(positions_of(peds), dyad, CONFIG)
         assert [peds[i].id for i in got] == [2, 3]
 
     def test_boundary_inclusive(self):
         dyad = Segment(Vec2(0, 0), Vec2(0, 1.0))
         ped = make_ped((6.0, 0.0), (1, 0), pid=9)
-        assert anticipated_pedestrians(positions_of([ped]), dyad, PARAMS).tolist() == [0]
+        assert anticipated_pedestrians(positions_of([ped]), dyad, CONFIG).tolist() == [0]
 
     def test_boundary_inclusive_where_numpy_hypot_is_not(self):
         # exactly 6 m from the dyad's end by math.hypot, the distance the
         # scalar rule measures; np.hypot and sqrt(x*x + y*y) read one ulp more
         dx, dy = -2.6326286130146603, -5.3915922125042535
-        assert math.hypot(dx, dy) == PARAMS.anticipate < np.hypot(dx, dy)
-        assert PARAMS.anticipate < math.sqrt(dx * dx + dy * dy)
+        assert math.hypot(dx, dy) == CONFIG.tracking_distance < np.hypot(dx, dy)
+        assert CONFIG.tracking_distance < math.sqrt(dx * dx + dy * dy)
         dyad = Segment(Vec2(0, 0), Vec2(0, 1.5))
         positions = np.array([[dx, dy], [math.nextafter(dx, -math.inf), dy]])
-        assert anticipated_pedestrians(positions, dyad, PARAMS).tolist() == [0]
-
-
-class TestParamsValidation:
-    def test_min_above_start_rejected(self):
-        with pytest.raises(ValueError):
-            AvoidanceParams(min_avoidance=2.5, start_avoidance=2.0)
-
-    def test_equal_min_start_allowed(self):
-        AvoidanceParams(min_avoidance=1.0, start_avoidance=1.0)
-
-    def test_start_above_anticipate_rejected(self):
-        with pytest.raises(ValueError):
-            AvoidanceParams(min_avoidance=0.5, start_avoidance=7.0, anticipate=6.0)
+        assert anticipated_pedestrians(positions, dyad, CONFIG).tolist() == [0]
 
 
 def exit_time(ped: PedestrianState, radius: float) -> float:

@@ -17,7 +17,6 @@ from vhsim import planner
 from vhsim.geometry import Pose, Segment, Vec2
 from vhsim.prediction import (
     STATIONARY_SPEED,
-    AvoidanceParams,
     PedestrianState,
     Phase,
     _build_legs,
@@ -27,21 +26,21 @@ from vhsim.prediction import (
 )
 from vhsim.simulation import ScenarioConfig, run_trial
 
-AVOID = AvoidanceParams()
+CONFIG = ScenarioConfig()
 
 
 def bits(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-def row_kind(ped: PedestrianState, user: Vec2, avoid: AvoidanceParams) -> str:
+def row_kind(ped: PedestrianState, user: Vec2, config: ScenarioConfig) -> str:
     if ped.velocity.norm() < STATIONARY_SPEED:
         return "stationary"
     if ped.phase is Phase.RETURNING:
         return "returning"
     if ped.phase is Phase.AVOIDING and ped.waypoint is not None:
         return "avoiding"
-    return {1: "straight", 2: "detour now", 3: "detour ahead"}[len(_build_legs(ped, user, avoid))]
+    return {1: "straight", 2: "detour now", 3: "detour ahead"}[len(_build_legs(ped, user, config))]
 
 
 @pytest.mark.parametrize("environment", ["square20", "passage"])
@@ -50,24 +49,23 @@ def test_every_check_tick_matches_the_scalar_path(environment, monkeypatch):
     kinds: dict[str, int] = {}
     checks = []
 
-    def checked(user, vh, env, crowd, avoid, dt, c_space_radius, horizon_cap):
-        snap = original(user, vh, env, crowd, avoid, dt, c_space_radius, horizon_cap)
+    def checked(user, vh, env, crowd, config):
+        snap = original(user, vh, env, crowd, config)
         states = crowd.states()
-        ids, horizon, points = oracle_snapshot(states, user.position, vh.position, avoid, dt,
-                                               c_space_radius, horizon_cap)
+        ids, horizon, points = oracle_snapshot(states, user.position, vh.position, config)
         got = snap.trajectories
         assert got.ids.tolist() == ids
         assert (bits(got.points) == bits(points)).all()
         if ids:
             dyad = Segment(user.position, vh.position)
-            rows = anticipated_pedestrians(crowd.position, dyad, avoid)
+            rows = anticipated_pedestrians(crowd.position, dyad, config)
             got_horizon = max(prediction_horizon(crowd.position[rows], crowd.velocity[rows], dyad,
-                                                 c_space_radius, horizon_cap), dt)
+                                                 config.c_space_radius, config.horizon_cap), config.dt)
             assert bits([got_horizon]) == bits([horizon])
-            assert (bits(got.times) == bits(oracle_trajectory(states[ids[0]], user.position, horizon, dt,
-                                                              avoid)[0])).all()
+            assert (bits(got.times) == bits(oracle_trajectory(states[ids[0]], user.position, horizon, config.dt,
+                                                              config)[0])).all()
         for i in ids:
-            kind = row_kind(states[i], user.position, avoid)
+            kind = row_kind(states[i], user.position, config)
             kinds[kind] = kinds.get(kind, 0) + 1
         checks.append(len(ids))
         return snap
@@ -103,13 +101,13 @@ def hand_built_scene() -> list[PedestrianState]:
 def test_hand_built_rows_match_the_scalar_path():
     peds = hand_built_scene()
     user = Vec2(0.0, 0.0)
-    kinds = [row_kind(p, user, AVOID) for p in peds]
+    kinds = [row_kind(p, user, CONFIG) for p in peds]
     assert kinds == ["stationary", "stationary", "straight", "straight", "detour ahead", "detour now",
                      "avoiding", "avoiding", "detour ahead", "returning"]
-    got = predict_trajectory(crowd_of(peds), np.arange(len(peds)), user, 6.0, 0.1, AVOID)
+    got = predict_trajectory(crowd_of(peds), np.arange(len(peds)), user, 6.0, 0.1, CONFIG)
     assert len(got) == len(peds) and got.ids.tolist() == list(range(len(peds)))
     for p, view in zip(peds, got):
-        times, points = oracle_trajectory(p, user, 6.0, 0.1, AVOID)
+        times, points = oracle_trajectory(p, user, 6.0, 0.1, CONFIG)
         assert (bits(view.times) == bits(times)).all()
         assert (bits(view.points) == bits(points)).all(), f"pedestrian {p.id} ({kinds[p.id]})"
     assert (got[0].points == (2.0, 1.0)).all() and (got[1].points == (2.0, -1.0)).all()
@@ -119,7 +117,7 @@ def test_hand_built_snapshot_matches_the_scalar_path():
     peds = hand_built_scene()
     user, vh = Vec2(0.0, 0.0), Vec2(0.0, 1.5)
     env = ScenarioConfig(environment="square20").build_environment()
-    snap = planner.make_snapshot(Pose(user, 0.0), Pose(vh, 0.0), env, crowd_of(peds), AVOID, 0.1, 6.0, 4.0)
-    ids, horizon, points = oracle_snapshot(peds, user, vh, AVOID, 0.1, 6.0, 4.0)
+    snap = planner.make_snapshot(Pose(user, 0.0), Pose(vh, 0.0), env, crowd_of(peds), CONFIG)
+    ids, horizon, points = oracle_snapshot(peds, user, vh, CONFIG)
     assert snap.trajectories.ids.tolist() == ids and horizon == 4.0  # a stationary row inside the disc
     assert (bits(snap.trajectories.points) == bits(points)).all()

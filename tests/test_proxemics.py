@@ -11,7 +11,6 @@ from vhsim.proxemics import (
     ArrangementType,
     Crowdedness,
     Definiteness,
-    ProxemicsParams,
     RelativeAngles,
     SpatialContext,
     classify_arrangement,
@@ -21,8 +20,9 @@ from vhsim.proxemics import (
     is_fformation_available,
     relative_angles,
 )
+from vhsim.simulation import ScenarioConfig
 
-PARAMS = ProxemicsParams()
+CONFIG = ScenarioConfig()
 
 
 def arrangement_oracle(total: float) -> ArrangementType:
@@ -77,17 +77,17 @@ class TestFormationAvailability:
     def test_mid_distance_small_angle(self):
         user = Pose(Vec2(0, 0), math.radians(45))
         agent = Pose(Vec2(1, 0), 0.0)  # 1.0 m, alpha 45
-        assert is_fformation_available(user, agent, PARAMS)
+        assert is_fformation_available(user, agent, CONFIG)
 
     def test_too_close(self):
         user = Pose(Vec2(0, 0), 0.0)
         agent = Pose(Vec2(0.5, 0), 0.0)
-        assert not is_fformation_available(user, agent, PARAMS)
+        assert not is_fformation_available(user, agent, CONFIG)
 
     def test_inclusive_far_bound_at_90(self):
         user = Pose(Vec2(0, 0), math.pi / 2)
         agent = Pose(Vec2(1.5, 0), 0.0)  # 1.5 m, alpha 90
-        assert is_fformation_available(user, agent, PARAMS)
+        assert is_fformation_available(user, agent, CONFIG)
 
     def test_rigid_motion_invariance(self):
         rng = random.Random(19)
@@ -96,12 +96,12 @@ class TestFormationAvailability:
             a = Pose(Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)), rng.uniform(0, 6.28))
             if u.position == a.position:
                 continue
-            before = is_fformation_available(u, a, PARAMS)
+            before = is_fformation_available(u, a, CONFIG)
             phi = rng.uniform(0, 2 * math.pi)
             shift = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
             u2 = Pose(u.position.rotated(phi) + shift, u.orientation + phi)
             a2 = Pose(a.position.rotated(phi) + shift, a.orientation + phi)
-            assert is_fformation_available(u2, a2, PARAMS) == before
+            assert is_fformation_available(u2, a2, CONFIG) == before
 
 
 class TestArrangement:
@@ -132,17 +132,17 @@ class TestArrangement:
 class TestFeasibleArrangements:
     def test_alpha_zero(self):
         user = Pose(Vec2(0, 0), 0.0)
-        got = feasible_arrangements(user, Vec2(1.0, 0.0), PARAMS)
+        got = feasible_arrangements(user, Vec2(1.0, 0.0), CONFIG)
         assert got == {ArrangementType.CLOSED, ArrangementType.L_SHAPED}
 
     def test_alpha_ninety(self):
         user = Pose(Vec2(0, 0), math.pi / 2)
-        got = feasible_arrangements(user, Vec2(1.0, 0.0), PARAMS)
+        got = feasible_arrangements(user, Vec2(1.0, 0.0), CONFIG)
         assert got == {ArrangementType.L_SHAPED, ArrangementType.OPEN}
 
     def test_unavailable_is_empty(self):
         user = Pose(Vec2(0, 0), 0.0)
-        assert feasible_arrangements(user, Vec2(3.0, 0.0), PARAMS) == set()
+        assert feasible_arrangements(user, Vec2(3.0, 0.0), CONFIG) == set()
 
     def test_never_empty_when_available(self):
         rng = random.Random(23)
@@ -151,8 +151,8 @@ class TestFeasibleArrangements:
             r = rng.uniform(0.6, 1.5)
             theta = rng.uniform(0, 2 * math.pi)
             cand = Vec2(r * math.cos(theta), r * math.sin(theta))
-            feas = feasible_arrangements(user, cand, PARAMS)
-            if is_fformation_available(user, Pose(cand, 0.0), PARAMS):
+            feas = feasible_arrangements(user, cand, CONFIG)
+            if is_fformation_available(user, Pose(cand, 0.0), CONFIG):
                 assert feas
             else:
                 assert feas == set()
@@ -163,20 +163,20 @@ class TestSpatialContext:
         env = open_square(20.0)
         dyad = Segment(Vec2(10, 9.25), Vec2(10, 10.75))
         peds = [_ped(0, Vec2(1, 1)), _ped(1, Vec2(19, 19))]
-        ctx = classify_spatial_context(env, dyad, positions_of(peds), PARAMS)
+        ctx = classify_spatial_context(env, dyad, positions_of(peds), CONFIG)
         assert ctx == SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
 
     def test_passage_dyad_across_corridor_is_near_wall(self):
         env = narrow_passage(3.0, 20.0)
         dyad = Segment(Vec2(0.75, 10.0), Vec2(2.25, 10.0))
-        ctx = classify_spatial_context(env, dyad, positions_of([]), PARAMS)
+        ctx = classify_spatial_context(env, dyad, positions_of([]), CONFIG)
         # nearest wall at 0.75 m < 1.2 m personal space
         assert ctx.definiteness is Definiteness.NEAR_WALL
 
     def test_passage_centerline_dyad_is_open_space(self):
         env = narrow_passage(3.0, 20.0)
         dyad = Segment(Vec2(1.5, 9.25), Vec2(1.5, 10.75))
-        ctx = classify_spatial_context(env, dyad, positions_of([]), PARAMS)
+        ctx = classify_spatial_context(env, dyad, positions_of([]), CONFIG)
         # 1.5 m to both walls exceeds the 1.2 m threshold
         assert ctx.definiteness is Definiteness.OPEN_SPACE
 
@@ -189,13 +189,13 @@ class TestSpatialContext:
             _ped(i, Vec2(rng.uniform(0, 12), rng.uniform(0, 12)))
             for i in range(36)
         ]
-        ctx = classify_spatial_context(env, dyad, positions_of(peds), PARAMS)
+        ctx = classify_spatial_context(env, dyad, positions_of(peds), CONFIG)
         assert ctx.crowdedness is Crowdedness.CROWDED
 
     def test_empty_scene_uncrowded(self):
         env = open_square(12.0)
         dyad = Segment(Vec2(6, 5.25), Vec2(6, 6.75))
-        ctx = classify_spatial_context(env, dyad, positions_of([]), PARAMS)
+        ctx = classify_spatial_context(env, dyad, positions_of([]), CONFIG)
         assert ctx.crowdedness is Crowdedness.UNCROWDED
 
     def test_count_inclusive_where_numpy_hypot_is_not(self):
@@ -204,13 +204,13 @@ class TestSpatialContext:
         # pedestrian in the clipped quarter disc (28.3 m^2) is crowded at a
         # threshold of 0.03 per m^2.
         x, y = 4.3438986187338715, 4.138906231139088
-        assert math.hypot(x, y) == PARAMS.c_space_radius < np.hypot(x, y)
-        assert PARAMS.c_space_radius < math.sqrt(x * x + y * y)
-        params = ProxemicsParams(crowd_threshold=0.03)
+        assert math.hypot(x, y) == CONFIG.c_space_radius < np.hypot(x, y)
+        assert CONFIG.c_space_radius < math.sqrt(x * x + y * y)
+        config = ScenarioConfig(crowd_threshold=0.03)
         env = open_square(12.0)
         dyad = Segment(Vec2(0.0, -0.75), Vec2(0.0, 0.75))  # midpoint at the origin
-        on_circle = classify_spatial_context(env, dyad, np.array([[x, y]]), params)
-        beyond = classify_spatial_context(env, dyad, np.array([[math.nextafter(x, math.inf), y]]), params)
+        on_circle = classify_spatial_context(env, dyad, np.array([[x, y]]), config)
+        beyond = classify_spatial_context(env, dyad, np.array([[math.nextafter(x, math.inf), y]]), config)
         assert on_circle.crowdedness is Crowdedness.CROWDED
         assert beyond.crowdedness is Crowdedness.UNCROWDED
 
@@ -240,14 +240,6 @@ class TestPreferenceTable:
     )
     def test_named_cells(self, definiteness, crowdedness, arrangement, expected):
         assert context_preference(SpatialContext(definiteness, crowdedness), arrangement) == expected
-
-
-class TestParams:
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            ProxemicsParams(formation_min=1.5, formation_max=0.6)
-        with pytest.raises(ValueError):
-            ProxemicsParams(r_ps=0.0)
 
 
 def _ped(pid: int, pos: Vec2) -> PedestrianState:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vhsim.geometry import Pose, Segment, Vec2, open_square
-from vhsim.prediction import AvoidanceParams, PedestrianState, Phase
+from vhsim.prediction import PedestrianState, Phase
 from vhsim.simulation import (
     ConflictKind,
     ScenarioConfig,
@@ -20,7 +20,7 @@ from vhsim.simulation import (
     step_user,
 )
 
-AVOID = AvoidanceParams()
+CONFIG = ScenarioConfig()
 
 
 def make_ped(pos, goal, speed=1.0, pid=0, phase=Phase.DIRECT, waypoint=None):
@@ -80,7 +80,7 @@ class TestSpawnFlow:
 class TestStepPedestrian:
     def test_straight_walk(self):
         ped = make_ped((0, 0), (10, 0), speed=1.2)
-        out = step_pedestrian(ped, Vec2(50, 50), 0.1, AVOID)
+        out = step_pedestrian(ped, Vec2(50, 50), CONFIG)
         assert out.position.x == pytest.approx(0.12)
         assert out.position.y == pytest.approx(0.0)
         assert out.phase is Phase.DIRECT
@@ -90,16 +90,16 @@ class TestStepPedestrian:
         user = Vec2(0, 0)
         min_d = math.inf
         for _ in range(100):
-            ped = step_pedestrian(ped, user, 0.1, AVOID)
+            ped = step_pedestrian(ped, user, CONFIG)
             min_d = min(min_d, ped.position.distance_to(user))
-        assert min_d == pytest.approx(AVOID.min_avoidance, abs=1.4 * 0.1)
+        assert min_d == pytest.approx(CONFIG.min_avoidance_distance, abs=1.4 * 0.1)
 
     def test_phase_cycle(self):
         ped = make_ped((-4, 0.0), (8, 0.0), speed=1.5)
         user = Vec2(0, 0)
         seen = [ped.phase]
         for _ in range(90):
-            ped = step_pedestrian(ped, user, 0.1, AVOID)
+            ped = step_pedestrian(ped, user, CONFIG)
             if ped.phase is not seen[-1]:
                 seen.append(ped.phase)
         assert seen == [Phase.DIRECT, Phase.AVOIDING, Phase.RETURNING, Phase.DIRECT]
@@ -113,7 +113,7 @@ class TestStepPedestrian:
         ped = make_ped((-5, 0.1), (8, -0.2), speed=1.3)
         user = Vec2(0, 0)
         for _ in range(120):
-            nxt = step_pedestrian(ped, user, 0.1, AVOID)
+            nxt = step_pedestrian(ped, user, CONFIG)
             if nxt.phase is not ped.phase:
                 assert (ped.phase, nxt.phase) in legal
             ped = nxt
@@ -126,7 +126,7 @@ class TestStepPedestrian:
         prev = ped.position
         short_ticks = 0
         for _ in range(60):
-            ped = step_pedestrian(ped, user, 0.1, AVOID)
+            ped = step_pedestrian(ped, user, CONFIG)
             step = ped.position.distance_to(prev)
             assert step <= 0.15 + 1e-9
             if step < 0.15 - 1e-6:
@@ -136,13 +136,13 @@ class TestStepPedestrian:
 
     def test_ignores_far_user(self):
         ped = make_ped((0, 0), (10, 0), speed=1.0)
-        near = step_pedestrian(ped, Vec2(5, 4), 0.1, AVOID)
-        far = step_pedestrian(ped, Vec2(50, 50), 0.1, AVOID)
+        near = step_pedestrian(ped, Vec2(5, 4), CONFIG)
+        far = step_pedestrian(ped, Vec2(50, 50), CONFIG)
         assert near.position == far.position
 
     def test_arrives_at_goal(self):
         ped = make_ped((0, 0), (0.25, 0), speed=1.0)
-        out = step_pedestrian(ped, Vec2(50, 50), 0.5, AVOID)
+        out = step_pedestrian(ped, Vec2(50, 50), replace(CONFIG, dt=0.5))
         assert out.position == Vec2(0.25, 0.0)
 
 
@@ -151,7 +151,7 @@ class TestStepUser:
         user = Pose(Vec2(0, 0), 0.0)
         vh = Pose(Vec2(0, 2), 0.0)
         for _ in range(30):
-            user = step_user(user, vh, 0.1)
+            user = step_user(user, vh, 0.1, 90.0)
         assert user.orientation == pytest.approx(math.pi / 2, abs=1e-9)
 
     def test_rate_limited(self):
@@ -163,12 +163,12 @@ class TestStepUser:
     def test_zero_dt_identity(self):
         user = Pose(Vec2(0, 0), 1.0)
         vh = Pose(Vec2(5, 5), 0.0)
-        assert step_user(user, vh, 0.0) == user
+        assert step_user(user, vh, 0.0, 90.0) == user
 
     def test_position_fixed(self):
         user = Pose(Vec2(3, 4), 0.5)
         vh = Pose(Vec2(9, -2), 0.0)
-        assert step_user(user, vh, 0.1).position == Vec2(3, 4)
+        assert step_user(user, vh, 0.1, 90.0).position == Vec2(3, 4)
 
 
 class TestDetectEvents:
@@ -298,7 +298,7 @@ class TestPassThrough:
         ped = make_ped((vh.position.x - 3.0, vh.position.y), (vh.position.x + 4.0, vh.position.y), speed=1.5)
         closest = math.inf
         for _ in range(50):
-            ped = step_pedestrian(ped, user.position, 0.1, AVOID)
+            ped = step_pedestrian(ped, user.position, CONFIG)
             closest = min(closest, ped.position.distance_to(vh.position))
         assert closest < cfg.body_radius  # occupies the agent's space
 
@@ -358,6 +358,9 @@ class TestScenarioConfig:
             ("condition", "sometimes"),
             ("environment", "mars"),
             ("min_avoidance_distance", 3.0),
+            ("start_avoidance_distance", 7.0),
+            ("formation_min", 1.5),
+            ("personal_space", 0.0),
             ("candidate_angular_step", 0.0),
             ("candidate_radial_step", 0.0),
             ("seed", -1),
@@ -370,6 +373,9 @@ class TestScenarioConfig:
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
             replace(ScenarioConfig(), **{field: value})
+
+    def test_equal_min_start_allowed(self):
+        ScenarioConfig(min_avoidance_distance=1.0, start_avoidance_distance=1.0)
 
 
 class TestGoldenTrials:
