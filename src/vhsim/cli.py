@@ -75,6 +75,13 @@ def format_scenario(config: ScenarioConfig) -> str:
     return "\n".join(out) + "\n"
 
 
+def _check_seeds(replicates: int, seeds: list[int]) -> None:
+    if replicates < 1:
+        raise ScenarioError("replicates: must be >= 1")
+    if len(seeds) < replicates:
+        raise ScenarioError("seeds: need at least one seed per replicate")
+
+
 @dataclass
 class ExperimentSpec:
     """One factor sweep: axis, values, and the shared base scenario."""
@@ -90,10 +97,7 @@ class ExperimentSpec:
             raise ScenarioError(f"axis: must be one of {SWEEP_AXES}, got {self.axis!r}")
         if not self.values:
             raise ScenarioError("values: sweep values must be non-empty")
-        if self.replicates < 1:
-            raise ScenarioError("replicates: must be >= 1")
-        if len(self.seeds) < self.replicates:
-            raise ScenarioError("seeds: need at least one seed per replicate")
+        _check_seeds(self.replicates, self.seeds)
 
 
 @dataclass
@@ -210,11 +214,8 @@ def run_matrix(
     jobs: int = 1,
 ) -> list[ResultRow]:
     """Full environment-by-density grid with paired conditions per seed."""
-    if replicates < 1:
-        raise ScenarioError("replicates: must be >= 1")
     seeds = seeds or list(range(1, replicates + 1))
-    if len(seeds) < replicates:
-        raise ScenarioError("seeds: need at least one seed per replicate")
+    _check_seeds(replicates, seeds)
     points = [
         (replicate, replace(base, environment=env_name, density=density, seed=seeds[replicate]))
         for env_name in environments
@@ -250,9 +251,9 @@ def format_reduction_cell(dc_none: int | None, dc_avoid: int | None) -> str:
     """Percentage-and-fraction cell, e.g. '80% (104/522)'."""
     if dc_none is None or dc_avoid is None:
         return "-"
-    if dc_none == 0:
+    ratio = reduction_ratio(dc_none, dc_avoid)
+    if ratio is None:
         return f"n/a ({dc_avoid}/0)"
-    ratio = (dc_none - dc_avoid) / dc_none
     return f"{round(100 * ratio)}% ({dc_avoid}/{dc_none})"
 
 
@@ -420,7 +421,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

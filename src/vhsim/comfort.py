@@ -1,25 +1,18 @@
-"""Comfort building blocks for candidate agent positions.
+"""Out-group comfort: the distance regression and the point-segment distance.
 
 Out-group comfort measures how little the dyad would bother passing
 pedestrians: it grows with the distance between the nearest predicted
 pedestrian position and the candidate dyad segment, following a reciprocal
-regression calibrated in millimeters and clamped to [0, 1]. In-group comfort
-is the preference, under the spatial context, of the best arrangement a
-formation allows at the candidate. `planner.score_candidates` combines both
-over a whole candidate grid.
+regression calibrated in millimeters and clamped to [0, 1]. The in-group
+rule lives in `proxemics`; `planner.score_candidates` combines both over a
+whole candidate grid.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from .geometry import Pose, Vec2
-from .proxemics import ArrangementType, SpatialContext, context_preference, feasible_arrangements
-
-if TYPE_CHECKING:
-    from .simulation import ScenarioConfig
+from .geometry import Vec2
 
 # The reciprocal regression, scale_mm / distance_mm + offset: the score is 0
 # at or below 450 mm and saturates at 1 from about 670 mm outward.
@@ -52,26 +45,3 @@ def points_segment_distance(points: np.ndarray, a: Vec2, b: Vec2) -> np.ndarray:
     t = np.clip((wx * ex + wy * ey) / ee, 0.0, 1.0)
     return np.hypot(wx - t * ex, wy - t * ey)
 
-
-def best_arrangement(
-    candidate: Vec2,
-    user: Pose,
-    context: SpatialContext,
-    config: ScenarioConfig,
-) -> tuple[ArrangementType | None, float]:
-    """Best feasible arrangement at a position and its preference weight.
-
-    Returns (None, 0.0) when no formation is available. Ties go to the more
-    closed arrangement.
-    """
-    feasible = feasible_arrangements(user, candidate, config)
-    if not feasible:
-        return None, 0.0
-    best_arr, best_p = None, -1.0
-    for arr in (ArrangementType.CLOSED, ArrangementType.L_SHAPED, ArrangementType.OPEN):
-        if arr not in feasible:
-            continue
-        p = context_preference(context, arr)
-        if p > best_p:
-            best_arr, best_p = arr, p
-    return best_arr, best_p

@@ -94,9 +94,6 @@ class Segment:
     def midpoint(self) -> Vec2:
         return Vec2(0.5 * (self.a.x + self.b.x), 0.5 * (self.a.y + self.b.y))
 
-    def length(self) -> float:
-        return self.a.distance_to(self.b)
-
 
 def angle_between(u: Vec2, v: Vec2) -> float:
     """Unsigned angle between two nonzero vectors, in [0, pi]."""
@@ -179,9 +176,6 @@ class Rect:
     def __post_init__(self) -> None:
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(f"degenerate rectangle: {self}")
-
-    def center(self) -> Vec2:
-        return Vec2(0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
 
     def contains(self, p: Vec2) -> bool:
         return self.x_min <= p.x <= self.x_max and self.y_min <= p.y <= self.y_max

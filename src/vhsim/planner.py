@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .comfort import SATURATION_DISTANCE_M, best_arrangement, comfort_from_distance, points_segment_distance
+from .comfort import SATURATION_DISTANCE_M, comfort_from_distance, points_segment_distance
 from .geometry import (
     Environment,
     Pose,
@@ -27,12 +27,11 @@ from .geometry import (
 )
 from .prediction import Prediction, anticipated_pedestrians, prediction_horizon, predict_trajectory
 from .proxemics import (
-    DISTANCE_TOL,
     ArrangementType,
     SpatialContext,
     agent_orientation_for,
     classify_spatial_context,
-    context_preference,
+    ingroup_choice,
 )
 
 if TYPE_CHECKING:
@@ -149,12 +148,14 @@ def score_candidates(
     context: SpatialContext,
     points: np.ndarray,
     config: ScenarioConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Score every candidate of an (m, 2) array against the whole predicted
     sample cloud, an (N, 2) array of `points`, at once.
 
-    Returns (utility, ingroup, outgroup, move, approach) arrays in candidate
-    order; approach is each candidate segment's smallest distance to a
+    Returns (utility, ingroup, outgroup, move, approach, alpha, arrangement)
+    arrays in candidate order. The last two are the user's angle and the best
+    arrangement from `ingroup_choice`, whose preference is the in-group
+    comfort; approach is each candidate segment's smallest distance to a
     predicted sample. Samples too far out to come within the comfort
     saturation distance or the trigger radius (territory radius plus
     planning margin) of any candidate segment are skipped, so approach is
@@ -199,53 +200,10 @@ def score_candidates(
             approach = np.sqrt(dx.min(axis=0))
             outgroup = comfort_from_distance(approach)
 
-    # in-group: formation availability and the best feasible arrangement's
-    # context preference, from each candidate's distance and user-side angle
-    dist = np.hypot(ex, ey)
-    bearing = np.arctan2(ey, ex)
-    alpha = np.degrees(np.abs(np.angle(np.exp(1j * (bearing - user.orientation)))))
-    available = (
-        (dist >= config.formation_min - DISTANCE_TOL)
-        & (dist <= config.interpersonal_distance + DISTANCE_TOL)
-        & (alpha <= 90.0)
-    )
-    p_closed = context_preference(context, ArrangementType.CLOSED)
-    p_l = context_preference(context, ArrangementType.L_SHAPED)
-    p_open = context_preference(context, ArrangementType.OPEN)
-    best_p = np.full(n, p_l)
-    best_p = np.where(alpha <= 60.0, np.maximum(best_p, p_closed), best_p)
-    best_p = np.where(alpha >= 30.0, np.maximum(best_p, p_open), best_p)
-    ingroup = np.where(available, best_p, 0.0)
-
+    alpha, ingroup, arrangement = ingroup_choice(candidates, user, context, config)
     move = np.hypot(candidates[:, 0] - current_vh.x, candidates[:, 1] - current_vh.y)
     utility = (ingroup + config.coefficient_c * outgroup) / (1.0 + move * config.coefficient_d)
-    return utility, ingroup, outgroup, move, approach
-
-
-def _assemble_plan(
-    candidate: Vec2,
-    user: Pose,
-    context: SpatialContext,
-    config: ScenarioConfig,
-    ingroup: float,
-    outgroup: float,
-    move: float,
-    utility: float,
-) -> CandidatePlan:
-    arrangement, _ = best_arrangement(candidate, user, context, config)
-    if arrangement is None:
-        orientation = (user.position - candidate).angle() if candidate != user.position else 0.0
-    else:
-        orientation = agent_orientation_for(user, candidate, arrangement)
-    return CandidatePlan(
-        target_position=candidate,
-        target_orientation=orientation,
-        arrangement=arrangement,
-        ingroup=ingroup,
-        outgroup=outgroup,
-        move_distance=move,
-        utility=utility,
-    )
+    return utility, ingroup, outgroup, move, approach, alpha, arrangement
 
 
 def _argbest(utility: np.ndarray, move: np.ndarray) -> int:
@@ -318,7 +276,7 @@ def plan_if_needed(
 
     context = classify_spatial_context(snapshot.env, dyad, snapshot.positions, config)
     candidates = generate_candidates(snapshot.user, snapshot.vh.position, snapshot.env, config)
-    utility, ingroup, outgroup, move, approach = score_candidates(
+    utility, ingroup, outgroup, move, approach, alpha, arrangement = score_candidates(
         candidates, snapshot.user, snapshot.vh.position, context, snapshot.trajectories.points, config
     )
     # Relocation pruning, an out-group mechanism (inert at zero out-group
@@ -345,9 +303,15 @@ def plan_if_needed(
         pool = np.arange(len(candidates))
     j = _argbest(utility[pool], move[pool])
     i = int(pool[j])
-    best = _assemble_plan(
-        Vec2(*candidates[i].tolist()), snapshot.user, context, config,
-        float(ingroup[i]), float(outgroup[i]), float(move[i]), float(utility[i]),
+    target = Vec2(*candidates[i].tolist())
+    best = CandidatePlan(
+        target_position=target,
+        target_orientation=agent_orientation_for(snapshot.user, target, arrangement[i], float(alpha[i])),
+        arrangement=arrangement[i],
+        ingroup=float(ingroup[i]),
+        outgroup=float(outgroup[i]),
+        move_distance=float(move[i]),
+        utility=float(utility[i]),
     )
     if best.move_distance <= 1e-12:
         return PlanState(), best

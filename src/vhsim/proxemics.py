@@ -1,10 +1,12 @@
-"""F-formation availability, arrangement classification, and spatial context.
+"""The in-group rule: F-formation availability, arrangement classification,
+and spatial context.
 
 A dyadic conversation arrangement is reduced to three openness classes
 (vis-a-vis, L-shaped, side-by-side) from the summed body-orientation angles of
 the two interlocutors. Which class a dyad prefers depends on the spatial
 context of the encounter: how definite the place is (near a wall or not) and
-how crowded the pedestrian flow is.
+how crowded the pedestrian flow is. `ingroup_choice` applies the rule to a
+whole candidate grid at once.
 """
 
 from __future__ import annotations
@@ -113,26 +115,6 @@ def relative_angles(user: Pose, agent: Pose) -> RelativeAngles:
     return RelativeAngles(alpha=min(alpha, 180.0), beta=min(beta, 180.0))
 
 
-def user_angle_to(user: Pose, target: Vec2) -> float:
-    """The user-side angle alpha toward a candidate position, in degrees."""
-    if user.position == target:
-        raise ValueError("coincident positions have no relative angle")
-    return min(math.degrees(angle_between(user.heading(), target - user.position)), 180.0)
-
-
-def is_fformation_available(user: Pose, candidate: Pose, config: ScenarioConfig) -> bool:
-    """Whether a formation can be maintained at the candidate position.
-
-    Requires the separation to fall inside the formation distance bounds
-    (inclusive) and the user's angle to stay within 90 degrees; the agent can
-    always orient itself to satisfy its own side.
-    """
-    dist = user.position.distance_to(candidate.position)
-    if not (config.formation_min - DISTANCE_TOL <= dist <= config.interpersonal_distance + DISTANCE_TOL):
-        return False
-    return user_angle_to(user, candidate.position) <= MAX_AGENT_ANGLE_DEG
-
-
 def classify_arrangement(angles: RelativeAngles) -> ArrangementType:
     """Map the summed angles onto the three openness classes.
 
@@ -148,37 +130,64 @@ def classify_arrangement(angles: RelativeAngles) -> ArrangementType:
     return ArrangementType.OPEN
 
 
-def feasible_arrangements(user: Pose, candidate_position: Vec2, config: ScenarioConfig) -> set[ArrangementType]:
-    """Arrangement types achievable at a position as the agent turns freely.
+# the arrangements in tie order: of two equally preferred, the more closed wins
+_BY_OPENNESS = np.array([ArrangementType.CLOSED, ArrangementType.L_SHAPED, ArrangementType.OPEN], dtype=object)
 
-    With alpha fixed by geometry and beta free in [0, 90], the reachable sum
-    interval is [alpha, alpha + 90]; a type is feasible when its band
-    intersects that interval. Empty when no formation is available at all.
+
+def ingroup_choice(
+    candidates: np.ndarray,
+    user: Pose,
+    context: SpatialContext,
+    config: ScenarioConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The in-group rule at every candidate of an (m, 2) array of positions.
+
+    A formation is available where the candidate's distance to the user lies
+    within the formation bounds (inclusive) and the user's angle alpha to it
+    is at most 90 degrees. The agent turns freely over [0, 90] degrees, so
+    the summed angle can reach [alpha, alpha + 90]: L-shaped is always
+    feasible, closed while alpha <= 60 and open once alpha >= 30. The best
+    arrangement is the feasible one the context prefers most, ties going to
+    the more closed.
+
+    Returns (alpha, preference, arrangement) in candidate order: alpha in
+    degrees, the best arrangement's preference, and the best arrangement as
+    an object array; where no formation is available they are 0 and None.
     """
-    probe = Pose(candidate_position, 0.0)
-    if user.position == candidate_position or not is_fformation_available(user, probe, config):
-        return set()
-    alpha = user_angle_to(user, candidate_position)
-    feasible = {ArrangementType.L_SHAPED}
-    if alpha <= 60.0:
-        feasible.add(ArrangementType.CLOSED)
-    if alpha + MAX_AGENT_ANGLE_DEG >= 120.0:
-        feasible.add(ArrangementType.OPEN)
-    return feasible
+    ex = candidates[:, 0] - user.position.x
+    ey = candidates[:, 1] - user.position.y
+    dist = np.hypot(ex, ey)
+    alpha = np.degrees(np.abs(np.angle(np.exp(1j * (np.arctan2(ey, ex) - user.orientation)))))
+    available = (
+        (dist >= config.formation_min - DISTANCE_TOL)
+        & (dist <= config.interpersonal_distance + DISTANCE_TOL)
+        & (alpha <= MAX_AGENT_ANGLE_DEG)
+    )
+    # one column per arrangement in tie order; -1 marks an infeasible one
+    table = _PREFERENCE[(context.definiteness, context.crowdedness)]
+    feasible = np.empty((len(candidates), 3))
+    feasible[:, 0] = np.where(alpha <= 60.0, table[ArrangementType.CLOSED], -1.0)
+    feasible[:, 1] = table[ArrangementType.L_SHAPED]
+    feasible[:, 2] = np.where(alpha >= 30.0, table[ArrangementType.OPEN], -1.0)
+    preference = np.where(available, feasible.max(axis=1), 0.0)
+    arrangement = np.where(available, _BY_OPENNESS[feasible.argmax(axis=1)], None)
+    return alpha, preference, arrangement
 
 
-def agent_orientation_for(user: Pose, position: Vec2, arrangement: ArrangementType) -> float:
-    """Body orientation realizing an arrangement at a position, in radians.
+def agent_orientation_for(user: Pose, position: Vec2, arrangement: ArrangementType | None, alpha: float) -> float:
+    """Body orientation realizing an arrangement at a position, in radians,
+    given the user's angle alpha to that position in degrees.
 
     Targets the midpoint of the arrangement's band, clamping the agent's own
-    share to [0, 90] degrees.
+    share to [0, 90] degrees. With no arrangement the agent faces the user.
     """
+    if arrangement is None:
+        return (user.position - position).angle() if position != user.position else 0.0
     band_mid = {
         ArrangementType.CLOSED: 30.0,
         ArrangementType.L_SHAPED: 90.0,
         ArrangementType.OPEN: 150.0,
     }[arrangement]
-    alpha = user_angle_to(user, position)
     beta = max(0.0, min(MAX_AGENT_ANGLE_DEG, band_mid - alpha))
     to_user = (user.position - position).angle()
     return (to_user + math.radians(beta)) % (2.0 * math.pi)

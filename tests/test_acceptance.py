@@ -102,7 +102,7 @@ class TestCriterion1ComfortEndpoints:
 
         def outgroup(height):
             sample = np.array([[0.75, height]])
-            _, _, out, _, _ = score_candidates(
+            _, _, out, *_ = score_candidates(
                 np.array([[cand.x, cand.y]]), user, cand,
                 SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED),
                 sample, ScenarioConfig(),
@@ -204,7 +204,7 @@ def planner_snapshots():
 def production_winner(env, user, vh, context, trajectories, config):
     """Candidate grid, scores and winner as the planner computes them, before pruning."""
     cands = generate_candidates(user, vh.position, env, config)
-    utility, _, _, move, _ = score_candidates(cands, user, vh.position, context, trajectories.points, config)
+    utility, _, _, move, *_ = score_candidates(cands, user, vh.position, context, trajectories.points, config)
     return cands, utility, _argbest(utility, move)
 
 

@@ -1,5 +1,8 @@
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -346,3 +349,13 @@ class TestMainCli:
             assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
             outs.append((out / "metrics.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_python_m_vhsim_runs_without_warning(self):
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "vhsim", "simulate", "--duration", "1"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "social=" in result.stdout

@@ -4,10 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from vhsim.comfort import best_arrangement, comfort_from_distance, points_segment_distance
+from vhsim.comfort import comfort_from_distance, points_segment_distance
 from vhsim.geometry import Pose, Segment, Vec2, distance_point_segment
 from vhsim.planner import score_candidates
-from vhsim.proxemics import ArrangementType, Crowdedness, Definiteness, SpatialContext
+from vhsim.proxemics import ArrangementType, Crowdedness, Definiteness, SpatialContext, ingroup_choice
 from vhsim.simulation import ScenarioConfig
 
 CONFIG = ScenarioConfig()
@@ -22,7 +22,7 @@ def traj_from_points(points):
 def outgroup(candidate, user, trajectories):
     """The planner's out-group comfort of the segment user-candidate."""
     points = np.concatenate(trajectories) if trajectories else np.empty((0, 2))
-    _, _, out, _, _ = score_candidates(
+    _, _, out, *_ = score_candidates(
         np.array([[candidate.x, candidate.y]]), Pose(user, 0.0), candidate, CTX_OPEN, points, CONFIG
     )
     return float(out[0])
@@ -35,7 +35,7 @@ def outgroup_at_instant(g, positions):
 
 def ingroup(candidate, user, context):
     """The planner's in-group comfort of a candidate."""
-    _, ins, _, _, _ = score_candidates(
+    _, ins, *_ = score_candidates(
         np.array([[candidate.x, candidate.y]]), user, candidate, context, np.empty((0, 2)), CONFIG
     )
     return float(ins[0])
@@ -188,17 +188,23 @@ class TestIngroupComfort:
                 assert score in (0.0, 0.2, 0.6, 1.0)
 
 
+def best_arrangement(candidate, user, context):
+    """`ingroup_choice`'s arrangement and preference at one candidate."""
+    _, preference, arrangement = ingroup_choice(np.array([[candidate.x, candidate.y]]), user, context, CONFIG)
+    return arrangement[0], float(preference[0])
+
+
 class TestBestArrangement:
     def test_tie_prefers_more_closed(self):
         user = Pose(Vec2(0, 0), 0.0)
         ctx = SpatialContext(Definiteness.NEAR_WALL, Crowdedness.UNCROWDED)
         # alpha = 0: feasible {closed, L}; both score 0.6 near a wall uncrowded
-        arrangement, score = best_arrangement(Vec2(1.0, 0.0), user, ctx, CONFIG)
+        arrangement, score = best_arrangement(Vec2(1.0, 0.0), user, ctx)
         assert arrangement is ArrangementType.CLOSED
         assert score == 0.6
 
     def test_no_formation(self):
         user = Pose(Vec2(0, 0), 0.0)
         ctx = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
-        arrangement, score = best_arrangement(Vec2(-1.0, 0.0), user, ctx, CONFIG)
+        arrangement, score = best_arrangement(Vec2(-1.0, 0.0), user, ctx)
         assert arrangement is None and score == 0.0

@@ -9,7 +9,7 @@ import pytest
 import vhsim.planner as planner_module
 from crowds import crowd_of, positions_of, prediction_of
 from oracles import oracle_approach, oracle_candidates, oracle_decision, oracle_ingroup, oracle_utility
-from vhsim.comfort import SATURATION_DISTANCE_M, best_arrangement, comfort_from_distance, points_segment_distance
+from vhsim.comfort import SATURATION_DISTANCE_M, comfort_from_distance, points_segment_distance
 from vhsim.geometry import Environment, Pose, Segment, Vec2, distance_point_segment, narrow_passage, open_square
 from vhsim.planner import (
     CandidatePlan,
@@ -31,6 +31,8 @@ from vhsim.proxemics import (
     Definiteness,
     SpatialContext,
     classify_spatial_context,
+    context_preference,
+    relative_angles,
 )
 from vhsim.simulation import ScenarioConfig, run_trial
 
@@ -133,7 +135,7 @@ class TestGenerateCandidates:
 
 def score_one(cand, user, current, trajectories):
     """(utility, ingroup, outgroup, move) of one candidate, as the planner scores it."""
-    utility, ingroup, outgroup, move, _ = score_candidates(
+    utility, ingroup, outgroup, move, *_ = score_candidates(
         rows(cand), user, current, CTX_OPEN, cloud(*trajectories).points, CONFIG
     )
     return float(utility[0]), float(ingroup[0]), float(outgroup[0]), float(move[0])
@@ -182,7 +184,7 @@ class TestScoreCandidate:
         user = Pose(Vec2(0, 0), 0.0)
         cand = Vec2(1.5, 0.0)
         config = replace(CONFIG, territory_radius=0.4, planning_margin=0.5)
-        *_, approach = score_candidates(rows(cand), user, cand, CTX_OPEN, np.array([[2.27, 0.0]]), config)
+        approach = score_candidates(rows(cand), user, cand, CTX_OPEN, np.array([[2.27, 0.0]]), config)[4]
         assert approach[0] == pytest.approx(0.77, abs=1e-12)
 
     def test_outgroup_matches_comfort_module(self):
@@ -209,16 +211,19 @@ class TestScoreCandidate:
             cand = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
             if cand == user.position:
                 continue
-            _, ingroup, _, _ = score_one(cand, user, Vec2(1.0, 0.0), [])
-            assert ingroup == best_arrangement(cand, user, CTX_OPEN, CONFIG)[1]
+            _, ingroup, *_, arrangement = score_candidates(
+                rows(cand), user, Vec2(1.0, 0.0), CTX_OPEN, np.empty((0, 2)), CONFIG
+            )
+            ingroup, arrangement = float(ingroup[0]), arrangement[0]
+            assert ingroup == (0.0 if arrangement is None else context_preference(CTX_OPEN, arrangement))
             assert ingroup == oracle_ingroup(cand, user, CTX_OPEN, CONFIG)
 
 
 def old_form_scores(candidates, user, current_vh, context, points, config):
-    """The five arrays of `score_candidates` with the approach distances
+    """The first five arrays of `score_candidates`, with the approach distances
     from the out-of-place oracle. In-group and move come from a call with no
     samples, which never enters the approach block."""
-    _, ingroup, _, move, _ = score_candidates(candidates, user, current_vh, context, np.empty((0, 2)), config)
+    _, ingroup, _, move, *_ = score_candidates(candidates, user, current_vh, context, np.empty((0, 2)), config)
     radius = config.territory_radius + config.planning_margin
     approach = oracle_approach(candidates, user, points, max(SATURATION_DISTANCE_M, radius))
     outgroup = comfort_from_distance(approach)
@@ -263,16 +268,16 @@ class TestScoreKernelExact:
         return out
 
     def test_no_sample_within_cutoff(self):
-        *_, outgroup, _, approach = self.hand_call([(1.0, 0.0), (0.0, 1.2)], [(9.0, 9.0), (-8.0, 7.5)])
+        _, _, outgroup, _, approach, *_ = self.hand_call([(1.0, 0.0), (0.0, 1.2)], [(9.0, 9.0), (-8.0, 7.5)])
         assert np.isinf(approach).all() and (outgroup == 1.0).all()
 
     def test_single_sample(self):
-        *_, approach = self.hand_call([(1.0, 0.0), (0.6, 0.9), (-1.3, 0.2)], [(0.7, 0.4)])
+        approach = self.hand_call([(1.0, 0.0), (0.6, 0.9), (-1.3, 0.2)], [(0.7, 0.4)])[4]
         assert np.isfinite(approach).all()
 
     def test_candidate_at_user_hits_zero_length_guard(self):
         points = np.random.default_rng(5).uniform(-1.5, 1.5, (40, 2))
-        *_, approach = self.hand_call([(0.9, -0.4), (0.0, 0.0)], points)
+        approach = self.hand_call([(0.9, -0.4), (0.0, 0.0)], points)[4]
         # a zero-length segment is the user's point itself
         assert approach[1] == np.sqrt((points[:, 0] ** 2 + points[:, 1] ** 2).min())
 
@@ -280,7 +285,7 @@ class TestScoreKernelExact:
         rng = np.random.default_rng(11)
         config = replace(CONFIG, planning_margin=2.0 * SATURATION_DISTANCE_M - CONFIG.territory_radius)
         points = rng.uniform(-3.5, 3.5, (300, 2))
-        *_, approach = self.hand_call([(1.2, 0.3), (-0.5, 1.0), (0.75, -0.75)], points, config)
+        approach = self.hand_call([(1.2, 0.3), (-0.5, 1.0), (0.75, -0.75)], points, config)[4]
         assert np.isfinite(approach).all()
 
 
@@ -297,7 +302,7 @@ class TestScoreMemory:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            *_, approach = score_candidates(candidates, user, Vec2(10.0, 11.5), CTX_OPEN, points, CONFIG)
+            approach = score_candidates(candidates, user, Vec2(10.0, 11.5), CTX_OPEN, points, CONFIG)[4]
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -434,6 +439,19 @@ class TestPlanIfNeeded:
         )
         assert seg_clear == (False, [])
 
+    def test_winner_arrangement_is_the_one_scored_on_a_band_edge(self):
+        # the winner lies at alpha = 60 degrees, the closed band's edge, where
+        # recomputing the user's angle from the target by another formula
+        # lands an ulp past the edge and would give an L-shaped plan scored
+        # as closed
+        user = Pose(Vec2(9.0, 10.0), math.radians(30.0))
+        vh = Pose(Vec2(10.0, 11.0), 0.0)
+        snap = build_snapshot(user, vh, self.env, [traj([(9.5, 10.5)])])
+        _, plan = plan_if_needed(snap, PlanState(), CONFIG)
+        assert relative_angles(user, Pose(plan.target_position, 0.0)).alpha == pytest.approx(60.0, abs=1e-9)
+        assert (plan.arrangement is None) == (plan.ingroup == 0.0)
+        assert context_preference(CTX_OPEN, plan.arrangement) == plan.ingroup
+
     def oracle_target(self, trajectories):
         """The oracle's pick for this scene and its utility."""
         dyad = Segment(self.user.position, self.vh.position)
@@ -543,7 +561,7 @@ class TestPlannerLoop:
                 for i in range(3)
             ]
             cands = generate_candidates(user, vh.position, env, CONFIG)
-            utility, ingroup, outgroup, move, _ = score_candidates(
+            utility, ingroup, outgroup, move, *_ = score_candidates(
                 cands, user, vh.position, CTX_OPEN, cloud(*trajs).points, CONFIG
             )
             winner = _argbest(utility, move)

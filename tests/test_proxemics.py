@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from crowds import positions_of
+from oracles import oracle_ingroup
 from vhsim.geometry import Pose, Segment, Vec2, narrow_passage, open_square
 from vhsim.prediction import PedestrianState
 from vhsim.proxemics import (
@@ -16,13 +17,30 @@ from vhsim.proxemics import (
     classify_arrangement,
     classify_spatial_context,
     context_preference,
-    feasible_arrangements,
-    is_fformation_available,
+    ingroup_choice,
     relative_angles,
 )
 from vhsim.simulation import ScenarioConfig
 
 CONFIG = ScenarioConfig()
+CTX_OPEN = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
+CONTEXTS = [SpatialContext(d, c) for d in Definiteness for c in Crowdedness]
+
+
+def arrangement_at(user, position, context=CTX_OPEN):
+    """`ingroup_choice`'s best arrangement at one position; None without a formation."""
+    return ingroup_choice(np.array([[position.x, position.y]]), user, context, CONFIG)[2][0]
+
+
+def formation_available(user, candidate):
+    return arrangement_at(user, candidate.position) is not None
+
+
+def feasible_set(user, position):
+    """The arrangements `ingroup_choice` picks at a position across the four
+    contexts. Each feasible arrangement is the favorite of some context, so
+    this is the feasible set."""
+    return {arrangement_at(user, position, ctx) for ctx in CONTEXTS} - {None}
 
 
 def arrangement_oracle(total: float) -> ArrangementType:
@@ -77,17 +95,17 @@ class TestFormationAvailability:
     def test_mid_distance_small_angle(self):
         user = Pose(Vec2(0, 0), math.radians(45))
         agent = Pose(Vec2(1, 0), 0.0)  # 1.0 m, alpha 45
-        assert is_fformation_available(user, agent, CONFIG)
+        assert formation_available(user, agent)
 
     def test_too_close(self):
         user = Pose(Vec2(0, 0), 0.0)
         agent = Pose(Vec2(0.5, 0), 0.0)
-        assert not is_fformation_available(user, agent, CONFIG)
+        assert not formation_available(user, agent)
 
     def test_inclusive_far_bound_at_90(self):
         user = Pose(Vec2(0, 0), math.pi / 2)
         agent = Pose(Vec2(1.5, 0), 0.0)  # 1.5 m, alpha 90
-        assert is_fformation_available(user, agent, CONFIG)
+        assert formation_available(user, agent)
 
     def test_rigid_motion_invariance(self):
         rng = random.Random(19)
@@ -96,12 +114,12 @@ class TestFormationAvailability:
             a = Pose(Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)), rng.uniform(0, 6.28))
             if u.position == a.position:
                 continue
-            before = is_fformation_available(u, a, CONFIG)
+            before = formation_available(u, a)
             phi = rng.uniform(0, 2 * math.pi)
             shift = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
             u2 = Pose(u.position.rotated(phi) + shift, u.orientation + phi)
             a2 = Pose(a.position.rotated(phi) + shift, a.orientation + phi)
-            assert is_fformation_available(u2, a2, CONFIG) == before
+            assert formation_available(u2, a2) == before
 
 
 class TestArrangement:
@@ -132,17 +150,17 @@ class TestArrangement:
 class TestFeasibleArrangements:
     def test_alpha_zero(self):
         user = Pose(Vec2(0, 0), 0.0)
-        got = feasible_arrangements(user, Vec2(1.0, 0.0), CONFIG)
+        got = feasible_set(user, Vec2(1.0, 0.0))
         assert got == {ArrangementType.CLOSED, ArrangementType.L_SHAPED}
 
     def test_alpha_ninety(self):
         user = Pose(Vec2(0, 0), math.pi / 2)
-        got = feasible_arrangements(user, Vec2(1.0, 0.0), CONFIG)
+        got = feasible_set(user, Vec2(1.0, 0.0))
         assert got == {ArrangementType.L_SHAPED, ArrangementType.OPEN}
 
     def test_unavailable_is_empty(self):
         user = Pose(Vec2(0, 0), 0.0)
-        assert feasible_arrangements(user, Vec2(3.0, 0.0), CONFIG) == set()
+        assert feasible_set(user, Vec2(3.0, 0.0)) == set()
 
     def test_never_empty_when_available(self):
         rng = random.Random(23)
@@ -151,8 +169,8 @@ class TestFeasibleArrangements:
             r = rng.uniform(0.6, 1.5)
             theta = rng.uniform(0, 2 * math.pi)
             cand = Vec2(r * math.cos(theta), r * math.sin(theta))
-            feas = feasible_arrangements(user, cand, CONFIG)
-            if is_fformation_available(user, Pose(cand, 0.0), CONFIG):
+            feas = feasible_set(user, cand)
+            if oracle_ingroup(cand, user, CTX_OPEN, CONFIG) > 0.0:
                 assert feas
             else:
                 assert feas == set()
