@@ -167,24 +167,15 @@ def _paired_row(
     cfg: ScenarioConfig,
     metrics: dict[ScenarioConfig, TrialMetrics],
 ) -> ResultRow:
-    none_metrics, prop_metrics = (metrics[c] for c in _paired(cfg))
-    return ResultRow(
-        environment=cfg.environment,
-        density=cfg.density,
-        axis=axis,
-        value=str(value),
-        replicate=replicate,
-        seed=cfg.seed,
-        social_none=none_metrics.social_conflicts,
-        social_proposed=prop_metrics.social_conflicts,
-        physicality_none=none_metrics.physicality_conflicts,
-        physicality_proposed=prop_metrics.physicality_conflicts,
-        social_reduction=reduction_ratio(none_metrics.social_conflicts, prop_metrics.social_conflicts),
-        physicality_reduction=reduction_ratio(
-            none_metrics.physicality_conflicts, prop_metrics.physicality_conflicts
-        ),
-        stable_pct=prop_metrics.stable_percentage,
-        mean_ingroup=prop_metrics.mean_ingroup,
+    """The proposed trial's row plus the paired none trial's counts and the reductions."""
+    none_cfg, prop_cfg = _paired(cfg)
+    none, prop = metrics[none_cfg], metrics[prop_cfg]
+    return replace(
+        _trial_row(axis, value, replicate, prop_cfg, prop),
+        social_none=none.social_conflicts,
+        physicality_none=none.physicality_conflicts,
+        social_reduction=reduction_ratio(none.social_conflicts, prop.social_conflicts),
+        physicality_reduction=reduction_ratio(none.physicality_conflicts, prop.physicality_conflicts),
     )
 
 

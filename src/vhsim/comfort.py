@@ -1,4 +1,4 @@
-"""Out-group comfort: the distance regression and the point-segment distance.
+"""Out-group comfort: the distance regression.
 
 Out-group comfort measures how little the dyad would bother passing
 pedestrians: it grows with the distance between the nearest predicted
@@ -11,8 +11,6 @@ whole candidate grid.
 from __future__ import annotations
 
 import numpy as np
-
-from .geometry import Vec2
 
 # The reciprocal regression, scale_mm / distance_mm + offset: the score is 0
 # at or below 450 mm and saturates at 1 from about 670 mm outward.
@@ -31,17 +29,4 @@ def comfort_from_distance(distance_m: np.ndarray) -> np.ndarray:
     comfort = np.clip(raw, 0.0, 1.0)
     comfort[distance_m <= 0.0] = 0.0
     return comfort
-
-
-def points_segment_distance(points: np.ndarray, a: Vec2, b: Vec2) -> np.ndarray:
-    """Distances from an (N, 2) array of points to segment a-b."""
-    pts = np.asarray(points, dtype=float)
-    ex, ey = b.x - a.x, b.y - a.y
-    wx = pts[:, 0] - a.x
-    wy = pts[:, 1] - a.y
-    ee = ex * ex + ey * ey
-    if ee == 0.0:
-        return np.hypot(wx, wy)
-    t = np.clip((wx * ex + wy * ey) / ee, 0.0, 1.0)
-    return np.hypot(wx - t * ex, wy - t * ey)
 

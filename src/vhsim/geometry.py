@@ -125,16 +125,29 @@ def hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, x.size)
 
 
-def distance_points_segment(points: np.ndarray, s: Segment) -> np.ndarray:
-    """`distance_point_segment` for each row of an (n, 2) array, bit for bit."""
+def _points_segment(points: np.ndarray, s: Segment, norm) -> np.ndarray:
     ax, ay = s.a.x, s.a.y
     ex, ey = s.b.x - ax, s.b.y - ay
     wx, wy = points[:, 0] - ax, points[:, 1] - ay
     ee = ex * ex + ey * ey
     if ee == 0.0:
-        return hypot(wx, wy)
+        return norm(wx, wy)
     t = np.clip((wx * ex + wy * ey) / ee, 0.0, 1.0)
-    return hypot(wx - t * ex, wy - t * ey)
+    return norm(wx - t * ex, wy - t * ey)
+
+
+def distance_points_segment(points: np.ndarray, s: Segment) -> np.ndarray:
+    """`distance_point_segment` for each row of an (n, 2) array, bit for bit.
+    Anticipation and the walls take it, since they must agree with the
+    scalar rules."""
+    return _points_segment(points, s, hypot)
+
+
+def points_segment_distance(points: np.ndarray, s: Segment) -> np.ndarray:
+    """`distance_points_segment` with `np.hypot` in place of `hypot`, one
+    numpy call instead of a Python call per row. Conflict detection and the
+    planner's trigger take it: no scalar rule decides what they decide."""
+    return _points_segment(points, s, np.hypot)
 
 
 def distance_segment_segment(s1: Segment, s2: Segment) -> float:

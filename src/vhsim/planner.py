@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .comfort import SATURATION_DISTANCE_M, comfort_from_distance, points_segment_distance
+from .comfort import SATURATION_DISTANCE_M, comfort_from_distance
 from .geometry import (
     Environment,
     Pose,
@@ -24,6 +24,7 @@ from .geometry import (
     Vec2,
     angle_difference,
     nearest_wall_distance,
+    points_segment_distance,
 )
 from .prediction import Prediction, anticipated_pedestrians, prediction_horizon, predict_trajectory
 from .proxemics import (
@@ -107,7 +108,7 @@ def detect_potential_conflict(
     the ids of the pedestrians whose samples do."""
     if not len(prediction):
         return False, []
-    hit = points_segment_distance(prediction.points, dyad.a, dyad.b) < radius
+    hit = points_segment_distance(prediction.points, dyad) < radius
     if not hit.any():
         return False, []
     return True, prediction.ids[hit.reshape(len(prediction), -1).any(axis=1)].tolist()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,7 +36,7 @@ class Phase(enum.Enum):
 
 # A crowd stores each pedestrian's phase as its index in this tuple.
 PHASES = (Phase.DIRECT, Phase.AVOIDING, Phase.RETURNING)
-_AVOIDING, _RETURNING = PHASES.index(Phase.AVOIDING), PHASES.index(Phase.RETURNING)
+_DIRECT, _AVOIDING, _RETURNING = map(PHASES.index, PHASES)
 
 
 @dataclass
@@ -108,14 +108,12 @@ class AvoidanceGeometry:
 
     angle: float
     distance: float
-    direction_left: Vec2
-    direction_right: Vec2
     waypoint_left: Vec2
     waypoint_right: Vec2
 
 
-def avoidance_geometry(ped: PedestrianState, user: Vec2, config: ScenarioConfig) -> AvoidanceGeometry:
-    """Build both detour waypoints from the pedestrian's current range.
+def avoidance_geometry(position: Vec2, user: Vec2, config: ScenarioConfig) -> AvoidanceGeometry:
+    """Build both detour waypoints for a pedestrian at `position`.
 
     The turn angle comes from arcsin(clearance / range) and the waypoint sits
     at range / cos(angle) along the deviated direction, which places it abeam
@@ -123,7 +121,7 @@ def avoidance_geometry(ped: PedestrianState, user: Vec2, config: ScenarioConfig)
     radius the tangent is perpendicular; a short perpendicular hop keeps the
     clearance invariant.
     """
-    to_user = user - ped.position
+    to_user = user - position
     r = to_user.norm()
     if r == 0.0:
         raise ValueError("pedestrian and user coincide")
@@ -135,15 +133,11 @@ def avoidance_geometry(ped: PedestrianState, user: Vec2, config: ScenarioConfig)
         distance = config.min_avoidance_distance
     else:
         distance = r / cos_a
-    dir_left = u_dir.rotated(angle)
-    dir_right = u_dir.rotated(-angle)
     return AvoidanceGeometry(
         angle=angle,
         distance=distance,
-        direction_left=dir_left,
-        direction_right=dir_right,
-        waypoint_left=ped.position + dir_left * distance,
-        waypoint_right=ped.position + dir_right * distance,
+        waypoint_left=position + u_dir.rotated(angle) * distance,
+        waypoint_right=position + u_dir.rotated(-angle) * distance,
     )
 
 
@@ -277,8 +271,7 @@ def _build_legs(ped: PedestrianState, user: Vec2, config: ScenarioConfig) -> lis
         trigger_arc = proj - back
         trigger = ped.position + v_dir * trigger_arc
 
-    probe = replace(ped, position=trigger)
-    geom = avoidance_geometry(probe, user, config)
+    geom = avoidance_geometry(trigger, user, config)
     waypoint = choose_waypoint(geom, v_dir, user - trigger)
     to_wp = waypoint - trigger
     wp_dist = to_wp.norm()

@@ -21,7 +21,6 @@ from typing import IO
 
 import numpy as np
 
-from .comfort import points_segment_distance
 from .geometry import (
     Environment,
     Pose,
@@ -34,10 +33,11 @@ from .geometry import (
     narrow_passage,
     open_rect,
     open_square,
+    points_segment_distance,
 )
 from .planner import ConflictAvoidancePlanner, PlanPhase
 from .prediction import PHASES as _PHASES
-from .prediction import PedestrianState, Phase, avoidance_geometry, choose_waypoint
+from .prediction import _AVOIDING, _DIRECT, _RETURNING, PedestrianState, Phase, avoidance_geometry, choose_waypoint
 
 TRACE_SCHEMA = "vhsim-trace/1"
 
@@ -213,7 +213,6 @@ class TrialMetrics:
     decision_count: int = 0
 
 
-_DIRECT, _AVOIDING, _RETURNING = range(3)  # indices into _PHASES
 # Routing margin (m): a pedestrian whose array step lies within this distance
 # of a phase-changing condition takes the scalar `step_pedestrian` instead,
 # so the scalar rule decides every edge case.
@@ -235,14 +234,6 @@ def _waypoint_xy(waypoint: Vec2 | None) -> tuple[float, float]:
     return (math.nan, math.nan) if waypoint is None else (waypoint.x, waypoint.y)
 
 
-def _pedestrian_state(i, position, velocity, goal, speed, phase, waypoint) -> PedestrianState:
-    wx, wy = waypoint
-    return PedestrianState(
-        id=i, position=Vec2(*position), velocity=Vec2(*velocity), goal=Vec2(*goal),
-        preferred_speed=speed, phase=_PHASES[phase], waypoint=None if math.isnan(wx) else Vec2(wx, wy),
-    )
-
-
 class Crowd:
     """The pedestrians as arrays, one row per pedestrian id.
 
@@ -254,25 +245,25 @@ class Crowd:
     waypoint arrival, a target closer than the routing margin, or a
     RETURNING pedestrian on the start-range boundary. A pedestrian that
     reaches its goal draws the next one from its own generator.
+
+    A new crowd walks straight for its goals: every phase is DIRECT and
+    every waypoint NaN.
     """
 
     def __init__(
         self,
-        pedestrians: list[PedestrianState],
+        position: np.ndarray,
+        velocity: np.ndarray,
+        goal: np.ndarray,
+        speed: np.ndarray,
         rngs: list[np.random.Generator],
         goal_sides: list[int],
         env: Environment,
         config: ScenarioConfig,
     ) -> None:
-        n = len(pedestrians)
-        if any(p.id != i for i, p in enumerate(pedestrians)):
-            raise ValueError("pedestrian ids must equal their row indices 0..n-1")
-        self.position = np.array([(p.position.x, p.position.y) for p in pedestrians], float).reshape(n, 2)
-        self.velocity = np.array([(p.velocity.x, p.velocity.y) for p in pedestrians], float).reshape(n, 2)
-        self.goal = np.array([(p.goal.x, p.goal.y) for p in pedestrians], float).reshape(n, 2)
-        self.speed = np.array([p.preferred_speed for p in pedestrians], float)
-        self.phase = np.array([_PHASES.index(p.phase) for p in pedestrians], np.int8)
-        self.waypoint = np.array([_waypoint_xy(p.waypoint) for p in pedestrians], float).reshape(n, 2)
+        self.position, self.velocity, self.goal, self.speed = position, velocity, goal, speed
+        self.phase = np.full(speed.size, _DIRECT, np.int8)
+        self.waypoint = np.full((speed.size, 2), math.nan)
         self.goal_side = list(goal_sides)  # 0 = top boxes, 1 = bottom boxes
         self.rngs = rngs
         self.env = env
@@ -283,14 +274,12 @@ class Crowd:
         return self.speed.size
 
     def state(self, i: int) -> PedestrianState:
-        return _pedestrian_state(
-            i, self.position[i].tolist(), self.velocity[i].tolist(), self.goal[i].tolist(),
-            float(self.speed[i]), int(self.phase[i]), self.waypoint[i].tolist(),
+        wx, wy = self.waypoint[i].tolist()
+        return PedestrianState(
+            id=i, position=Vec2(*self.position[i].tolist()), velocity=Vec2(*self.velocity[i].tolist()),
+            goal=Vec2(*self.goal[i].tolist()), preferred_speed=float(self.speed[i]),
+            phase=_PHASES[self.phase[i]], waypoint=None if math.isnan(wx) else Vec2(wx, wy),
         )
-
-    def states(self) -> list[PedestrianState]:
-        columns = (self.position, self.velocity, self.goal, self.speed, self.phase, self.waypoint)
-        return list(map(_pedestrian_state, range(len(self)), *(c.tolist() for c in columns)))
 
     def step(self, user: Vec2) -> None:
         """Advance every pedestrian by dt, as `step_pedestrian` followed by a
@@ -354,41 +343,38 @@ class Crowd:
 
 def _spawn_crowd(config: ScenarioConfig, env: Environment, dyad: Segment) -> Crowd:
     count = int(round(config.density * env.width * env.height))
-    states: list[PedestrianState] = []
-    rngs: list[np.random.Generator] = []
+    position, velocity, goal = np.zeros((count, 2)), np.zeros((count, 2)), np.zeros((count, 2))
+    speed = np.zeros(count)
+    rngs = [_pedestrian_rng(config.seed, ped_id) for ped_id in range(count)]
     sides: list[int] = []
-    for ped_id in range(count):
-        rng = _pedestrian_rng(config.seed, ped_id)
+    for ped_id, rng in enumerate(rngs):
         exclusion = config.spawn_exclusion
-        position = None
-        while position is None:
+        p = None
+        while p is None:
             for _ in range(100):
-                p = Vec2(float(rng.uniform(0.0, env.width)), float(rng.uniform(0.0, env.height)))
-                if distance_point_segment(p, dyad) >= exclusion:
-                    position = p
+                q = Vec2(float(rng.uniform(0.0, env.width)), float(rng.uniform(0.0, env.height)))
+                if distance_point_segment(q, dyad) >= exclusion:
+                    p = q
                     break
             else:
                 exclusion *= 0.5  # area too tight; relax rather than fail
         side = int(rng.integers(2))
-        goal = _draw_goal(rng, env.goal_boxes_top if side == 0 else env.goal_boxes_bottom)
-        speed = float(rng.uniform(config.speed_min, config.speed_max))
-        direction = goal - position
-        n = direction.norm()
-        velocity = direction * (speed / n) if n > 1e-12 else Vec2(0.0, 0.0)
-        states.append(PedestrianState(
-            id=ped_id, position=position, velocity=velocity, goal=goal,
-            preferred_speed=speed, phase=Phase.DIRECT,
-        ))
-        rngs.append(rng)
+        g = _draw_goal(rng, env.goal_boxes_top if side == 0 else env.goal_boxes_bottom)
+        pace = float(rng.uniform(config.speed_min, config.speed_max))
+        dx, dy = g.x - p.x, g.y - p.y
+        n = math.hypot(dx, dy)
+        if n > 1e-12:
+            velocity[ped_id] = dx * (pace / n), dy * (pace / n)
+        position[ped_id], goal[ped_id], speed[ped_id] = (p.x, p.y), (g.x, g.y), pace
         sides.append(side)
-    return Crowd(states, rngs, sides, env, config)
+    return Crowd(position, velocity, goal, speed, rngs, sides, env, config)
 
 
-def spawn_flow(config: ScenarioConfig) -> list[PedestrianState]:
+def spawn_flow(config: ScenarioConfig) -> Crowd:
     """Initial pedestrian population for a scenario."""
     env = config.build_environment()
     user, vh = config.initial_poses(env)
-    return _spawn_crowd(config, env, Segment(user.position, vh.position)).states()
+    return _spawn_crowd(config, env, Segment(user.position, vh.position))
 
 
 def step_pedestrian(
@@ -432,11 +418,7 @@ def step_pedestrian(
         if proj > 0.0:
             miss = math.sqrt(max(0.0, dist_user * dist_user - proj * proj))
             if miss < config.min_avoidance_distance:
-                probe = PedestrianState(
-                    id=ped.id, position=Vec2(px, py), velocity=Vec2(dir_x, dir_y),
-                    goal=ped.goal, preferred_speed=speed,
-                )
-                geom = avoidance_geometry(probe, user, config)
+                geom = avoidance_geometry(Vec2(px, py), user, config)
                 waypoint = choose_waypoint(geom, Vec2(dir_x, dir_y), Vec2(user.x - px, user.y - py))
                 phase = Phase.AVOIDING
                 target = waypoint
@@ -506,7 +488,7 @@ def detect_events(
     """
     if not len(positions):
         return [], inside_territory, inside_body
-    d_seg = points_segment_distance(positions, dyad.a, dyad.b)
+    d_seg = points_segment_distance(positions, dyad)
     d_body = np.hypot(positions[:, 0] - vh_position.x, positions[:, 1] - vh_position.y)
     now_territory = d_seg < territory_radius
     now_body = d_body < body_radius

@@ -5,14 +5,34 @@ from dataclasses import replace
 import numpy as np
 
 from vhsim.geometry import Environment, Vec2
-from vhsim.prediction import PedestrianState, Prediction, PredictedTrajectory, predict_trajectory
+from vhsim.prediction import PHASES, PedestrianState, Prediction, PredictedTrajectory, predict_trajectory
 from vhsim.simulation import Crowd, ScenarioConfig
 
 
-def crowd_of(pedestrians: list[PedestrianState]) -> Crowd:
+def crowd_of(pedestrians: list[PedestrianState], rngs=None, goal_sides=None, env=None, config=None) -> Crowd:
     """A crowd whose row i is pedestrians[i]; their ids must be 0..n-1."""
     n = len(pedestrians)
-    return Crowd(pedestrians, [None] * n, [0] * n, Environment(1.0, 1.0), ScenarioConfig(goal_tolerance=0.0))
+    assert [p.id for p in pedestrians] == list(range(n)), "ids must equal the row indices"
+
+    def column(name: str) -> np.ndarray:
+        return np.array([(getattr(p, name).x, getattr(p, name).y) for p in pedestrians], float).reshape(n, 2)
+
+    crowd = Crowd(
+        column("position"), column("velocity"), column("goal"),
+        np.array([p.preferred_speed for p in pedestrians], float),
+        rngs or [None] * n, goal_sides or [0] * n,
+        env or Environment(1.0, 1.0), config or ScenarioConfig(goal_tolerance=0.0),
+    )
+    for i, p in enumerate(pedestrians):
+        crowd.phase[i] = PHASES.index(p.phase)
+        if p.waypoint is not None:
+            crowd.waypoint[i] = p.waypoint.x, p.waypoint.y
+    return crowd
+
+
+def states_of(crowd: Crowd) -> list[PedestrianState]:
+    """Every pedestrian of the crowd as a `PedestrianState`, in row order."""
+    return [crowd.state(i) for i in range(len(crowd))]
 
 
 def positions_of(pedestrians: list[PedestrianState]) -> np.ndarray:

@@ -31,7 +31,7 @@ def oracle_ingroup(candidate: Vec2, user: Pose, context: SpatialContext, config:
     feasible = [ArrangementType.L_SHAPED]
     if alpha <= 60.0:
         feasible.append(ArrangementType.CLOSED)
-    if alpha + 90.0 >= 120.0:
+    if alpha >= 30.0:
         feasible.append(ArrangementType.OPEN)
     return max(context_preference(context, a) for a in feasible)
 

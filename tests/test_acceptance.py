@@ -139,11 +139,7 @@ class TestCriterion2AvoidanceGeometry:
             worst = max(worst, abs(traj.d_min - d_min))
             assert d_min - speed * dt - 1e-9 <= traj.d_min <= d_min + speed * dt + 1e-9
 
-            probe = PedestrianState(
-                id=0, position=Vec2(-d_start, 0.0), velocity=Vec2(1.0, 0.0),
-                goal=Vec2(40.0, 0.0), preferred_speed=1.0,
-            )
-            geom = avoidance_geometry(probe, Vec2(0, 0), config)
+            geom = avoidance_geometry(Vec2(-d_start, 0.0), Vec2(0, 0), config)
             arcsin_err = max(arcsin_err, abs(geom.angle - math.asin(d_min / d_start)))
         ok = arcsin_err <= 1e-12
         report(2, "avoidance geometry", ok, f"max |angle err|={arcsin_err:.2e}, max |d_min err|={worst:.3f}")

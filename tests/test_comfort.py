@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from vhsim.comfort import comfort_from_distance, points_segment_distance
-from vhsim.geometry import Pose, Segment, Vec2, distance_point_segment
+from vhsim.comfort import comfort_from_distance
+from vhsim.geometry import Pose, Segment, Vec2, distance_point_segment, distance_points_segment, points_segment_distance
 from vhsim.planner import score_candidates
 from vhsim.proxemics import ArrangementType, Crowdedness, Definiteness, SpatialContext, ingroup_choice
 from vhsim.simulation import ScenarioConfig
@@ -136,18 +136,26 @@ class TestOutgroupComfort:
             assert total <= outgroup_at_instant(g, [Vec2(*p)]) + 1e-12
 
 
-class TestPointsSegmentDistance:
-    def test_matches_scalar_version(self):
-        rng = random.Random(67)
-        a, b = Vec2(-1, 0.5), Vec2(2, -0.5)
-        pts = np.array([(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(100)])
-        got = points_segment_distance(pts, a, b)
-        for p, d in zip(pts, got):
-            assert d == pytest.approx(distance_point_segment(Vec2(*p), Segment(a, b)), abs=1e-12)
+# both names of geometry's one point-segment body: numpy's hypot and math.hypot
+DISTANCES = pytest.mark.parametrize(
+    "distances", [points_segment_distance, distance_points_segment], ids=["np.hypot", "math.hypot"]
+)
 
-    def test_degenerate_segment(self):
+
+class TestPointsSegmentDistance:
+    @DISTANCES
+    def test_matches_scalar_version(self, distances):
+        rng = random.Random(67)
+        s = Segment(Vec2(-1, 0.5), Vec2(2, -0.5))
+        pts = np.array([(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(100)])
+        got = distances(pts, s)
+        for p, d in zip(pts, got):
+            assert d == pytest.approx(distance_point_segment(Vec2(*p), s), abs=1e-12)
+
+    @DISTANCES
+    def test_degenerate_segment(self, distances):
         pts = np.array([(1.0, 0.0), (0.0, 2.0)])
-        got = points_segment_distance(pts, Vec2(0, 0), Vec2(0, 0))
+        got = distances(pts, Segment(Vec2(0, 0), Vec2(0, 0)))
         assert got == pytest.approx([1.0, 2.0])
 
 

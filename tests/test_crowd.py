@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from crowds import crowd_of, states_of
 from oracles import OracleWalker, oracle_crowd_tick
 from vhsim import simulation
 from vhsim.geometry import Segment, Vec2, hypot, open_square
@@ -69,7 +70,7 @@ def test_matches_scalar_loop_for_6000_ticks(environment, scalar_calls):
     user, vh = cfg.initial_poses(env)
     crowd = _spawn_crowd(cfg, env, Segment(user.position, vh.position))
     walkers = [OracleWalker(s, copy.deepcopy(rng), side)
-               for s, rng, side in zip(crowd.states(), crowd.rngs, crowd.goal_side)]
+               for s, rng, side in zip(states_of(crowd), crowd.rngs, crowd.goal_side)]
     ticks = 6000
     run_pair(crowd, walkers, user.position, ticks)
     # the scalar rule ran, but only on the few ticks where a phase could change
@@ -83,7 +84,7 @@ def scene(*states: PedestrianState, goal_tolerance: float = 0.3) -> tuple[Crowd,
                             goal=Vec2(15.0, 19.7), preferred_speed=1.3)
     peds = list(states) + [extra]
     rngs = [np.random.default_rng(i) for i in range(len(peds))]
-    crowd = Crowd(peds, rngs, [0] * len(peds), open_square(20.0), ScenarioConfig(goal_tolerance=goal_tolerance))
+    crowd = crowd_of(peds, rngs, [0] * len(peds), open_square(20.0), ScenarioConfig(goal_tolerance=goal_tolerance))
     walkers = [OracleWalker(s, copy.deepcopy(rng), 0) for s, rng in zip(peds, rngs)]
     return crowd, walkers
 

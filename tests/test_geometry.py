@@ -22,6 +22,7 @@ from vhsim.geometry import (
     nearest_wall_distance_segment,
     normalize_angle,
     open_square,
+    points_segment_distance,
 )
 
 
@@ -151,15 +152,32 @@ class TestEnvironment:
         assert nearest_wall_distance_segment(env, dyad) == pytest.approx(0.75)
 
 
+def np_distance_point_segment(p: Vec2, s: Segment) -> float:
+    """`distance_point_segment` with numpy's hypot in place of math.hypot."""
+    ex, ey = s.b.x - s.a.x, s.b.y - s.a.y
+    wx, wy = p.x - s.a.x, p.y - s.a.y
+    ee = ex * ex + ey * ey
+    if ee == 0.0:
+        return float(np.hypot(wx, wy))
+    t = max(0.0, min(1.0, (wx * ex + wy * ey) / ee))
+    return float(np.hypot(wx - t * ex, wy - t * ey))
+
+
 class TestDistancePointsSegment:
-    @pytest.mark.parametrize("b", [Vec2(2.5, 1.75), Vec2(-1.0, 0.5)], ids=["segment", "degenerate"])
-    def test_rows_equal_the_scalar_distance_bit_for_bit(self, b):
+    # each name of the shared body against the scalar rule with its own hypot
+    @pytest.mark.parametrize("rows, scalar, b", [
+        pytest.param(rows, scalar, b, id=prefix + name)
+        for rows, scalar, prefix in [(distance_points_segment, distance_point_segment, ""),
+                                     (points_segment_distance, np_distance_point_segment, "np.hypot-")]
+        for b, name in [(Vec2(2.5, 1.75), "segment"), (Vec2(-1.0, 0.5), "degenerate")]
+    ])
+    def test_rows_equal_the_scalar_distance_bit_for_bit(self, rows, scalar, b):
         # points on both sides and beyond both ends, so every clamp branch runs
         rng = np.random.default_rng(5)
         pts = rng.uniform(-6.0, 6.0, (4000, 2))
         s = Segment(Vec2(-1.0, 0.5), b)
-        want = np.array([distance_point_segment(Vec2(x, y), s) for x, y in pts.tolist()])
-        assert (distance_points_segment(pts, s).view(np.uint64) == want.view(np.uint64)).all()
+        want = np.array([scalar(Vec2(x, y), s) for x, y in pts.tolist()])
+        assert (rows(pts, s).view(np.uint64) == want.view(np.uint64)).all()
 
 
 class TestSegmentSegment:

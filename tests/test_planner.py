@@ -9,8 +9,17 @@ import pytest
 import vhsim.planner as planner_module
 from crowds import crowd_of, positions_of, prediction_of
 from oracles import oracle_approach, oracle_candidates, oracle_decision, oracle_ingroup, oracle_utility
-from vhsim.comfort import SATURATION_DISTANCE_M, comfort_from_distance, points_segment_distance
-from vhsim.geometry import Environment, Pose, Segment, Vec2, distance_point_segment, narrow_passage, open_square
+from vhsim.comfort import SATURATION_DISTANCE_M, comfort_from_distance
+from vhsim.geometry import (
+    Environment,
+    Pose,
+    Segment,
+    Vec2,
+    distance_point_segment,
+    narrow_passage,
+    open_square,
+    points_segment_distance,
+)
 from vhsim.planner import (
     CandidatePlan,
     ConflictAvoidancePlanner,
@@ -200,7 +209,7 @@ class TestScoreCandidate:
                 for i in range(rng.randint(1, 4))
             ]
             _, _, outgroup, _ = score_one(cand, user, cand, trajs)
-            closest = min(points_segment_distance(pts, user.position, cand).min() for _, pts in trajs)
+            closest = min(points_segment_distance(pts, Segment(user.position, cand)).min() for _, pts in trajs)
             assert outgroup == pytest.approx(comfort_from_distance(np.array([closest]))[0], abs=1e-9)
 
     def test_ingroup_matches_comfort_module(self):

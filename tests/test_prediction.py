@@ -74,7 +74,7 @@ class TestAvoidanceGeometry:
     def test_arcsin_half(self):
         config = ScenarioConfig(min_avoidance_distance=0.67, start_avoidance_distance=1.34)
         ped = make_ped((-1.34, 0), (1, 0))
-        geom = avoidance_geometry(ped, Vec2(0, 0), config)
+        geom = avoidance_geometry(ped.position, Vec2(0, 0), config)
         assert geom.angle == pytest.approx(math.radians(30.0), abs=1e-12)
 
     def test_sixty_degrees_doubles_range(self):
@@ -83,14 +83,14 @@ class TestAvoidanceGeometry:
         d_min = d_start * math.sin(math.radians(60.0))
         config = ScenarioConfig(min_avoidance_distance=d_min, start_avoidance_distance=d_start)
         ped = make_ped((-d_start, 0), (1, 0))
-        geom = avoidance_geometry(ped, Vec2(0, 0), config)
+        geom = avoidance_geometry(ped.position, Vec2(0, 0), config)
         assert geom.distance == pytest.approx(2.0 * d_start, rel=1e-12)
 
     def test_waypoints_tangent_to_clearance_circle(self):
         user = Vec2(0, 0)
         ped = make_ped((-2, 0), (1, 0))
         config = ScenarioConfig(min_avoidance_distance=0.67, start_avoidance_distance=2.0)
-        geom = avoidance_geometry(ped, user, config)
+        geom = avoidance_geometry(ped.position, user, config)
         for wp in (geom.waypoint_left, geom.waypoint_right):
             realized = min_distance_on_segment(ped.position, wp, user)
             assert realized == pytest.approx(0.67, abs=1e-6)
@@ -103,7 +103,7 @@ class TestAvoidanceGeometry:
             r = rng.uniform(0.7, 2.0)
             pos = Vec2(r * math.cos(angle), r * math.sin(angle))
             ped = make_ped((pos.x, pos.y), (-math.cos(angle), -math.sin(angle)))
-            geom = avoidance_geometry(ped, user, CONFIG)
+            geom = avoidance_geometry(ped.position, user, CONFIG)
             # reflect the left waypoint across the pedestrian-to-user line
             axis = (user - ped.position).normalized()
             rel = geom.waypoint_left - ped.position
@@ -114,25 +114,25 @@ class TestAvoidanceGeometry:
 
     def test_coincident_rejected(self):
         with pytest.raises(ValueError):
-            avoidance_geometry(make_ped((0, 0), (1, 0)), Vec2(0, 0), CONFIG)
+            avoidance_geometry(Vec2(0, 0), Vec2(0, 0), CONFIG)
 
 
 class TestChooseWaypoint:
     def test_user_offset_left_passes_right(self):
         ped = make_ped((-2, -0.1), (1, 0))  # user slightly left of travel line
-        geom = avoidance_geometry(ped, Vec2(0, 0), CONFIG)
+        geom = avoidance_geometry(ped.position, Vec2(0, 0), CONFIG)
         chosen = choose_waypoint(geom, ped.velocity, Vec2(0, 0) - ped.position)
         assert chosen == geom.waypoint_right
 
     def test_user_offset_right_passes_left(self):
         ped = make_ped((-2, 0.1), (1, 0))
-        geom = avoidance_geometry(ped, Vec2(0, 0), CONFIG)
+        geom = avoidance_geometry(ped.position, Vec2(0, 0), CONFIG)
         chosen = choose_waypoint(geom, ped.velocity, Vec2(0, 0) - ped.position)
         assert chosen == geom.waypoint_left
 
     def test_exact_tie_goes_right(self):
         ped = make_ped((-2, 0), (1, 0))
-        geom = avoidance_geometry(ped, Vec2(0, 0), CONFIG)
+        geom = avoidance_geometry(ped.position, Vec2(0, 0), CONFIG)
         chosen = choose_waypoint(geom, ped.velocity, Vec2(0, 0) - ped.position)
         assert chosen == geom.waypoint_right
 

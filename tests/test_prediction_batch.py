@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from crowds import crowd_of
+from crowds import crowd_of, states_of
 from oracles import oracle_snapshot, oracle_trajectory
 from vhsim import planner
 from vhsim.geometry import Pose, Segment, Vec2
@@ -51,7 +51,7 @@ def test_every_check_tick_matches_the_scalar_path(environment, monkeypatch):
 
     def checked(user, vh, env, crowd, config):
         snap = original(user, vh, env, crowd, config)
-        states = crowd.states()
+        states = states_of(crowd)
         ids, horizon, points = oracle_snapshot(states, user.position, vh.position, config)
         got = snap.trajectories
         assert got.ids.tolist() == ids

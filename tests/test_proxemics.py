@@ -175,6 +175,16 @@ class TestFeasibleArrangements:
             else:
                 assert feas == set()
 
+    def test_oracle_agrees_one_ulp_below_the_open_band(self):
+        # alpha is 29.999999999999996 here, so open is not feasible and near
+        # a wall, where open scores 1.0, the closed arrangement's 0.6 is best
+        user = Pose(Vec2(0, 0), 0.0)
+        cand = Vec2(0.8660254037844387, 0.49999999999999994)
+        ctx = SpatialContext(Definiteness.NEAR_WALL, Crowdedness.UNCROWDED)
+        alpha, preference, arrangement = ingroup_choice(np.array([[cand.x, cand.y]]), user, ctx, CONFIG)
+        assert alpha[0] < 30.0 and arrangement[0] is ArrangementType.CLOSED
+        assert preference[0] == oracle_ingroup(cand, user, ctx, CONFIG) == 0.6
+
 
 class TestSpatialContext:
     def test_open_square_sparse(self):

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crowds import states_of
 from vhsim.geometry import Pose, Segment, Vec2, open_square
 from vhsim.prediction import PedestrianState, Phase
 from vhsim.simulation import (
@@ -44,7 +45,7 @@ class TestSpawnFlow:
 
     def test_zero_density(self):
         cfg = ScenarioConfig(environment="square12", density=0.0, seed=1)
-        assert spawn_flow(cfg) == []
+        assert len(spawn_flow(cfg)) == 0
 
     def test_spawn_respects_exclusion_and_bounds(self):
         cfg = ScenarioConfig(environment="square12", density=0.25, seed=3)
@@ -53,7 +54,7 @@ class TestSpawnFlow:
         dyad = Segment(user.position, vh.position)
         from vhsim.geometry import distance_point_segment
 
-        for ped in spawn_flow(cfg):
+        for ped in states_of(spawn_flow(cfg)):
             assert env.contains(ped.position)
             assert distance_point_segment(ped.position, dyad) >= cfg.spawn_exclusion - 1e-9
             assert cfg.speed_min <= ped.preferred_speed <= cfg.speed_max
@@ -62,8 +63,8 @@ class TestSpawnFlow:
 
     def test_same_seed_same_population(self):
         cfg = ScenarioConfig(environment="square12", density=0.25, seed=9)
-        a = spawn_flow(cfg)
-        b = spawn_flow(cfg)
+        a = states_of(spawn_flow(cfg))
+        b = states_of(spawn_flow(cfg))
         assert a == b
 
     def test_ids_independent_of_spawn_order(self):
@@ -71,8 +72,8 @@ class TestSpawnFlow:
         # others spawn, as long as the scenario seed matches
         cfg_small = ScenarioConfig(environment="square12", density=0.05, seed=4)
         cfg_large = ScenarioConfig(environment="square12", density=0.25, seed=4)
-        small = spawn_flow(cfg_small)
-        large = spawn_flow(cfg_large)
+        small = states_of(spawn_flow(cfg_small))
+        large = states_of(spawn_flow(cfg_large))
         for a, b in zip(small, large):
             assert a == b
 
