@@ -4,7 +4,7 @@ human sharing a public space with pedestrians who cannot see it."""
 from .geometry import Environment, Pose, Segment, Vec2, narrow_passage, open_square
 from .prediction import PedestrianState, Phase, PredictedTrajectory, Prediction
 from .proxemics import ArrangementType, SpatialContext
-from .planner import CandidatePlan, ConflictAvoidancePlanner, PlanPhase
+from .planner import ConflictAvoidancePlanner, Decision
 from .simulation import (
     ConflictEvent,
     ConflictKind,

@@ -9,7 +9,6 @@ agent does not fidget.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -28,7 +27,6 @@ from .geometry import (
 )
 from .prediction import Prediction, anticipated_pedestrians, prediction_horizon, predict_trajectory
 from .proxemics import (
-    ArrangementType,
     SpatialContext,
     agent_orientation_for,
     classify_spatial_context,
@@ -37,30 +35,6 @@ from .proxemics import (
 
 if TYPE_CHECKING:
     from .simulation import ScenarioConfig
-
-
-@dataclass(frozen=True)
-class CandidatePlan:
-    """A scored candidate target pose for the agent."""
-
-    target_position: Vec2
-    target_orientation: float
-    arrangement: ArrangementType | None
-    ingroup: float
-    outgroup: float
-    move_distance: float
-    utility: float
-
-
-class PlanPhase(enum.Enum):
-    STABLE = "stable"
-    ADJUSTING = "adjusting"
-
-
-@dataclass
-class PlanState:
-    phase: PlanPhase = PlanPhase.STABLE
-    plan: CandidatePlan | None = None
 
 
 @dataclass
@@ -76,6 +50,29 @@ class PlanningSnapshot:
     env: Environment
     positions: np.ndarray
     trajectories: Prediction
+
+
+@dataclass(frozen=True, eq=False)
+class Decision:
+    """One search: the context, the candidate grid (an (m, 2) array) and its
+    score arrays from `score_candidates`, the indices of the pruned pool, the
+    winning row, and the pose the agent moves to. While the agent moves there,
+    the decision is the running plan.
+    """
+
+    context: SpatialContext
+    candidates: np.ndarray
+    utility: np.ndarray
+    ingroup: np.ndarray
+    outgroup: np.ndarray
+    move: np.ndarray
+    approach: np.ndarray
+    alpha: np.ndarray
+    arrangement: np.ndarray
+    pool: np.ndarray
+    winner: int
+    target_position: Vec2
+    target_orientation: float
 
 
 def make_snapshot(
@@ -114,6 +111,13 @@ def detect_potential_conflict(
     return True, prediction.ids[hit.reshape(len(prediction), -1).any(axis=1)].tolist()
 
 
+def grid_shape(config: ScenarioConfig) -> tuple[int, int]:
+    """The candidate grid's (radii, bearings) before any is dropped."""
+    band = config.interpersonal_distance - config.formation_min
+    return (int(math.floor(band / config.candidate_radial_step + 1e-9)) + 1,
+            int(round(360.0 / config.candidate_angular_step)))
+
+
 def generate_candidates(
     user: Pose,
     current_vh: Vec2,
@@ -128,11 +132,9 @@ def generate_candidates(
     counter-clockwise from +x. The current position is always the last row,
     so holding still is always an option.
     """
-    radial_step, angular_step = config.candidate_radial_step, config.candidate_angular_step
-    n_radii = int(math.floor((config.interpersonal_distance - config.formation_min) / radial_step + 1e-9)) + 1
-    n_bearings = int(round(360.0 / angular_step))
-    bearings = [math.radians(k * angular_step) for k in range(n_bearings)]
-    r = config.formation_min + np.arange(n_radii)[:, None] * radial_step
+    n_radii, n_bearings = grid_shape(config)
+    bearings = [math.radians(k * config.candidate_angular_step) for k in range(n_bearings)]
+    r = config.formation_min + np.arange(n_radii)[:, None] * config.candidate_radial_step
     x = user.position.x + r * np.array([math.cos(b) for b in bearings])
     y = user.position.y + r * np.array([math.sin(b) for b in bearings])
     grid = np.column_stack((x.ravel(), y.ravel()))
@@ -215,71 +217,44 @@ def _argbest(utility: np.ndarray, move: np.ndarray) -> int:
     return int(ties[np.argmin(move[ties])])
 
 
-def step_plan(
-    state: PlanState,
-    vh: Pose,
-    dt: float,
-    config: ScenarioConfig,
-) -> tuple[PlanState, Pose]:
-    """Advance the agent toward the active plan under speed and turn limits."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if state.phase is not PlanPhase.ADJUSTING or state.plan is None:
-        return state, vh
-    plan = state.plan
+def step_plan(plan: Decision | None, vh: Pose, config: ScenarioConfig) -> tuple[Decision | None, Pose]:
+    """Advance the agent one tick toward the running plan under speed and
+    turn limits; the plan ends (None) on arrival."""
+    if plan is None:
+        return None, vh
     to_target = plan.target_position - vh.position
     dist = to_target.norm()
-    max_step = config.vh_max_speed * dt
+    max_step = config.vh_max_speed * config.dt
     if dist <= max_step:
         new_pos = plan.target_position
     else:
         new_pos = vh.position + to_target * (max_step / dist)
     d_theta = angle_difference(plan.target_orientation, vh.orientation)
-    max_rot = math.radians(config.vh_turn_rate) * dt
+    max_rot = math.radians(config.vh_turn_rate) * config.dt
     new_theta = vh.orientation + max(-max_rot, min(max_rot, d_theta))
     new_pose = Pose(new_pos, new_theta)
 
     rem = new_pos.distance_to(plan.target_position)
     rem_angle = abs(angle_difference(plan.target_orientation, new_pose.orientation))
     if rem <= config.arrive_position_tol and rem_angle <= math.radians(config.arrive_angle_tol):
-        return PlanState(), new_pose
-    return state, new_pose
+        return None, new_pose
+    return plan, new_pose
 
 
-def plan_if_needed(
-    snapshot: PlanningSnapshot,
-    state: PlanState,
-    config: ScenarioConfig,
-) -> tuple[PlanState, CandidatePlan | None]:
-    """Replan when the territory is threatened and no valid plan is running.
+def search(snapshot: PlanningSnapshot, context: SpatialContext, config: ScenarioConfig) -> Decision:
+    """Score the candidate grid, prune it and pick the winner.
 
-    Returns the new state plus the decision taken, if any. An active plan is
-    kept as long as its own target segment stays clear; a decision to stay
-    put leaves the agent stable. Before the utility decision, alternatives
-    that are themselves predicted to be intruded are dropped (falling back to
-    the clearest ones when nothing is fully safe), and staying put remains an
-    option only while the predicted intrusion respects the rest margin, so
-    the agent absorbs marginal threats at the utility's discretion but never
-    rests through a foreseen territory intrusion.
+    Before the utility decision, alternatives that are themselves predicted
+    to be intruded are dropped (falling back to the clearest ones when
+    nothing is fully safe), and staying put remains an option only while the
+    predicted intrusion respects the rest margin, so the agent absorbs
+    marginal threats at the utility's discretion but never rests through a
+    foreseen territory intrusion.
     """
-    radius = config.territory_radius + config.planning_margin
-    dyad = Segment(snapshot.user.position, snapshot.vh.position)
-
-    if state.phase is PlanPhase.ADJUSTING and state.plan is not None:
-        target_seg = Segment(snapshot.user.position, state.plan.target_position)
-        conflicted, _ = detect_potential_conflict(target_seg, snapshot.trajectories, radius)
-        if not conflicted:
-            return state, None
-    else:
-        conflicted, _ = detect_potential_conflict(dyad, snapshot.trajectories, radius)
-        if not conflicted:
-            return state, None
-
-    context = classify_spatial_context(snapshot.env, dyad, snapshot.positions, config)
-    candidates = generate_candidates(snapshot.user, snapshot.vh.position, snapshot.env, config)
-    utility, ingroup, outgroup, move, approach, alpha, arrangement = score_candidates(
-        candidates, snapshot.user, snapshot.vh.position, context, snapshot.trajectories.points, config
-    )
+    user, current = snapshot.user, snapshot.vh.position
+    candidates = generate_candidates(user, current, snapshot.env, config)
+    scores = score_candidates(candidates, user, current, context, snapshot.trajectories.points, config)
+    utility, _, _, move, approach, alpha, arrangement = scores
     # Relocation pruning, an out-group mechanism (inert at zero out-group
     # weight). Alternatives must clear the trigger radius or, when nothing
     # does, sit within a band of the best achievable clearance. Holding still
@@ -287,7 +262,7 @@ def plan_if_needed(
     # intrusion cuts deeper than the rest margin, in which case relocation is
     # forced: resting there would realize a conflict the agent foresaw.
     if config.coefficient_c > 0.0:
-        safe = approach >= radius
+        safe = approach >= config.territory_radius + config.planning_margin
         hold = move <= 1e-12
         if safe.any():
             # resting beats a safe move only for threats clearing the
@@ -302,40 +277,54 @@ def plan_if_needed(
         pool = np.nonzero(keep)[0]
     else:
         pool = np.arange(len(candidates))
-    j = _argbest(utility[pool], move[pool])
-    i = int(pool[j])
+    i = int(pool[_argbest(utility[pool], move[pool])])
     target = Vec2(*candidates[i].tolist())
-    best = CandidatePlan(
-        target_position=target,
-        target_orientation=agent_orientation_for(snapshot.user, target, arrangement[i], float(alpha[i])),
-        arrangement=arrangement[i],
-        ingroup=float(ingroup[i]),
-        outgroup=float(outgroup[i]),
-        move_distance=float(move[i]),
-        utility=float(utility[i]),
+    orientation = agent_orientation_for(user, target, arrangement[i], float(alpha[i]))
+    return Decision(context, candidates, *scores, pool, i, target, orientation)
+
+
+def plan_if_needed(
+    snapshot: PlanningSnapshot,
+    plan: Decision | None,
+    config: ScenarioConfig,
+) -> tuple[Decision | None, Decision | None]:
+    """Search when the territory is threatened and no valid plan is running.
+
+    Returns the new plan plus the decision taken, if any. A running plan is
+    kept as long as its own target segment stays clear; a decision to stay
+    put leaves no plan running.
+    """
+    dyad = Segment(snapshot.user.position, snapshot.vh.position)
+    watched = dyad if plan is None else Segment(snapshot.user.position, plan.target_position)
+    conflicted, _ = detect_potential_conflict(
+        watched, snapshot.trajectories, config.territory_radius + config.planning_margin
     )
-    if best.move_distance <= 1e-12:
-        return PlanState(), best
-    return PlanState(PlanPhase.ADJUSTING, best), best
+    if not conflicted:
+        return plan, None
+    context = classify_spatial_context(snapshot.env, dyad, snapshot.positions, config)
+    decision = search(snapshot, context, config)
+    if decision.move[decision.winner] <= 1e-12:
+        return None, decision
+    return decision, decision
 
 
 class ConflictAvoidancePlanner:
-    """Owns the plan state across a simulation run.
+    """Owns the running plan across a simulation run.
 
     Checks for potential conflicts on a fixed cadence and moves the agent
-    every tick while a plan is active. Records the in-group comfort of every
+    every tick while a plan runs. Records the in-group comfort of every
     decision for downstream metrics.
     """
 
     def __init__(self, env: Environment, config: ScenarioConfig) -> None:
         self.env = env
         self.config = config
-        self.state = PlanState()
+        self.plan: Decision | None = None
         self.decision_ingroups: list[float] = []
         self._next_check = 0.0
 
     def update(self, t: float, user: Pose, vh: Pose, crowd) -> Pose:
-        """One tick of `config.dt`: maybe replan, then execute the active plan.
+        """One tick of `config.dt`: maybe replan, then execute the running plan.
 
         `crowd` is the `simulation.Crowd`; its arrays are read only on the
         ticks that check for conflicts.
@@ -344,8 +333,8 @@ class ConflictAvoidancePlanner:
         if t >= self._next_check - 1e-9:
             self._next_check = t + config.replan_interval
             snapshot = make_snapshot(user, vh, self.env, crowd, config)
-            self.state, decision = plan_if_needed(snapshot, self.state, config)
+            self.plan, decision = plan_if_needed(snapshot, self.plan, config)
             if decision is not None:
-                self.decision_ingroups.append(decision.ingroup)
-        self.state, vh = step_plan(self.state, vh, config.dt, config)
+                self.decision_ingroups.append(float(decision.ingroup[decision.winner]))
+        self.plan, vh = step_plan(self.plan, vh, config)
         return vh

@@ -61,15 +61,6 @@ class PredictedTrajectory:
     points: np.ndarray
     user: Vec2
 
-    @property
-    def d_min(self) -> float:
-        """Closest predicted approach to the user."""
-        return float(hypot(self.points[:, 0] - self.user.x, self.points[:, 1] - self.user.y).min())
-
-    @property
-    def samples(self) -> list[tuple[float, Vec2]]:
-        return [(float(t), Vec2(float(p[0]), float(p[1]))) for t, p in zip(self.times, self.points)]
-
 
 @dataclass(frozen=True)
 class Prediction:
@@ -155,6 +146,11 @@ def choose_waypoint(geom: AvoidanceGeometry, heading: Vec2, to_user: Vec2) -> Ve
     return geom.waypoint_right
 
 
+def sample_count(horizon: float, dt: float) -> int:
+    """Samples of a predicted path over `horizon` at step dt, both ends included."""
+    return int(math.floor(horizon / dt + 1e-9)) + 1
+
+
 def predict_trajectory(
     crowd,
     rows: np.ndarray,
@@ -178,7 +174,7 @@ def predict_trajectory(
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
-    n = int(math.floor(horizon / dt + 1e-9)) + 1
+    n = sample_count(horizon, dt)
     times = np.arange(n) * dt
     pos, vel = crowd.position[rows], crowd.velocity[rows]
     speed = hypot(vel[:, 0], vel[:, 1])

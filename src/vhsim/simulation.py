@@ -35,8 +35,8 @@ from .geometry import (
     open_square,
     points_segment_distance,
 )
-from .planner import ConflictAvoidancePlanner, PlanPhase
-from .prediction import PHASES as _PHASES
+from .planner import ConflictAvoidancePlanner, grid_shape
+from .prediction import PHASES as _PHASES, sample_count
 from .prediction import _AVOIDING, _DIRECT, _RETURNING, PedestrianState, Phase, avoidance_geometry, choose_waypoint
 
 TRACE_SCHEMA = "vhsim-trace/1"
@@ -137,10 +137,9 @@ class ScenarioConfig:
         user, vh = self.initial_poses(env)
         ticks = round(self.duration / self.dt)
         pedestrians = round(self.density * env.width * env.height)
-        samples = math.floor(max(self.horizon_cap, self.dt) / self.dt + 1e-9) + 1
-        band = self.interpersonal_distance - self.formation_min
-        radii = math.floor(band / self.candidate_radial_step + 1e-9) + 1
-        candidates = radii * round(360.0 / self.candidate_angular_step) + 1
+        samples = sample_count(max(self.horizon_cap, self.dt), self.dt)
+        radii, bearings = grid_shape(self)
+        candidates = radii * bearings + 1
         cells = max(pedestrians, 1) * samples * candidates
         rules = (
             ("speed_min, speed_max", self.speed_min <= self.speed_max, "need speed_min <= speed_max"),
@@ -459,13 +458,12 @@ def step_pedestrian(
     )
 
 
-def step_user(user: Pose, vh: Pose, dt: float, turn_rate_deg: float) -> Pose:
-    """The user stays put and turns to keep watching the agent."""
-    if dt <= 0.0:
-        return user
+def step_user(user: Pose, vh: Pose, config: ScenarioConfig) -> Pose:
+    """The user stays put and turns, at most `user_turn_rate`, to keep
+    watching the agent."""
     bearing = (vh.position - user.position).angle()
     d = angle_difference(bearing, user.orientation)
-    max_rot = math.radians(turn_rate_deg) * dt
+    max_rot = math.radians(config.user_turn_rate) * config.dt
     return Pose(user.position, user.orientation + max(-max_rot, min(max_rot, d)))
 
 
@@ -548,7 +546,7 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
         if planner is not None:
             vh = planner.update(t, user, vh, crowd)
 
-        user = step_user(user, vh, config.dt, config.user_turn_rate)
+        user = step_user(user, vh, config)
 
         tick_events, inside_territory, inside_body = detect_events(
             crowd.position, Segment(user.position, vh.position), vh.position,
@@ -557,7 +555,8 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
         )
         events.extend(tick_events)
 
-        if planner is not None and planner.state.phase is PlanPhase.ADJUSTING:
+        adjusting = planner is not None and planner.plan is not None
+        if adjusting:
             adjusting_time += config.dt
         else:
             stable_time += config.dt
@@ -568,7 +567,7 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
                 "t": round(t, 6),
                 "user": _round2(user.position) + [round(user.orientation, 4)],
                 "vh": _round2(vh.position) + [round(vh.orientation, 4)],
-                "phase": (planner.state.phase.value if planner is not None else "stable"),
+                "phase": "adjusting" if adjusting else "stable",
                 "peds": [[round(x, 4), round(y, 4)] for x, y in crowd.position.tolist()],
                 "events": [[e.kind.value, e.pedestrian_id] for e in tick_events],
             }

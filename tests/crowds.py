@@ -1,11 +1,15 @@
-"""Hand-written pedestrians and sample paths as the arrays the planner reads."""
+"""Hand-written pedestrians and sample paths as the arrays the planner reads,
+seeded random planner scenes, and scalar views of a predicted path."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
-from vhsim.geometry import Environment, Vec2
+from vhsim.geometry import Environment, Pose, Vec2, hypot
+from vhsim.planner import PlanningSnapshot, make_snapshot
 from vhsim.prediction import PHASES, PedestrianState, Prediction, PredictedTrajectory, predict_trajectory
+from vhsim.proxemics import Crowdedness, Definiteness, SpatialContext
 from vhsim.simulation import Crowd, ScenarioConfig
 
 
@@ -52,3 +56,36 @@ def prediction_of(*paths, ids=None) -> Prediction:
     n = len(paths[0]) if paths else 0
     ids = np.arange(len(paths)) if ids is None else np.array(ids, int)
     return Prediction(ids, np.arange(n) * 0.1, points, Vec2(0.0, 0.0))
+
+
+def samples_of(traj: PredictedTrajectory) -> list[tuple[float, Vec2]]:
+    """The path's (time, position) samples as scalars."""
+    return [(float(t), Vec2(float(p[0]), float(p[1]))) for t, p in zip(traj.times, traj.points)]
+
+
+def d_min_of(traj: PredictedTrajectory) -> float:
+    """The path's closest predicted approach to the user."""
+    return float(hypot(traj.points[:, 0] - traj.user.x, traj.points[:, 1] - traj.user.y).min())
+
+
+def random_scene(rng, env: Environment, config: ScenarioConfig) -> tuple[PlanningSnapshot, SpatialContext]:
+    """A user at 8-12 m on both axes of `env`, the agent 0.6-1.5 m away, 1-6
+    pedestrians walking within 5 m of the user, and a random context."""
+    user = Pose(Vec2(rng.uniform(8, 12), rng.uniform(8, 12)), rng.uniform(0, 2 * math.pi))
+    angle = rng.uniform(0, 2 * math.pi)
+    r = rng.uniform(0.6, 1.5)
+    vh = Pose(user.position + Vec2(r * math.cos(angle), r * math.sin(angle)), rng.uniform(0, 2 * math.pi))
+    peds = []
+    for pid in range(rng.randint(1, 6)):
+        px = user.position.x + rng.uniform(-5, 5)
+        py = user.position.y + rng.uniform(-5, 5)
+        speed = rng.uniform(1.0, 1.5)
+        heading = rng.uniform(0, 2 * math.pi)
+        peds.append(PedestrianState(
+            id=pid, position=Vec2(px, py),
+            velocity=Vec2(speed * math.cos(heading), speed * math.sin(heading)),
+            goal=Vec2(px + 20 * math.cos(heading), py + 20 * math.sin(heading)),
+            preferred_speed=speed,
+        ))
+    snapshot = make_snapshot(user, vh, env, crowd_of(peds), config)
+    return snapshot, SpatialContext(rng.choice(list(Definiteness)), rng.choice(list(Crowdedness)))

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from crowds import samples_of
 from vhsim.comfort import COMFORT_OFFSET, COMFORT_SCALE_MM
 from vhsim.geometry import Environment, Pose, Rect, Segment, Vec2, distance_point_segment
 from vhsim.prediction import STATIONARY_SPEED, PedestrianState, Phase, _build_legs
@@ -40,7 +41,7 @@ def oracle_utility(candidate, user, current_vh, context, trajectories, config):
     seg = Segment(user.position, candidate)
     d_best = math.inf
     for traj in trajectories:
-        for _, p in traj.samples:
+        for _, p in samples_of(traj):
             d_best = min(d_best, distance_point_segment(p, seg))
     if math.isinf(d_best):
         out = 1.0
@@ -69,7 +70,7 @@ def oracle_decision(candidates, user, current_vh, context, trajectories, config)
     for cand in candidates:
         seg = Segment(user.position, cand)
         clearance.append(min(
-            (distance_point_segment(p, seg) for traj in trajectories for _, p in traj.samples),
+            (distance_point_segment(p, seg) for traj in trajectories for _, p in samples_of(traj)),
             default=math.inf,
         ))
     hold = [cand.distance_to(current_vh) <= 1e-12 for cand in candidates]

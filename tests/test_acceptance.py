@@ -13,16 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crowds import crowd_of, predict_one
+from crowds import d_min_of, predict_one, random_scene
 from oracles import oracle_utility
 from vhsim.cli import emit_csv, ResultRow
 from vhsim.geometry import Pose, Vec2, open_square
-from vhsim.planner import (
-    _argbest,
-    generate_candidates,
-    make_snapshot,
-    score_candidates,
-)
+from vhsim.planner import _argbest, score_candidates, search
 from vhsim.prediction import PedestrianState, avoidance_geometry
 from vhsim.proxemics import (
     ArrangementType,
@@ -136,8 +131,8 @@ class TestCriterion2AvoidanceGeometry:
             )
             horizon = (start_range + 8.0) / speed
             traj = predict_one(ped, Vec2(0, 0), horizon, dt, config)
-            worst = max(worst, abs(traj.d_min - d_min))
-            assert d_min - speed * dt - 1e-9 <= traj.d_min <= d_min + speed * dt + 1e-9
+            worst = max(worst, abs(d_min_of(traj) - d_min))
+            assert d_min - speed * dt - 1e-9 <= d_min_of(traj) <= d_min + speed * dt + 1e-9
 
             geom = avoidance_geometry(Vec2(-d_start, 0.0), Vec2(0, 0), config)
             arcsin_err = max(arcsin_err, abs(geom.angle - math.asin(d_min / d_start)))
@@ -171,37 +166,7 @@ def planner_snapshots():
     rng = random.Random(99)
     env = open_square(20.0)
     config = ScenarioConfig()
-    scenes = []
-    for case in range(100):
-        user = Pose(Vec2(rng.uniform(8, 12), rng.uniform(8, 12)), rng.uniform(0, 2 * math.pi))
-        angle = rng.uniform(0, 2 * math.pi)
-        r = rng.uniform(0.6, 1.5)
-        vh = Pose(user.position + Vec2(r * math.cos(angle), r * math.sin(angle)), rng.uniform(0, 2 * math.pi))
-        peds = []
-        for pid in range(rng.randint(1, 6)):
-            px = user.position.x + rng.uniform(-5, 5)
-            py = user.position.y + rng.uniform(-5, 5)
-            speed = rng.uniform(1.0, 1.5)
-            heading = rng.uniform(0, 2 * math.pi)
-            peds.append(PedestrianState(
-                id=pid, position=Vec2(px, py),
-                velocity=Vec2(speed * math.cos(heading), speed * math.sin(heading)),
-                goal=Vec2(px + 20 * math.cos(heading), py + 20 * math.sin(heading)),
-                preferred_speed=speed,
-            ))
-        snap = make_snapshot(user, vh, env, crowd_of(peds), config)
-        context = SpatialContext(
-            rng.choice(list(Definiteness)), rng.choice(list(Crowdedness))
-        )
-        scenes.append((env, user, vh, context, snap.trajectories))
-    return scenes
-
-
-def production_winner(env, user, vh, context, trajectories, config):
-    """Candidate grid, scores and winner as the planner computes them, before pruning."""
-    cands = generate_candidates(user, vh.position, env, config)
-    utility, _, _, move, *_ = score_candidates(cands, user, vh.position, context, trajectories.points, config)
-    return cands, utility, _argbest(utility, move)
+    return [random_scene(rng, env, config) for _ in range(100)]
 
 
 class TestCriterion4PlannerOracle:
@@ -209,13 +174,14 @@ class TestCriterion4PlannerOracle:
         config = ScenarioConfig()
         t0 = time.perf_counter()
         worst_exact = 0.0
-        for env, user, vh, context, trajectories in planner_snapshots:
-            cands, utility, best = production_winner(env, user, vh, context, trajectories, config)
+        for snap, context in planner_snapshots:
+            decision = search(snap, context, config)
+            best = _argbest(decision.utility, decision.move)
             oracle_max = max(
-                oracle_utility(Vec2(*c), user, vh.position, context, trajectories, config)
-                for c in cands.tolist()
+                oracle_utility(Vec2(*c), snap.user, snap.vh.position, context, snap.trajectories, config)
+                for c in decision.candidates.tolist()
             )
-            worst_exact = max(worst_exact, oracle_max - float(utility[best]))
+            worst_exact = max(worst_exact, oracle_max - float(decision.utility[best]))
         elapsed = time.perf_counter() - t0
         report(4, "4a production scoring and tie rule match exhaustive re-scoring", worst_exact <= 1e-9,
                f"max gap={worst_exact:.2e} over 100 snapshots, {elapsed:.1f}s (<30s)")
@@ -225,17 +191,20 @@ class TestCriterion4PlannerOracle:
         # clamp/band structure of the comfort fields, a 0.15 m / 15 deg grid
         # cannot stay within 1% of its own 4x refinement whenever the current
         # position is predicted-conflicted or a clean wedge is narrower than
-        # one bearing step. Grids fine enough to close the gap break the
-        # trial-runtime budget. Reported honestly rather than loosened.
+        # one bearing step. Refining around the top 5 coarse candidates
+        # measured 0/100 violations with the heaviest trial at 3.39 s (from
+        # 2.06 s, under the 10 s budget), but turned Criterion 7's out-group
+        # sweep red; that conflict, not runtime, keeps this red. Reported
+        # honestly rather than loosened.
         config = ScenarioConfig()
         fine = replace(config, candidate_radial_step=0.0375, candidate_angular_step=3.75)
         worst_fine = math.inf
         fine_violations = 0
-        for env, user, vh, context, trajectories in planner_snapshots:
-            _, utility, best = production_winner(env, user, vh, context, trajectories, config)
-            _, fine_utility, _ = production_winner(env, user, vh, context, trajectories, fine)
-            fine_max = float(fine_utility.max())
-            ratio = float(utility[best]) / fine_max if fine_max > 0 else 1.0
+        for snap, context in planner_snapshots:
+            decision = search(snap, context, config)
+            best = _argbest(decision.utility, decision.move)
+            fine_max = float(search(snap, context, fine).utility.max())
+            ratio = float(decision.utility[best]) / fine_max if fine_max > 0 else 1.0
             worst_fine = min(worst_fine, ratio)
             if ratio < 0.99:
                 fine_violations += 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import vhsim.planner as planner_module
-from crowds import crowd_of, positions_of, prediction_of
+from crowds import crowd_of, positions_of, prediction_of, random_scene
 from oracles import oracle_approach, oracle_candidates, oracle_decision, oracle_ingroup, oracle_utility
 from vhsim.comfort import SATURATION_DISTANCE_M, comfort_from_distance
 from vhsim.geometry import (
@@ -21,10 +21,8 @@ from vhsim.geometry import (
     points_segment_distance,
 )
 from vhsim.planner import (
-    CandidatePlan,
     ConflictAvoidancePlanner,
-    PlanPhase,
-    PlanState,
+    Decision,
     PlanningSnapshot,
     _argbest,
     detect_potential_conflict,
@@ -32,6 +30,7 @@ from vhsim.planner import (
     make_snapshot,
     plan_if_needed,
     score_candidates,
+    search,
     step_plan,
 )
 from vhsim.prediction import PedestrianState
@@ -319,18 +318,6 @@ class TestScoreMemory:
         assert peak <= 2.5 * cells * 8
 
 
-def make_plan(utility, move=0.0, pos=None):
-    return CandidatePlan(
-        target_position=pos or Vec2(0, 0),
-        target_orientation=0.0,
-        arrangement=None,
-        ingroup=0.0,
-        outgroup=0.0,
-        move_distance=move,
-        utility=utility,
-    )
-
-
 class TestDecide:
     def test_single(self):
         assert _argbest(np.array([1.0]), np.array([0.0])) == 0
@@ -367,36 +354,37 @@ class TestDecide:
             assert (utility[other], move[other]) == (utility[best], move[best])
 
 
-class TestStepPlan:
-    def _adjusting(self, target, orientation=0.0):
-        plan = make_plan(1.0, pos=target)
-        plan = replace(plan, target_orientation=orientation)
-        return PlanState(PlanPhase.ADJUSTING, plan)
+def plan_to(target, orientation=0.0):
+    """A running plan toward the given pose; `step_plan` reads only that pose."""
+    one = np.zeros(1)
+    return Decision(CTX_OPEN, rows(target), one, one, one, one, one, one, np.array([None]), np.zeros(1, int), 0,
+                    target, orientation)
 
+
+class TestStepPlan:
     def test_arrives_within_one_tick(self):
-        state = self._adjusting(Vec2(0.15, 0.0))
+        plan = plan_to(Vec2(0.15, 0.0))
         vh = Pose(Vec2(0, 0), 0.0)
-        new_state, new_vh = step_plan(state, vh, 0.1, CONFIG)
+        new_plan, new_vh = step_plan(plan, vh, CONFIG)
         assert new_vh.position == Vec2(0.15, 0.0)
-        assert new_state.phase is PlanPhase.STABLE
+        assert new_plan is None
 
     def test_moves_exactly_speed_limit(self):
-        state = self._adjusting(Vec2(3.0, 0.0))
+        plan = plan_to(Vec2(3.0, 0.0))
         vh = Pose(Vec2(0, 0), 0.0)
-        _, new_vh = step_plan(state, vh, 0.1, CONFIG)
+        _, new_vh = step_plan(plan, vh, CONFIG)
         assert new_vh.position.x == pytest.approx(0.15)
         assert new_vh.position.y == 0.0
 
     def test_stable_is_identity(self):
-        state = PlanState(PlanPhase.STABLE, None)
         vh = Pose(Vec2(1, 2), 0.7)
-        new_state, new_vh = step_plan(state, vh, 0.1, CONFIG)
-        assert new_state is state and new_vh is vh
+        new_plan, new_vh = step_plan(None, vh, CONFIG)
+        assert new_plan is None and new_vh is vh
 
     def test_rotation_rate_limited(self):
-        state = self._adjusting(Vec2(0.0, 0.0), orientation=math.pi)
+        plan = plan_to(Vec2(0.0, 0.0), orientation=math.pi)
         vh = Pose(Vec2(0, 0), 0.0)
-        _, new_vh = step_plan(state, vh, 0.1, CONFIG)
+        _, new_vh = step_plan(plan, vh, CONFIG)
         assert new_vh.orientation == pytest.approx(math.radians(18.0))
 
     def test_never_exceeds_max_speed(self):
@@ -404,15 +392,11 @@ class TestStepPlan:
         for _ in range(100):
             target = Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3))
             vh = Pose(Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)), rng.uniform(0, 6.28))
-            state = self._adjusting(target, orientation=rng.uniform(0, 6.28))
+            plan = plan_to(target, orientation=rng.uniform(0, 6.28))
             dt = rng.choice([0.05, 0.1, 0.2])
-            _, new_vh = step_plan(state, vh, dt, CONFIG)
+            _, new_vh = step_plan(plan, vh, replace(CONFIG, dt=dt))
             moved = new_vh.position.distance_to(vh.position)
             assert moved <= CONFIG.vh_max_speed * dt + 1e-9
-
-    def test_bad_dt_rejected(self):
-        with pytest.raises(ValueError):
-            step_plan(PlanState(), Pose(Vec2(0, 0), 0.0), 0.0, CONFIG)
 
 
 def build_snapshot(user, vh, env, trajectories, pedestrians=None):
@@ -427,17 +411,16 @@ class TestPlanIfNeeded:
 
     def test_no_conflict_stays_stable(self):
         snap = build_snapshot(self.user, self.vh, self.env, [])
-        state, decision = plan_if_needed(snap, PlanState(), CONFIG)
-        assert state.phase is PlanPhase.STABLE and decision is None
+        plan, decision = plan_if_needed(snap, None, CONFIG)
+        assert plan is None and decision is None
 
     def test_conflict_elsewhere_adjusts(self):
         # a pedestrian will walk straight through the current agent position
         t = straight_traj((6.0, 10.75), (1.4, 0.0), n=80, pid=5)
         snap = build_snapshot(self.user, self.vh, self.env, [t])
-        state, decision = plan_if_needed(snap, PlanState(), CONFIG)
-        assert state.phase is PlanPhase.ADJUSTING
-        assert decision is not None
-        assert decision.move_distance > 0.0
+        plan, decision = plan_if_needed(snap, None, CONFIG)
+        assert plan is decision is not None
+        assert decision.move[decision.winner] > 0.0
         # the chosen target is itself clear of the predicted path
         d = distance_point_segment(
             decision.target_position, Segment(Vec2(6.0, 10.75), Vec2(6.0 + 1.4 * 7.9, 10.75))
@@ -456,10 +439,11 @@ class TestPlanIfNeeded:
         user = Pose(Vec2(9.0, 10.0), math.radians(30.0))
         vh = Pose(Vec2(10.0, 11.0), 0.0)
         snap = build_snapshot(user, vh, self.env, [traj([(9.5, 10.5)])])
-        _, plan = plan_if_needed(snap, PlanState(), CONFIG)
+        _, plan = plan_if_needed(snap, None, CONFIG)
+        arrangement, ingroup = plan.arrangement[plan.winner], plan.ingroup[plan.winner]
         assert relative_angles(user, Pose(plan.target_position, 0.0)).alpha == pytest.approx(60.0, abs=1e-9)
-        assert (plan.arrangement is None) == (plan.ingroup == 0.0)
-        assert context_preference(CTX_OPEN, plan.arrangement) == plan.ingroup
+        assert (arrangement is None) == (ingroup == 0.0)
+        assert context_preference(CTX_OPEN, arrangement) == ingroup
 
     def oracle_target(self, trajectories):
         """The oracle's pick for this scene and its utility."""
@@ -474,10 +458,10 @@ class TestPlanIfNeeded:
         # safe branch: some candidates clear the pedestrian's path
         t = straight_traj((6.0, 10.75), (1.4, 0.0), n=80, pid=5)
         snap = build_snapshot(self.user, self.vh, self.env, [t])
-        state, decision = plan_if_needed(snap, PlanState(), CONFIG)
+        _, decision = plan_if_needed(snap, None, CONFIG)
         target, utility = self.oracle_target([t])
         assert decision.target_position == target
-        assert decision.utility == pytest.approx(utility, abs=1e-9)
+        assert decision.utility[decision.winner] == pytest.approx(utility, abs=1e-9)
 
     def test_cornered_holds_above_rest_margin(self):
         # a path 0.45 m below the user reaches every candidate segment, so
@@ -486,11 +470,11 @@ class TestPlanIfNeeded:
         below = straight_traj((6.0, 8.80), (1.4, 0.0), n=80, pid=1)
         above = straight_traj((6.0, 11.07), (1.4, 0.0), n=80, pid=2)
         snap = build_snapshot(self.user, self.vh, self.env, [below, above])
-        state, decision = plan_if_needed(snap, PlanState(), CONFIG)
+        plan, decision = plan_if_needed(snap, None, CONFIG)
         target, utility = self.oracle_target([below, above])
         assert decision.target_position == target
-        assert decision.utility == pytest.approx(utility, abs=1e-9)
-        assert state.phase is PlanPhase.STABLE and decision.move_distance == 0.0
+        assert decision.utility[decision.winner] == pytest.approx(utility, abs=1e-9)
+        assert plan is None and decision.move[decision.winner] == 0.0
 
     def test_cornered_forced_below_rest_margin(self):
         # as above, but the path 0.20 m above the agent cuts deeper than the
@@ -498,11 +482,11 @@ class TestPlanIfNeeded:
         below = straight_traj((6.0, 8.80), (1.4, 0.0), n=80, pid=1)
         above = straight_traj((6.0, 10.95), (1.4, 0.0), n=80, pid=2)
         snap = build_snapshot(self.user, self.vh, self.env, [below, above])
-        state, decision = plan_if_needed(snap, PlanState(), CONFIG)
+        plan, decision = plan_if_needed(snap, None, CONFIG)
         target, utility = self.oracle_target([below, above])
         assert decision.target_position == target
-        assert decision.utility == pytest.approx(utility, abs=1e-9)
-        assert state.phase is PlanPhase.ADJUSTING and decision.move_distance > 0.0
+        assert decision.utility[decision.winner] == pytest.approx(utility, abs=1e-9)
+        assert plan is decision and decision.move[decision.winner] > 0.0
 
     @pytest.mark.parametrize("arc_radius,holds", [(0.95, False), (1.10, True)])
     def test_safe_branch_holds_only_above_rest_margin(self, arc_radius, holds):
@@ -517,28 +501,45 @@ class TestPlanIfNeeded:
             for pid, lo in ((1, 40), (2, 120))
         ]
         snap = build_snapshot(self.user, self.vh, self.env, arcs)
-        state, decision = plan_if_needed(snap, PlanState(), CONFIG)
+        _, decision = plan_if_needed(snap, None, CONFIG)
         target, utility = self.oracle_target(arcs)
         assert decision.target_position == target
-        assert decision.utility == pytest.approx(utility, abs=1e-9)
-        assert (decision.move_distance == 0.0) is holds
+        assert decision.utility[decision.winner] == pytest.approx(utility, abs=1e-9)
+        assert (float(decision.move[decision.winner]) == 0.0) is holds
 
     def test_hold_when_outgroup_ignored(self):
         # with zero out-group weight the plain argmax keeps the agent stable
         t = straight_traj((6.0, 10.75), (1.4, 0.0), n=80, pid=5)
         snap = build_snapshot(self.user, self.vh, self.env, [t])
         config = replace(CONFIG, coefficient_c=0.0, coefficient_d=0.5)
-        state, decision = plan_if_needed(snap, PlanState(), config)
-        assert state.phase is PlanPhase.STABLE
-        assert decision is not None and decision.move_distance == 0.0
+        plan, decision = plan_if_needed(snap, None, config)
+        assert plan is None
+        assert decision is not None and decision.move[decision.winner] == 0.0
 
     def test_keeps_clean_active_plan(self):
         t = straight_traj((6.0, 10.75), (1.4, 0.0), n=80, pid=5)
         snap = build_snapshot(self.user, self.vh, self.env, [t])
-        state, decision = plan_if_needed(snap, PlanState(), CONFIG)
-        assert state.phase is PlanPhase.ADJUSTING
-        again, decision2 = plan_if_needed(snap, state, CONFIG)
-        assert again is state and decision2 is None
+        plan, decision = plan_if_needed(snap, None, CONFIG)
+        assert plan is decision is not None
+        again, decision2 = plan_if_needed(snap, plan, CONFIG)
+        assert again is plan and decision2 is None
+
+
+class TestSearchOnRandomScenes:
+    def test_pruned_winner_matches_oracle(self):
+        # the acceptance suite's scene generator, other seeds: the pruned
+        # winner and its utility against the scalar decision rule
+        rng = random.Random(7)
+        env = open_square(20.0)
+        for _ in range(30):
+            snap, context = random_scene(rng, env, CONFIG)
+            decision = search(snap, context, CONFIG)
+            cands = [Vec2(*c) for c in decision.candidates.tolist()]
+            args = (snap.user, snap.vh.position, context, snap.trajectories, CONFIG)
+            assert decision.winner == oracle_decision(cands, *args)
+            assert decision.utility[decision.winner] == pytest.approx(
+                oracle_utility(cands[decision.winner], *args), abs=1e-9
+            )
 
 
 class TestPlannerLoop:
@@ -550,7 +551,7 @@ class TestPlannerLoop:
         start = vh
         for k in range(100):
             vh = planner.update(k * 0.1, user, vh, crowd_of([]))
-            assert planner.state.phase is PlanPhase.STABLE
+            assert planner.plan is None
         assert vh.position == start.position
 
     def test_chosen_plan_prefers_formation_when_clean(self):
@@ -569,11 +570,9 @@ class TestPlannerLoop:
                 )
                 for i in range(3)
             ]
-            cands = generate_candidates(user, vh.position, env, CONFIG)
-            utility, ingroup, outgroup, move, *_ = score_candidates(
-                cands, user, vh.position, CTX_OPEN, cloud(*trajs).points, CONFIG
-            )
-            winner = _argbest(utility, move)
+            d = search(build_snapshot(user, vh, env, trajs), CTX_OPEN, CONFIG)
+            utility, ingroup, outgroup = d.utility, d.ingroup, d.outgroup
+            winner = _argbest(utility, d.move)
             zero_in_max = utility[ingroup == 0.0].max(initial=0.0)
             if ((ingroup > 0) & (outgroup > 0) & (utility > zero_in_max)).any():
                 assert ingroup[winner] > 0.0

@@ -152,24 +152,19 @@ class TestStepUser:
         user = Pose(Vec2(0, 0), 0.0)
         vh = Pose(Vec2(0, 2), 0.0)
         for _ in range(30):
-            user = step_user(user, vh, 0.1, 90.0)
+            user = step_user(user, vh, CONFIG)
         assert user.orientation == pytest.approx(math.pi / 2, abs=1e-9)
 
     def test_rate_limited(self):
         user = Pose(Vec2(0, 0), 0.0)
         vh = Pose(Vec2(-2, 0), 0.0)  # target bearing pi
-        stepped = step_user(user, vh, 0.1, turn_rate_deg=90.0)
+        stepped = step_user(user, vh, CONFIG)
         assert stepped.orientation == pytest.approx(math.radians(9.0))
-
-    def test_zero_dt_identity(self):
-        user = Pose(Vec2(0, 0), 1.0)
-        vh = Pose(Vec2(5, 5), 0.0)
-        assert step_user(user, vh, 0.0, 90.0) == user
 
     def test_position_fixed(self):
         user = Pose(Vec2(3, 4), 0.5)
         vh = Pose(Vec2(9, -2), 0.0)
-        assert step_user(user, vh, 0.1, 90.0).position == Vec2(3, 4)
+        assert step_user(user, vh, CONFIG).position == Vec2(3, 4)
 
 
 class TestDetectEvents:
