@@ -28,6 +28,10 @@ SWEEP_AXES = (
     "condition",
 )
 
+# Axes that only the planner reads: a `none` trial builds no planner, so every
+# point of a sweep over one of them shares the base scenario's `none` trial.
+_PLANNER_AXES = ("coefficient_c", "coefficient_d", "tracking_distance")
+
 _SCHEMA = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
 SCENARIO_KEYS = tuple(_SCHEMA)
 
@@ -138,8 +142,10 @@ def _run_many(configs: list[ScenarioConfig], jobs: int) -> dict[ScenarioConfig, 
     return {cfg: run_trial(cfg) for cfg in todo}
 
 
-def _paired(cfg: ScenarioConfig) -> tuple[ScenarioConfig, ScenarioConfig]:
-    return replace(cfg, condition="none"), replace(cfg, condition="proposed")
+def _paired(cfg: ScenarioConfig, none_base: ScenarioConfig | None = None) -> tuple[ScenarioConfig, ScenarioConfig]:
+    """cfg's none and proposed trials; the none trial is `none_base` at cfg's seed when given."""
+    none = cfg if none_base is None else replace(none_base, seed=cfg.seed)
+    return replace(none, condition="none"), replace(cfg, condition="proposed")
 
 
 def _trial_row(axis: str, value, replicate: int, cfg: ScenarioConfig, metrics: TrialMetrics) -> ResultRow:
@@ -164,11 +170,11 @@ def _paired_row(
     axis: str,
     value,
     replicate: int,
-    cfg: ScenarioConfig,
+    pair: tuple[ScenarioConfig, ScenarioConfig],
     metrics: dict[ScenarioConfig, TrialMetrics],
 ) -> ResultRow:
     """The proposed trial's row plus the paired none trial's counts and the reductions."""
-    none_cfg, prop_cfg = _paired(cfg)
+    none_cfg, prop_cfg = pair
     none, prop = metrics[none_cfg], metrics[prop_cfg]
     return replace(
         _trial_row(axis, value, replicate, prop_cfg, prop),
@@ -182,7 +188,9 @@ def _paired_row(
 def run_ablation(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
     """Sweep one factor; each point runs paired none/proposed trials per seed.
 
-    For the condition axis only that condition runs and reductions stay empty.
+    On a planner-only axis every point pairs with the base scenario's `none`
+    trial of its seed, which runs once. For the condition axis only that
+    condition runs and reductions stay empty.
     """
     points = [
         (value, replicate, _apply_axis(replace(spec.base, seed=spec.seeds[replicate]), spec.axis, value))
@@ -192,8 +200,10 @@ def run_ablation(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
     if spec.axis == "condition":
         metrics = _run_many([cfg for _, _, cfg in points], jobs)
         return [_trial_row(spec.axis, value, replicate, cfg, metrics[cfg]) for value, replicate, cfg in points]
-    metrics = _run_many([c for _, _, cfg in points for c in _paired(cfg)], jobs)
-    return [_paired_row(spec.axis, value, replicate, cfg, metrics) for value, replicate, cfg in points]
+    none_base = spec.base if spec.axis in _PLANNER_AXES else None
+    pairs = [(value, replicate, _paired(cfg, none_base)) for value, replicate, cfg in points]
+    metrics = _run_many([c for *_, pair in pairs for c in pair], jobs)
+    return [_paired_row(spec.axis, value, replicate, pair, metrics) for value, replicate, pair in pairs]
 
 
 def run_matrix(
@@ -207,14 +217,14 @@ def run_matrix(
     """Full environment-by-density grid with paired conditions per seed."""
     seeds = seeds or list(range(1, replicates + 1))
     _check_seeds(replicates, seeds)
-    points = [
-        (replicate, replace(base, environment=env_name, density=density, seed=seeds[replicate]))
+    pairs = [
+        (replicate, _paired(replace(base, environment=env_name, density=density, seed=seeds[replicate])))
         for env_name in environments
         for density in densities
         for replicate in range(replicates)
     ]
-    metrics = _run_many([c for _, cfg in points for c in _paired(cfg)], jobs)
-    return [_paired_row("", "", replicate, cfg, metrics) for replicate, cfg in points]
+    metrics = _run_many([c for _, pair in pairs for c in pair], jobs)
+    return [_paired_row("", "", replicate, pair, metrics) for replicate, pair in pairs]
 
 
 def _fmt(value) -> str:
@@ -284,7 +294,13 @@ def _sum_or_none(values: list) -> int | None:
 
 
 def _load_scenario(path: str | None, overrides: dict) -> ScenarioConfig:
-    config = parse_scenario(Path(path).read_text()) if path else ScenarioConfig()
+    config = ScenarioConfig()
+    if path:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"scenario: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        config = parse_scenario(text)
     return replace(config, **overrides)
 
 

@@ -95,6 +95,16 @@ _PREFERENCE = {
     },
 }
 
+# Summed-angle band of each arrangement, in degrees: [0, 60] closed,
+# (60, 120) L-shaped, [120, 180] open.
+ARRANGEMENT_BANDS = {
+    ArrangementType.CLOSED: (0.0, 60.0),
+    ArrangementType.L_SHAPED: (60.0, 120.0),
+    ArrangementType.OPEN: (120.0, 180.0),
+}
+CLOSED_MAX_DEG = ARRANGEMENT_BANDS[ArrangementType.CLOSED][1]
+OPEN_MIN_DEG = ARRANGEMENT_BANDS[ArrangementType.OPEN][0]
+
 # The agent may freely pick its own body orientation up to this angle from
 # the partner direction while still holding a formation.
 MAX_AGENT_ANGLE_DEG = 90.0
@@ -116,16 +126,13 @@ def relative_angles(user: Pose, agent: Pose) -> RelativeAngles:
 
 
 def classify_arrangement(angles: RelativeAngles) -> ArrangementType:
-    """Map the summed angles onto the three openness classes.
-
-    [0, 60] closed, (60, 120) L-shaped, [120, 180] open.
-    """
+    """Map the summed angles onto their class in `ARRANGEMENT_BANDS`."""
     total = angles.alpha + angles.beta
     if total > 180.0:
         raise ValueError(f"alpha + beta exceeds 180 degrees: {total}")
-    if total <= 60.0:
+    if total <= CLOSED_MAX_DEG:
         return ArrangementType.CLOSED
-    if total < 120.0:
+    if total < OPEN_MIN_DEG:
         return ArrangementType.L_SHAPED
     return ArrangementType.OPEN
 
@@ -166,9 +173,10 @@ def ingroup_choice(
     # one column per arrangement in tie order; -1 marks an infeasible one
     table = _PREFERENCE[(context.definiteness, context.crowdedness)]
     feasible = np.empty((len(candidates), 3))
-    feasible[:, 0] = np.where(alpha <= 60.0, table[ArrangementType.CLOSED], -1.0)
+    feasible[:, 0] = np.where(alpha <= CLOSED_MAX_DEG, table[ArrangementType.CLOSED], -1.0)
     feasible[:, 1] = table[ArrangementType.L_SHAPED]
-    feasible[:, 2] = np.where(alpha >= 30.0, table[ArrangementType.OPEN], -1.0)
+    # compared with the exact 30.0, since alpha + 90 rounds to 120 an ulp below 30
+    feasible[:, 2] = np.where(alpha >= OPEN_MIN_DEG - MAX_AGENT_ANGLE_DEG, table[ArrangementType.OPEN], -1.0)
     preference = np.where(available, feasible.max(axis=1), 0.0)
     arrangement = np.where(available, _BY_OPENNESS[feasible.argmax(axis=1)], None)
     return alpha, preference, arrangement
@@ -183,11 +191,7 @@ def agent_orientation_for(user: Pose, position: Vec2, arrangement: ArrangementTy
     """
     if arrangement is None:
         return (user.position - position).angle() if position != user.position else 0.0
-    band_mid = {
-        ArrangementType.CLOSED: 30.0,
-        ArrangementType.L_SHAPED: 90.0,
-        ArrangementType.OPEN: 150.0,
-    }[arrangement]
+    band_mid = sum(ARRANGEMENT_BANDS[arrangement]) / 2.0
     beta = max(0.0, min(MAX_AGENT_ANGLE_DEG, band_mid - alpha))
     to_user = (user.position - position).angle()
     return (to_user + math.radians(beta)) % (2.0 * math.pi)

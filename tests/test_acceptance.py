@@ -1,11 +1,14 @@
 """Acceptance suite: one test per release criterion, each printing a verdict.
 
 The heavy fixtures (the environment-by-density matrix and the factor sweeps)
-run full 10-minute trials and are shared across criteria; expect several
-minutes of wall time for the whole module.
+run full 10-minute trials through `cli.run_matrix` and `cli.run_ablation`, the
+runners behind `vhsim matrix` and `vhsim ablate`, in one worker process per
+usable CPU, and are shared across criteria; expect a few minutes of wall time
+for the whole module.
 """
 
 import math
+import os
 import random
 import time
 from dataclasses import replace
@@ -15,7 +18,7 @@ import pytest
 
 from crowds import d_min_of, predict_one, random_scene
 from oracles import oracle_utility
-from vhsim.cli import emit_csv, ResultRow
+from vhsim.cli import ExperimentSpec, _trial_row, emit_csv, run_ablation, run_matrix
 from vhsim.geometry import Pose, Vec2, open_square
 from vhsim.planner import _argbest, score_candidates, search
 from vhsim.prediction import PedestrianState, avoidance_geometry
@@ -32,6 +35,7 @@ from vhsim.simulation import ScenarioConfig, run_trial
 DENSITIES = (0.05, 0.10, 0.15, 0.20, 0.25)
 SEEDS = (1, 2, 3, 4, 5)
 ENVIRONMENTS = ("square20", "passage")
+JOBS = len(os.sched_getaffinity(0))
 
 
 def report(criterion: int, name: str, ok: bool, detail: str = "") -> None:
@@ -40,52 +44,18 @@ def report(criterion: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {criterion} ({name}) failed: {detail}"
 
 
-_trial_cache: dict = {}
-
-
-def cached_trial(**kwargs):
-    cfg = ScenarioConfig(duration=600.0, **kwargs)
-    key = tuple(sorted(cfg.__dict__.items()))
-    if key not in _trial_cache:
-        _trial_cache[key] = run_trial(cfg)
-    return _trial_cache[key]
-
-
 @pytest.fixture(scope="module")
-def matrix_results():
-    """Full 2 environments x 5 densities x 2 conditions x 5 seeds grid."""
-    results = {}
-    for env in ENVIRONMENTS:
-        for density in DENSITIES:
-            for seed in SEEDS:
-                for condition in ("none", "proposed"):
-                    results[(env, density, seed, condition)] = cached_trial(
-                        environment=env, density=density, seed=seed, condition=condition
-                    )
-    return results
+def matrix_rows():
+    """Full 2 environments x 5 densities x 2 conditions x 5 seeds grid of
+    10-minute trials, as `vhsim matrix` runs it."""
+    return run_matrix(ScenarioConfig(), list(ENVIRONMENTS), list(DENSITIES), replicates=5, seeds=list(SEEDS), jobs=JOBS)
 
 
-def mean(values):
-    values = list(values)
+def mean_of(rows, field, **match):
+    """Mean of a `ResultRow` field over the rows matching `match`, skipping None."""
+    values = [getattr(r, field) for r in rows if all(getattr(r, k) == v for k, v in match.items())]
+    values = [v for v in values if v is not None]
     return sum(values) / len(values)
-
-
-def mean_reduction(results, env, density, kind):
-    ratios = []
-    for seed in SEEDS:
-        none = results[(env, density, seed, "none")]
-        prop = results[(env, density, seed, "proposed")]
-        if kind == "social":
-            n, p = none.social_conflicts, prop.social_conflicts
-        else:
-            n, p = none.physicality_conflicts, prop.physicality_conflicts
-        if n > 0:
-            ratios.append((n - p) / n)
-    return mean(ratios)
-
-
-def mean_stable(results, env, density):
-    return mean(results[(env, density, seed, "proposed")].stable_percentage for seed in SEEDS)
 
 
 class TestCriterion1ComfortEndpoints:
@@ -213,37 +183,36 @@ class TestCriterion4PlannerOracle:
 
 
 class TestCriterion5LowDensityReplication:
-    def test_zero_conflicts_at_low_density(self, matrix_results):
-        total = 0
-        per_env = {}
-        for env in ENVIRONMENTS:
-            env_total = 0
-            for seed in SEEDS:
-                m = matrix_results[(env, 0.05, seed, "proposed")]
-                env_total += m.social_conflicts + m.physicality_conflicts
-            per_env[env] = env_total
-            total += env_total
+    def test_zero_conflicts_at_low_density(self, matrix_rows):
+        per_env = {
+            env: sum(
+                r.social_proposed + r.physicality_proposed
+                for r in matrix_rows if r.environment == env and r.density == 0.05
+            )
+            for env in ENVIRONMENTS
+        }
+        total = sum(per_env.values())
         report(5, "low-density replication", total <= 2, f"total conflicts over 10 trials: {total} {per_env}")
 
 
 class TestCriterion6TrendReplication:
-    def test_reductions_non_increasing_in_density(self, matrix_results):
+    def test_reductions_non_increasing_in_density(self, matrix_rows):
         ok = True
         detail = []
         for env in ENVIRONMENTS:
             for kind in ("social", "physicality"):
-                curve = [mean_reduction(matrix_results, env, d, kind) for d in DENSITIES]
+                curve = [mean_of(matrix_rows, f"{kind}_reduction", environment=env, density=d) for d in DENSITIES]
                 detail.append(f"{env}/{kind}: " + ",".join(f"{v:.3f}" for v in curve))
                 for a, b in zip(curve, curve[1:]):
                     if b > a + 1e-9:
                         ok = False
         report(6, "6a reductions non-increasing", ok, "; ".join(detail))
 
-    def test_stable_percentage_decreasing(self, matrix_results):
+    def test_stable_percentage_decreasing(self, matrix_rows):
         ok = True
         detail = []
         for env in ENVIRONMENTS:
-            curve = [mean_stable(matrix_results, env, d) for d in DENSITIES]
+            curve = [mean_of(matrix_rows, "stable_pct", environment=env, density=d) for d in DENSITIES]
             detail.append(f"{env}: " + ",".join(f"{v:.3f}" for v in curve))
             for a, b in zip(curve, curve[1:]):
                 # strictly decreasing with a 2-point tolerance per step
@@ -251,18 +220,18 @@ class TestCriterion6TrendReplication:
                     ok = False
         report(6, "6b stable percentage decreasing", ok, "; ".join(detail))
 
-    def test_quarter_density_reduction_floor(self, matrix_results):
-        social = mean_reduction(matrix_results, "square20", 0.25, "social")
-        phys = mean_reduction(matrix_results, "square20", 0.25, "physicality")
+    def test_quarter_density_reduction_floor(self, matrix_rows):
+        social = mean_of(matrix_rows, "social_reduction", environment="square20", density=0.25)
+        phys = mean_of(matrix_rows, "physicality_reduction", environment="square20", density=0.25)
         ok = social >= 0.60 and phys >= 0.80
         report(6, "6c square reductions at 0.25", ok, f"social={social:.3f} (>=0.60), physicality={phys:.3f} (>=0.80)")
 
-    def test_passage_more_stable_than_square(self, matrix_results):
+    def test_passage_more_stable_than_square(self, matrix_rows):
         ok = True
         pairs = []
         for d in DENSITIES:
-            p = mean_stable(matrix_results, "passage", d)
-            s = mean_stable(matrix_results, "square20", d)
+            p = mean_of(matrix_rows, "stable_pct", environment="passage", density=d)
+            s = mean_of(matrix_rows, "stable_pct", environment="square20", density=d)
             pairs.append(f"d={d}: {p:.3f}>{s:.3f}")
             if not p > s:
                 ok = False
@@ -270,8 +239,9 @@ class TestCriterion6TrendReplication:
 
 
 @pytest.fixture(scope="module")
-def ablation_results():
-    """Factor sweeps on the 12x12 calibration scene at quarter density.
+def ablation_rows():
+    """Factor sweeps of 10-minute trials on the 12x12 calibration scene at
+    quarter density, as `vhsim ablate` runs them, keyed by axis.
 
     Conflicts are counted with a 0.5 m territory while the planner trigger
     stays at the default 0.6 m (0.5 + 0.1 margin), so the agent behaves
@@ -282,50 +252,20 @@ def ablation_results():
     doubles upward; c keeps 0 in its range because the rise from "ignore
     passers-by" to "dodge them" is the headline effect.
     """
-    base = dict(environment="square12", density=0.25, territory_radius=0.5, planning_margin=0.1)
-    out = {"none": {}, "c": {}, "d": {}, "tracking": {}}
-    for seed in SEEDS:
-        out["none"][seed] = cached_trial(condition="none", seed=seed, **base)
-    for c in (0.0, 1.0, 4.0):
-        out["c"][c] = {
-            seed: cached_trial(condition="proposed", seed=seed, coefficient_c=c, **base)
-            for seed in SEEDS
-        }
-    for dcoef in (0.5, 1.0, 2.0):
-        out["d"][dcoef] = {
-            seed: cached_trial(condition="proposed", seed=seed, coefficient_d=dcoef, **base)
-            for seed in SEEDS
-        }
-    for tracking in (6.0, 20.0):
-        out["tracking"][tracking] = {
-            seed: cached_trial(condition="proposed", seed=seed, tracking_distance=tracking, **base)
-            for seed in SEEDS
-        }
-    return out
-
-
-def sweep_reduction(results, sweep, value, kind="social"):
-    ratios = []
-    for seed in SEEDS:
-        none = results["none"][seed]
-        prop = results[sweep][value][seed]
-        if kind == "social":
-            n, p = none.social_conflicts, prop.social_conflicts
-        else:
-            n, p = none.physicality_conflicts, prop.physicality_conflicts
-        if n > 0:
-            ratios.append((n - p) / n)
-    return mean(ratios)
+    base = ScenarioConfig(environment="square12", density=0.25, territory_radius=0.5, planning_margin=0.1)
+    sweeps = {"coefficient_c": (0.0, 1.0, 4.0), "coefficient_d": (0.5, 1.0, 2.0), "tracking_distance": (6.0, 20.0)}
+    return {
+        axis: run_ablation(ExperimentSpec(base, axis, list(values), 5, list(SEEDS)), jobs=JOBS)
+        for axis, values in sweeps.items()
+    }
 
 
 class TestCriterion7AblationTrends:
-    def test_outgroup_weight_sweep(self, ablation_results):
+    def test_outgroup_weight_sweep(self, ablation_rows):
+        rows = ablation_rows["coefficient_c"]
         values = (0.0, 1.0, 4.0)
-        reductions = [sweep_reduction(ablation_results, "c", v) for v in values]
-        ingroups = [
-            mean(m.mean_ingroup for m in ablation_results["c"][v].values() if m.mean_ingroup is not None)
-            for v in values
-        ]
+        reductions = [mean_of(rows, "social_reduction", value=str(v)) for v in values]
+        ingroups = [mean_of(rows, "mean_ingroup", value=str(v)) for v in values]
         monotone_up = all(b >= a - 1e-9 for a, b in zip(reductions, reductions[1:]))
         monotone_down = all(b <= a + 1e-9 for a, b in zip(ingroups, ingroups[1:]))
         spread = reductions[-1] > reductions[0]
@@ -333,7 +273,7 @@ class TestCriterion7AblationTrends:
         report(7, "7 outgroup-weight sweep", ok,
                f"reduction={[f'{r:.3f}' for r in reductions]}, ingroup={[f'{g:.3f}' for g in ingroups]}")
 
-    def test_move_cost_sweep(self, ablation_results):
+    def test_move_cost_sweep(self, ablation_rows):
         # Known-red on the reduction clause: the claimed direction operates
         # through the agent absorbing conflicts it is too move-averse to
         # dodge, and the relocation rule deliberately forbids absorbing
@@ -341,22 +281,22 @@ class TestCriterion7AblationTrends:
         # empties the low-density leak budget). The residual move-cost effect
         # on counted conflicts is transit exposure, which has the opposite
         # sign at the ~1-point scale. The stable-time clause holds.
+        rows = ablation_rows["coefficient_d"]
         values = (0.5, 1.0, 2.0)
-        reductions = [sweep_reduction(ablation_results, "d", v) for v in values]
-        stables = [
-            mean(m.stable_percentage for m in ablation_results["d"][v].values()) for v in values
-        ]
+        reductions = [mean_of(rows, "social_reduction", value=str(v)) for v in values]
+        stables = [mean_of(rows, "stable_pct", value=str(v)) for v in values]
         ok = all(b <= a + 1e-9 for a, b in zip(reductions, reductions[1:])) and all(
             b >= a - 1e-9 for a, b in zip(stables, stables[1:])
         )
         report(7, "7 move-cost sweep", ok,
                f"reduction={[f'{r:.3f}' for r in reductions]}, stable={[f'{s:.3f}' for s in stables]}")
 
-    def test_tracking_distance_insensitivity(self, ablation_results):
+    def test_tracking_distance_insensitivity(self, ablation_rows):
+        rows = ablation_rows["tracking_distance"]
         diffs = {}
         for kind in ("social", "physicality"):
-            near = sweep_reduction(ablation_results, "tracking", 6.0, kind)
-            far = sweep_reduction(ablation_results, "tracking", 20.0, kind)
+            near = mean_of(rows, f"{kind}_reduction", value="6.0")
+            far = mean_of(rows, f"{kind}_reduction", value="20.0")
             diffs[kind] = abs(far - near)
         ok = all(v < 0.05 for v in diffs.values())
         report(7, "7 tracking distance", ok,
@@ -371,14 +311,8 @@ class TestCriterion8Determinism:
             trace_path = tmp_path / f"trace_{run}.jsonl"
             with open(trace_path, "w") as fh:
                 metrics = run_trial(cfg, trace=fh)
-            row = ResultRow(
-                environment=cfg.environment, density=cfg.density, axis="", value="",
-                replicate=0, seed=cfg.seed, social_proposed=metrics.social_conflicts,
-                physicality_proposed=metrics.physicality_conflicts,
-                stable_pct=metrics.stable_percentage, mean_ingroup=metrics.mean_ingroup,
-            )
             csv_path = tmp_path / f"metrics_{run}.csv"
-            emit_csv([row], csv_path)
+            emit_csv([_trial_row("", "", 0, cfg, metrics)], csv_path)
             outputs.append((trace_path.read_bytes(), csv_path.read_bytes()))
         ok = outputs[0] == outputs[1]
         report(8, "determinism", ok, f"trace bytes={len(outputs[0][0])}, csv bytes={len(outputs[0][1])}")

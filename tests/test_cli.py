@@ -23,9 +23,26 @@ from vhsim.cli import (
     run_ablation,
     run_matrix,
 )
-from vhsim.simulation import ScenarioConfig
+from vhsim.simulation import ScenarioConfig, run_trial
 
 FAST = dict(duration=20.0, density=0.1, environment="square12")
+
+
+@pytest.fixture
+def trial_calls(monkeypatch):
+    """The configs `cli.run_trial` is called with, in call order.
+
+    perfbench's `_decision_capture` wraps `cli.run_trial` in the same way and
+    reads one call per distinct config of a serial `run_matrix`.
+    """
+    calls = []
+
+    def counting_trial(config):
+        calls.append(config)
+        return run_trial(config)
+
+    monkeypatch.setattr(cli, "run_trial", counting_trial)
+    return calls
 
 
 class TestParseScenario:
@@ -178,6 +195,21 @@ class TestRunAblation:
         assert rows[0].social_none == rows[1].social_none
         assert rows[0].physicality_none == rows[1].physicality_none
 
+    @pytest.mark.parametrize("axis", cli._PLANNER_AXES)
+    def test_none_trial_ignores_planner_axis(self, axis):
+        # guards the list: on these axes every sweep point shares one none trial
+        base = ScenarioConfig(**{**FAST, "density": 0.25}, condition="none")
+        low, high = (run_trial(replace(base, **{axis: value})) for value in (2.0, 20.0))
+        assert low == high
+
+    def test_planner_axis_runs_one_none_trial_per_seed(self, trial_calls):
+        base = ScenarioConfig(**{**FAST, "duration": 5.0})
+        spec = ExperimentSpec(base=base, axis="coefficient_c", values=[0.0, 1.0, 4.0],
+                              replicates=2, seeds=[1, 2])
+        run_ablation(spec)
+        assert len(trial_calls) == len(set(trial_calls)) == 2 + 3 * 2
+        assert [c.seed for c in trial_calls if c.condition == "none"] == [1, 2]
+
     def test_condition_axis_single_runs(self):
         base = ScenarioConfig(**FAST)
         spec = ExperimentSpec(base=base, axis="condition", values=["none", "proposed"],
@@ -220,6 +252,11 @@ class TestRunMatrix:
         assert sizes == [2]
         assert parallel == serial
 
+    def test_one_run_trial_call_per_config(self, trial_calls):
+        base = ScenarioConfig(**{**FAST, "duration": 5.0})
+        rows = run_matrix(base, ["square12", "passage"], [0.05, 0.1], replicates=2, seeds=[1, 2])
+        assert len(trial_calls) == len(set(trial_calls)) == 2 * len(rows) == 2 * 2 * 2 * 2
+
     def test_grid_shape(self):
         base = ScenarioConfig(**FAST)
         rows = run_matrix(base, ["square12", "passage"], [0.05, 0.1], replicates=2, seeds=[1, 2])
@@ -235,7 +272,6 @@ class TestPairedSeeds:
     def test_identical_pedestrian_streams(self, tmp_path):
         # condition must not perturb the pedestrian simulation: compare traces
         import io
-        from vhsim.simulation import run_trial
 
         base = ScenarioConfig(environment="square12", density=0.15, duration=15.0, seed=11)
         streams = []
@@ -261,6 +297,13 @@ class TestMainCli:
         assert json.loads(trace_lines[0])["schema"] == "vhsim-trace/1"
         assert len(trace_lines) == 1 + 100
         assert "social=" in capsys.readouterr().out
+
+    def test_non_utf8_scenario_names_field(self, tmp_path, capsys):
+        scenario = tmp_path / "latin1.txt"
+        scenario.write_bytes(b"seed: 1\n\xff\n")
+        assert main(["simulate", "--scenario", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario:") and str(scenario) in err
 
     def test_simulate_rejects_bad_scenario(self, tmp_path, capsys):
         scenario = tmp_path / "bad.txt"
