@@ -14,6 +14,6 @@ from .simulation import (
     run_trial,
     spawn_flow,
 )
-from .cli import ExperimentSpec, ResultRow, parse_scenario, run_ablation, run_matrix
+from .cli import ResultRow, parse_scenario, run_ablation, run_matrix
 
 __version__ = "0.1.0"

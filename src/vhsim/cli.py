@@ -13,7 +13,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .simulation import ScenarioConfig, ScenarioError, TrialMetrics, reduction_ratio, run_trial
@@ -25,12 +25,13 @@ SWEEP_AXES = (
     "tracking_distance",
     "density",
     "environment",
-    "condition",
 )
 
 # Axes that only the planner reads: a `none` trial builds no planner, so every
 # point of a sweep over one of them shares the base scenario's `none` trial.
 _PLANNER_AXES = ("coefficient_c", "coefficient_d", "tracking_distance")
+
+MAX_REPLICATES = 1_000
 
 _SCHEMA = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
 SCENARIO_KEYS = tuple(_SCHEMA)
@@ -79,29 +80,18 @@ def format_scenario(config: ScenarioConfig) -> str:
     return "\n".join(out) + "\n"
 
 
-def _check_seeds(replicates: int, seeds: list[int]) -> None:
-    if replicates < 1:
-        raise ScenarioError("replicates: must be >= 1")
+def _replicate_seeds(replicates: int, seeds: list[int] | None) -> list[int]:
+    """One distinct seed a replicate: the first `replicates` of `seeds`, or 1..replicates."""
+    if not 1 <= replicates <= MAX_REPLICATES:
+        raise ScenarioError(f"replicates: must be in 1..{MAX_REPLICATES}, got {replicates}")
+    if seeds is None:
+        return list(range(1, replicates + 1))
     if len(seeds) < replicates:
         raise ScenarioError("seeds: need at least one seed per replicate")
-
-
-@dataclass
-class ExperimentSpec:
-    """One factor sweep: axis, values, and the shared base scenario."""
-
-    base: ScenarioConfig
-    axis: str
-    values: list = field(default_factory=list)
-    replicates: int = 5
-    seeds: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
-
-    def __post_init__(self) -> None:
-        if self.axis not in SWEEP_AXES:
-            raise ScenarioError(f"axis: must be one of {SWEEP_AXES}, got {self.axis!r}")
-        if not self.values:
-            raise ScenarioError("values: sweep values must be non-empty")
-        _check_seeds(self.replicates, self.seeds)
+    used = seeds[:replicates]
+    if len(set(used)) < replicates:
+        raise ScenarioError(f"seeds: a seed repeats among {used}")
+    return used
 
 
 @dataclass
@@ -122,12 +112,6 @@ class ResultRow:
     physicality_reduction: float | None = None
     stable_pct: float | None = None
     mean_ingroup: float | None = None
-
-
-def _apply_axis(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
-    if axis in ("environment", "condition"):
-        return replace(config, **{axis: str(value)})
-    return replace(config, **{axis: float(value)})
 
 
 def _run_many(configs: list[ScenarioConfig], jobs: int) -> dict[ScenarioConfig, TrialMetrics]:
@@ -185,25 +169,38 @@ def _paired_row(
     )
 
 
-def run_ablation(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
+def _run_pairs(points: list[tuple], jobs: int) -> list[ResultRow]:
+    """One paired row a point `(axis, value, replicate, (none, proposed))`; each distinct trial runs once."""
+    metrics = _run_many([cfg for *_, pair in points for cfg in pair], jobs)
+    return [_paired_row(*point, metrics) for point in points]
+
+
+def run_ablation(
+    base: ScenarioConfig,
+    axis: str,
+    values: list,
+    replicates: int = 5,
+    seeds: list[int] | None = None,
+    jobs: int = 1,
+) -> list[ResultRow]:
     """Sweep one factor; each point runs paired none/proposed trials per seed.
 
     On a planner-only axis every point pairs with the base scenario's `none`
-    trial of its seed, which runs once. For the condition axis only that
-    condition runs and reductions stay empty.
+    trial of its seed, which runs once.
     """
+    if axis not in SWEEP_AXES:
+        raise ScenarioError(f"axis: must be one of {SWEEP_AXES}, got {axis!r}")
+    if not values:
+        raise ScenarioError("values: sweep values must be non-empty")
+    seeds = _replicate_seeds(replicates, seeds)
+    kind = _SCHEMA[axis].metadata["type"]
+    none_base = base if axis in _PLANNER_AXES else None
     points = [
-        (value, replicate, _apply_axis(replace(spec.base, seed=spec.seeds[replicate]), spec.axis, value))
-        for value in spec.values
-        for replicate in range(spec.replicates)
+        (axis, value, replicate, _paired(replace(base, seed=seed, **{axis: kind(value)}), none_base))
+        for value in values
+        for replicate, seed in enumerate(seeds)
     ]
-    if spec.axis == "condition":
-        metrics = _run_many([cfg for _, _, cfg in points], jobs)
-        return [_trial_row(spec.axis, value, replicate, cfg, metrics[cfg]) for value, replicate, cfg in points]
-    none_base = spec.base if spec.axis in _PLANNER_AXES else None
-    pairs = [(value, replicate, _paired(cfg, none_base)) for value, replicate, cfg in points]
-    metrics = _run_many([c for *_, pair in pairs for c in pair], jobs)
-    return [_paired_row(spec.axis, value, replicate, pair, metrics) for value, replicate, pair in pairs]
+    return _run_pairs(points, jobs)
 
 
 def run_matrix(
@@ -215,16 +212,14 @@ def run_matrix(
     jobs: int = 1,
 ) -> list[ResultRow]:
     """Full environment-by-density grid with paired conditions per seed."""
-    seeds = seeds or list(range(1, replicates + 1))
-    _check_seeds(replicates, seeds)
-    pairs = [
-        (replicate, _paired(replace(base, environment=env_name, density=density, seed=seeds[replicate])))
+    seeds = _replicate_seeds(replicates, seeds)
+    points = [
+        ("", "", replicate, _paired(replace(base, environment=env_name, density=density, seed=seed)))
         for env_name in environments
         for density in densities
-        for replicate in range(replicates)
+        for replicate, seed in enumerate(seeds)
     ]
-    metrics = _run_many([c for _, pair in pairs for c in pair], jobs)
-    return [_paired_row("", "", replicate, pair, metrics) for replicate, pair in pairs]
+    return _run_pairs(points, jobs)
 
 
 def _fmt(value) -> str:
@@ -248,10 +243,8 @@ def emit_csv(rows: list[ResultRow], path: str | Path) -> None:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def format_reduction_cell(dc_none: int | None, dc_avoid: int | None) -> str:
+def format_reduction_cell(dc_none: int, dc_avoid: int) -> str:
     """Percentage-and-fraction cell, e.g. '80% (104/522)'."""
-    if dc_none is None or dc_avoid is None:
-        return "-"
     ratio = reduction_ratio(dc_none, dc_avoid)
     if ratio is None:
         return f"n/a ({dc_avoid}/0)"
@@ -262,7 +255,8 @@ def emit_summary(rows: list[ResultRow]) -> str:
     """Aggregate replicates per sweep point and format a text table.
 
     Counts are pooled across replicates; stable time and in-group comfort are
-    averaged.
+    averaged. A density or environment sweep names its value in the label
+    once, as the point's density or environment.
     """
     groups: dict[tuple, list[ResultRow]] = {}
     for row in rows:
@@ -270,27 +264,21 @@ def emit_summary(rows: list[ResultRow]) -> str:
     lines = []
     for (env_name, density, axis, value), members in sorted(groups.items(), key=lambda kv: kv[0]):
         label = f"{env_name} density={_fmt(density)}"
-        if axis:
+        if axis not in ("", "density", "environment"):
             label += f" {axis}={value}"
-        sn = _sum_or_none([m.social_none for m in members])
-        sp = _sum_or_none([m.social_proposed for m in members])
-        pn = _sum_or_none([m.physicality_none for m in members])
-        pp = _sum_or_none([m.physicality_proposed for m in members])
-        stable = [m.stable_pct for m in members if m.stable_pct is not None]
-        stable_txt = f"{100 * sum(stable) / len(stable):.1f}%" if stable else "-"
+        sn = sum(m.social_none for m in members)
+        sp = sum(m.social_proposed for m in members)
+        pn = sum(m.physicality_none for m in members)
+        pp = sum(m.physicality_proposed for m in members)
+        stable = sum(m.stable_pct for m in members)
         ingroups = [m.mean_ingroup for m in members if m.mean_ingroup is not None]
         ingroup_txt = f"{sum(ingroups) / len(ingroups):.3f}" if ingroups else "-"
         lines.append(
             f"{label}: social {format_reduction_cell(sn, sp)} | "
             f"physicality {format_reduction_cell(pn, pp)} | "
-            f"stable {stable_txt} | ingroup {ingroup_txt}"
+            f"stable {100 * stable / len(members):.1f}% | ingroup {ingroup_txt}"
         )
     return "\n".join(lines)
-
-
-def _sum_or_none(values: list) -> int | None:
-    present = [v for v in values if v is not None]
-    return sum(present) if present else None
 
 
 def _load_scenario(path: str | None, overrides: dict) -> ScenarioConfig:
@@ -345,41 +333,37 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    base = _load_scenario(args.scenario, {})
-    kind = str if args.axis in ("environment", "condition") else float
-    spec = ExperimentSpec(
-        base=base,
-        axis=args.axis,
-        values=_parse_list("values", args.values, kind),
-        replicates=args.replicates,
-        seeds=_parse_list("seeds", args.seeds, int) if args.seeds else list(range(1, args.replicates + 1)),
-    )
-    rows = run_ablation(spec, jobs=args.jobs)
-    if args.out:
-        out_dir = Path(args.out)
+def _report(rows: list[ResultRow], out: str | None, csv_name: str) -> int:
+    if out:
+        out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        emit_csv(rows, out_dir / f"ablation_{args.axis}.csv")
+        emit_csv(rows, out_dir / csv_name)
     print(emit_summary(rows))
     return 0
 
 
+def _cmd_ablate(args: argparse.Namespace) -> int:
+    rows = run_ablation(
+        _load_scenario(args.scenario, {}),
+        args.axis,
+        _parse_list("values", args.values, _SCHEMA[args.axis].metadata["type"]),
+        replicates=args.replicates,
+        seeds=_parse_list("seeds", args.seeds, int) if args.seeds else None,
+        jobs=args.jobs,
+    )
+    return _report(rows, args.out, f"ablation_{args.axis}.csv")
+
+
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    base = _load_scenario(args.scenario, {})
     rows = run_matrix(
-        base,
+        _load_scenario(args.scenario, {}),
         environments=_parse_list("environments", args.environments, str),
         densities=_parse_list("densities", args.densities),
         replicates=args.replicates,
         seeds=_parse_list("seeds", args.seeds, int) if args.seeds else None,
         jobs=args.jobs,
     )
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        emit_csv(rows, out_dir / "matrix.csv")
-    print(emit_summary(rows))
-    return 0
+    return _report(rows, args.out, "matrix.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:

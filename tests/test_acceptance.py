@@ -18,7 +18,7 @@ import pytest
 
 from crowds import d_min_of, predict_one, random_scene
 from oracles import oracle_utility
-from vhsim.cli import ExperimentSpec, _trial_row, emit_csv, run_ablation, run_matrix
+from vhsim.cli import _trial_row, emit_csv, run_ablation, run_matrix
 from vhsim.geometry import Pose, Vec2, open_square
 from vhsim.planner import _argbest, score_candidates, search
 from vhsim.prediction import PedestrianState, avoidance_geometry
@@ -255,7 +255,7 @@ def ablation_rows():
     base = ScenarioConfig(environment="square12", density=0.25, territory_radius=0.5, planning_margin=0.1)
     sweeps = {"coefficient_c": (0.0, 1.0, 4.0), "coefficient_d": (0.5, 1.0, 2.0), "tracking_distance": (6.0, 20.0)}
     return {
-        axis: run_ablation(ExperimentSpec(base, axis, list(values), 5, list(SEEDS)), jobs=JOBS)
+        axis: run_ablation(base, axis, list(values), replicates=5, seeds=list(SEEDS), jobs=JOBS)
         for axis, values in sweeps.items()
     }
 

@@ -11,7 +11,7 @@ import pytest
 import vhsim.cli as cli
 from vhsim.cli import (
     CSV_COLUMNS,
-    ExperimentSpec,
+    MAX_REPLICATES,
     ResultRow,
     ScenarioError,
     emit_csv,
@@ -23,7 +23,7 @@ from vhsim.cli import (
     run_ablation,
     run_matrix,
 )
-from vhsim.simulation import ScenarioConfig, run_trial
+from vhsim.simulation import ScenarioConfig, TrialMetrics, run_trial
 
 FAST = dict(duration=20.0, density=0.1, environment="square12")
 
@@ -42,6 +42,20 @@ def trial_calls(monkeypatch):
         return run_trial(config)
 
     monkeypatch.setattr(cli, "run_trial", counting_trial)
+    return calls
+
+
+@pytest.fixture
+def stub_calls(monkeypatch):
+    """The configs `cli.run_trial` is called with; each call returns fixed metrics and runs no trial."""
+    calls = []
+
+    def stub_trial(config):
+        calls.append(config)
+        return TrialMetrics(social_conflicts=2, physicality_conflicts=1, stable_time=1.0,
+                            adjusting_time=0.0, stable_percentage=1.0, duration=1.0)
+
+    monkeypatch.setattr(cli, "run_trial", stub_trial)
     return calls
 
 
@@ -142,7 +156,6 @@ class TestSummary:
         assert format_reduction_cell(522, 104) == "80% (104/522)"
         assert format_reduction_cell(204, 18) == "91% (18/204)"
         assert format_reduction_cell(0, 0) == "n/a (0/0)"
-        assert format_reduction_cell(None, None) == "-"
 
     def test_summary_pools_replicates(self):
         rows = [
@@ -156,28 +169,45 @@ class TestSummary:
         assert "100% (0/62)" in text
         assert "75.0%" in text
 
+    def test_axis_named_once(self):
+        def row(environment, density, axis, value):
+            return ResultRow(environment, density, axis, value, 0, 1, social_none=4, social_proposed=1,
+                             physicality_none=2, physicality_proposed=0, stable_pct=0.5)
 
-class TestExperimentSpec:
-    def test_bad_axis(self):
-        with pytest.raises(ScenarioError, match="axis"):
-            ExperimentSpec(base=ScenarioConfig(), axis="weather", values=[1])
-
-    def test_empty_values(self):
-        with pytest.raises(ScenarioError, match="values"):
-            ExperimentSpec(base=ScenarioConfig(), axis="density", values=[])
-
-    def test_not_enough_seeds(self):
-        with pytest.raises(ScenarioError, match="seeds"):
-            ExperimentSpec(base=ScenarioConfig(), axis="density", values=[0.1],
-                           replicates=3, seeds=[1])
+        text = emit_summary([
+            row("square12", 0.1, "density", "0.1"),
+            row("passage", 0.25, "environment", "passage"),
+            row("square12", 0.25, "coefficient_c", "4.0"),
+        ])
+        assert [line.split(":")[0] for line in text.splitlines()] == [
+            "passage density=0.25", "square12 density=0.1", "square12 density=0.25 coefficient_c=4.0",
+        ]
 
 
 class TestRunAblation:
+    def test_bad_axis(self, stub_calls):
+        for axis in ("weather", "condition"):
+            with pytest.raises(ScenarioError, match="axis"):
+                run_ablation(ScenarioConfig(), axis, [1])
+        assert stub_calls == []
+
+    def test_empty_values(self, stub_calls):
+        with pytest.raises(ScenarioError, match="values"):
+            run_ablation(ScenarioConfig(), "density", [])
+        assert stub_calls == []
+
+    def test_not_enough_seeds(self, stub_calls):
+        with pytest.raises(ScenarioError, match="seeds"):
+            run_ablation(ScenarioConfig(), "density", [0.1], replicates=3, seeds=[1])
+        assert stub_calls == []
+
+    def test_default_seeds_follow_replicates(self, stub_calls):
+        rows = run_ablation(ScenarioConfig(), "coefficient_c", [1.0], replicates=6)
+        assert [r.seed for r in rows] == [1, 2, 3, 4, 5, 6]
+
     def test_paired_rows(self):
         base = ScenarioConfig(**FAST)
-        spec = ExperimentSpec(base=base, axis="coefficient_c", values=[0.0, 1.0],
-                              replicates=1, seeds=[1])
-        rows = run_ablation(spec)
+        rows = run_ablation(base, "coefficient_c", [0.0, 1.0], replicates=1, seeds=[1])
         assert len(rows) == 2
         for row in rows:
             assert row.axis == "coefficient_c"
@@ -189,9 +219,7 @@ class TestRunAblation:
         # the no-avoidance baseline does not depend on the swept coefficient,
         # so both sweep points report identical baseline counts
         base = ScenarioConfig(**FAST)
-        spec = ExperimentSpec(base=base, axis="coefficient_c", values=[0.0, 2.0],
-                              replicates=1, seeds=[3])
-        rows = run_ablation(spec)
+        rows = run_ablation(base, "coefficient_c", [0.0, 2.0], replicates=1, seeds=[3])
         assert rows[0].social_none == rows[1].social_none
         assert rows[0].physicality_none == rows[1].physicality_none
 
@@ -204,27 +232,45 @@ class TestRunAblation:
 
     def test_planner_axis_runs_one_none_trial_per_seed(self, trial_calls):
         base = ScenarioConfig(**{**FAST, "duration": 5.0})
-        spec = ExperimentSpec(base=base, axis="coefficient_c", values=[0.0, 1.0, 4.0],
-                              replicates=2, seeds=[1, 2])
-        run_ablation(spec)
+        run_ablation(base, "coefficient_c", [0.0, 1.0, 4.0], replicates=2, seeds=[1, 2])
         assert len(trial_calls) == len(set(trial_calls)) == 2 + 3 * 2
         assert [c.seed for c in trial_calls if c.condition == "none"] == [1, 2]
 
-    def test_condition_axis_single_runs(self):
-        base = ScenarioConfig(**FAST)
-        spec = ExperimentSpec(base=base, axis="condition", values=["none", "proposed"],
-                              replicates=1, seeds=[1])
-        rows = run_ablation(spec)
-        assert len(rows) == 2
-        assert rows[0].social_none is not None and rows[0].social_proposed is None
-        assert rows[1].social_proposed is not None and rows[1].social_none is None
-
     def test_environment_axis(self):
         base = ScenarioConfig(**FAST)
-        spec = ExperimentSpec(base=base, axis="environment", values=["square12", "passage"],
-                              replicates=1, seeds=[1])
-        rows = run_ablation(spec)
+        rows = run_ablation(base, "environment", ["square12", "passage"], replicates=1, seeds=[1])
         assert [r.environment for r in rows] == ["square12", "passage"]
+
+    def test_density_sweep_pairs_as_matrix(self):
+        # the two runners pair a density point's trials the same way
+        base = ScenarioConfig(**{**FAST, "duration": 10.0})
+        swept = run_ablation(base, "density", [0.05, 0.25], replicates=2, seeds=[1, 2])
+        grid = run_matrix(base, [base.environment], [0.05, 0.25], replicates=2, seeds=[1, 2])
+        fields = ("environment", "density", "seed", "social_none", "social_proposed", "physicality_none",
+                  "physicality_proposed", "social_reduction", "physicality_reduction", "stable_pct")
+        assert [[getattr(r, f) for f in fields] for r in swept] == [[getattr(r, f) for f in fields] for r in grid]
+
+
+class TestReplicateSeeds:
+    def test_repeated_seed_rejected(self, stub_calls):
+        # a repeated seed would count one trial as two replicates
+        with pytest.raises(ScenarioError, match="seeds"):
+            run_matrix(ScenarioConfig(), ["square12"], [0.25], replicates=2, seeds=[3, 3])
+        with pytest.raises(ScenarioError, match="seeds"):
+            run_ablation(ScenarioConfig(), "density", [0.25], replicates=2, seeds=[3, 3])
+        assert stub_calls == []
+
+    def test_only_used_seeds_must_differ(self, stub_calls):
+        rows = run_matrix(ScenarioConfig(), ["square12"], [0.25], replicates=2, seeds=[3, 4, 3])
+        assert [r.seed for r in rows] == [3, 4]
+
+    @pytest.mark.parametrize("replicates", [0, MAX_REPLICATES + 1])
+    def test_replicates_bounded(self, stub_calls, replicates):
+        with pytest.raises(ScenarioError, match="replicates"):
+            run_matrix(ScenarioConfig(), ["square12"], [0.25], replicates=replicates)
+        with pytest.raises(ScenarioError, match="replicates"):
+            run_ablation(ScenarioConfig(), "density", [0.25], replicates=replicates)
+        assert stub_calls == []
 
 
 class TestRunMatrix:
@@ -343,6 +389,10 @@ class TestMainCli:
         ("matrix --densities x", "densities"),
         ("matrix --jobs 0", "jobs"),
         ("matrix --replicates 0", "replicates"),
+        (f"matrix --replicates {MAX_REPLICATES + 1}", "replicates"),
+        (f"ablate --axis density --values 0.1 --replicates {MAX_REPLICATES + 1}", "replicates"),
+        ("matrix --environments square12 --densities 0.25 --replicates 2 --seeds 3,3", "seeds"),
+        ("ablate --axis density --values 0.1 --replicates 2 --seeds 3,3", "seeds"),
     ])
     def test_sweep_argument_error_names_field(self, monkeypatch, capsys, command, field):
         def no_trial(config):
@@ -354,6 +404,12 @@ class TestMainCli:
 
     def test_trace_requires_out(self, capsys):
         assert main(["simulate", "--trace"]) == 2
+
+    def test_ablate_condition_axis_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--axis", "condition", "--values", "none,proposed"])
+        assert exc.value.code == 2
+        assert "--axis" in capsys.readouterr().err
 
     def test_ablate_smoke(self, tmp_path, capsys):
         out = tmp_path / "abl"
@@ -381,7 +437,8 @@ class TestMainCli:
         assert code == 0
         lines = (out / "matrix.csv").read_text().splitlines()
         assert len(lines) == 3
-        assert "density" in capsys.readouterr().out or True
+        summary = capsys.readouterr().out.splitlines()
+        assert [line.split(": social ")[0] for line in summary] == ["square12 density=0.05", "square12 density=0.1"]
 
     def test_csv_deterministic_across_runs(self, tmp_path):
         scenario = tmp_path / "s.txt"
