@@ -94,6 +94,13 @@ def _replicate_seeds(replicates: int, seeds: list[int] | None) -> list[int]:
     return used
 
 
+def _distinct(name: str, values: list) -> list:
+    """`values`, unless one repeats: its trials would run once and be pooled twice."""
+    if len(set(values)) < len(values):
+        raise ScenarioError(f"{name}: a value repeats among {values}")
+    return values
+
+
 @dataclass
 class ResultRow:
     """One (sweep point, replicate) with both conditions side by side."""
@@ -192,12 +199,13 @@ def run_ablation(
         raise ScenarioError(f"axis: must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ScenarioError("values: sweep values must be non-empty")
-    seeds = _replicate_seeds(replicates, seeds)
     kind = _SCHEMA[axis].metadata["type"]
+    swept = _distinct("values", [kind(value) for value in values])
+    seeds = _replicate_seeds(replicates, seeds)
     none_base = base if axis in _PLANNER_AXES else None
     points = [
-        (axis, value, replicate, _paired(replace(base, seed=seed, **{axis: kind(value)}), none_base))
-        for value in values
+        (axis, value, replicate, _paired(replace(base, seed=seed, **{axis: setting}), none_base))
+        for value, setting in zip(values, swept)
         for replicate, seed in enumerate(seeds)
     ]
     return _run_pairs(points, jobs)
@@ -212,6 +220,8 @@ def run_matrix(
     jobs: int = 1,
 ) -> list[ResultRow]:
     """Full environment-by-density grid with paired conditions per seed."""
+    _distinct("environments", environments)
+    _distinct("densities", densities)
     seeds = _replicate_seeds(replicates, seeds)
     points = [
         ("", "", replicate, _paired(replace(base, environment=env_name, density=density, seed=seed)))

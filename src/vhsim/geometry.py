@@ -7,7 +7,7 @@ from the +x axis. Degree-valued thresholds are converted at module boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,8 +138,7 @@ def _points_segment(points: np.ndarray, s: Segment, norm) -> np.ndarray:
 
 def distance_points_segment(points: np.ndarray, s: Segment) -> np.ndarray:
     """`distance_point_segment` for each row of an (n, 2) array, bit for bit.
-    Anticipation and the walls take it, since they must agree with the
-    scalar rules."""
+    Anticipation takes it, since it must agree with the scalar rules."""
     return _points_segment(points, s, hypot)
 
 
@@ -150,36 +149,9 @@ def points_segment_distance(points: np.ndarray, s: Segment) -> np.ndarray:
     return _points_segment(points, s, np.hypot)
 
 
-def distance_segment_segment(s1: Segment, s2: Segment) -> float:
-    """Minimum distance between two segments (0 if they intersect)."""
-    if segments_intersect(s1, s2):
-        return 0.0
-    return min(
-        distance_point_segment(s1.a, s2),
-        distance_point_segment(s1.b, s2),
-        distance_point_segment(s2.a, s1),
-        distance_point_segment(s2.b, s1),
-    )
-
-
-def _orient(a: Vec2, b: Vec2, c: Vec2) -> float:
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-
-
-def segments_intersect(s1: Segment, s2: Segment) -> bool:
-    d1 = _orient(s2.a, s2.b, s1.a)
-    d2 = _orient(s2.a, s2.b, s1.b)
-    d3 = _orient(s1.a, s1.b, s2.a)
-    d4 = _orient(s1.a, s1.b, s2.b)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        return True
-    # collinear/touching cases fall through; endpoint distances handle them
-    return False
-
-
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned rectangle, used for goal boxes and bounds."""
+    """Axis-aligned rectangle: the environment's bounds."""
 
     x_min: float
     y_min: float
@@ -189,9 +161,6 @@ class Rect:
     def __post_init__(self) -> None:
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(f"degenerate rectangle: {self}")
-
-    def contains(self, p: Vec2) -> bool:
-        return self.x_min <= p.x <= self.x_max and self.y_min <= p.y <= self.y_max
 
 
 def _circle_primitive(u: float, r: float) -> float:
@@ -233,79 +202,36 @@ def disc_rect_intersection_area(center: Vec2, radius: float, rect: Rect) -> floa
 
 @dataclass
 class Environment:
-    """Rectangular world with explicit wall segments and spawn/goal boxes.
+    """A width x height rectangle, optionally walled along its left and
+    right edges, x = 0 and x = width, over their full height.
 
-    The open square declares no walls; the narrow passage declares its two
-    long edges as walls so near-wall classification has something to measure.
-    Goal boxes sit along the top and bottom edges.
+    Those side walls make the place "definite" for the in-group rule and keep
+    candidate positions `wall_clearance` away from them. The narrow passage
+    is 3 m wide with side walls, so the flow runs along y between them. The
+    goal boxes along the top and bottom edges are `simulation._draw_goal`'s.
     """
 
     width: float
     height: float
-    walls: list[Segment] = field(default_factory=list)
-    goal_boxes_top: list[Rect] = field(default_factory=list)
-    goal_boxes_bottom: list[Rect] = field(default_factory=list)
+    side_walls: bool = False
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("environment dimensions must be positive")
-        eps = 1e-9
-        for w in self.walls:
-            for p in (w.a, w.b):
-                if not (-eps <= p.x <= self.width + eps and -eps <= p.y <= self.height + eps):
-                    raise ValueError(f"wall endpoint {p} outside bounds")
-        for box in self.goal_boxes_top + self.goal_boxes_bottom:
-            if box.x_min < -eps or box.y_min < -eps or box.x_max > self.width + eps or box.y_max > self.height + eps:
-                raise ValueError(f"goal box {box} outside bounds")
 
     def bounds(self) -> Rect:
         return Rect(0.0, 0.0, self.width, self.height)
-
-    def contains(self, p: Vec2) -> bool:
-        return 0.0 <= p.x <= self.width and 0.0 <= p.y <= self.height
 
     def center(self) -> Vec2:
         return Vec2(0.5 * self.width, 0.5 * self.height)
 
 
-def nearest_wall_distance(env: Environment, points: np.ndarray) -> np.ndarray:
-    """Distance from each row of an (n, 2) array of points to the nearest
-    declared wall; inf when there are no walls."""
-    if not env.walls:
-        return np.full(len(points), math.inf)
-    return np.minimum.reduce([distance_points_segment(points, w) for w in env.walls])
-
-
-def nearest_wall_distance_segment(env: Environment, s: Segment) -> float:
-    """Distance from a segment to the nearest declared wall; inf when no walls."""
-    if not env.walls:
-        return math.inf
-    return min(distance_segment_segment(s, w) for w in env.walls)
-
-
-def _goal_boxes(width: float, height: float, count: int = 5, depth: float = 0.5) -> tuple[list[Rect], list[Rect]]:
-    step = width / count
-    top = [Rect(i * step, height - depth, (i + 1) * step, height) for i in range(count)]
-    bottom = [Rect(i * step, 0.0, (i + 1) * step, depth) for i in range(count)]
-    return top, bottom
-
-
-def open_rect(width: float, height: float) -> Environment:
-    """Rectangle with no walls and goal boxes along its top and bottom edges."""
-    top, bottom = _goal_boxes(width, height)
-    return Environment(width=width, height=height, walls=[], goal_boxes_top=top, goal_boxes_bottom=bottom)
-
-
 def open_square(size: float) -> Environment:
-    """Square environment with no interior walls and goal boxes on both edges."""
-    return open_rect(size, size)
+    """Square environment without walls."""
+    return Environment(size, size)
 
 
 def narrow_passage(width: float = 3.0, length: float = 20.0) -> Environment:
-    """Corridor environment; the two long edges are walls, flow runs along y."""
-    walls = [
-        Segment(Vec2(0.0, 0.0), Vec2(0.0, length)),
-        Segment(Vec2(width, 0.0), Vec2(width, length)),
-    ]
-    top, bottom = _goal_boxes(width, length)
-    return Environment(width=width, height=length, walls=walls, goal_boxes_top=top, goal_boxes_bottom=bottom)
+    """Corridor `width` wide and `length` long with walls along x = 0 and
+    x = width; the flow runs along y."""
+    return Environment(width, length, side_walls=True)

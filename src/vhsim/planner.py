@@ -22,7 +22,6 @@ from .geometry import (
     Segment,
     Vec2,
     angle_difference,
-    nearest_wall_distance,
     points_segment_distance,
 )
 from .prediction import Prediction, anticipated_pedestrians, prediction_horizon, predict_trajectory
@@ -128,7 +127,9 @@ def generate_candidates(
     as an (m, 2) array.
 
     Radii span the formation distance bounds; positions outside the bounds or
-    hugging a wall are dropped. Rows run radius by radius, bearings
+    closer than `wall_clearance` to a side wall are dropped. The side walls
+    span the full height, so a point's distance to the nearer one is
+    min(x, width - x). Rows run radius by radius, bearings
     counter-clockwise from +x. The current position is always the last row,
     so holding still is always an option.
     """
@@ -139,8 +140,8 @@ def generate_candidates(
     y = user.position.y + r * np.array([math.sin(b) for b in bearings])
     grid = np.column_stack((x.ravel(), y.ravel()))
     keep = (0.0 <= grid[:, 0]) & (grid[:, 0] <= env.width) & (0.0 <= grid[:, 1]) & (grid[:, 1] <= env.height)
-    if env.walls:
-        keep &= ~(nearest_wall_distance(env, grid) < config.wall_clearance)
+    if env.side_walls:
+        keep &= ~(np.minimum(grid[:, 0], env.width - grid[:, 0]) < config.wall_clearance)
     return np.vstack((grid[keep], (current_vh.x, current_vh.y)))
 
 

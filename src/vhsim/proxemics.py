@@ -26,7 +26,6 @@ from .geometry import (
     angle_between,
     disc_rect_intersection_area,
     hypot,
-    nearest_wall_distance_segment,
 )
 
 if TYPE_CHECKING:
@@ -205,13 +204,16 @@ def classify_spatial_context(
 ) -> SpatialContext:
     """Classify the dyad's surroundings by definiteness and crowdedness.
 
-    Near-wall when any declared wall comes within the personal-space radius of
-    the dyad segment. Crowded when the count of pedestrian `positions` (an
-    (n, 2) array) inside the c-space disc (centered on the dyad midpoint,
-    clipped to the environment bounds) divided by the clipped disc area
-    reaches the density threshold.
+    Near-wall when a side wall comes within the personal-space radius of the
+    dyad segment. The dyad lies inside the environment and the side walls
+    span its full height, so the segment's nearest point to a wall is an
+    end: the distance is min(x, width - x) over the two ends. Crowded when
+    the count of pedestrian `positions` (an (n, 2) array) inside the c-space
+    disc (centered on the dyad midpoint, clipped to the environment bounds)
+    divided by the clipped disc area reaches the density threshold.
     """
-    wall_dist = nearest_wall_distance_segment(env, dyad)
+    ends = (dyad.a.x, dyad.b.x)
+    wall_dist = min(*ends, *(env.width - x for x in ends)) if env.side_walls else math.inf
     definiteness = Definiteness.NEAR_WALL if wall_dist < config.personal_space else Definiteness.OPEN_SPACE
 
     mid = dyad.midpoint()

@@ -24,15 +24,11 @@ import numpy as np
 from .geometry import (
     Environment,
     Pose,
-    Rect,
     Segment,
     Vec2,
     angle_difference,
     distance_point_segment,
     hypot,
-    narrow_passage,
-    open_rect,
-    open_square,
     points_segment_distance,
 )
 from .planner import ConflictAvoidancePlanner, grid_shape
@@ -41,7 +37,10 @@ from .prediction import _AVOIDING, _DIRECT, _RETURNING, PedestrianState, Phase, 
 
 TRACE_SCHEMA = "vhsim-trace/1"
 
-ENVIRONMENT_PRESETS = ("square12", "square20", "passage", "custom")
+# (width, height, side_walls) of each preset; "custom" reads env_width,
+# env_height and env_side_walls.
+_PRESETS = {"square12": (12.0, 12.0, False), "square20": (20.0, 20.0, False), "passage": (3.0, 20.0, True)}
+ENVIRONMENT_PRESETS = (*_PRESETS, "custom")
 CONDITIONS = ("none", "proposed")
 
 # Work bounds, checked before a trial starts so that no accepted scenario can
@@ -135,8 +134,8 @@ class ScenarioConfig:
                 raise ScenarioError(f"{f.name}: {problem}")
         env = self.build_environment()
         user, vh = self.initial_poses(env)
-        ticks = round(self.duration / self.dt)
-        pedestrians = round(self.density * env.width * env.height)
+        ticks = self.tick_count()
+        pedestrians = self.pedestrian_count(env)
         samples = sample_count(max(self.horizon_cap, self.dt), self.dt)
         radii, bearings = grid_shape(self)
         candidates = radii * bearings + 1
@@ -166,15 +165,17 @@ class ScenarioConfig:
                 raise ScenarioError(f"{names}: {message}")
 
     def build_environment(self) -> Environment:
-        if self.environment == "square12":
-            return open_square(12.0)
-        if self.environment == "square20":
-            return open_square(20.0)
-        if self.environment == "passage":
-            return narrow_passage(3.0, 20.0)
-        if self.env_side_walls:
-            return narrow_passage(self.env_width, self.env_height)
-        return open_rect(self.env_width, self.env_height)
+        if self.environment == "custom":
+            return Environment(self.env_width, self.env_height, self.env_side_walls)
+        return Environment(*_PRESETS[self.environment])
+
+    def tick_count(self) -> int:
+        """Ticks in a trial: duration / dt, rounded."""
+        return round(self.duration / self.dt)
+
+    def pedestrian_count(self, env: Environment) -> int:
+        """Pedestrians in the crowd: density times the environment's area, rounded."""
+        return round(self.density * env.width * env.height)
 
     def initial_poses(self, env: Environment) -> tuple[Pose, Pose]:
         """User and agent face each other across the middle of the environment."""
@@ -222,10 +223,22 @@ def _pedestrian_rng(seed: int, ped_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(ped_id,))))
 
 
-def _draw_goal(rng: np.random.Generator, boxes: list[Rect]) -> Vec2:
-    box = boxes[int(rng.integers(len(boxes)))]
-    x = float(rng.uniform(box.x_min, box.x_max))
-    y = float(rng.uniform(box.y_min, box.y_max))
+# Goals lie in GOAL_BOXES equal boxes side by side along the top edge and as
+# many along the bottom edge, each GOAL_DEPTH (m) deep.
+GOAL_BOXES = 5
+GOAL_DEPTH = 0.5
+
+
+def _draw_goal(rng: np.random.Generator, env: Environment, side: int) -> Vec2:
+    """A goal drawn from `rng`: a box along the top (side 0) or bottom (side
+    1) edge, then a uniform point in it, x before y."""
+    step = env.width / GOAL_BOXES
+    i = int(rng.integers(GOAL_BOXES))
+    x = float(rng.uniform(i * step, (i + 1) * step))
+    if side == 0:
+        y = float(rng.uniform(env.height - GOAL_DEPTH, env.height))
+    else:
+        y = float(rng.uniform(0.0, GOAL_DEPTH))
     return Vec2(x, y)
 
 
@@ -333,7 +346,7 @@ class Crowd:
             (x, y), (gx, gy) = new_pos[i].tolist(), self.goal[i].tolist()
             if math.hypot(x - gx, y - gy) <= tolerance:
                 side = self.goal_side[i] = 1 - self.goal_side[i]
-                goal = _draw_goal(self.rngs[i], self.env.goal_boxes_top if side == 0 else self.env.goal_boxes_bottom)
+                goal = _draw_goal(self.rngs[i], self.env, side)
                 self.goal[i] = goal.x, goal.y
                 phase[i] = _DIRECT
                 self.waypoint[i] = math.nan, math.nan
@@ -341,7 +354,7 @@ class Crowd:
 
 
 def _spawn_crowd(config: ScenarioConfig, env: Environment, dyad: Segment) -> Crowd:
-    count = int(round(config.density * env.width * env.height))
+    count = config.pedestrian_count(env)
     position, velocity, goal = np.zeros((count, 2)), np.zeros((count, 2)), np.zeros((count, 2))
     speed = np.zeros(count)
     rngs = [_pedestrian_rng(config.seed, ped_id) for ped_id in range(count)]
@@ -358,7 +371,7 @@ def _spawn_crowd(config: ScenarioConfig, env: Environment, dyad: Segment) -> Cro
             else:
                 exclusion *= 0.5  # area too tight; relax rather than fail
         side = int(rng.integers(2))
-        g = _draw_goal(rng, env.goal_boxes_top if side == 0 else env.goal_boxes_bottom)
+        g = _draw_goal(rng, env, side)
         pace = float(rng.uniform(config.speed_min, config.speed_max))
         dx, dy = g.x - p.x, g.y - p.y
         n = math.hypot(dx, dy)
@@ -528,7 +541,7 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
     if config.condition == "proposed":
         planner = ConflictAvoidancePlanner(env, config)
 
-    n_ticks = int(round(config.duration / config.dt))
+    n_ticks = config.tick_count()
     n_peds = len(crowd)
     inside_territory = np.zeros(n_peds, dtype=bool)
     inside_body = np.zeros(n_peds, dtype=bool)

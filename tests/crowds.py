@@ -1,5 +1,6 @@
 """Hand-written pedestrians and sample paths as the arrays the planner reads,
-seeded random planner scenes, and scalar views of a predicted path."""
+seeded random planner scenes, walled test scenarios, and scalar views of a
+predicted path."""
 
 import math
 from dataclasses import replace
@@ -66,6 +67,15 @@ def samples_of(traj: PredictedTrajectory) -> list[tuple[float, Vec2]]:
 def d_min_of(traj: PredictedTrajectory) -> float:
     """The path's closest predicted approach to the user."""
     return float(hypot(traj.points[:, 0] - traj.user.x, traj.points[:, 1] - traj.user.y).min())
+
+
+# Walled scenes beside the passage: a wide one, whose walls are its short
+# edges, and a narrow one whose candidates may touch the walls.
+WALLED = {
+    "wide": ScenarioConfig(environment="custom", env_width=20.0, env_height=4.3, env_side_walls=True),
+    "narrow-no-clearance": ScenarioConfig(environment="custom", env_width=2.5, env_height=15.3,
+                                          env_side_walls=True, wall_clearance=0.0),
+}
 
 
 def random_scene(rng, env: Environment, config: ScenarioConfig) -> tuple[PlanningSnapshot, SpatialContext]:

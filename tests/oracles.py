@@ -1,8 +1,8 @@
 """Scalar reference implementations that the tests compare vhsim against.
 
 Each one recomputes a production result the slow, obvious way: per
-candidate, per sample or per pedestrian in plain Python, or, for the disc
-clip, by clipping a fine polygon.
+candidate, per sample or per pedestrian in plain Python, against the side
+walls as segments, or, for the disc clip, by clipping a fine polygon.
 """
 
 import math
@@ -134,10 +134,33 @@ def oracle_approach(candidates: np.ndarray, user: Pose, points: np.ndarray, reac
     return approach
 
 
+def side_walls(env: Environment) -> list[Segment]:
+    """The environment's walls as segments: its left and right edges when it
+    has side walls, else none."""
+    if not env.side_walls:
+        return []
+    return [Segment(Vec2(0.0, 0.0), Vec2(0.0, env.height)),
+            Segment(Vec2(env.width, 0.0), Vec2(env.width, env.height))]
+
+
+def oracle_wall_distance(env: Environment, dyad: Segment) -> float:
+    """Distance from a dyad inside the environment to the nearest wall
+    segment: the least of the four endpoint-to-segment distances against each
+    wall, since the dyad cannot cross one; inf without walls."""
+    return min((min(distance_point_segment(dyad.a, w), distance_point_segment(dyad.b, w),
+                    distance_point_segment(w.a, dyad), distance_point_segment(w.b, dyad))
+                for w in side_walls(env)), default=math.inf)
+
+
+def inside(env: Environment, p: Vec2) -> bool:
+    return 0.0 <= p.x <= env.width and 0.0 <= p.y <= env.height
+
+
 def oracle_candidates(user: Pose, current_vh: Vec2, env: Environment, config: ScenarioConfig) -> list[Vec2]:
     """The planner's candidate grid, point by point: radius by radius and
     bearing by bearing, dropping points outside the bounds or closer than
-    the wall clearance to a wall, then the current spot."""
+    the wall clearance to a wall segment, then the current spot."""
+    walls = side_walls(env)
     candidates = []
     radial_step, angular_step = config.candidate_radial_step, config.candidate_angular_step
     n_radii = int(math.floor((config.interpersonal_distance - config.formation_min) / radial_step + 1e-9)) + 1
@@ -147,9 +170,9 @@ def oracle_candidates(user: Pose, current_vh: Vec2, env: Environment, config: Sc
         for k in range(n_bearings):
             theta = math.radians(k * angular_step)
             p = Vec2(user.position.x + r * math.cos(theta), user.position.y + r * math.sin(theta))
-            if not env.contains(p):
+            if not inside(env, p):
                 continue
-            if env.walls and min(distance_point_segment(p, w) for w in env.walls) < config.wall_clearance:
+            if walls and min(distance_point_segment(p, w) for w in walls) < config.wall_clearance:
                 continue
             candidates.append(p)
     candidates.append(current_vh)
@@ -191,15 +214,23 @@ class OracleWalker:
     goal_side: int  # 0 = top boxes, 1 = bottom boxes
 
 
+def goal_boxes(env: Environment, side: int) -> list[Rect]:
+    """The five 0.5 m deep goal boxes side by side along the top (side 0) or
+    bottom (side 1) edge."""
+    step = env.width / 5
+    y_min, y_max = (env.height - 0.5, env.height) if side == 0 else (0.0, 0.5)
+    return [Rect(i * step, y_min, (i + 1) * step, y_max) for i in range(5)]
+
+
 def oracle_crowd_tick(walkers: list[OracleWalker], user: Vec2, env: Environment, config: ScenarioConfig) -> None:
     """One tick of the crowd, pedestrian by pedestrian: the scalar dodge rule,
     then, within the goal tolerance, the other side's next goal from the
-    pedestrian's own generator."""
+    pedestrian's own generator: a box, then a uniform point in it."""
     for w in walkers:
         s = step_pedestrian(w.state, user, config)
         if s.position.distance_to(s.goal) <= config.goal_tolerance:
             w.goal_side = 1 - w.goal_side
-            boxes = env.goal_boxes_top if w.goal_side == 0 else env.goal_boxes_bottom
+            boxes = goal_boxes(env, w.goal_side)
             box = boxes[int(w.rng.integers(len(boxes)))]
             goal = Vec2(float(w.rng.uniform(box.x_min, box.x_max)), float(w.rng.uniform(box.y_min, box.y_max)))
             s = replace(s, goal=goal, phase=Phase.DIRECT, waypoint=None)

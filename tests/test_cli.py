@@ -91,7 +91,7 @@ class TestParseScenario:
         cfg = parse_scenario("environment: passage")
         env = cfg.build_environment()
         assert (env.width, env.height) == (3.0, 20.0)
-        assert len(env.walls) == 2
+        assert env.side_walls
 
     def test_bool_parsing(self):
         cfg = parse_scenario("environment: custom\nenv_side_walls: true\nenv_width: 4\nenv_height: 12")
@@ -273,6 +273,25 @@ class TestReplicateSeeds:
         assert stub_calls == []
 
 
+class TestRepeatedSweepValues:
+    # a repeated value's trials would run once and be pooled twice
+    def test_matrix_rejects_repeats(self, stub_calls):
+        with pytest.raises(ScenarioError, match="environments"):
+            run_matrix(ScenarioConfig(), ["square12", "square12"], [0.25], replicates=1)
+        with pytest.raises(ScenarioError, match="densities"):
+            run_matrix(ScenarioConfig(), ["square12"], [0.25, 0.25], replicates=1)
+        assert stub_calls == []
+
+    def test_ablation_compares_coerced_values(self, stub_calls):
+        with pytest.raises(ScenarioError, match="values"):
+            run_ablation(ScenarioConfig(), "coefficient_c", [1.0, 1], replicates=1)
+        with pytest.raises(ScenarioError, match="values"):
+            run_ablation(ScenarioConfig(), "density", ["0.1", "0.10"], replicates=1)
+        with pytest.raises(ScenarioError, match="values"):
+            run_ablation(ScenarioConfig(), "environment", ["passage", "square12", "passage"], replicates=1)
+        assert stub_calls == []
+
+
 class TestRunMatrix:
     def test_parallel_pool_sized_to_distinct_trials(self, monkeypatch):
         # an in-process stand-in for the process pool, recording its size
@@ -393,6 +412,10 @@ class TestMainCli:
         (f"ablate --axis density --values 0.1 --replicates {MAX_REPLICATES + 1}", "replicates"),
         ("matrix --environments square12 --densities 0.25 --replicates 2 --seeds 3,3", "seeds"),
         ("ablate --axis density --values 0.1 --replicates 2 --seeds 3,3", "seeds"),
+        ("matrix --environments passage,passage", "environments"),
+        ("matrix --densities 0.1,0.10", "densities"),
+        ("ablate --axis density --values 0.1,0.10", "values"),
+        ("ablate --axis environment --values square12,square12", "values"),
     ])
     def test_sweep_argument_error_names_field(self, monkeypatch, capsys, command, field):
         def no_trial(config):

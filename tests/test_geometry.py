@@ -16,14 +16,13 @@ from vhsim.geometry import (
     disc_rect_intersection_area,
     distance_point_segment,
     distance_points_segment,
-    distance_segment_segment,
     narrow_passage,
-    nearest_wall_distance,
-    nearest_wall_distance_segment,
     normalize_angle,
     open_square,
     points_segment_distance,
 )
+from vhsim.proxemics import Definiteness, classify_spatial_context
+from vhsim.simulation import ScenarioConfig, _draw_goal
 
 
 class TestDistancePointSegment:
@@ -111,45 +110,46 @@ class TestAngles:
         assert p.orientation == pytest.approx(1.5 * math.pi)
 
 
+def near_wall(env: Environment, dyad: Segment, personal_space: float) -> bool:
+    context = classify_spatial_context(env, dyad, np.empty((0, 2)), ScenarioConfig(personal_space=personal_space))
+    return context.definiteness is Definiteness.NEAR_WALL
+
+
 class TestEnvironment:
     def test_narrow_passage_centerline(self):
         env = narrow_passage(3.0, 20.0)
-        assert nearest_wall_distance(env, np.array([[1.5, 10.0]]))[0] == pytest.approx(1.5)
+        assert env == Environment(3.0, 20.0, side_walls=True)
+        assert env.center() == Vec2(1.5, 10.0)
+        # the centerline is 1.5 m from either wall
+        centerline = Segment(Vec2(1.5, 9.0), Vec2(1.5, 11.0))
+        assert near_wall(env, centerline, 1.5 + 1e-9) and not near_wall(env, centerline, 1.5)
 
     def test_half_meter_from_wall(self):
         env = narrow_passage(3.0, 20.0)
-        assert nearest_wall_distance(env, np.array([[0.5, 4.0]]))[0] == pytest.approx(0.5)
+        for x in (0.5, 2.5):
+            dyad = Segment(Vec2(x, 4.0), Vec2(1.5, 4.0))
+            assert near_wall(env, dyad, 0.5 + 1e-9) and not near_wall(env, dyad, 0.5)
 
     def test_open_square_has_no_walls(self):
         env = open_square(20.0)
-        assert env.walls == []
-        assert nearest_wall_distance(env, np.array([[10.0, 10.0]]))[0] == math.inf
-
-    def test_declared_walls_only(self):
-        # 20x20 bounds with a single interior wall: distance by hand geometry
-        wall = Segment(Vec2(4.0, 0.0), Vec2(4.0, 20.0))
-        env = Environment(width=20.0, height=20.0, walls=[wall])
-        assert nearest_wall_distance(env, np.array([[10.0, 10.0]]))[0] == pytest.approx(6.0)
-
-    def test_wall_outside_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Environment(width=5.0, height=5.0, walls=[Segment(Vec2(0, 0), Vec2(9, 0))])
-
-    def test_goal_box_outside_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Environment(width=5.0, height=5.0, goal_boxes_top=[Rect(4.0, 4.8, 6.0, 5.0)])
+        assert env == Environment(20.0, 20.0, side_walls=False)
+        assert not near_wall(env, Segment(Vec2(0.0, 10.0), Vec2(20.0, 10.0)), 100.0)
 
     def test_goal_boxes_cover_edges(self):
+        # every draw lies in its edge's 0.5 m strip, and the five 2.4 m boxes
+        # along each edge are all drawn from
         env = open_square(12.0)
-        assert len(env.goal_boxes_top) == 5
-        assert len(env.goal_boxes_bottom) == 5
-        assert env.goal_boxes_top[0].x_min == 0.0
-        assert env.goal_boxes_top[-1].x_max == pytest.approx(12.0)
+        rng = np.random.default_rng(3)
+        for side, (y_min, y_max) in ((0, (11.5, 12.0)), (1, (0.0, 0.5))):
+            goals = [_draw_goal(rng, env, side) for _ in range(200)]
+            assert all(0.0 <= g.x <= 12.0 and y_min <= g.y <= y_max for g in goals)
+            assert {int(g.x // 2.4) for g in goals} == {0, 1, 2, 3, 4}
 
     def test_segment_wall_distance(self):
+        # the dyad's nearer end is 0.75 m from the left wall
         env = narrow_passage(3.0, 20.0)
         dyad = Segment(Vec2(0.75, 10.0), Vec2(2.25, 10.0))
-        assert nearest_wall_distance_segment(env, dyad) == pytest.approx(0.75)
+        assert near_wall(env, dyad, 0.75 + 1e-9) and not near_wall(env, dyad, 0.75)
 
 
 def np_distance_point_segment(p: Vec2, s: Segment) -> float:
@@ -178,18 +178,6 @@ class TestDistancePointsSegment:
         s = Segment(Vec2(-1.0, 0.5), b)
         want = np.array([scalar(Vec2(x, y), s) for x, y in pts.tolist()])
         assert (rows(pts, s).view(np.uint64) == want.view(np.uint64)).all()
-
-
-class TestSegmentSegment:
-    def test_crossing_segments(self):
-        a = Segment(Vec2(-1, 0), Vec2(1, 0))
-        b = Segment(Vec2(0, -1), Vec2(0, 1))
-        assert distance_segment_segment(a, b) == 0.0
-
-    def test_parallel_segments(self):
-        a = Segment(Vec2(0, 0), Vec2(1, 0))
-        b = Segment(Vec2(0, 2), Vec2(1, 2))
-        assert distance_segment_segment(a, b) == pytest.approx(2.0)
 
 
 class TestDiscRectArea:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import vhsim.planner as planner_module
-from crowds import crowd_of, positions_of, prediction_of, random_scene
+from crowds import WALLED, crowd_of, positions_of, prediction_of, random_scene
 from oracles import oracle_approach, oracle_candidates, oracle_decision, oracle_ingroup, oracle_utility
 from vhsim.comfort import SATURATION_DISTANCE_M, comfort_from_distance
 from vhsim.geometry import (
@@ -121,16 +121,21 @@ class TestGenerateCandidates:
         for c in cands[:-1]:
             assert 0.3 <= c[0] <= 2.7
 
-    @pytest.mark.parametrize("environment", ["square20", "passage"])
-    def test_rows_equal_the_scalar_grid_bit_for_bit(self, environment):
-        # users across the whole area, so bounds and walls cut the grid
-        env = ScenarioConfig(environment=environment).build_environment()
+    @pytest.mark.parametrize("config", [
+        pytest.param(ScenarioConfig(environment=name), id=name) for name in ("square20", "passage")
+    ] + [pytest.param(config, id=name) for name, config in WALLED.items()])
+    def test_rows_equal_the_scalar_grid_bit_for_bit(self, config):
+        # users across the whole area, so bounds and walls cut the grid, and
+        # one whose innermost ring touches the left edge at x = 0
+        env = config.build_environment()
         rng = random.Random(17)
-        for _ in range(200):
-            user = Pose(Vec2(rng.uniform(0.0, env.width), rng.uniform(0.0, env.height)), 0.0)
+        users = [Vec2(config.formation_min, 0.5 * env.height)]
+        users += [Vec2(rng.uniform(0.0, env.width), rng.uniform(0.0, env.height)) for _ in range(200)]
+        for position in users:
+            user = Pose(position, 0.0)
             current = Vec2(rng.uniform(0.0, env.width), rng.uniform(0.0, env.height))
-            got = generate_candidates(user, current, env, CONFIG)
-            want = np.array([(c.x, c.y) for c in oracle_candidates(user, current, env, CONFIG)])
+            got = generate_candidates(user, current, env, config)
+            want = np.array([(c.x, c.y) for c in oracle_candidates(user, current, env, config)])
             assert got.shape == want.shape and (got.view(np.uint64) == want.view(np.uint64)).all()
 
     def test_degenerate_env_keeps_only_current(self):

@@ -1,11 +1,12 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from crowds import positions_of
-from oracles import oracle_ingroup
+from crowds import WALLED, positions_of
+from oracles import oracle_ingroup, oracle_wall_distance
 from vhsim.geometry import Pose, Segment, Vec2, narrow_passage, open_square
 from vhsim.prediction import PedestrianState
 from vhsim.proxemics import (
@@ -207,6 +208,28 @@ class TestSpatialContext:
         ctx = classify_spatial_context(env, dyad, positions_of([]), CONFIG)
         # 1.5 m to both walls exceeds the 1.2 m threshold
         assert ctx.definiteness is Definiteness.OPEN_SPACE
+
+    @pytest.mark.parametrize("config", [pytest.param(ScenarioConfig(environment="passage"), id="passage")]
+                             + [pytest.param(config, id=name) for name, config in WALLED.items()])
+    def test_near_wall_matches_segment_distance_bit_for_bit(self, config):
+        # random dyads inside the environment; at a personal space equal to
+        # the segment-to-wall distance the dyad is open space, one ulp above
+        # it near the wall
+        env = config.build_environment()
+        rng = random.Random(23)
+        none = positions_of([])
+        for _ in range(300):
+            a = Vec2(rng.uniform(0.0, env.width), rng.uniform(0.0, env.height))
+            r, theta = rng.uniform(0.6, 1.5), rng.uniform(0.0, 2.0 * math.pi)
+            b = Vec2(a.x + r * math.cos(theta), a.y + r * math.sin(theta))
+            if not (0.0 < b.x < env.width and 0.0 < b.y < env.height):
+                continue
+            dyad = Segment(a, b)
+            d = oracle_wall_distance(env, dyad)
+            at = replace(config, personal_space=d)
+            above = replace(config, personal_space=math.nextafter(d, math.inf))
+            assert classify_spatial_context(env, dyad, none, at).definiteness is Definiteness.OPEN_SPACE
+            assert classify_spatial_context(env, dyad, none, above).definiteness is Definiteness.NEAR_WALL
 
     def test_crowded_at_quarter_density(self):
         env = open_square(12.0)

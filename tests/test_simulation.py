@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from crowds import states_of
-from vhsim.geometry import Pose, Segment, Vec2, open_square
+from oracles import goal_boxes, inside
+from vhsim.geometry import Pose, Segment, Vec2, narrow_passage, open_square
+from vhsim.planner import generate_candidates
+from vhsim.proxemics import Definiteness, classify_spatial_context
 from vhsim.prediction import PedestrianState, Phase
 from vhsim.simulation import (
     ConflictKind,
@@ -55,11 +58,11 @@ class TestSpawnFlow:
         from vhsim.geometry import distance_point_segment
 
         for ped in states_of(spawn_flow(cfg)):
-            assert env.contains(ped.position)
+            assert inside(env, ped.position)
             assert distance_point_segment(ped.position, dyad) >= cfg.spawn_exclusion - 1e-9
             assert cfg.speed_min <= ped.preferred_speed <= cfg.speed_max
-            boxes = env.goal_boxes_top + env.goal_boxes_bottom
-            assert any(b.contains(ped.goal) for b in boxes)
+            boxes = goal_boxes(env, 0) + goal_boxes(env, 1)
+            assert any(b.x_min <= ped.goal.x <= b.x_max and b.y_min <= ped.goal.y <= b.y_max for b in boxes)
 
     def test_same_seed_same_population(self):
         cfg = ScenarioConfig(environment="square12", density=0.25, seed=9)
@@ -320,17 +323,34 @@ class TestScenarioConfig:
         assert ScenarioConfig(environment="square20").build_environment().width == 20.0
         passage = ScenarioConfig(environment="passage").build_environment()
         assert (passage.width, passage.height) == (3.0, 20.0)
-        assert len(passage.walls) == 2
+        assert passage.side_walls
 
     def test_custom_environment(self):
         cfg = ScenarioConfig(environment="custom", env_width=8.0, env_height=15.0)
         env = cfg.build_environment()
         assert (env.width, env.height) == (8.0, 15.0)
-        assert env.walls == []
+        assert not env.side_walls
         square = ScenarioConfig(environment="custom", env_width=12.0, env_height=12.0)
         assert square.build_environment() == open_square(12.0)
         walled = ScenarioConfig(environment="custom", env_width=4.0, env_height=15.0, env_side_walls=True)
-        assert len(walled.build_environment().walls) == 2
+        assert walled.build_environment() == narrow_passage(4.0, 15.0)
+
+    def test_side_walls_are_the_left_and_right_edges(self):
+        # on a wide environment the walls are its short edges, x = 0 and x = 20
+        cfg = ScenarioConfig(environment="custom", env_width=20.0, env_height=4.0, env_side_walls=True)
+        env = cfg.build_environment()
+        none = np.empty((0, 2))
+
+        def definiteness(a: Vec2, b: Vec2) -> Definiteness:
+            return classify_spatial_context(env, Segment(a, b), none, cfg).definiteness
+
+        assert definiteness(Vec2(0.5, 2.0), Vec2(2.0, 2.0)) is Definiteness.NEAR_WALL
+        assert definiteness(Vec2(18.0, 2.0), Vec2(19.5, 2.0)) is Definiteness.NEAR_WALL
+        # 0.3 m from the long bottom edge, 9 m from either wall
+        assert definiteness(Vec2(9.0, 0.3), Vec2(11.0, 0.3)) is Definiteness.OPEN_SPACE
+        # candidates keep 0.3 m from the left wall but not from the bottom edge
+        grid = generate_candidates(Pose(Vec2(1.0, 0.7), 0.0), Vec2(1.0, 2.2), env, cfg)[:-1]
+        assert grid[:, 0].min() >= cfg.wall_clearance > grid[:, 1].min()
 
     def test_initial_poses_face_each_other(self):
         cfg = ScenarioConfig(environment="square12")
