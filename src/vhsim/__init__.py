@@ -1,7 +1,7 @@
 """Conflict-avoidance behavior planning and crowd simulation for a virtual
 human sharing a public space with pedestrians who cannot see it."""
 
-from .geometry import Environment, Pose, Segment, Vec2, narrow_passage, open_square
+from .geometry import Environment, Pose, Segment, Vec2
 from .prediction import PedestrianState, Phase, PredictedTrajectory, Prediction
 from .proxemics import ArrangementType, SpatialContext
 from .planner import ConflictAvoidancePlanner, Decision

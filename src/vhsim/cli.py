@@ -36,13 +36,6 @@ MAX_REPLICATES = 1_000
 _SCHEMA = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
 SCENARIO_KEYS = tuple(_SCHEMA)
 
-CSV_COLUMNS = (
-    "environment", "density", "axis", "value", "replicate", "seed",
-    "social_none", "social_proposed", "physicality_none", "physicality_proposed",
-    "social_reduction", "physicality_reduction", "stable_pct", "mean_ingroup",
-)
-
-
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -74,12 +67,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
     return ScenarioConfig(**values)
 
 
-def format_scenario(config: ScenarioConfig) -> str:
-    """Render a config as scenario text; parse(format(c)) == c."""
-    out = [f"{f.name}: {getattr(config, f.name)}" for f in dataclasses.fields(config)]
-    return "\n".join(out) + "\n"
-
-
 def _replicate_seeds(replicates: int, seeds: list[int] | None) -> list[int]:
     """One distinct seed a replicate: the first `replicates` of `seeds`, or 1..replicates."""
     if not 1 <= replicates <= MAX_REPLICATES:
@@ -94,11 +81,13 @@ def _replicate_seeds(replicates: int, seeds: list[int] | None) -> list[int]:
     return used
 
 
-def _distinct(name: str, values: list) -> list:
-    """`values`, unless one repeats: its trials would run once and be pooled twice."""
+def _distinct(name: str, values: list) -> None:
+    """Reject an empty sweep, which would run nothing, and a repeated value,
+    whose trials would run once and be pooled twice."""
+    if not values:
+        raise ScenarioError(f"{name}: expected at least one value")
     if len(set(values)) < len(values):
         raise ScenarioError(f"{name}: a value repeats among {values}")
-    return values
 
 
 @dataclass
@@ -119,6 +108,9 @@ class ResultRow:
     physicality_reduction: float | None = None
     stable_pct: float | None = None
     mean_ingroup: float | None = None
+
+
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
 def _run_many(configs: list[ScenarioConfig], jobs: int) -> dict[ScenarioConfig, TrialMetrics]:
@@ -197,10 +189,12 @@ def run_ablation(
     """
     if axis not in SWEEP_AXES:
         raise ScenarioError(f"axis: must be one of {SWEEP_AXES}, got {axis!r}")
-    if not values:
-        raise ScenarioError("values: sweep values must be non-empty")
     kind = _SCHEMA[axis].metadata["type"]
-    swept = _distinct("values", [kind(value) for value in values])
+    try:
+        swept = [kind(value) for value in values]
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"values: cannot parse {values!r} as {kind.__name__}") from exc
+    _distinct("values", swept)
     seeds = _replicate_seeds(replicates, seeds)
     none_base = base if axis in _PLANNER_AXES else None
     points = [

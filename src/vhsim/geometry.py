@@ -32,20 +32,11 @@ class Vec2:
 
     __rmul__ = __mul__
 
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
     def distance_to(self, other: "Vec2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def normalized(self) -> "Vec2":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero vector")
-        return Vec2(self.x / n, self.y / n)
 
     def rotated(self, angle: float) -> "Vec2":
         c, s = math.cos(angle), math.sin(angle)
@@ -82,9 +73,6 @@ class Pose:
     def __post_init__(self) -> None:
         object.__setattr__(self, "orientation", normalize_angle(self.orientation))
 
-    def heading(self) -> Vec2:
-        return Vec2(math.cos(self.orientation), math.sin(self.orientation))
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -93,15 +81,6 @@ class Segment:
 
     def midpoint(self) -> Vec2:
         return Vec2(0.5 * (self.a.x + self.b.x), 0.5 * (self.a.y + self.b.y))
-
-
-def angle_between(u: Vec2, v: Vec2) -> float:
-    """Unsigned angle between two nonzero vectors, in [0, pi]."""
-    nu, nv = u.norm(), v.norm()
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("angle_between requires nonzero vectors")
-    c = u.dot(v) / (nu * nv)
-    return math.acos(max(-1.0, min(1.0, c)))
 
 
 def distance_point_segment(p: Vec2, s: Segment) -> float:
@@ -224,14 +203,3 @@ class Environment:
 
     def center(self) -> Vec2:
         return Vec2(0.5 * self.width, 0.5 * self.height)
-
-
-def open_square(size: float) -> Environment:
-    """Square environment without walls."""
-    return Environment(size, size)
-
-
-def narrow_passage(width: float = 3.0, length: float = 20.0) -> Environment:
-    """Corridor `width` wide and `length` long with walls along x = 0 and
-    x = width; the flow runs along y."""
-    return Environment(width, length, side_walls=True)

@@ -1,5 +1,5 @@
-"""The in-group rule: F-formation availability, arrangement classification,
-and spatial context.
+"""The in-group rule: F-formation availability, the arrangement choice and
+spatial context.
 
 A dyadic conversation arrangement is reduced to three openness classes
 (vis-a-vis, L-shaped, side-by-side) from the summed body-orientation angles of
@@ -23,7 +23,6 @@ from .geometry import (
     Pose,
     Segment,
     Vec2,
-    angle_between,
     disc_rect_intersection_area,
     hypot,
 )
@@ -46,21 +45,6 @@ class Definiteness(enum.Enum):
 class Crowdedness(enum.Enum):
     UNCROWDED = "uncrowded"
     CROWDED = "crowded"
-
-
-@dataclass(frozen=True)
-class RelativeAngles:
-    """Body-orientation angles versus the partner direction, in degrees.
-
-    alpha is the user's angle, beta the agent's; both lie in [0, 180].
-    """
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha <= 180.0 and 0.0 <= self.beta <= 180.0):
-            raise ValueError(f"angles must lie in [0, 180]: {self}")
 
 
 @dataclass(frozen=True)
@@ -111,29 +95,6 @@ MAX_AGENT_ANGLE_DEG = 90.0
 # absorbs last-ulp drift when distances are recomputed from coordinates, so
 # grid points constructed exactly on a bound stay inside it
 DISTANCE_TOL = 1e-9
-
-
-def relative_angles(user: Pose, agent: Pose) -> RelativeAngles:
-    """Angles between each body orientation and the line to the partner."""
-    if user.position == agent.position:
-        raise ValueError("coincident positions have no relative angles")
-    to_agent = agent.position - user.position
-    to_user = user.position - agent.position
-    alpha = math.degrees(angle_between(user.heading(), to_agent))
-    beta = math.degrees(angle_between(agent.heading(), to_user))
-    return RelativeAngles(alpha=min(alpha, 180.0), beta=min(beta, 180.0))
-
-
-def classify_arrangement(angles: RelativeAngles) -> ArrangementType:
-    """Map the summed angles onto their class in `ARRANGEMENT_BANDS`."""
-    total = angles.alpha + angles.beta
-    if total > 180.0:
-        raise ValueError(f"alpha + beta exceeds 180 degrees: {total}")
-    if total <= CLOSED_MAX_DEG:
-        return ArrangementType.CLOSED
-    if total < OPEN_MIN_DEG:
-        return ArrangementType.L_SHAPED
-    return ArrangementType.OPEN
 
 
 # the arrangements in tie order: of two equally preferred, the more closed wins
@@ -223,8 +184,3 @@ def classify_spatial_context(
     crowded = area > 0.0 and (count / area) >= config.crowd_threshold
     crowdedness = Crowdedness.CROWDED if crowded else Crowdedness.UNCROWDED
     return SpatialContext(definiteness, crowdedness)
-
-
-def context_preference(context: SpatialContext, arrangement: ArrangementType) -> float:
-    """Preference weight of an arrangement under a spatial context."""
-    return _PREFERENCE[(context.definiteness, context.crowdedness)][arrangement]

@@ -2,7 +2,8 @@
 
 Each one recomputes a production result the slow, obvious way: per
 candidate, per sample or per pedestrian in plain Python, against the side
-walls as segments, or, for the disc clip, by clipping a fine polygon.
+walls as segments, or, for the disc clip, by clipping a fine polygon. The
+arrangement classifier reads a formation back from two poses.
 """
 
 import math
@@ -14,8 +15,71 @@ from crowds import samples_of
 from vhsim.comfort import COMFORT_OFFSET, COMFORT_SCALE_MM
 from vhsim.geometry import Environment, Pose, Rect, Segment, Vec2, distance_point_segment
 from vhsim.prediction import STATIONARY_SPEED, PedestrianState, Phase, _build_legs
-from vhsim.proxemics import ArrangementType, SpatialContext, context_preference
+from vhsim.proxemics import CLOSED_MAX_DEG, OPEN_MIN_DEG, _PREFERENCE, ArrangementType, SpatialContext
 from vhsim.simulation import ScenarioConfig, step_pedestrian
+
+
+def angle_between(u: Vec2, v: Vec2) -> float:
+    """Unsigned angle between two nonzero vectors, in [0, pi]."""
+    nu, nv = u.norm(), v.norm()
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("angle_between requires nonzero vectors")
+    c = (u.x * v.x + u.y * v.y) / (nu * nv)
+    return math.acos(max(-1.0, min(1.0, c)))
+
+
+def heading(pose: Pose) -> Vec2:
+    """Unit vector along a pose's body orientation."""
+    return Vec2(math.cos(pose.orientation), math.sin(pose.orientation))
+
+
+@dataclass(frozen=True)
+class RelativeAngles:
+    """Body-orientation angles versus the partner direction, in degrees.
+
+    alpha is the user's angle, beta the agent's; both lie in [0, 180].
+    """
+
+    alpha: float
+    beta: float
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.alpha <= 180.0 and 0.0 <= self.beta <= 180.0):
+            raise ValueError(f"angles must lie in [0, 180]: {self}")
+
+
+def relative_angles(user: Pose, agent: Pose) -> RelativeAngles:
+    """Angles between each body orientation and the line to the partner."""
+    if user.position == agent.position:
+        raise ValueError("coincident positions have no relative angles")
+    to_agent = agent.position - user.position
+    to_user = user.position - agent.position
+    alpha = math.degrees(angle_between(heading(user), to_agent))
+    beta = math.degrees(angle_between(heading(agent), to_user))
+    return RelativeAngles(alpha=min(alpha, 180.0), beta=min(beta, 180.0))
+
+
+def classify_arrangement(angles: RelativeAngles) -> ArrangementType:
+    """Map the summed angles onto their class in `proxemics.ARRANGEMENT_BANDS`.
+
+    The planner never classifies a pose: `proxemics.ingroup_choice` picks an
+    arrangement and `agent_orientation_for` realizes it. This classifier
+    reads the arrangement back from the two poses, so a test can check each
+    live decision against it.
+    """
+    total = angles.alpha + angles.beta
+    if total > 180.0:
+        raise ValueError(f"alpha + beta exceeds 180 degrees: {total}")
+    if total <= CLOSED_MAX_DEG:
+        return ArrangementType.CLOSED
+    if total < OPEN_MIN_DEG:
+        return ArrangementType.L_SHAPED
+    return ArrangementType.OPEN
+
+
+def context_preference(context: SpatialContext, arrangement: ArrangementType) -> float:
+    """Preference weight of an arrangement under a spatial context."""
+    return _PREFERENCE[(context.definiteness, context.crowdedness)][arrangement]
 
 
 def oracle_ingroup(candidate: Vec2, user: Pose, context: SpatialContext, config: ScenarioConfig) -> float:

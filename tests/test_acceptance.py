@@ -16,19 +16,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import vhsim.planner as planner_module
 from crowds import d_min_of, predict_one, random_scene
-from oracles import oracle_utility
+from oracles import RelativeAngles, classify_arrangement, oracle_utility, relative_angles
 from vhsim.cli import _trial_row, emit_csv, run_ablation, run_matrix
-from vhsim.geometry import Pose, Vec2, open_square
+from vhsim.geometry import Environment, Pose, Vec2
 from vhsim.planner import _argbest, score_candidates, search
 from vhsim.prediction import PedestrianState, avoidance_geometry
 from vhsim.proxemics import (
     ArrangementType,
     Crowdedness,
     Definiteness,
-    RelativeAngles,
     SpatialContext,
-    classify_arrangement,
 )
 from vhsim.simulation import ScenarioConfig, run_trial
 
@@ -129,12 +128,34 @@ class TestCriterion3ArrangementClassifier:
                     mismatches += 1
         report(3, "arrangement classifier", mismatches == 0, f"{cases} cases, {mismatches} mismatches")
 
+    def test_classifier_reads_every_live_arrangement(self, monkeypatch):
+        # the planner picks arrangements through `ingroup_choice`, never through
+        # the classifier; each decision's target pose must classify as the
+        # arrangement the search chose
+        checked, mismatches = 0, 0
+
+        def checking_search(snapshot, context, config):
+            nonlocal checked, mismatches
+            decision = search(snapshot, context, config)
+            chosen = decision.arrangement[decision.winner]
+            if chosen is not None:
+                target = Pose(decision.target_position, decision.target_orientation)
+                checked += 1
+                mismatches += classify_arrangement(relative_angles(snapshot.user, target)) is not chosen
+            return decision
+
+        monkeypatch.setattr(planner_module, "search", checking_search)
+        for environment in ("square20", "passage", "square12"):
+            run_trial(ScenarioConfig(environment=environment, density=0.25, duration=120.0, seed=1))
+        report(3, "classifier agrees with the planner's arrangements", checked >= 100 and mismatches == 0,
+               f"{checked} decisions, {mismatches} mismatches")
+
 
 @pytest.fixture(scope="class")
 def planner_snapshots():
     """100 random scenes: user, agent, 1-6 pedestrians nearby, a random context."""
     rng = random.Random(99)
-    env = open_square(20.0)
+    env = Environment(20.0, 20.0)
     config = ScenarioConfig()
     return [random_scene(rng, env, config) for _ in range(100)]
 

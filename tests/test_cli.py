@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,7 +18,6 @@ from vhsim.cli import (
     emit_csv,
     emit_summary,
     format_reduction_cell,
-    format_scenario,
     main,
     parse_scenario,
     run_ablation,
@@ -97,16 +97,21 @@ class TestParseScenario:
         cfg = parse_scenario("environment: custom\nenv_side_walls: true\nenv_width: 4\nenv_height: 12")
         assert cfg.env_side_walls is True
 
+    @staticmethod
+    def scenario_text(config):
+        """Every field of a config as one `key: value` line."""
+        return "".join(f"{f.name}: {getattr(config, f.name)}\n" for f in dataclasses.fields(config))
+
     def test_round_trip_default(self):
         cfg = ScenarioConfig()
-        assert parse_scenario(format_scenario(cfg)) == cfg
+        assert parse_scenario(self.scenario_text(cfg)) == cfg
 
     def test_round_trip_modified(self):
         cfg = ScenarioConfig(
             environment="passage", density=0.17, seed=42, coefficient_c=2.5,
             tracking_distance=12.0, condition="none", dt=0.05,
         )
-        assert parse_scenario(format_scenario(cfg)) == cfg
+        assert parse_scenario(self.scenario_text(cfg)) == cfg
 
 
 class TestEmitCsv:
@@ -194,6 +199,13 @@ class TestRunAblation:
     def test_empty_values(self, stub_calls):
         with pytest.raises(ScenarioError, match="values"):
             run_ablation(ScenarioConfig(), "density", [])
+        assert stub_calls == []
+
+    @pytest.mark.parametrize("value", ["abc", None])
+    def test_uncoercible_value_named(self, stub_calls, value):
+        # the CLI parses its list first; a library caller reaches the coercion
+        with pytest.raises(ScenarioError, match="values"):
+            run_ablation(ScenarioConfig(), "density", [value], replicates=1)
         assert stub_calls == []
 
     def test_not_enough_seeds(self, stub_calls):
@@ -293,6 +305,14 @@ class TestRepeatedSweepValues:
 
 
 class TestRunMatrix:
+    def test_empty_grid_rejected(self, stub_calls):
+        # an empty axis would run nothing and return no rows
+        with pytest.raises(ScenarioError, match="environments"):
+            run_matrix(ScenarioConfig(), [], [0.25], replicates=1)
+        with pytest.raises(ScenarioError, match="densities"):
+            run_matrix(ScenarioConfig(), ["square12"], [], replicates=1)
+        assert stub_calls == []
+
     def test_parallel_pool_sized_to_distinct_trials(self, monkeypatch):
         # an in-process stand-in for the process pool, recording its size
         sizes = []

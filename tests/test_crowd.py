@@ -15,7 +15,7 @@ import pytest
 from crowds import crowd_of, states_of
 from oracles import OracleWalker, oracle_crowd_tick
 from vhsim import simulation
-from vhsim.geometry import Segment, Vec2, hypot, open_square
+from vhsim.geometry import Environment, Segment, Vec2, hypot
 from vhsim.prediction import PedestrianState, Phase
 from vhsim.simulation import Crowd, ScenarioConfig, _spawn_crowd
 
@@ -84,7 +84,7 @@ def scene(*states: PedestrianState, goal_tolerance: float = 0.3) -> tuple[Crowd,
                             goal=Vec2(15.0, 19.7), preferred_speed=1.3)
     peds = list(states) + [extra]
     rngs = [np.random.default_rng(i) for i in range(len(peds))]
-    crowd = crowd_of(peds, rngs, [0] * len(peds), open_square(20.0), ScenarioConfig(goal_tolerance=goal_tolerance))
+    crowd = crowd_of(peds, rngs, [0] * len(peds), Environment(20.0, 20.0), ScenarioConfig(goal_tolerance=goal_tolerance))
     walkers = [OracleWalker(s, copy.deepcopy(rng), 0) for s, rng in zip(peds, rngs)]
     return crowd, walkers
 

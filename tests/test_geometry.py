@@ -11,18 +11,17 @@ from vhsim.geometry import (
     Rect,
     Segment,
     Vec2,
-    angle_between,
     angle_difference,
     disc_rect_intersection_area,
     distance_point_segment,
     distance_points_segment,
-    narrow_passage,
     normalize_angle,
-    open_square,
     points_segment_distance,
 )
 from vhsim.proxemics import Definiteness, classify_spatial_context
 from vhsim.simulation import ScenarioConfig, _draw_goal
+
+PASSAGE = ScenarioConfig(environment="passage").build_environment()
 
 
 class TestDistancePointSegment:
@@ -67,33 +66,6 @@ class TestDistancePointSegment:
             assert distance_point_segment(off, s) > 0.0
 
 
-class TestAngleBetween:
-    def test_parallel(self):
-        assert angle_between(Vec2(1, 0), Vec2(1, 0)) == pytest.approx(0.0)
-
-    def test_perpendicular(self):
-        assert angle_between(Vec2(1, 0), Vec2(0, 1)) == pytest.approx(math.pi / 2)
-
-    def test_opposite(self):
-        assert angle_between(Vec2(1, 0), Vec2(-1, 0)) == pytest.approx(math.pi)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            angle_between(Vec2(0, 0), Vec2(1, 0))
-
-    def test_symmetric_and_rotation_invariant(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            u = Vec2(rng.uniform(-2, 2) or 0.5, rng.uniform(-2, 2) or 0.5)
-            v = Vec2(rng.uniform(-2, 2) or -0.5, rng.uniform(-2, 2) or 0.7)
-            if u.norm() == 0 or v.norm() == 0:
-                continue
-            a = angle_between(u, v)
-            assert a == pytest.approx(angle_between(v, u), abs=1e-12)
-            phi = rng.uniform(0, 2 * math.pi)
-            assert a == pytest.approx(angle_between(u.rotated(phi), v.rotated(phi)), abs=1e-9)
-
-
 class TestAngles:
     def test_normalize_angle_range(self):
         for raw in (-7.5, -math.pi, 0.0, 1.0, 9.42, 100.0):
@@ -117,7 +89,7 @@ def near_wall(env: Environment, dyad: Segment, personal_space: float) -> bool:
 
 class TestEnvironment:
     def test_narrow_passage_centerline(self):
-        env = narrow_passage(3.0, 20.0)
+        env = PASSAGE
         assert env == Environment(3.0, 20.0, side_walls=True)
         assert env.center() == Vec2(1.5, 10.0)
         # the centerline is 1.5 m from either wall
@@ -125,20 +97,20 @@ class TestEnvironment:
         assert near_wall(env, centerline, 1.5 + 1e-9) and not near_wall(env, centerline, 1.5)
 
     def test_half_meter_from_wall(self):
-        env = narrow_passage(3.0, 20.0)
+        env = PASSAGE
         for x in (0.5, 2.5):
             dyad = Segment(Vec2(x, 4.0), Vec2(1.5, 4.0))
             assert near_wall(env, dyad, 0.5 + 1e-9) and not near_wall(env, dyad, 0.5)
 
     def test_open_square_has_no_walls(self):
-        env = open_square(20.0)
+        env = ScenarioConfig(environment="square20").build_environment()
         assert env == Environment(20.0, 20.0, side_walls=False)
         assert not near_wall(env, Segment(Vec2(0.0, 10.0), Vec2(20.0, 10.0)), 100.0)
 
     def test_goal_boxes_cover_edges(self):
         # every draw lies in its edge's 0.5 m strip, and the five 2.4 m boxes
         # along each edge are all drawn from
-        env = open_square(12.0)
+        env = Environment(12.0, 12.0)
         rng = np.random.default_rng(3)
         for side, (y_min, y_max) in ((0, (11.5, 12.0)), (1, (0.0, 0.5))):
             goals = [_draw_goal(rng, env, side) for _ in range(200)]
@@ -147,7 +119,7 @@ class TestEnvironment:
 
     def test_segment_wall_distance(self):
         # the dyad's nearer end is 0.75 m from the left wall
-        env = narrow_passage(3.0, 20.0)
+        env = PASSAGE
         dyad = Segment(Vec2(0.75, 10.0), Vec2(2.25, 10.0))
         assert near_wall(env, dyad, 0.75 + 1e-9) and not near_wall(env, dyad, 0.75)
 
@@ -222,7 +194,3 @@ class TestVec2:
             v = Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3))
             w = v.rotated(rng.uniform(0, 7))
             assert w.norm() == pytest.approx(v.norm(), abs=1e-12)
-
-    def test_normalize_zero_rejected(self):
-        with pytest.raises(ValueError):
-            Vec2(0, 0).normalized()

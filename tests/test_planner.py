@@ -8,7 +8,15 @@ import pytest
 
 import vhsim.planner as planner_module
 from crowds import WALLED, crowd_of, positions_of, prediction_of, random_scene
-from oracles import oracle_approach, oracle_candidates, oracle_decision, oracle_ingroup, oracle_utility
+from oracles import (
+    context_preference,
+    oracle_approach,
+    oracle_candidates,
+    oracle_decision,
+    oracle_ingroup,
+    oracle_utility,
+    relative_angles,
+)
 from vhsim.comfort import SATURATION_DISTANCE_M, comfort_from_distance
 from vhsim.geometry import (
     Environment,
@@ -16,8 +24,6 @@ from vhsim.geometry import (
     Segment,
     Vec2,
     distance_point_segment,
-    narrow_passage,
-    open_square,
     points_segment_distance,
 )
 from vhsim.planner import (
@@ -39,8 +45,6 @@ from vhsim.proxemics import (
     Definiteness,
     SpatialContext,
     classify_spatial_context,
-    context_preference,
-    relative_angles,
 )
 from vhsim.simulation import ScenarioConfig, run_trial
 
@@ -96,14 +100,14 @@ class TestDetectConflict:
 
 class TestGenerateCandidates:
     def test_open_square_full_grid(self):
-        env = open_square(20.0)
+        env = Environment(20.0, 20.0)
         user = Pose(Vec2(10, 10), 0.0)
         cands = generate_candidates(user, Vec2(10, 11.5), env, CONFIG)
         assert len(cands) == 7 * 24 + 1
         assert cands[-1].tolist() == [10, 11.5]
 
     def test_wall_filtering_matches_hand_rule(self):
-        env = narrow_passage(3.0, 20.0)
+        env = ScenarioConfig(environment="passage").build_environment()
         user = Pose(Vec2(0.5, 10.0), 0.0)
         cands = generate_candidates(user, Vec2(1.5, 10.0), env, CONFIG)
         # independent count: keep grid points inside bounds and at least
@@ -307,7 +311,7 @@ class TestScoreMemory:
         # ROADMAP robustness: the scorer holds at most two (samples,
         # candidates) float64 arrays at once, not one per temporary
         user = Pose(Vec2(10.0, 10.0), 0.0)
-        candidates = generate_candidates(user, Vec2(10.0, 11.5), open_square(20.0), CONFIG)
+        candidates = generate_candidates(user, Vec2(10.0, 11.5), Environment(20.0, 20.0), CONFIG)
         n = -(-1_000_000 // len(candidates))
         points = np.random.default_rng(3).uniform(8.5, 11.5, (n, 2))
         cells = n * len(candidates)
@@ -410,7 +414,7 @@ def build_snapshot(user, vh, env, trajectories, pedestrians=None):
 
 class TestPlanIfNeeded:
     def setup_method(self):
-        self.env = open_square(20.0)
+        self.env = Environment(20.0, 20.0)
         self.user = Pose(Vec2(10, 9.25), math.pi / 2)
         self.vh = Pose(Vec2(10, 10.75), 1.5 * math.pi)
 
@@ -535,7 +539,7 @@ class TestSearchOnRandomScenes:
         # the acceptance suite's scene generator, other seeds: the pruned
         # winner and its utility against the scalar decision rule
         rng = random.Random(7)
-        env = open_square(20.0)
+        env = Environment(20.0, 20.0)
         for _ in range(30):
             snap, context = random_scene(rng, env, CONFIG)
             decision = search(snap, context, CONFIG)
@@ -549,7 +553,7 @@ class TestSearchOnRandomScenes:
 
 class TestPlannerLoop:
     def test_never_leaves_stable_without_pedestrians(self):
-        env = open_square(12.0)
+        env = Environment(12.0, 12.0)
         planner = ConflictAvoidancePlanner(env, CONFIG)
         user = Pose(Vec2(6, 5.25), math.pi / 2)
         vh = Pose(Vec2(6, 6.75), 1.5 * math.pi)
@@ -563,7 +567,7 @@ class TestPlannerLoop:
         # a candidate with positive in-group and out-group should beat every
         # no-formation candidate whenever its utility is higher
         rng = random.Random(131)
-        env = open_square(20.0)
+        env = Environment(20.0, 20.0)
         user = Pose(Vec2(10, 10), rng.uniform(0, 6.28))
         vh = Pose(Vec2(10, 11.5), 0.0)
         for _ in range(20):
@@ -585,7 +589,7 @@ class TestPlannerLoop:
 
 class TestMakeSnapshot:
     def test_only_anticipated_predicted(self):
-        env = open_square(20.0)
+        env = Environment(20.0, 20.0)
         user = Pose(Vec2(10, 9.25), math.pi / 2)
         vh = Pose(Vec2(10, 10.75), 1.5 * math.pi)
         near = PedestrianState(0, Vec2(12, 10), Vec2(-1, 0), Vec2(0, 10), 1.0)
@@ -594,7 +598,7 @@ class TestMakeSnapshot:
         assert [t.pedestrian_id for t in snap.trajectories] == [0]
 
     def test_shared_sample_grid(self):
-        env = open_square(20.0)
+        env = Environment(20.0, 20.0)
         user = Pose(Vec2(10, 9.25), math.pi / 2)
         vh = Pose(Vec2(10, 10.75), 1.5 * math.pi)
         peds = [

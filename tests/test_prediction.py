@@ -105,9 +105,10 @@ class TestAvoidanceGeometry:
             ped = make_ped((pos.x, pos.y), (-math.cos(angle), -math.sin(angle)))
             geom = avoidance_geometry(ped.position, user, CONFIG)
             # reflect the left waypoint across the pedestrian-to-user line
-            axis = (user - ped.position).normalized()
+            axis = user - ped.position
+            axis = axis * (1.0 / axis.norm())
             rel = geom.waypoint_left - ped.position
-            proj = axis * rel.dot(axis)
+            proj = axis * (rel.x * axis.x + rel.y * axis.y)
             mirrored = ped.position + proj * 2.0 - rel
             assert mirrored.x == pytest.approx(geom.waypoint_right.x, abs=1e-9)
             assert mirrored.y == pytest.approx(geom.waypoint_right.y, abs=1e-9)

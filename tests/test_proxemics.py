@@ -6,24 +6,28 @@ import numpy as np
 import pytest
 
 from crowds import WALLED, positions_of
-from oracles import oracle_ingroup, oracle_wall_distance
-from vhsim.geometry import Pose, Segment, Vec2, narrow_passage, open_square
+from oracles import (
+    RelativeAngles,
+    classify_arrangement,
+    context_preference,
+    oracle_ingroup,
+    oracle_wall_distance,
+    relative_angles,
+)
+from vhsim.geometry import Environment, Pose, Segment, Vec2
 from vhsim.prediction import PedestrianState
 from vhsim.proxemics import (
     ArrangementType,
     Crowdedness,
     Definiteness,
-    RelativeAngles,
     SpatialContext,
-    classify_arrangement,
     classify_spatial_context,
-    context_preference,
     ingroup_choice,
-    relative_angles,
 )
 from vhsim.simulation import ScenarioConfig
 
 CONFIG = ScenarioConfig()
+PASSAGE = ScenarioConfig(environment="passage").build_environment()
 CTX_OPEN = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
 CONTEXTS = [SpatialContext(d, c) for d in Definiteness for c in Crowdedness]
 
@@ -189,21 +193,21 @@ class TestFeasibleArrangements:
 
 class TestSpatialContext:
     def test_open_square_sparse(self):
-        env = open_square(20.0)
+        env = Environment(20.0, 20.0)
         dyad = Segment(Vec2(10, 9.25), Vec2(10, 10.75))
         peds = [_ped(0, Vec2(1, 1)), _ped(1, Vec2(19, 19))]
         ctx = classify_spatial_context(env, dyad, positions_of(peds), CONFIG)
         assert ctx == SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
 
     def test_passage_dyad_across_corridor_is_near_wall(self):
-        env = narrow_passage(3.0, 20.0)
+        env = PASSAGE
         dyad = Segment(Vec2(0.75, 10.0), Vec2(2.25, 10.0))
         ctx = classify_spatial_context(env, dyad, positions_of([]), CONFIG)
         # nearest wall at 0.75 m < 1.2 m personal space
         assert ctx.definiteness is Definiteness.NEAR_WALL
 
     def test_passage_centerline_dyad_is_open_space(self):
-        env = narrow_passage(3.0, 20.0)
+        env = PASSAGE
         dyad = Segment(Vec2(1.5, 9.25), Vec2(1.5, 10.75))
         ctx = classify_spatial_context(env, dyad, positions_of([]), CONFIG)
         # 1.5 m to both walls exceeds the 1.2 m threshold
@@ -232,7 +236,7 @@ class TestSpatialContext:
             assert classify_spatial_context(env, dyad, none, above).definiteness is Definiteness.NEAR_WALL
 
     def test_crowded_at_quarter_density(self):
-        env = open_square(12.0)
+        env = Environment(12.0, 12.0)
         dyad = Segment(Vec2(6, 5.25), Vec2(6, 6.75))
         rng = random.Random(31)
         # 0.25 p/m^2 over the whole square; the c-space disc sees about that
@@ -244,7 +248,7 @@ class TestSpatialContext:
         assert ctx.crowdedness is Crowdedness.CROWDED
 
     def test_empty_scene_uncrowded(self):
-        env = open_square(12.0)
+        env = Environment(12.0, 12.0)
         dyad = Segment(Vec2(6, 5.25), Vec2(6, 6.75))
         ctx = classify_spatial_context(env, dyad, positions_of([]), CONFIG)
         assert ctx.crowdedness is Crowdedness.UNCROWDED
@@ -258,7 +262,7 @@ class TestSpatialContext:
         assert math.hypot(x, y) == CONFIG.c_space_radius < np.hypot(x, y)
         assert CONFIG.c_space_radius < math.sqrt(x * x + y * y)
         config = ScenarioConfig(crowd_threshold=0.03)
-        env = open_square(12.0)
+        env = Environment(12.0, 12.0)
         dyad = Segment(Vec2(0.0, -0.75), Vec2(0.0, 0.75))  # midpoint at the origin
         on_circle = classify_spatial_context(env, dyad, np.array([[x, y]]), config)
         beyond = classify_spatial_context(env, dyad, np.array([[math.nextafter(x, math.inf), y]]), config)

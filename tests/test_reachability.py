@@ -1,0 +1,94 @@
+"""Every function defined in `src/vhsim` runs in a trial or a command.
+
+A subprocess installs `sys.setprofile` before it imports vhsim, so the calls
+made while the package loads count too. It then runs short `matrix`,
+`ablate coefficient_c` and traced walled `custom` `simulate` commands and
+records every function it entered. A function that none of them enters is
+dead code: delete it, or move it to the tests when a test uses it as a
+reference.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import vhsim
+
+PACKAGE = Path(vhsim.__file__).resolve().parent
+
+# Never entered by a trial or a command, but called by perfbench; each goes
+# once the benchmark stops calling it.
+ALLOWED = {
+    "simulation.spawn_flow": "perfbench's warm-up spawns its crowd through it",
+    "prediction.Prediction.__getitem__": "perfbench's decision count iterates the prediction",
+    "prediction.Prediction.__iter__": "perfbench's decision count iterates the prediction",
+}
+
+SCRIPT = r"""
+import json, os, sys
+
+codes = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        codes.add(frame.f_code)
+
+
+sys.setprofile(profile)
+from vhsim.cli import main
+
+out = sys.argv[1]
+scenario = os.path.join(out, "short.txt")
+walled = os.path.join(out, "walled.txt")
+with open(scenario, "w") as f:
+    f.write("duration: 30\n")
+with open(walled, "w") as f:
+    f.write("environment: custom\nenv_width: 4\nenv_height: 15\nenv_side_walls: true\ndensity: 0.25\nduration: 30\n")
+assert main(["matrix", "--scenario", scenario, "--environments", "square20,passage", "--densities", "0.05,0.25",
+             "--replicates", "1", "--out", out]) == 0
+assert main(["ablate", "--axis", "coefficient_c", "--values", "1,4", "--scenario", scenario,
+             "--replicates", "1", "--out", out]) == 0
+assert main(["simulate", "--scenario", walled, "--out", out, "--trace"]) == 0
+sys.setprofile(None)
+with open(os.path.join(out, "reached.json"), "w") as f:
+    json.dump([[c.co_filename, c.co_firstlineno] for c in codes], f)
+"""
+
+
+def defined_functions() -> dict[tuple[str, int], str]:
+    """Every function and method in the package, keyed as its code object
+    reports itself: (file, first line, which is the first decorator's)."""
+    found = {}
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(module, first)] = f"{module}.{prefix}{child.name}"
+                visit(child, module, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.")
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_every_function_is_reached(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr
+    reached = {
+        (Path(filename).stem, line)
+        for filename, line in json.loads((tmp_path / "reached.json").read_text())
+        if Path(filename).resolve().parent == PACKAGE
+    }
+    functions = defined_functions()
+    assert len(functions) > 50
+    unreached = sorted(name for key, name in functions.items() if key not in reached)
+    assert unreached == sorted(ALLOWED), "never entered by a trial or a command: " + ", ".join(unreached)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from crowds import states_of
-from oracles import goal_boxes, inside
-from vhsim.geometry import Pose, Segment, Vec2, narrow_passage, open_square
+from oracles import goal_boxes, inside, relative_angles
+from vhsim.geometry import Environment, Pose, Segment, Vec2
 from vhsim.planner import generate_candidates
 from vhsim.proxemics import Definiteness, classify_spatial_context
 from vhsim.prediction import PedestrianState, Phase
@@ -331,9 +331,9 @@ class TestScenarioConfig:
         assert (env.width, env.height) == (8.0, 15.0)
         assert not env.side_walls
         square = ScenarioConfig(environment="custom", env_width=12.0, env_height=12.0)
-        assert square.build_environment() == open_square(12.0)
+        assert square.build_environment() == Environment(12.0, 12.0)
         walled = ScenarioConfig(environment="custom", env_width=4.0, env_height=15.0, env_side_walls=True)
-        assert walled.build_environment() == narrow_passage(4.0, 15.0)
+        assert walled.build_environment() == Environment(4.0, 15.0, side_walls=True)
 
     def test_side_walls_are_the_left_and_right_edges(self):
         # on a wide environment the walls are its short edges, x = 0 and x = 20
@@ -357,8 +357,6 @@ class TestScenarioConfig:
         env = cfg.build_environment()
         user, vh = cfg.initial_poses(env)
         assert user.position.distance_to(vh.position) == pytest.approx(cfg.interpersonal_distance)
-        from vhsim.proxemics import relative_angles
-
         angles = relative_angles(user, vh)
         assert angles.alpha == pytest.approx(0.0, abs=1e-9)
         assert angles.beta == pytest.approx(0.0, abs=1e-9)
