@@ -86,7 +86,11 @@ def _distinct(name: str, values: list) -> None:
     whose trials would run once and be pooled twice."""
     if not values:
         raise ScenarioError(f"{name}: expected at least one value")
-    if len(set(values)) < len(values):
+    try:
+        distinct = set(values)
+    except TypeError as exc:  # a list or another unhashable value in place of a setting
+        raise ScenarioError(f"{name}: expected single values, got {values!r}") from exc
+    if len(distinct) < len(values):
         raise ScenarioError(f"{name}: a value repeats among {values}")
 
 

@@ -104,14 +104,14 @@ def hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, x.size)
 
 
-def _points_segment(points: np.ndarray, s: Segment, norm) -> np.ndarray:
-    ax, ay = s.a.x, s.a.y
-    ex, ey = s.b.x - ax, s.b.y - ay
-    wx, wy = points[:, 0] - ax, points[:, 1] - ay
+def _points_segment(points: np.ndarray, s: Segment | tuple, norm) -> np.ndarray:
+    (ax, ay), (bx, by) = ((s.a.x, s.a.y), (s.b.x, s.b.y)) if isinstance(s, Segment) else s
+    ex, ey = bx - ax, by - ay
+    wx, wy = points[..., 0] - ax, points[..., 1] - ay
     ee = ex * ex + ey * ey
-    if ee == 0.0:
-        return norm(wx, wy)
-    t = np.clip((wx * ex + wy * ey) / ee, 0.0, 1.0)
+    # t = 0 on a zero-length segment leaves norm(wx, wy) exactly
+    t = np.divide(wx * ex + wy * ey, ee, out=np.zeros(wx.shape), where=ee != 0.0)
+    t = np.clip(t, 0.0, 1.0)
     return norm(wx - t * ex, wy - t * ey)
 
 
@@ -121,10 +121,14 @@ def distance_points_segment(points: np.ndarray, s: Segment) -> np.ndarray:
     return _points_segment(points, s, hypot)
 
 
-def points_segment_distance(points: np.ndarray, s: Segment) -> np.ndarray:
+def points_segment_distance(points: np.ndarray, s: Segment | tuple) -> np.ndarray:
     """`distance_points_segment` with `np.hypot` in place of `hypot`, one
-    numpy call instead of a Python call per row. Conflict detection and the
-    planner's trigger take it: no scalar rule decides what they decide."""
+    numpy call for the whole array. Conflict detection and the planner's
+    trigger take it: no scalar rule decides what they decide.
+
+    `s` is a `Segment`, or its ends as `((ax, ay), (bx, by))` whose
+    coordinates broadcast against the points' last-axis columns: (K, 1)
+    arrays give one segment per row of (K, n, 2) points."""
     return _points_segment(points, s, np.hypot)
 
 

@@ -51,6 +51,10 @@ MAX_PEDESTRIANS = 1_000  # density * environment area
 MAX_SAMPLES = 1_000  # samples per predicted trajectory, horizon_cap / dt
 MAX_SCORE_CELLS = 5_000_000  # pedestrians * samples * candidates in the scorer
 
+# Ticks whose events and trace rows `run_trial` evaluates at once. At
+# MAX_PEDESTRIANS a block's positions are 1 MB, each distance array half that.
+BLOCK_TICKS = 64
+
 
 class ScenarioError(ValueError):
     """Raised for malformed or out-of-range scenario input."""
@@ -260,6 +264,9 @@ class Crowd:
 
     A new crowd walks straight for its goals: every phase is DIRECT and
     every waypoint NaN.
+
+    `step` assigns a new `position` array every tick and never writes into an
+    earlier one, so a caller may keep past ticks' arrays by reference.
     """
 
     def __init__(
@@ -482,33 +489,31 @@ def step_user(user: Pose, vh: Pose, config: ScenarioConfig) -> Pose:
 
 def detect_events(
     positions: np.ndarray,
-    dyad: Segment,
-    vh_position: Vec2,
+    users: np.ndarray,
+    agents: np.ndarray,
     inside_territory: np.ndarray,
     inside_body: np.ndarray,
     territory_radius: float,
     body_radius: float,
-    time: float,
+    times: list[float],
 ) -> tuple[list[ConflictEvent], np.ndarray, np.ndarray]:
-    """Entry-edge conflict detection against the current dyad and agent body.
+    """Entry-edge conflict detection over a block of K ticks.
 
-    `positions` is an (n, 2) array whose row i is pedestrian i, so an
-    event's pedestrian id is its row index. A pedestrian dwelling inside
-    produces one event per entry episode. The inside flags from the previous
-    tick are consumed and replaced.
+    `positions` is (K, n, 2), pedestrian i at tick k in [k, i], so an event's
+    pedestrian id is its column. `users` and `agents` are the K dyad ends,
+    the agent's also its body, and `times` the K tick times. A pedestrian
+    dwelling inside produces one event per entry episode. The inside flags
+    of the tick before the block are consumed; its last tick's are returned.
+    Events run in tick order, social before physicality, ids ascending.
     """
-    if not len(positions):
-        return [], inside_territory, inside_body
-    d_seg = points_segment_distance(positions, dyad)
-    d_body = np.hypot(positions[:, 0] - vh_position.x, positions[:, 1] - vh_position.y)
-    now_territory = d_seg < territory_radius
-    now_body = d_body < body_radius
-    events: list[ConflictEvent] = []
-    for idx in np.nonzero(now_territory & ~inside_territory)[0]:
-        events.append(ConflictEvent(ConflictKind.SOCIAL, time, int(idx)))
-    for idx in np.nonzero(now_body & ~inside_body)[0]:
-        events.append(ConflictEvent(ConflictKind.PHYSICALITY, time, int(idx)))
-    return events, now_territory, now_body
+    ux, uy, vx, vy = users[:, 0, None], users[:, 1, None], agents[:, 0, None], agents[:, 1, None]
+    now_territory = points_segment_distance(positions, ((ux, uy), (vx, vy))) < territory_radius
+    now_body = np.hypot(positions[..., 0] - vx, positions[..., 1] - vy) < body_radius
+    now = np.stack([now_territory, now_body], axis=1)  # (tick, kind, pedestrian)
+    before = np.concatenate([np.stack([inside_territory, inside_body])[None], now[:-1]])
+    tick, kind, ped = (a.tolist() for a in np.nonzero(now & ~before))
+    events = [ConflictEvent(tuple(ConflictKind)[c], times[k], i) for k, c, i in zip(tick, kind, ped)]
+    return events, now_territory[-1], now_body[-1]
 
 
 def reduction_ratio(dc_none: int, dc_avoid: int) -> float | None:
@@ -518,40 +523,60 @@ def reduction_ratio(dc_none: int, dc_avoid: int) -> float | None:
     return (dc_none - dc_avoid) / dc_none
 
 
-def _trace_header(config: ScenarioConfig) -> dict:
-    return {"schema": TRACE_SCHEMA, "config": asdict(config)}
+def _round(x: np.ndarray, digits: int) -> np.ndarray:
+    """`round(v, digits)` for every element of `x`, bit for bit: rint(v *
+    10**digits) / 10**digits, unless the product's rounding error, at most
+    |product| * 2**-53, might carry it across a half-integer. An element
+    within a wider margin of one, or beyond 2**44, takes `round` itself."""
+    scale = 10.0**digits
+    scaled = x * scale
+    whole = np.rint(scaled)
+    out = whole / scale
+    near = ~(np.abs(np.abs(scaled - whole) - 0.5) > np.abs(scaled) * 2.0**-44)
+    if near.any():
+        out[near] = [round(v, digits) for v in x[near].tolist()]
+    return out
 
 
-def _round2(v: Vec2, nd: int = 4) -> list[float]:
-    return [round(v.x, nd), round(v.y, nd)]
+def _trace_rows(first_tick: int, times, positions: np.ndarray, poses: np.ndarray, adjusting, events) -> str:
+    """A block's trace rows, byte for byte what `json.dumps(row, sort_keys=True)`
+    gives, since `str` of a list of finite floats is the same as json's."""
+    tick_events: dict[float, list[str]] = {}
+    for e in events:
+        tick_events.setdefault(e.time, []).append(f'["{e.kind.value}", {e.pedestrian_id}]')
+    rows = zip(times, _round(np.array(times), 6).tolist(), _round(poses, 4).tolist(),
+               _round(positions, 4).tolist(), adjusting)
+    return "".join(
+        f'{{"events": [{", ".join(tick_events.get(t, ()))}], "peds": {peds}, '
+        f'"phase": "{"adjusting" if adjusted else "stable"}", "t": {stamp!r}, "tick": {first_tick + k}, '
+        f'"user": {pose[:3]}, "vh": {pose[3:]}}}\n'
+        for k, (t, stamp, pose, peds, adjusted) in enumerate(rows)
+    )
 
 
 def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetrics:
     """Run one deterministic trial and accumulate its metrics.
 
     Tick order: pedestrians move, the planner (if enabled) predicts/replans
-    and the agent advances, the user turns, conflicts are detected on entry
-    edges, and phase timers accumulate.
+    and the agent advances, the user turns, and phase timers accumulate.
+    Every `BLOCK_TICKS` ticks, and at the end, the ticks' kept positions,
+    poses and phases give their entry-edge conflicts and trace rows at once.
     """
     env = config.build_environment()
     user, vh = config.initial_poses(env)
     crowd = _spawn_crowd(config, env, Segment(user.position, vh.position))
 
-    planner: ConflictAvoidancePlanner | None = None
-    if config.condition == "proposed":
-        planner = ConflictAvoidancePlanner(env, config)
-
+    planner = ConflictAvoidancePlanner(env, config) if config.condition == "proposed" else None
     n_ticks = config.tick_count()
-    n_peds = len(crowd)
-    inside_territory = np.zeros(n_peds, dtype=bool)
-    inside_body = np.zeros(n_peds, dtype=bool)
+    inside_territory = inside_body = np.zeros(len(crowd), dtype=bool)  # replaced, never written
     events: list[ConflictEvent] = []
     stable_time = 0.0
     adjusting_time = 0.0
 
     if trace is not None:
-        trace.write(json.dumps(_trace_header(config), sort_keys=True) + "\n")
+        trace.write(json.dumps({"schema": TRACE_SCHEMA, "config": asdict(config)}, sort_keys=True) + "\n")
 
+    block: list[tuple] = []  # (time, crowd positions, user and agent poses, adjusting) per pending tick
     for k in range(n_ticks):
         t = k * config.dt
         crowd.step(user.position)
@@ -561,30 +586,25 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
 
         user = step_user(user, vh, config)
 
-        tick_events, inside_territory, inside_body = detect_events(
-            crowd.position, Segment(user.position, vh.position), vh.position,
-            inside_territory, inside_body,
-            config.territory_radius, config.body_radius, t,
-        )
-        events.extend(tick_events)
-
         adjusting = planner is not None and planner.plan is not None
         if adjusting:
             adjusting_time += config.dt
         else:
             stable_time += config.dt
 
-        if trace is not None:
-            line = {
-                "tick": k,
-                "t": round(t, 6),
-                "user": _round2(user.position) + [round(user.orientation, 4)],
-                "vh": _round2(vh.position) + [round(vh.orientation, 4)],
-                "phase": "adjusting" if adjusting else "stable",
-                "peds": [[round(x, 4), round(y, 4)] for x, y in crowd.position.tolist()],
-                "events": [[e.kind.value, e.pedestrian_id] for e in tick_events],
-            }
-            trace.write(json.dumps(line, sort_keys=True) + "\n")
+        pose = (user.position.x, user.position.y, user.orientation, vh.position.x, vh.position.y, vh.orientation)
+        block.append((t, crowd.position, pose, adjusting))
+        if len(block) == BLOCK_TICKS or k == n_ticks - 1:
+            times, positions, poses, phases = zip(*block)
+            positions, poses = np.stack(positions), np.array(poses)
+            block_events, inside_territory, inside_body = detect_events(
+                positions, poses[:, 0:2], poses[:, 3:5], inside_territory, inside_body,
+                config.territory_radius, config.body_radius, times,
+            )
+            events.extend(block_events)
+            if trace is not None:
+                trace.write(_trace_rows(k + 1 - len(block), times, positions, poses, phases, block_events))
+            block = []
 
     social = sum(1 for e in events if e.kind is ConflictKind.SOCIAL)
     physicality = sum(1 for e in events if e.kind is ConflictKind.PHYSICALITY)

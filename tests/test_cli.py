@@ -294,6 +294,14 @@ class TestRepeatedSweepValues:
             run_matrix(ScenarioConfig(), ["square12"], [0.25, 0.25], replicates=1)
         assert stub_calls == []
 
+    def test_matrix_names_an_unhashable_axis(self, stub_calls):
+        # a nested list cannot be checked for repeats, nor run as a setting
+        with pytest.raises(ScenarioError, match="densities"):
+            run_matrix(ScenarioConfig(), ["square12"], [[0.25]], replicates=1)
+        with pytest.raises(ScenarioError, match="environments"):
+            run_matrix(ScenarioConfig(), [["square12"]], [0.25], replicates=1)
+        assert stub_calls == []
+
     def test_ablation_compares_coerced_values(self, stub_calls):
         with pytest.raises(ScenarioError, match="values"):
             run_ablation(ScenarioConfig(), "coefficient_c", [1.0, 1], replicates=1)

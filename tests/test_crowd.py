@@ -154,3 +154,19 @@ def test_distance_helper_is_math_hypot_where_numpy_is_not():
     assert trap.any(), "no input separates np.hypot from math.hypot; the test has lost its teeth"
     assert (hypot(x[trap], y[trap]) == exact[trap]).all()
     assert (hypot(x, y) == exact).all()
+
+
+def test_step_leaves_earlier_position_arrays_unchanged(scalar_calls):
+    # run_trial keeps a block of past position arrays by reference, not by copy
+    cfg = ScenarioConfig(environment="square12", density=0.25, seed=2)
+    env = cfg.build_environment()
+    user, vh = cfg.initial_poses(env)
+    crowd = _spawn_crowd(cfg, env, Segment(user.position, vh.position))
+    kept, copies = [], []
+    for _ in range(300):  # long enough for dodges, waypoint arrivals and goal re-rolls
+        crowd.step(user.position)
+        assert all(crowd.position is not earlier for earlier in kept)
+        kept.append(crowd.position)
+        copies.append(crowd.position.copy())
+    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(kept, copies))
+    assert scalar_calls  # the scalar route, which writes rows of the new array, ran

@@ -151,6 +151,24 @@ class TestDistancePointsSegment:
         want = np.array([scalar(Vec2(x, y), s) for x, y in pts.tolist()])
         assert (rows(pts, s).view(np.uint64) == want.view(np.uint64)).all()
 
+    def test_one_segment_per_block_row(self):
+        # (K, 1) end columns against (K, n, 2) points: row k equals the call
+        # with segment k alone, zero-length and underflowing segments included
+        rng = np.random.default_rng(18)
+        pts = rng.uniform(-6.0, 6.0, (6, 500, 2))
+        a = rng.uniform(-2.0, 2.0, (6, 2))
+        b = a + rng.uniform(-2.0, 2.0, (6, 2))
+        b[2] = a[2]
+        a[4], b[4] = (1e-170, -1e-170), (2e-170, 0.0)  # its squared length underflows to zero
+        ends = ((a[:, 0, None], a[:, 1, None]), (b[:, 0, None], b[:, 1, None]))
+        got = points_segment_distance(pts, ends)
+        for k in range(6):
+            want = points_segment_distance(pts[k], Segment(Vec2(*a[k].tolist()), Vec2(*b[k].tolist())))
+            assert (got[k].view(np.uint64) == want.view(np.uint64)).all()
+            if k in (2, 4):
+                wx, wy = pts[k, :, 0] - a[k, 0], pts[k, :, 1] - a[k, 1]
+                assert (got[k].view(np.uint64) == np.hypot(wx, wy).view(np.uint64)).all()
+
 
 class TestDiscRectArea:
     def test_disc_inside_rect(self):

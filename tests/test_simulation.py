@@ -9,7 +9,8 @@ import pytest
 
 from crowds import states_of
 from oracles import goal_boxes, inside, relative_angles
-from vhsim.geometry import Environment, Pose, Segment, Vec2
+from vhsim import simulation
+from vhsim.geometry import Environment, Pose, Segment, Vec2, points_segment_distance
 from vhsim.planner import generate_candidates
 from vhsim.proxemics import Definiteness, classify_spatial_context
 from vhsim.prediction import PedestrianState, Phase
@@ -171,17 +172,28 @@ class TestStepUser:
 
 
 class TestDetectEvents:
-    # pedestrians are rows of an (n, 2) position array; row i is pedestrian i
-    def setup_method(self):
-        self.dyad = Segment(Vec2(0, 0), Vec2(0, 1.5))
-        self.vh = Vec2(0, 1.5)
+    # a block is a (K, n, 2) position array; column i is pedestrian i
+    USER, VH = (0.0, 0.0), (0.0, 1.5)
 
-    def _run(self, positions, flags=None):
-        pts = np.array(positions, float).reshape(-1, 2)
-        n = len(pts)
-        t_flags = np.zeros(n, bool) if flags is None else flags[0]
-        b_flags = np.zeros(n, bool) if flags is None else flags[1]
-        return detect_events(pts, self.dyad, self.vh, t_flags, b_flags, 0.45, 0.4, 1.0)
+    def _block(self, ticks, flags=None, first=0):
+        pts = np.array(ticks, float).reshape(len(ticks), -1, 2)
+        k, n = pts.shape[:2]
+        t_flags, b_flags = flags if flags is not None else (np.zeros(n, bool), np.zeros(n, bool))
+        return detect_events(pts, np.tile(self.USER, (k, 1)), np.tile(self.VH, (k, 1)), t_flags, b_flags,
+                             0.45, 0.4, [0.1 * (first + j) for j in range(k)])
+
+    def _run(self, positions):
+        return self._block([positions])
+
+    def _blocks(self, ticks, sizes):
+        """Events of `ticks` detected in consecutive blocks of `sizes` ticks."""
+        events, flags, first = [], None, 0
+        for size in sizes:
+            found, *flags = self._block(ticks[first:first + size], flags, first)
+            events += found
+            first += size
+        assert first == len(ticks)
+        return events
 
     def test_crossing_between_gives_social_only(self):
         events, t_f, b_f = self._run([(0.2, 0.75)])
@@ -203,36 +215,52 @@ class TestDetectEvents:
             ("social", 1), ("social", 3), ("physicality", 3),
         ]
 
-    def test_edge_triggered_once(self):
-        pts = np.array([(0.1, 0.75)])
-        t_flags = np.zeros(1, bool)
-        b_flags = np.zeros(1, bool)
-        total = 0
-        for k in range(5):  # dwell inside for 5 ticks
-            events, t_flags, b_flags = detect_events(
-                pts, self.dyad, self.vh, t_flags, b_flags, 0.45, 0.4, k * 0.1
-            )
-            total += len(events)
+    def test_edge_triggered_once(self, sizes=(5,)):
+        total = len(self._blocks([[(0.1, 0.75)]] * 5, sizes))  # dwell inside for 5 ticks
         assert total == 1
 
-    def test_reentry_triggers_again(self):
-        ped_in = np.array([(0.1, 0.75)])
-        ped_out = np.array([(3.0, 0.75)])
-        t_flags = np.zeros(1, bool)
-        b_flags = np.zeros(1, bool)
-        count = 0
-        for pts in (ped_in, ped_out, ped_in):
-            events, t_flags, b_flags = detect_events(
-                pts, self.dyad, self.vh, t_flags, b_flags, 0.45, 0.4, 0.0
-            )
-            count += sum(1 for e in events if e.kind is ConflictKind.SOCIAL)
+    def test_reentry_triggers_again(self, sizes=(3,)):
+        ped_in, ped_out = [(0.1, 0.75)], [(3.0, 0.75)]
+        events = self._blocks([ped_in, ped_out, ped_in], sizes)
+        count = sum(1 for e in events if e.kind is ConflictKind.SOCIAL)
         assert count == 2
+        assert [e.time for e in events] == [0.0, 0.2]
+
+    @pytest.mark.parametrize("sizes", [[1] * 5, [2, 3], [4, 1]])
+    def test_dwell_across_block_boundaries(self, sizes):
+        self.test_edge_triggered_once(sizes)
+
+    @pytest.mark.parametrize("sizes", [[1, 1, 1], [2, 1], [1, 2]])
+    def test_reentry_across_block_boundaries(self, sizes):
+        self.test_reentry_triggers_again(sizes)
 
     def test_empty_scene(self):
-        events, t_f, b_f = detect_events(
-            np.zeros((0, 2)), self.dyad, self.vh, np.zeros(0, bool), np.zeros(0, bool), 0.45, 0.4, 0.0
-        )
-        assert events == []
+        events, t_f, b_f = self._block(np.zeros((3, 0, 2)))
+        assert events == [] and t_f.shape == b_f.shape == (0,)
+
+    def test_block_matches_tick_by_tick(self):
+        # a moving dyad and a random crowd: one block, against each tick on its own
+        # with the dyad as a Segment, social before physicality, ids ascending
+        rng = np.random.default_rng(7)
+        k, n = 40, 25
+        pts = rng.uniform(-1.5, 1.5, (k, n, 2))
+        users = rng.uniform(-0.5, 0.5, (k, 2))
+        agents = users + rng.uniform(-1.5, 1.5, (k, 2))
+        agents[3] = users[3]  # a zero-length dyad
+        times = [0.1 * j for j in range(k)]
+        events, t_flags, b_flags = detect_events(pts, users, agents, np.zeros(n, bool), np.zeros(n, bool),
+                                                 0.45, 0.4, times)
+        expected, inside_t, inside_b = [], np.zeros(n, bool), np.zeros(n, bool)
+        for j in range(k):
+            dyad = Segment(Vec2(*users[j]), Vec2(*agents[j]))
+            now_t = points_segment_distance(pts[j], dyad) < 0.45
+            now_b = np.hypot(pts[j, :, 0] - agents[j, 0], pts[j, :, 1] - agents[j, 1]) < 0.4
+            expected += [("social", times[j], i) for i in np.flatnonzero(now_t & ~inside_t).tolist()]
+            expected += [("physicality", times[j], i) for i in np.flatnonzero(now_b & ~inside_b).tolist()]
+            inside_t, inside_b = now_t, now_b
+        assert [(e.kind.value, e.time, e.pedestrian_id) for e in events] == expected
+        assert len(expected) > 10
+        assert (t_flags == inside_t).all() and (b_flags == inside_b).all()
 
 
 class TestRunTrial:
@@ -286,6 +314,88 @@ class TestRunTrial:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             run_trial(ScenarioConfig(density=-1.0))
+
+
+class TestBlockRounding:
+    """`simulation._round` against `round`, bit for bit as uint64."""
+
+    @staticmethod
+    def _check(values, digits, monkeypatch):
+        calls = []
+
+        def counted_round(v, d):
+            calls.append(v)
+            return round(v, d)
+
+        monkeypatch.setattr(simulation, "round", counted_round, raising=False)
+        x = np.asarray(values, float)
+        got = simulation._round(x, digits)
+        want = np.array([round(v, digits) for v in x.ravel().tolist()]).reshape(x.shape)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        return len(calls)
+
+    def test_seeded_values(self, monkeypatch):
+        x = np.random.default_rng(18).uniform(-1000.0, 1000.0, 10**6)
+        self._check(x, 4, monkeypatch)
+        self._check(x.reshape(1000, 500, 2), 4, monkeypatch)
+
+    def test_binary_ties_and_their_neighbours(self, monkeypatch):
+        # j / 32 times 10**4 and j / 128 times 10**6 are half-integers for odd j
+        ties4 = np.arange(-4001, 4002, 2) / 32.0
+        ties6 = np.arange(-4001, 4002, 2) / 128.0
+        assert {0.03125, 0.09375} <= set(ties4.tolist())
+        for ties, digits in ((ties4, 4), (ties6, 6)):
+            assert self._check(ties, digits, monkeypatch) == ties.size  # every tie falls back
+            near = np.concatenate([ties + 1e-9, ties - 1e-9, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
+            assert self._check(near, digits, monkeypatch) > 0
+
+    def test_negative_zero_results(self, monkeypatch):
+        x = np.array([-0.0, -1e-5, -4.9e-5, -1e-300, -5e-324, 0.0, -5e-5, 1e-300])
+        self._check(x, 4, monkeypatch)
+        zeros = simulation._round(x, 4)[:5]
+        assert (zeros == 0.0).all() and np.signbit(zeros).all()
+
+    def test_angles(self, monkeypatch):
+        x = np.random.default_rng(5).uniform(0.0, 2 * math.pi, 10**5)
+        self._check(np.concatenate([x, [0.0, math.pi, math.pi / 2, 2 * math.pi - 1e-12]]), 4, monkeypatch)
+
+    @pytest.mark.parametrize("dt", [0.001, 0.05, 0.1, 1.0])
+    def test_tick_times(self, dt, monkeypatch):
+        ticks = np.arange(simulation.MAX_TICKS + 1)
+        times = [k * dt for k in ticks.tolist()]  # as run_trial computes them
+        assert times[-1] == simulation.MAX_TICKS * dt
+        self._check(times, 6, monkeypatch)
+
+
+class TestBlockBoundaries:
+    """A trial's outputs do not depend on how its ticks are cut into blocks."""
+
+    TRIALS = {
+        "square20-none": ScenarioConfig(environment="square20", density=0.25, condition="none",
+                                        duration=120.0, seed=3),
+        "passage-proposed": ScenarioConfig(environment="passage", density=0.25, condition="proposed",
+                                           duration=60.0, seed=1),
+        "zero-density": ScenarioConfig(environment="square12", density=0.0, condition="proposed",
+                                       duration=20.0, seed=3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRIALS))
+    def test_same_outputs_for_any_block_size(self, name, monkeypatch):
+        outputs = []
+        for block in (1, 7, simulation.BLOCK_TICKS):
+            monkeypatch.setattr(simulation, "BLOCK_TICKS", block)
+            trace = io.StringIO()
+            metrics = run_trial(self.TRIALS[name], trace=trace)
+            outputs.append((metrics, trace.getvalue()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        metrics, trace = outputs[0]
+        assert len(trace.splitlines()) == 1 + self.TRIALS[name].tick_count()
+        if name == "square20-none":
+            assert (metrics.social_conflicts, metrics.physicality_conflicts) == (71, 68)
+            assert hashlib.sha256(trace.encode()).hexdigest() == (
+                "21f08a764ec6900b098b12f9b96891b6e255dfb2cca370358310dff633d691d5")
+        if name == "passage-proposed":
+            assert metrics.decision_count > 0
 
 
 class TestPassThrough:
