@@ -191,6 +191,17 @@ def run_ablation(
     On a planner-only axis every point pairs with the base scenario's `none`
     trial of its seed, which runs once.
     """
+    return _run_pairs(_ablation_points(base, axis, values, replicates, seeds), jobs)
+
+
+def _ablation_points(
+    base: ScenarioConfig,
+    axis: str,
+    values: list,
+    replicates: int,
+    seeds: list[int] | None,
+) -> list[tuple]:
+    """`run_ablation`'s checked arguments as `_run_pairs` points."""
     if axis not in SWEEP_AXES:
         raise ScenarioError(f"axis: must be one of {SWEEP_AXES}, got {axis!r}")
     kind = _SCHEMA[axis].metadata["type"]
@@ -201,12 +212,11 @@ def run_ablation(
     _distinct("values", swept)
     seeds = _replicate_seeds(replicates, seeds)
     none_base = base if axis in _PLANNER_AXES else None
-    points = [
+    return [
         (axis, value, replicate, _paired(replace(base, seed=seed, **{axis: setting}), none_base))
         for value, setting in zip(values, swept)
         for replicate, seed in enumerate(seeds)
     ]
-    return _run_pairs(points, jobs)
 
 
 def run_matrix(

@@ -9,6 +9,7 @@ agent does not fidget.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -34,6 +35,12 @@ from .proxemics import (
 
 if TYPE_CHECKING:
     from .simulation import ScenarioConfig
+
+# Cells (kept samples x candidates) the approach kernel of `score_candidates`
+# evaluates at once: two float64 buffers of this size, about 80 KB each, are
+# all it holds of the samples x candidates product, whatever the crowd,
+# horizon or grid. About 60 samples a block on the default 169-candidate grid.
+BLOCK_CELLS = 10_000
 
 
 @dataclass
@@ -133,16 +140,40 @@ def generate_candidates(
     counter-clockwise from +x. The current position is always the last row,
     so holding still is always an option.
     """
-    n_radii, n_bearings = grid_shape(config)
-    bearings = [math.radians(k * config.candidate_angular_step) for k in range(n_bearings)]
-    r = config.formation_min + np.arange(n_radii)[:, None] * config.candidate_radial_step
-    x = user.position.x + r * np.array([math.cos(b) for b in bearings])
-    y = user.position.y + r * np.array([math.sin(b) for b in bearings])
+    lattice = _lattice(
+        user.position, env.width, env.height, env.side_walls, config.formation_min,
+        config.candidate_radial_step, config.candidate_angular_step, grid_shape(config), config.wall_clearance,
+    )
+    return np.vstack((lattice, (current_vh.x, current_vh.y)))
+
+
+@functools.lru_cache(maxsize=16)
+def _lattice(
+    center: Vec2,
+    width: float,
+    height: float,
+    side_walls: bool,
+    formation_min: float,
+    radial_step: float,
+    angular_step: float,
+    shape: tuple[int, int],
+    wall_clearance: float,
+) -> np.ndarray:
+    """`generate_candidates`' polar grid without the current spot, as a
+    read-only (m - 1, 2) array. The user never moves during a trial, so one
+    trial builds it once."""
+    n_radii, n_bearings = shape
+    bearings = [math.radians(k * angular_step) for k in range(n_bearings)]
+    r = formation_min + np.arange(n_radii)[:, None] * radial_step
+    x = center.x + r * np.array([math.cos(b) for b in bearings])
+    y = center.y + r * np.array([math.sin(b) for b in bearings])
     grid = np.column_stack((x.ravel(), y.ravel()))
-    keep = (0.0 <= grid[:, 0]) & (grid[:, 0] <= env.width) & (0.0 <= grid[:, 1]) & (grid[:, 1] <= env.height)
-    if env.side_walls:
-        keep &= ~(np.minimum(grid[:, 0], env.width - grid[:, 0]) < config.wall_clearance)
-    return np.vstack((grid[keep], (current_vh.x, current_vh.y)))
+    keep = (0.0 <= grid[:, 0]) & (grid[:, 0] <= width) & (0.0 <= grid[:, 1]) & (grid[:, 1] <= height)
+    if side_walls:
+        keep &= ~(np.minimum(grid[:, 0], width - grid[:, 0]) < wall_clearance)
+    lattice = grid[keep]
+    lattice.flags.writeable = False
+    return lattice
 
 
 def score_candidates(
@@ -154,7 +185,8 @@ def score_candidates(
     config: ScenarioConfig,
 ) -> tuple[np.ndarray, ...]:
     """Score every candidate of an (m, 2) array against the whole predicted
-    sample cloud, an (N, 2) array of `points`, at once.
+    sample cloud, an (N, 2) array of `points`, in blocks of about
+    `BLOCK_CELLS` sample-candidate cells.
 
     Returns (utility, ingroup, outgroup, move, approach, alpha, arrangement)
     arrays in candidate order. The last two are the user's angle and the best
@@ -184,24 +216,34 @@ def score_candidates(
         keep = (wx * wx + wy * wy) <= cutoff * cutoff
         if keep.any():
             # each sample's projection on each candidate segment, clamped to
-            # the segment, then the squared distance, in two (kept, m)
-            # buffers written in place; the per-cell operations and their
-            # order fix the result's bits, which the tests compare with the
-            # dense form in tests/oracles.py
+            # the segment, then the squared distance, for blocks of samples
+            # in two reused (rows, m) buffers, folded into a running
+            # per-candidate minimum; the per-cell operations and their order
+            # fix the result's bits, which the tests compare with the dense
+            # form in tests/oracles.py
             wx, wy = wx[keep, None], wy[keep, None]
             ee_safe = np.where(ee == 0.0, 1.0, ee)
-            t = wx * ex
-            t += wy * ey
-            t /= ee_safe
-            np.clip(t, 0.0, 1.0, out=t)
-            dx = t * ex
-            np.subtract(wx, dx, out=dx)
-            dx *= dx
-            t *= ey
-            np.subtract(wy, t, out=t)
-            t *= t
-            dx += t
-            approach = np.sqrt(dx.min(axis=0))
+            rows = max(1, BLOCK_CELLS // n)
+            t_block = np.empty((min(rows, len(wx)), n))
+            d_block = np.empty_like(t_block)
+            closest = np.full(n, np.inf)
+            for start in range(0, len(wx), rows):
+                bx, by = wx[start:start + rows], wy[start:start + rows]
+                t, d = t_block[:len(bx)], d_block[:len(bx)]
+                np.multiply(bx, ex, out=t)
+                np.multiply(by, ey, out=d)
+                t += d
+                t /= ee_safe
+                np.clip(t, 0.0, 1.0, out=t)
+                np.multiply(t, ex, out=d)
+                np.subtract(bx, d, out=d)
+                d *= d
+                t *= ey
+                np.subtract(by, t, out=t)
+                t *= t
+                d += t
+                np.minimum(closest, d.min(axis=0), out=closest)
+            approach = np.sqrt(closest)
             outgroup = comfort_from_distance(approach)
 
     alpha, ingroup, arrangement = ingroup_choice(candidates, user, context, config)

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a verdict.
 
 The heavy fixtures (the environment-by-density matrix and the factor sweeps)
-run full 10-minute trials through `cli.run_matrix` and `cli.run_ablation`, the
-runners behind `vhsim matrix` and `vhsim ablate`, in one worker process per
+run full 10-minute trials through `cli.run_matrix` and the two halves of
+`cli.run_ablation` (its point list and `_run_pairs`), the runners behind
+`vhsim matrix` and `vhsim ablate`, in one worker process per
 usable CPU, and are shared across criteria; expect a few minutes of wall time
 for the whole module.
 """
@@ -19,7 +20,7 @@ import pytest
 import vhsim.planner as planner_module
 from crowds import d_min_of, predict_one, random_scene
 from oracles import RelativeAngles, classify_arrangement, oracle_utility, relative_angles
-from vhsim.cli import _trial_row, emit_csv, run_ablation, run_matrix
+from vhsim.cli import _ablation_points, _run_pairs, _trial_row, emit_csv, run_matrix
 from vhsim.geometry import Environment, Pose, Vec2
 from vhsim.planner import _argbest, score_candidates, search
 from vhsim.prediction import PedestrianState, avoidance_geometry
@@ -275,10 +276,15 @@ def ablation_rows():
     """
     base = ScenarioConfig(environment="square12", density=0.25, territory_radius=0.5, planning_margin=0.1)
     sweeps = {"coefficient_c": (0.0, 1.0, 4.0), "coefficient_d": (0.5, 1.0, 2.0), "tracking_distance": (6.0, 20.0)}
-    return {
-        axis: run_ablation(base, axis, list(values), replicates=5, seeds=list(SEEDS), jobs=JOBS)
+    # one `_run_pairs` call over the three sweeps, so a trial two sweeps
+    # share (the base scenario's, at each seed) runs once
+    points = [
+        point
         for axis, values in sweeps.items()
-    }
+        for point in _ablation_points(base, axis, list(values), replicates=5, seeds=list(SEEDS))
+    ]
+    rows = _run_pairs(points, JOBS)
+    return {axis: [row for row in rows if row.axis == axis] for axis in sweeps}
 
 
 class TestCriterion7AblationTrends:

@@ -137,10 +137,12 @@ class TestGenerateCandidates:
         users += [Vec2(rng.uniform(0.0, env.width), rng.uniform(0.0, env.height)) for _ in range(200)]
         for position in users:
             user = Pose(position, 0.0)
-            current = Vec2(rng.uniform(0.0, env.width), rng.uniform(0.0, env.height))
-            got = generate_candidates(user, current, env, config)
-            want = np.array([(c.x, c.y) for c in oracle_candidates(user, current, env, config)])
-            assert got.shape == want.shape and (got.view(np.uint64) == want.view(np.uint64)).all()
+            # the second call at a user position reuses the first's lattice
+            for _ in range(2):
+                current = Vec2(rng.uniform(0.0, env.width), rng.uniform(0.0, env.height))
+                got = generate_candidates(user, current, env, config)
+                want = np.array([(c.x, c.y) for c in oracle_candidates(user, current, env, config)])
+                assert got.shape == want.shape and (got.view(np.uint64) == want.view(np.uint64)).all()
 
     def test_degenerate_env_keeps_only_current(self):
         # corner distance 0.57 m < smallest ring radius, so the grid is empty
@@ -255,8 +257,9 @@ def assert_bitwise(actual, expected):
 
 
 class TestScoreKernelExact:
-    """The in-place approach kernel gives the out-of-place form's outputs bit
-    for bit: every cell sees the same IEEE operations in the same order."""
+    """The blocked in-place approach kernel gives the out-of-place form's
+    outputs bit for bit, whatever the block size: every cell sees the same
+    IEEE operations in the same order, and the running minimum is exact."""
 
     @pytest.mark.parametrize("environment", ["square20", "passage"])
     def test_every_call_of_a_trial(self, environment, monkeypatch):
@@ -273,7 +276,13 @@ class TestScoreKernelExact:
         assert len(calls) >= 20
         assert sum(np.isfinite(out[4]).all() for _, out in calls) >= 20
         for args, out in calls:
-            assert_bitwise(out, old_form_scores(*args))
+            expected = old_form_scores(*args)
+            assert_bitwise(out, expected)
+            # the trial scored with the default block; again with blocks of
+            # one sample and of seven
+            for rows in (1, 7):
+                monkeypatch.setattr(planner_module, "BLOCK_CELLS", rows * len(args[0]))
+                assert_bitwise(score_candidates(*args), expected)
 
     def hand_call(self, candidates, points, config=CONFIG, user=Pose(Vec2(0, 0), 0.3)):
         candidates = np.asarray(candidates, float)
@@ -292,6 +301,27 @@ class TestScoreKernelExact:
         approach = self.hand_call([(1.0, 0.0), (0.6, 0.9), (-1.3, 0.2)], [(0.7, 0.4)])[4]
         assert np.isfinite(approach).all()
 
+    @pytest.mark.parametrize("extra", [0, 1], ids=["one_block", "one_block_plus_one"])
+    def test_block_edges(self, extra):
+        # every sample is kept, so the kernel sees exactly one full block,
+        # then one full block and a block of one sample
+        user = Pose(Vec2(10.0, 10.0), 0.0)
+        candidates = generate_candidates(user, Vec2(10.0, 11.5), Environment(20.0, 20.0), CONFIG)
+        rows = planner_module.BLOCK_CELLS // len(candidates)
+        points = np.random.default_rng(7 + extra).uniform(9.0, 11.0, (rows + extra, 2))
+        approach = self.hand_call(candidates, points, user=user)[4]
+        assert np.isfinite(approach).all()
+
+    def test_criterion_4b_grid(self):
+        # 2 401 candidates: four samples a block, the last block partial
+        user = Pose(Vec2(10.0, 10.0), 0.0)
+        fine = replace(CONFIG, candidate_radial_step=0.0375, candidate_angular_step=3.75)
+        candidates = generate_candidates(user, Vec2(10.0, 11.5), Environment(20.0, 20.0), fine)
+        assert len(candidates) == 2401
+        points = np.random.default_rng(13).uniform(7.5, 12.5, (50, 2))
+        approach = self.hand_call(candidates, points, fine, user)[4]
+        assert np.isfinite(approach).all()
+
     def test_candidate_at_user_hits_zero_length_guard(self):
         points = np.random.default_rng(5).uniform(-1.5, 1.5, (40, 2))
         approach = self.hand_call([(0.9, -0.4), (0.0, 0.0)], points)[4]
@@ -306,25 +336,38 @@ class TestScoreKernelExact:
         assert np.isfinite(approach).all()
 
 
+def score_peak(cells):
+    """The traced allocation peak, in bytes, of scoring the default grid
+    against about `cells` / 169 kept samples."""
+    user = Pose(Vec2(10.0, 10.0), 0.0)
+    candidates = generate_candidates(user, Vec2(10.0, 11.5), Environment(20.0, 20.0), CONFIG)
+    samples = -(-cells // len(candidates))
+    points = np.random.default_rng(3).uniform(8.5, 11.5, (samples, 2))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        approach = score_candidates(candidates, user, Vec2(10.0, 11.5), CTX_OPEN, points, CONFIG)[4]
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(approach).all()
+    return samples, peak
+
+
 class TestScoreMemory:
-    def test_peak_allocation_two_arrays(self):
-        # ROADMAP robustness: the scorer holds at most two (samples,
-        # candidates) float64 arrays at once, not one per temporary
-        user = Pose(Vec2(10.0, 10.0), 0.0)
-        candidates = generate_candidates(user, Vec2(10.0, 11.5), Environment(20.0, 20.0), CONFIG)
-        n = -(-1_000_000 // len(candidates))
-        points = np.random.default_rng(3).uniform(8.5, 11.5, (n, 2))
-        cells = n * len(candidates)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            approach = score_candidates(candidates, user, Vec2(10.0, 11.5), CTX_OPEN, points, CONFIG)[4]
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert np.isfinite(approach).all()
-        assert peak <= 2.5 * cells * 8
+    # ROADMAP robustness: the scorer holds two blocks of about BLOCK_CELLS
+    # cells plus arrays of one value a sample, never the samples x candidates
+    # product, which is 8 MB at 10^6 cells
+    def test_peak_under_one_megabyte_at_a_million_cells(self):
+        assert score_peak(1_000_000)[1] < 1_000_000
+
+    def test_peak_grows_by_the_per_sample_arrays_only(self):
+        small, small_peak = score_peak(100_000)
+        large, large_peak = score_peak(1_000_000)
+        # a handful of float64 a sample, far below the 169 a sample of one
+        # samples x candidates array
+        assert large_peak - small_peak <= 8 * 8 * (large - small)
 
 
 class TestDecide:
