@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import sys
 from dataclasses import dataclass, replace
@@ -303,7 +304,7 @@ def _load_scenario(path: str | None, overrides: dict) -> ScenarioConfig:
     config = ScenarioConfig()
     if path:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ScenarioError(f"scenario: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
         config = parse_scenario(text)
@@ -330,16 +331,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    trace_handle = None
-    if args.trace:
-        if out_dir is None:
-            raise ScenarioError("--trace requires --out")
-        trace_handle = (out_dir / "trace.jsonl").open("w")
-    try:
+    if args.trace and out_dir is None:
+        raise ScenarioError("--trace requires --out")
+    with (out_dir / "trace.jsonl").open("w") if args.trace else contextlib.nullcontext() as trace_handle:
         metrics = run_trial(config, trace=trace_handle)
-    finally:
-        if trace_handle is not None:
-            trace_handle.close()
     if out_dir is not None:
         emit_csv([_trial_row("", "", 0, config, metrics)], out_dir / "metrics.csv")
     print(
@@ -396,24 +391,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trace", action="store_true", help="write a JSONL tick trace")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_abl = sub.add_parser("ablate", help="sweep one factor with paired trials")
+    sweep = argparse.ArgumentParser(add_help=False)  # the options `ablate` and `matrix` share
+    sweep.add_argument("--scenario", help="base scenario file")
+    sweep.add_argument("--replicates", type=int, default=5)
+    sweep.add_argument("--seeds", help="comma-separated seeds (default 1..replicates)")
+    sweep.add_argument("--out", help="output directory")
+    sweep.add_argument("--jobs", type=int, default=1)
+
+    p_abl = sub.add_parser("ablate", parents=[sweep], help="sweep one factor with paired trials")
     p_abl.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_abl.add_argument("--values", required=True, help="comma-separated sweep values")
-    p_abl.add_argument("--scenario", help="base scenario file")
-    p_abl.add_argument("--replicates", type=int, default=5)
-    p_abl.add_argument("--seeds", help="comma-separated seeds (default 1..replicates)")
-    p_abl.add_argument("--out", help="output directory")
-    p_abl.add_argument("--jobs", type=int, default=1)
     p_abl.set_defaults(func=_cmd_ablate)
 
-    p_mat = sub.add_parser("matrix", help="environment x density x condition grid")
+    p_mat = sub.add_parser("matrix", parents=[sweep], help="environment x density x condition grid")
     p_mat.add_argument("--environments", default="square20,passage")
     p_mat.add_argument("--densities", default="0.05,0.10,0.15,0.20,0.25")
-    p_mat.add_argument("--scenario", help="base scenario file")
-    p_mat.add_argument("--replicates", type=int, default=5)
-    p_mat.add_argument("--seeds", help="comma-separated seeds (default 1..replicates)")
-    p_mat.add_argument("--out", help="output directory")
-    p_mat.add_argument("--jobs", type=int, default=1)
     p_mat.set_defaults(func=_cmd_matrix)
 
     return parser

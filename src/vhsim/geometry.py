@@ -30,8 +30,6 @@ class Vec2:
     def __mul__(self, s: float) -> "Vec2":
         return Vec2(self.x * s, self.y * s)
 
-    __rmul__ = __mul__
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
@@ -132,20 +130,6 @@ def points_segment_distance(points: np.ndarray, s: Segment | tuple) -> np.ndarra
     return _points_segment(points, s, np.hypot)
 
 
-@dataclass(frozen=True)
-class Rect:
-    """Axis-aligned rectangle: the environment's bounds."""
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def __post_init__(self) -> None:
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError(f"degenerate rectangle: {self}")
-
-
 def _circle_primitive(u: float, r: float) -> float:
     # antiderivative of sqrt(r^2 - u^2), for |u| <= r
     return 0.5 * (u * math.sqrt(r * r - u * u) + r * r * math.asin(u / r))
@@ -163,8 +147,8 @@ def _clamped_chord_integral(c: float, r: float, u0: float, u1: float) -> float:
     return math.copysign(primitive(u1) - primitive(u0), c)
 
 
-def disc_rect_intersection_area(center: Vec2, radius: float, rect: Rect) -> float:
-    """Exact area of a disc clipped to a rectangle.
+def disc_rect_intersection_area(center: Vec2, radius: float, width: float, height: float) -> float:
+    """Exact area of a disc clipped to the rectangle [0, width] x [0, height].
 
     With the disc centered at the origin, the part of the vertical chord at
     abscissa u that lies below height c has length h + clamp(c, -h, h), where
@@ -174,16 +158,16 @@ def disc_rect_intersection_area(center: Vec2, radius: float, rect: Rect) -> floa
     """
     if radius <= 0.0:
         return 0.0
-    u0 = max(rect.x_min - center.x, -radius)
-    u1 = min(rect.x_max - center.x, radius)
+    u0 = max(0.0 - center.x, -radius)
+    u1 = min(width - center.x, radius)
     if u0 >= u1:
         return 0.0
-    top = _clamped_chord_integral(rect.y_max - center.y, radius, u0, u1)
-    bottom = _clamped_chord_integral(rect.y_min - center.y, radius, u0, u1)
+    top = _clamped_chord_integral(height - center.y, radius, u0, u1)
+    bottom = _clamped_chord_integral(0.0 - center.y, radius, u0, u1)
     return max(0.0, top - bottom)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Environment:
     """A width x height rectangle, optionally walled along its left and
     right edges, x = 0 and x = width, over their full height.
@@ -201,9 +185,6 @@ class Environment:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("environment dimensions must be positive")
-
-    def bounds(self) -> Rect:
-        return Rect(0.0, 0.0, self.width, self.height)
 
     def center(self) -> Vec2:
         return Vec2(0.5 * self.width, 0.5 * self.height)

@@ -140,37 +140,24 @@ def generate_candidates(
     counter-clockwise from +x. The current position is always the last row,
     so holding still is always an option.
     """
-    lattice = _lattice(
-        user.position, env.width, env.height, env.side_walls, config.formation_min,
-        config.candidate_radial_step, config.candidate_angular_step, grid_shape(config), config.wall_clearance,
-    )
+    lattice = _lattice(user.position, env, config)
     return np.vstack((lattice, (current_vh.x, current_vh.y)))
 
 
 @functools.lru_cache(maxsize=16)
-def _lattice(
-    center: Vec2,
-    width: float,
-    height: float,
-    side_walls: bool,
-    formation_min: float,
-    radial_step: float,
-    angular_step: float,
-    shape: tuple[int, int],
-    wall_clearance: float,
-) -> np.ndarray:
+def _lattice(center: Vec2, env: Environment, config: ScenarioConfig) -> np.ndarray:
     """`generate_candidates`' polar grid without the current spot, as a
     read-only (m - 1, 2) array. The user never moves during a trial, so one
     trial builds it once."""
-    n_radii, n_bearings = shape
-    bearings = [math.radians(k * angular_step) for k in range(n_bearings)]
-    r = formation_min + np.arange(n_radii)[:, None] * radial_step
+    n_radii, n_bearings = grid_shape(config)
+    bearings = [math.radians(k * config.candidate_angular_step) for k in range(n_bearings)]
+    r = config.formation_min + np.arange(n_radii)[:, None] * config.candidate_radial_step
     x = center.x + r * np.array([math.cos(b) for b in bearings])
     y = center.y + r * np.array([math.sin(b) for b in bearings])
     grid = np.column_stack((x.ravel(), y.ravel()))
-    keep = (0.0 <= grid[:, 0]) & (grid[:, 0] <= width) & (0.0 <= grid[:, 1]) & (grid[:, 1] <= height)
-    if side_walls:
-        keep &= ~(np.minimum(grid[:, 0], width - grid[:, 0]) < wall_clearance)
+    keep = (0.0 <= grid[:, 0]) & (grid[:, 0] <= env.width) & (0.0 <= grid[:, 1]) & (grid[:, 1] <= env.height)
+    if env.side_walls:
+        keep &= ~(np.minimum(grid[:, 0], env.width - grid[:, 0]) < config.wall_clearance)
     lattice = grid[keep]
     lattice.flags.writeable = False
     return lattice

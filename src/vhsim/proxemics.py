@@ -180,7 +180,7 @@ def classify_spatial_context(
     mid = dyad.midpoint()
     r = config.c_space_radius
     count = int((hypot(positions[:, 0] - mid.x, positions[:, 1] - mid.y) <= r).sum())
-    area = disc_rect_intersection_area(mid, r, env.bounds())
+    area = disc_rect_intersection_area(mid, r, env.width, env.height)
     crowded = area > 0.0 and (count / area) >= config.crowd_threshold
     crowdedness = Crowdedness.CROWDED if crowded else Crowdedness.UNCROWDED
     return SpatialContext(definiteness, crowdedness)

@@ -246,10 +246,6 @@ def _draw_goal(rng: np.random.Generator, env: Environment, side: int) -> Vec2:
     return Vec2(x, y)
 
 
-def _waypoint_xy(waypoint: Vec2 | None) -> tuple[float, float]:
-    return (math.nan, math.nan) if waypoint is None else (waypoint.x, waypoint.y)
-
-
 class Crowd:
     """The pedestrians as arrays, one row per pedestrian id.
 
@@ -345,7 +341,7 @@ class Crowd:
             new_pos[i] = s.position.x, s.position.y
             velocity[i] = s.velocity.x, s.velocity.y
             phase[i] = _PHASES.index(s.phase)
-            self.waypoint[i] = _waypoint_xy(s.waypoint)
+            self.waypoint[i] = (math.nan, math.nan) if s.waypoint is None else (s.waypoint.x, s.waypoint.y)
 
         tolerance = config.goal_tolerance
         near_goal = np.abs(new_pos.view(complex)[:, 0] - self.goal.view(complex)[:, 0]) <= tolerance + _MARGIN
@@ -360,7 +356,13 @@ class Crowd:
         self.position, self.velocity, self.phase = new_pos, velocity, phase
 
 
-def _spawn_crowd(config: ScenarioConfig, env: Environment, dyad: Segment) -> Crowd:
+def spawn_flow(config: ScenarioConfig) -> Crowd:
+    """Initial pedestrian population for a scenario: each pedestrian draws,
+    from its own generator, a position at least `spawn_exclusion` from the
+    dyad, a goal on a random edge and a speed."""
+    env = config.build_environment()
+    user, vh = config.initial_poses(env)
+    dyad = Segment(user.position, vh.position)
     count = config.pedestrian_count(env)
     position, velocity, goal = np.zeros((count, 2)), np.zeros((count, 2)), np.zeros((count, 2))
     speed = np.zeros(count)
@@ -387,13 +389,6 @@ def _spawn_crowd(config: ScenarioConfig, env: Environment, dyad: Segment) -> Cro
         position[ped_id], goal[ped_id], speed[ped_id] = (p.x, p.y), (g.x, g.y), pace
         sides.append(side)
     return Crowd(position, velocity, goal, speed, rngs, sides, env, config)
-
-
-def spawn_flow(config: ScenarioConfig) -> Crowd:
-    """Initial pedestrian population for a scenario."""
-    env = config.build_environment()
-    user, vh = config.initial_poses(env)
-    return _spawn_crowd(config, env, Segment(user.position, vh.position))
 
 
 def step_pedestrian(
@@ -562,9 +557,9 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
     Every `BLOCK_TICKS` ticks, and at the end, the ticks' kept positions,
     poses and phases give their entry-edge conflicts and trace rows at once.
     """
-    env = config.build_environment()
+    crowd = spawn_flow(config)
+    env = crowd.env
     user, vh = config.initial_poses(env)
-    crowd = _spawn_crowd(config, env, Segment(user.position, vh.position))
 
     planner = ConflictAvoidancePlanner(env, config) if config.condition == "proposed" else None
     n_ticks = config.tick_count()
@@ -619,7 +614,7 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
         physicality_conflicts=physicality,
         stable_time=stable_time,
         adjusting_time=adjusting_time,
-        stable_percentage=stable_time / duration if duration > 0 else 1.0,
+        stable_percentage=stable_time / duration,
         duration=duration,
         events=events,
         mean_ingroup=mean_ingroup,

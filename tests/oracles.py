@@ -13,7 +13,7 @@ import numpy as np
 
 from crowds import samples_of
 from vhsim.comfort import COMFORT_OFFSET, COMFORT_SCALE_MM
-from vhsim.geometry import Environment, Pose, Rect, Segment, Vec2, distance_point_segment
+from vhsim.geometry import Environment, Pose, Segment, Vec2, distance_point_segment
 from vhsim.prediction import STATIONARY_SPEED, PedestrianState, Phase, _build_legs
 from vhsim.proxemics import CLOSED_MAX_DEG, OPEN_MIN_DEG, _PREFERENCE, ArrangementType, SpatialContext
 from vhsim.simulation import ScenarioConfig, step_pedestrian
@@ -243,17 +243,17 @@ def oracle_candidates(user: Pose, current_vh: Vec2, env: Environment, config: Sc
     return candidates
 
 
-def polygon_disc_rect_area(center: Vec2, radius: float, rect: Rect, vertices: int) -> float:
-    """Area of a disc clipped to a rectangle, from a Sutherland-Hodgman clip
-    of the inscribed regular polygon with the given number of vertices."""
+def polygon_disc_rect_area(center: Vec2, radius: float, width: float, height: float, vertices: int) -> float:
+    """Area of a disc clipped to [0, width] x [0, height], from a
+    Sutherland-Hodgman clip of the inscribed regular polygon with the given
+    number of vertices."""
     poly = [
         (center.x + radius * math.cos(2.0 * math.pi * k / vertices),
          center.y + radius * math.sin(2.0 * math.pi * k / vertices))
         for k in range(vertices)
     ]
     # each edge keeps the points p with side * (p[axis] - bound) >= 0
-    for axis, bound, side in ((0, rect.x_min, 1.0), (0, rect.x_max, -1.0),
-                              (1, rect.y_min, 1.0), (1, rect.y_max, -1.0)):
+    for axis, bound, side in ((0, 0.0, 1.0), (0, width, -1.0), (1, 0.0, 1.0), (1, height, -1.0)):
         clipped = []
         for i, cur in enumerate(poly):
             nxt = poly[(i + 1) % len(poly)]
@@ -278,12 +278,12 @@ class OracleWalker:
     goal_side: int  # 0 = top boxes, 1 = bottom boxes
 
 
-def goal_boxes(env: Environment, side: int) -> list[Rect]:
+def goal_boxes(env: Environment, side: int) -> list[tuple[float, float, float, float]]:
     """The five 0.5 m deep goal boxes side by side along the top (side 0) or
-    bottom (side 1) edge."""
+    bottom (side 1) edge, each as (x_min, y_min, x_max, y_max)."""
     step = env.width / 5
     y_min, y_max = (env.height - 0.5, env.height) if side == 0 else (0.0, 0.5)
-    return [Rect(i * step, y_min, (i + 1) * step, y_max) for i in range(5)]
+    return [(i * step, y_min, (i + 1) * step, y_max) for i in range(5)]
 
 
 def oracle_crowd_tick(walkers: list[OracleWalker], user: Vec2, env: Environment, config: ScenarioConfig) -> None:
@@ -295,8 +295,8 @@ def oracle_crowd_tick(walkers: list[OracleWalker], user: Vec2, env: Environment,
         if s.position.distance_to(s.goal) <= config.goal_tolerance:
             w.goal_side = 1 - w.goal_side
             boxes = goal_boxes(env, w.goal_side)
-            box = boxes[int(w.rng.integers(len(boxes)))]
-            goal = Vec2(float(w.rng.uniform(box.x_min, box.x_max)), float(w.rng.uniform(box.y_min, box.y_max)))
+            x_min, y_min, x_max, y_max = boxes[int(w.rng.integers(len(boxes)))]
+            goal = Vec2(float(w.rng.uniform(x_min, x_max)), float(w.rng.uniform(y_min, y_max)))
             s = replace(s, goal=goal, phase=Phase.DIRECT, waypoint=None)
         w.state = s
 

@@ -398,6 +398,19 @@ class TestMainCli:
         err = capsys.readouterr().err
         assert err.startswith("error: scenario:") and str(scenario) in err
 
+    def test_scenario_with_byte_order_mark(self, tmp_path, capsys):
+        scenario = tmp_path / "bom.txt"
+        scenario.write_bytes(b"\xef\xbb\xbfduration: 5\n")
+        assert main(["simulate", "--scenario", str(scenario)]) == 0
+        assert "social=" in capsys.readouterr().out
+
+    def test_sweep_commands_share_their_options(self):
+        parser = cli.build_parser()
+        shared = {"scenario": None, "replicates": 5, "seeds": None, "out": None, "jobs": 1}
+        ablate = vars(parser.parse_args(["ablate", "--axis", "density", "--values", "0.1"]))
+        matrix = vars(parser.parse_args(["matrix"]))
+        assert {key: ablate[key] for key in shared} == {key: matrix[key] for key in shared} == shared
+
     def test_simulate_rejects_bad_scenario(self, tmp_path, capsys):
         scenario = tmp_path / "bad.txt"
         scenario.write_text("density: -3\n")

@@ -15,9 +15,9 @@ import pytest
 from crowds import crowd_of, states_of
 from oracles import OracleWalker, oracle_crowd_tick
 from vhsim import simulation
-from vhsim.geometry import Environment, Segment, Vec2, hypot
+from vhsim.geometry import Environment, Vec2, hypot
 from vhsim.prediction import PedestrianState, Phase
-from vhsim.simulation import Crowd, ScenarioConfig, _spawn_crowd
+from vhsim.simulation import Crowd, ScenarioConfig, spawn_flow
 
 CONFIG = ScenarioConfig()
 PHASE_CODE = {Phase.DIRECT: 0, Phase.AVOIDING: 1, Phase.RETURNING: 2}
@@ -66,9 +66,8 @@ def scalar_calls(monkeypatch):
 @pytest.mark.parametrize("environment", ["square20", "passage"])
 def test_matches_scalar_loop_for_6000_ticks(environment, scalar_calls):
     cfg = ScenarioConfig(environment=environment, density=0.25, seed=1)
-    env = cfg.build_environment()
-    user, vh = cfg.initial_poses(env)
-    crowd = _spawn_crowd(cfg, env, Segment(user.position, vh.position))
+    user, _ = cfg.initial_poses(cfg.build_environment())
+    crowd = spawn_flow(cfg)
     walkers = [OracleWalker(s, copy.deepcopy(rng), side)
                for s, rng, side in zip(states_of(crowd), crowd.rngs, crowd.goal_side)]
     ticks = 6000
@@ -159,9 +158,8 @@ def test_distance_helper_is_math_hypot_where_numpy_is_not():
 def test_step_leaves_earlier_position_arrays_unchanged(scalar_calls):
     # run_trial keeps a block of past position arrays by reference, not by copy
     cfg = ScenarioConfig(environment="square12", density=0.25, seed=2)
-    env = cfg.build_environment()
-    user, vh = cfg.initial_poses(env)
-    crowd = _spawn_crowd(cfg, env, Segment(user.position, vh.position))
+    user, _ = cfg.initial_poses(cfg.build_environment())
+    crowd = spawn_flow(cfg)
     kept, copies = [], []
     for _ in range(300):  # long enough for dodges, waypoint arrivals and goal re-rolls
         crowd.step(user.position)

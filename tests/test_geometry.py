@@ -8,7 +8,6 @@ from oracles import polygon_disc_rect_area
 from vhsim.geometry import (
     Environment,
     Pose,
-    Rect,
     Segment,
     Vec2,
     angle_difference,
@@ -172,37 +171,37 @@ class TestDistancePointsSegment:
 
 class TestDiscRectArea:
     def test_disc_inside_rect(self):
-        area = disc_rect_intersection_area(Vec2(10, 10), 2.0, Rect(0, 0, 20, 20))
+        area = disc_rect_intersection_area(Vec2(10, 10), 2.0, 20, 20)
         assert area == pytest.approx(math.pi * 4.0, rel=1e-12)
 
     def test_inscribed_disc(self):
-        area = disc_rect_intersection_area(Vec2(6, 6), 6.0, Rect(0, 0, 12, 12))
+        area = disc_rect_intersection_area(Vec2(6, 6), 6.0, 12, 12)
         assert area == pytest.approx(math.pi * 36.0, rel=1e-12)
 
     def test_half_disc(self):
-        area = disc_rect_intersection_area(Vec2(0, 10), 3.0, Rect(0, 0, 20, 20))
+        area = disc_rect_intersection_area(Vec2(0, 10), 3.0, 20, 20)
         assert area == pytest.approx(math.pi * 4.5, rel=1e-12)
 
     def test_corner_quarter(self):
-        area = disc_rect_intersection_area(Vec2(20, 0), 6.0, Rect(0, 0, 20, 20))
+        area = disc_rect_intersection_area(Vec2(20, 0), 6.0, 20, 20)
         assert area == pytest.approx(math.pi * 9.0, rel=1e-12)
 
     def test_disjoint(self):
-        assert disc_rect_intersection_area(Vec2(-10, -10), 2.0, Rect(0, 0, 20, 20)) == 0.0
+        assert disc_rect_intersection_area(Vec2(-10, -10), 2.0, 20, 20) == 0.0
 
     def test_matches_fine_polygon(self):
         # a 20 000-gon's area is short of the disc's by about 5e-8 r^2
         rng = random.Random(211)
         for case in range(100):
             width = 3.0 if case % 4 == 0 else rng.uniform(1.0, 20.0)
-            rect = Rect(0.0, 0.0, width, rng.uniform(3.0, 20.0))
+            height = rng.uniform(3.0, 20.0)
             r = rng.uniform(0.5, 8.0)
             # centers anywhere from well outside to deep inside, so discs
             # spill over edges and corners or miss the rectangle entirely
-            center = Vec2(rng.uniform(-r - 1.0, rect.x_max + r + 1.0),
-                          rng.uniform(-r - 1.0, rect.y_max + r + 1.0))
-            exact = disc_rect_intersection_area(center, r, rect)
-            assert abs(exact - polygon_disc_rect_area(center, r, rect, 20000)) <= 1e-7 * r * r
+            center = Vec2(rng.uniform(-r - 1.0, width + r + 1.0),
+                          rng.uniform(-r - 1.0, height + r + 1.0))
+            exact = disc_rect_intersection_area(center, r, width, height)
+            assert abs(exact - polygon_disc_rect_area(center, r, width, height, 20000)) <= 1e-7 * r * r
 
 
 class TestVec2:

@@ -144,6 +144,26 @@ class TestGenerateCandidates:
                 want = np.array([(c.x, c.y) for c in oracle_candidates(user, current, env, config)])
                 assert got.shape == want.shape and (got.view(np.uint64) == want.view(np.uint64)).all()
 
+    def test_lattice_cache_keyed_by_what_it_reads(self):
+        # equal inputs share one cached grid, and a change to any input the
+        # grid reads builds its own, never a stale one
+        center = Vec2(0.5, 10.0)
+        open_env, walled = Environment(3.0, 20.0), Environment(3.0, 20.0, side_walls=True)
+        lattice = planner_module._lattice(center, open_env, CONFIG)
+        assert planner_module._lattice(Vec2(0.5, 10.0), Environment(3.0, 20.0), CONFIG) is lattice
+        variants = [
+            (open_env, replace(CONFIG, candidate_angular_step=30.0)),
+            (walled, CONFIG),
+            (walled, replace(CONFIG, wall_clearance=0.5)),
+        ]
+        grids = [lattice]
+        for env, config in variants:
+            grid = planner_module._lattice(center, env, config)
+            want = np.array([(c.x, c.y) for c in oracle_candidates(Pose(center, 0.0), center, env, config)[:-1]])
+            assert grid.shape == want.shape and (grid.view(np.uint64) == want.view(np.uint64)).all()
+            grids.append(grid)
+        assert len({grid.shape for grid in grids}) == len(grids)
+
     def test_degenerate_env_keeps_only_current(self):
         # corner distance 0.57 m < smallest ring radius, so the grid is empty
         env = Environment(width=0.8, height=0.8)

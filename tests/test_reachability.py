@@ -19,10 +19,10 @@ import vhsim
 
 PACKAGE = Path(vhsim.__file__).resolve().parent
 
-# Never entered by a trial or a command, but called by perfbench; each goes
-# once the benchmark stops calling it.
+# Never entered by a trial or a command, but called by perfbench: its decision
+# count iterates the prediction as a sequence. Each goes once the benchmark
+# stops calling it.
 ALLOWED = {
-    "simulation.spawn_flow": "perfbench's warm-up spawns its crowd through it",
     "prediction.Prediction.__getitem__": "perfbench's decision count iterates the prediction",
     "prediction.Prediction.__iter__": "perfbench's decision count iterates the prediction",
 }

@@ -63,7 +63,8 @@ class TestSpawnFlow:
             assert distance_point_segment(ped.position, dyad) >= cfg.spawn_exclusion - 1e-9
             assert cfg.speed_min <= ped.preferred_speed <= cfg.speed_max
             boxes = goal_boxes(env, 0) + goal_boxes(env, 1)
-            assert any(b.x_min <= ped.goal.x <= b.x_max and b.y_min <= ped.goal.y <= b.y_max for b in boxes)
+            assert any(x_min <= ped.goal.x <= x_max and y_min <= ped.goal.y <= y_max
+                       for x_min, y_min, x_max, y_max in boxes)
 
     def test_same_seed_same_population(self):
         cfg = ScenarioConfig(environment="square12", density=0.25, seed=9)
