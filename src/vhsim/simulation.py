@@ -8,7 +8,9 @@ body entry edges, and the split between stable and adjusting time is recorded.
 
 Everything is deterministic for a given config: each pedestrian draws from its
 own PCG64 stream keyed by (trial seed, pedestrian id), so spawn order cannot
-perturb per-agent randomness.
+perturb per-agent randomness. The streams are `pcg.PCG64Stream`s, which draw
+what numpy's `Generator` would from the same seed; no trial imports
+`numpy.random`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .geometry import (
     hypot,
     points_segment_distance,
 )
+from .pcg import PCG64Stream
 from .planner import ConflictAvoidancePlanner, grid_shape
 from .prediction import PHASES as _PHASES, sample_count
 from .prediction import _AVOIDING, _DIRECT, _RETURNING, PedestrianState, Phase, avoidance_geometry, choose_waypoint
@@ -223,8 +226,8 @@ class TrialMetrics:
 _MARGIN = 1e-6
 
 
-def _pedestrian_rng(seed: int, ped_id: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(ped_id,))))
+def _pedestrian_rng(seed: int, ped_id: int) -> PCG64Stream:
+    return PCG64Stream(seed, ped_id)
 
 
 # Goals lie in GOAL_BOXES equal boxes side by side along the top edge and as
@@ -233,7 +236,7 @@ GOAL_BOXES = 5
 GOAL_DEPTH = 0.5
 
 
-def _draw_goal(rng: np.random.Generator, env: Environment, side: int) -> Vec2:
+def _draw_goal(rng: PCG64Stream, env: Environment, side: int) -> Vec2:
     """A goal drawn from `rng`: a box along the top (side 0) or bottom (side
     1) edge, then a uniform point in it, x before y."""
     step = env.width / GOAL_BOXES
@@ -256,7 +259,8 @@ class Crowd:
     through the scalar `step_pedestrian`: a possible dodge trigger, a
     waypoint arrival, a target closer than the routing margin, or a
     RETURNING pedestrian on the start-range boundary. A pedestrian that
-    reaches its goal draws the next one from its own generator.
+    reaches its goal draws the next one from its own stream, a
+    `PCG64Stream` (or anything with its `uniform` and `integers` draws).
 
     A new crowd walks straight for its goals: every phase is DIRECT and
     every waypoint NaN.
@@ -271,7 +275,7 @@ class Crowd:
         velocity: np.ndarray,
         goal: np.ndarray,
         speed: np.ndarray,
-        rngs: list[np.random.Generator],
+        rngs: list[PCG64Stream],
         goal_sides: list[int],
         env: Environment,
         config: ScenarioConfig,
@@ -358,7 +362,7 @@ class Crowd:
 
 def spawn_flow(config: ScenarioConfig) -> Crowd:
     """Initial pedestrian population for a scenario: each pedestrian draws,
-    from its own generator, a position at least `spawn_exclusion` from the
+    from its own stream, a position at least `spawn_exclusion` from the
     dyad, a goal on a random edge and a speed."""
     env = config.build_environment()
     user, vh = config.initial_poses(env)

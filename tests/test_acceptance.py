@@ -8,6 +8,7 @@ usable CPU, and are shared across criteria; expect a few minutes of wall time
 for the whole module.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -42,6 +43,12 @@ def report(criterion: int, name: str, ok: bool, detail: str = "") -> None:
     verdict = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {criterion} [{name}]: {verdict} {detail}", flush=True)
     assert ok, f"criterion {criterion} ({name}) failed: {detail}"
+
+
+def slack(**clauses: float) -> str:
+    """Each clause's smallest margin to its bound, negative where it fails; a
+    report only, so that a clause passing by less than its noise shows."""
+    return "; slack " + ", ".join(f"{name} {value:.2g}" for name, value in clauses.items())
 
 
 @pytest.fixture(scope="module")
@@ -214,50 +221,58 @@ class TestCriterion5LowDensityReplication:
             for env in ENVIRONMENTS
         }
         total = sum(per_env.values())
-        report(5, "low-density replication", total <= 2, f"total conflicts over 10 trials: {total} {per_env}")
+        report(5, "low-density replication", total <= 2,
+               f"total conflicts over 10 trials: {total} {per_env}" + slack(conflicts=2 - total))
 
 
 class TestCriterion6TrendReplication:
     def test_reductions_non_increasing_in_density(self, matrix_rows):
         ok = True
         detail = []
+        margins = {}
         for env in ENVIRONMENTS:
             for kind in ("social", "physicality"):
                 curve = [mean_of(matrix_rows, f"{kind}_reduction", environment=env, density=d) for d in DENSITIES]
                 detail.append(f"{env}/{kind}: " + ",".join(f"{v:.3f}" for v in curve))
+                margins[f"{env}/{kind}"] = min(a - b for a, b in zip(curve, curve[1:]))
                 for a, b in zip(curve, curve[1:]):
                     if b > a + 1e-9:
                         ok = False
-        report(6, "6a reductions non-increasing", ok, "; ".join(detail))
+        report(6, "6a reductions non-increasing", ok, "; ".join(detail) + slack(**margins))
 
     def test_stable_percentage_decreasing(self, matrix_rows):
         ok = True
         detail = []
+        margins = {}
         for env in ENVIRONMENTS:
             curve = [mean_of(matrix_rows, "stable_pct", environment=env, density=d) for d in DENSITIES]
             detail.append(f"{env}: " + ",".join(f"{v:.3f}" for v in curve))
+            margins[env] = min(a + 0.02 - b for a, b in zip(curve, curve[1:]))
             for a, b in zip(curve, curve[1:]):
                 # strictly decreasing with a 2-point tolerance per step
                 if not (b < a + 0.02):
                     ok = False
-        report(6, "6b stable percentage decreasing", ok, "; ".join(detail))
+        report(6, "6b stable percentage decreasing", ok, "; ".join(detail) + slack(**margins))
 
     def test_quarter_density_reduction_floor(self, matrix_rows):
         social = mean_of(matrix_rows, "social_reduction", environment="square20", density=0.25)
         phys = mean_of(matrix_rows, "physicality_reduction", environment="square20", density=0.25)
         ok = social >= 0.60 and phys >= 0.80
-        report(6, "6c square reductions at 0.25", ok, f"social={social:.3f} (>=0.60), physicality={phys:.3f} (>=0.80)")
+        report(6, "6c square reductions at 0.25", ok, f"social={social:.3f} (>=0.60), physicality={phys:.3f} (>=0.80)"
+               + slack(social=social - 0.60, physicality=phys - 0.80))
 
     def test_passage_more_stable_than_square(self, matrix_rows):
         ok = True
         pairs = []
+        gaps = []
         for d in DENSITIES:
             p = mean_of(matrix_rows, "stable_pct", environment="passage", density=d)
             s = mean_of(matrix_rows, "stable_pct", environment="square20", density=d)
             pairs.append(f"d={d}: {p:.3f}>{s:.3f}")
+            gaps.append(p - s)
             if not p > s:
                 ok = False
-        report(6, "6d passage stabler than square", ok, "; ".join(pairs))
+        report(6, "6d passage stabler than square", ok, "; ".join(pairs) + slack(stable=min(gaps)))
 
 
 @pytest.fixture(scope="module")
@@ -298,7 +313,10 @@ class TestCriterion7AblationTrends:
         spread = reductions[-1] > reductions[0]
         ok = monotone_up and monotone_down and spread
         report(7, "7 outgroup-weight sweep", ok,
-               f"reduction={[f'{r:.3f}' for r in reductions]}, ingroup={[f'{g:.3f}' for g in ingroups]}")
+               f"reduction={[f'{r:.3f}' for r in reductions]}, ingroup={[f'{g:.3f}' for g in ingroups]}"
+               + slack(reduction=min(b - a for a, b in zip(reductions, reductions[1:])),
+                       ingroup=min(a - b for a, b in zip(ingroups, ingroups[1:])),
+                       spread=reductions[-1] - reductions[0]))
 
     def test_move_cost_sweep(self, ablation_rows):
         # Known-red on the reduction clause: the claimed direction operates
@@ -316,7 +334,9 @@ class TestCriterion7AblationTrends:
             b >= a - 1e-9 for a, b in zip(stables, stables[1:])
         )
         report(7, "7 move-cost sweep", ok,
-               f"reduction={[f'{r:.3f}' for r in reductions]}, stable={[f'{s:.3f}' for s in stables]}")
+               f"reduction={[f'{r:.3f}' for r in reductions]}, stable={[f'{s:.3f}' for s in stables]}"
+               + slack(reduction=min(a - b for a, b in zip(reductions, reductions[1:])),
+                       stable=min(b - a for a, b in zip(stables, stables[1:]))))
 
     def test_tracking_distance_insensitivity(self, ablation_rows):
         rows = ablation_rows["tracking_distance"]
@@ -327,7 +347,8 @@ class TestCriterion7AblationTrends:
             diffs[kind] = abs(far - near)
         ok = all(v < 0.05 for v in diffs.values())
         report(7, "7 tracking distance", ok,
-               f"|delta social|={diffs['social']:.3f}, |delta physicality|={diffs['physicality']:.3f} (<0.05)")
+               f"|delta social|={diffs['social']:.3f}, |delta physicality|={diffs['physicality']:.3f} (<0.05)"
+               + slack(**{kind: 0.05 - diff for kind, diff in diffs.items()}))
 
 
 class TestCriterion8Determinism:
@@ -343,6 +364,33 @@ class TestCriterion8Determinism:
             outputs.append((trace_path.read_bytes(), csv_path.read_bytes()))
         ok = outputs[0] == outputs[1]
         report(8, "determinism", ok, f"trace bytes={len(outputs[0][0])}, csv bytes={len(outputs[0][1])}")
+
+
+# sha256 of the CSVs `vhsim matrix` and `vhsim ablate` write from the
+# fixtures' rows. A change that moves an experiment output on purpose
+# re-records these by name.
+MATRIX_CSV_SHA256 = "5b87b84c70a681e8f43775e3dc390918abea4fa971ed52e7a09cdb2e4ac5391b"
+ABLATION_CSV_SHA256 = {
+    "coefficient_c": "58df4927b0f5456397c78cdd1f78649d8806e1dcec2106cbb903ff50b0705021",
+    "coefficient_d": "1fd2e8a98722ab502dac617795a1cf9f9a4096b9eb9d6d7baf347f50cfc08c88",
+    "tracking_distance": "58d2cfaacd4b8ff11a1b60dff45ffef9ee7bb43cddfdd7aac3b3c00dd300a888",
+}
+
+
+def csv_sha256(rows, path) -> str:
+    emit_csv(rows, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestCriterion8OutputDigests:
+    def test_matrix_csv(self, matrix_rows, tmp_path):
+        digest = csv_sha256(matrix_rows, tmp_path / "matrix.csv")
+        report(8, "matrix.csv digest", digest == MATRIX_CSV_SHA256, f"sha256={digest}")
+
+    @pytest.mark.parametrize("axis", sorted(ABLATION_CSV_SHA256))
+    def test_ablation_csv(self, ablation_rows, axis, tmp_path):
+        digest = csv_sha256(ablation_rows[axis], tmp_path / f"ablation_{axis}.csv")
+        report(8, f"ablation {axis} CSV digest", digest == ABLATION_CSV_SHA256[axis], f"sha256={digest}")
 
 
 class TestCriterion9Performance:

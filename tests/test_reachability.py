@@ -5,7 +5,8 @@ made while the package loads count too. It then runs short `matrix`,
 `ablate coefficient_c` and traced walled `custom` `simulate` commands and
 records every function it entered. A function that none of them enters is
 dead code: delete it, or move it to the tests when a test uses it as a
-reference.
+reference. The same commands must leave `numpy.random` unimported: the
+pedestrians draw from `pcg.PCG64Stream`.
 """
 
 import ast
@@ -14,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import vhsim
 
@@ -55,7 +58,8 @@ assert main(["ablate", "--axis", "coefficient_c", "--values", "1,4", "--scenario
 assert main(["simulate", "--scenario", walled, "--out", out, "--trace"]) == 0
 sys.setprofile(None)
 with open(os.path.join(out, "reached.json"), "w") as f:
-    json.dump([[c.co_filename, c.co_firstlineno] for c in codes], f)
+    json.dump({"reached": [[c.co_filename, c.co_firstlineno] for c in codes],
+               "numpy_random": "numpy.random" in sys.modules}, f)
 """
 
 
@@ -78,17 +82,28 @@ def defined_functions() -> dict[tuple[str, int], str]:
     return found
 
 
-def test_every_function_is_reached(tmp_path):
+@pytest.fixture(scope="module")
+def commands_run(tmp_path_factory) -> dict:
+    """What the commands of `SCRIPT` reached, and whether they imported `numpy.random`."""
+    out = tmp_path_factory.mktemp("reachability")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
-    result = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True,
+    result = subprocess.run([sys.executable, "-c", SCRIPT, str(out)], env=env, capture_output=True, text=True,
                             timeout=300)
     assert result.returncode == 0, result.stderr
+    return json.loads((out / "reached.json").read_text())
+
+
+def test_every_function_is_reached(commands_run):
     reached = {
         (Path(filename).stem, line)
-        for filename, line in json.loads((tmp_path / "reached.json").read_text())
+        for filename, line in commands_run["reached"]
         if Path(filename).resolve().parent == PACKAGE
     }
     functions = defined_functions()
     assert len(functions) > 50
     unreached = sorted(name for key, name in functions.items() if key not in reached)
     assert unreached == sorted(ALLOWED), "never entered by a trial or a command: " + ", ".join(unreached)
+
+
+def test_no_command_imports_numpy_random(commands_run):
+    assert not commands_run["numpy_random"]

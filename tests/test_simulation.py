@@ -2,7 +2,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -540,3 +544,56 @@ class TestGoldenTrials:
         assert {name: getattr(metrics, name) for name in fields} == fields
         assert [(e.kind.value, e.time, e.pedestrian_id) for e in metrics.events] == events
         assert hashlib.sha256(trace.getvalue().encode()).hexdigest() == trace_sha
+
+
+# numpy's AVX-512 kernels of arcsin and arctan2 differ from math's in the last
+# ulp on many inputs; with these switched off they agree. The goldens must
+# hold under either dispatch.
+SECOND_DISPATCH = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+GOLDEN_SCRIPT = r"""
+import hashlib, io, json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+
+if any(__cpu_features__.get(name) for name in sys.argv[1:]):
+    print(json.dumps(None))  # numpy kept a feature it was told to disable
+    raise SystemExit
+from vhsim.simulation import ScenarioConfig, run_trial
+
+out = {}
+for environment in ("square20", "passage"):
+    cfg = ScenarioConfig(environment=environment, density=0.25, condition="proposed", duration=60.0, seed=1)
+    trace = io.StringIO()
+    m = run_trial(cfg, trace=trace)
+    out[environment] = [
+        {name: value for name, value in vars(m).items() if name != "events"},
+        [(e.kind.value, e.time, e.pedestrian_id) for e in m.events],
+        hashlib.sha256(trace.getvalue().encode()).hexdigest(),
+    ]
+print(json.dumps(out))
+"""
+
+
+def test_goldens_under_a_second_numpy_dispatch():
+    """`TestGoldenTrials`' two trials, in a process whose numpy runs without
+    its AVX-512 kernels, give the same pinned metrics, events and traces."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    if not all(__cpu_features__.get(name) for name in SECOND_DISPATCH):
+        pytest.skip("this CPU or numpy build does not dispatch to " + ", ".join(SECOND_DISPATCH))
+    src = str(Path(simulation.__file__).resolve().parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(SECOND_DISPATCH),
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", GOLDEN_SCRIPT, *SECOND_DISPATCH], env=env,
+                            capture_output=True, text=True, timeout=600)
+    if result.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in result.stderr:
+        pytest.skip("numpy refused NPY_DISABLE_CPU_FEATURES")
+    assert result.returncode == 0, result.stderr
+    got = json.loads(result.stdout)
+    if got is None:
+        pytest.skip("numpy kept a feature NPY_DISABLE_CPU_FEATURES disables")
+    for environment, (fields, events, trace_sha) in TestGoldenTrials.GOLDEN.items():
+        metrics, got_events, got_sha = got[environment]
+        assert {name: metrics[name] for name in fields} == fields, environment
+        assert [tuple(e) for e in got_events] == events, environment
+        assert got_sha == trace_sha, environment
