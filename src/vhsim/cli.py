@@ -10,9 +10,9 @@ the full environment-by-density grid, and `simulate` runs a single trial.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -119,12 +119,16 @@ CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
 def _run_many(configs: list[ScenarioConfig], jobs: int) -> dict[ScenarioConfig, TrialMetrics]:
-    """Run each distinct config once, in up to `jobs` worker processes."""
+    """Run each distinct config once, in up to `jobs` worker processes, no
+    more than the usable CPUs or the distinct configs."""
     if jobs < 1:
         raise ScenarioError(f"jobs: must be >= 1, got {jobs}")
     todo = list(dict.fromkeys(configs))
-    workers = min(jobs, len(todo))
+    usable_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, usable_cpus, len(todo))
     if workers > 1:
+        import concurrent.futures  # here, so that a single-process run never loads it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return dict(zip(todo, pool.map(run_trial, todo)))
     return {cfg: run_trial(cfg) for cfg in todo}

@@ -28,28 +28,16 @@ if TYPE_CHECKING:
 STATIONARY_SPEED = 1e-9
 
 
-class Phase(enum.Enum):
-    DIRECT = "direct"
-    AVOIDING = "avoiding"
-    RETURNING = "returning"
+class Phase(enum.IntEnum):
+    """A pedestrian's dodge phase, as `simulation.Crowd.phase` stores it.
 
+    Array comparisons take a member's `.value`: under Python 3.11, numpy
+    spends microseconds probing an IntEnum operand's type on every call.
+    """
 
-# A crowd stores each pedestrian's phase as its index in this tuple.
-PHASES = (Phase.DIRECT, Phase.AVOIDING, Phase.RETURNING)
-_DIRECT, _AVOIDING, _RETURNING = map(PHASES.index, PHASES)
-
-
-@dataclass
-class PedestrianState:
-    """Kinematic state of one non-user pedestrian."""
-
-    id: int
-    position: Vec2
-    velocity: Vec2
-    goal: Vec2
-    preferred_speed: float
-    phase: Phase = Phase.DIRECT
-    waypoint: Vec2 | None = None
+    DIRECT = 0
+    AVOIDING = 1
+    RETURNING = 2
 
 
 @dataclass(frozen=True)
@@ -162,7 +150,7 @@ def predict_trajectory(
     """Sample the given rows of the crowd at step dt over a shared horizon.
 
     `crowd` is a `simulation.Crowd`: its `position`, `velocity`, `phase` and
-    `waypoint` arrays are read, and `state(i)` for a detouring pedestrian.
+    `waypoint` arrays are read, and a detouring pedestrian's `goal` row.
     Pedestrians already detouring continue to their waypoint and then head
     for their goal. Pedestrians on a straight course that would pass closer
     than the clearance radius get the detour inserted at the range where they
@@ -186,18 +174,18 @@ def predict_trajectory(
     # returning nor avoiding toward a waypoint detours when it heads toward
     # the user and would pass inside the clearance
     phase = crowd.phase[rows]
-    avoiding = (phase == _AVOIDING) & ~np.isnan(crowd.waypoint[rows, 0])
+    avoiding = (phase == Phase.AVOIDING.value) & ~np.isnan(crowd.waypoint[rows, 0])
     w = np.array([user.x, user.y]) - pos
     rng = hypot(w[:, 0], w[:, 1])
     proj = w[:, 0] * v_dir[:, 0] + w[:, 1] * v_dir[:, 1]
     miss = np.sqrt(np.maximum(0.0, rng * rng - proj * proj))
-    detour = (phase != _RETURNING) & ~avoiding & (proj > 0.0) & (miss < config.min_avoidance_distance)
+    detour = (phase != Phase.RETURNING.value) & ~avoiding & (proj > 0.0) & (miss < config.min_avoidance_distance)
 
     arc = times * speed[:, None]
     points = pos[:, None, :] + v_dir[:, None, :] * arc[:, :, None]
     legged = np.flatnonzero(moving & (avoiding | detour))
     if legged.size:
-        paths = [_build_legs(crowd.state(i), user, config) for i in rows[legged].tolist()]
+        paths = [_build_legs(crowd, i, user, config) for i in rows[legged].tolist()]
         points[legged] = _sample_legs(paths, arc[legged])
     points[~moving] = pos[~moving, None, :]
     return Prediction(rows, times, points.reshape(rows.size * n, 2), user)
@@ -233,49 +221,54 @@ def _goal_direction(from_point: Vec2, goal: Vec2, fallback: Vec2) -> Vec2:
     return d * (1.0 / n)
 
 
-def _build_legs(ped: PedestrianState, user: Vec2, config: ScenarioConfig) -> list[tuple[Vec2, Vec2, float]]:
-    v_dir = ped.velocity * (1.0 / ped.velocity.norm())
+def _build_legs(crowd, i: int, user: Vec2, config: ScenarioConfig) -> list[tuple[Vec2, Vec2, float]]:
+    """Row i of the crowd's predicted legs, each (start point, unit
+    direction, length), the last length infinite."""
+    position, velocity = Vec2(*crowd.position[i].tolist()), Vec2(*crowd.velocity[i].tolist())
+    goal, phase, (wp_x, wp_y) = Vec2(*crowd.goal[i].tolist()), int(crowd.phase[i]), crowd.waypoint[i].tolist()
+    v_dir = velocity * (1.0 / velocity.norm())
 
-    if ped.phase is Phase.AVOIDING and ped.waypoint is not None:
-        to_wp = ped.waypoint - ped.position
+    if phase == Phase.AVOIDING and not math.isnan(wp_x):
+        waypoint = Vec2(wp_x, wp_y)
+        to_wp = waypoint - position
         wp_dist = to_wp.norm()
         if wp_dist < 1e-9:
-            out = _goal_direction(ped.waypoint, ped.goal, v_dir)
-            return [(ped.position, out, math.inf)]
+            out = _goal_direction(waypoint, goal, v_dir)
+            return [(position, out, math.inf)]
         wp_dir = to_wp * (1.0 / wp_dist)
-        out = _goal_direction(ped.waypoint, ped.goal, wp_dir)
-        return [(ped.position, wp_dir, wp_dist), (ped.waypoint, out, math.inf)]
+        out = _goal_direction(waypoint, goal, wp_dir)
+        return [(position, wp_dir, wp_dist), (waypoint, out, math.inf)]
 
-    if ped.phase is Phase.RETURNING:
-        return [(ped.position, v_dir, math.inf)]
+    if phase == Phase.RETURNING:
+        return [(position, v_dir, math.inf)]
 
     # straight course; insert the detour if it would cut inside the clearance
-    wx, wy = user.x - ped.position.x, user.y - ped.position.y
+    wx, wy = user.x - position.x, user.y - position.y
     rng = math.hypot(wx, wy)
     proj = wx * v_dir.x + wy * v_dir.y
     if proj <= 0.0:
-        return [(ped.position, v_dir, math.inf)]
+        return [(position, v_dir, math.inf)]
     miss = math.sqrt(max(0.0, rng * rng - proj * proj))
     if miss >= config.min_avoidance_distance:
-        return [(ped.position, v_dir, math.inf)]
+        return [(position, v_dir, math.inf)]
 
     if rng <= config.start_avoidance_distance:
         trigger_arc = 0.0
-        trigger = ped.position
+        trigger = position
     else:
         back = math.sqrt(max(0.0, config.start_avoidance_distance**2 - miss * miss))
         trigger_arc = proj - back
-        trigger = ped.position + v_dir * trigger_arc
+        trigger = position + v_dir * trigger_arc
 
     geom = avoidance_geometry(trigger, user, config)
     waypoint = choose_waypoint(geom, v_dir, user - trigger)
     to_wp = waypoint - trigger
     wp_dist = to_wp.norm()
     wp_dir = to_wp * (1.0 / wp_dist) if wp_dist > 1e-12 else v_dir
-    out = _goal_direction(waypoint, ped.goal, wp_dir)
+    out = _goal_direction(waypoint, goal, wp_dir)
     legs: list[tuple[Vec2, Vec2, float]] = []
     if trigger_arc > 1e-12:
-        legs.append((ped.position, v_dir, trigger_arc))
+        legs.append((position, v_dir, trigger_arc))
     legs.append((trigger, wp_dir, wp_dist))
     legs.append((waypoint, out, math.inf))
     return legs

@@ -35,8 +35,7 @@ from .geometry import (
 )
 from .pcg import PCG64Stream
 from .planner import ConflictAvoidancePlanner, grid_shape
-from .prediction import PHASES as _PHASES, sample_count
-from .prediction import _AVOIDING, _DIRECT, _RETURNING, PedestrianState, Phase, avoidance_geometry, choose_waypoint
+from .prediction import Phase, avoidance_geometry, choose_waypoint, sample_count
 
 TRACE_SCHEMA = "vhsim-trace/1"
 
@@ -281,7 +280,7 @@ class Crowd:
         config: ScenarioConfig,
     ) -> None:
         self.position, self.velocity, self.goal, self.speed = position, velocity, goal, speed
-        self.phase = np.full(speed.size, _DIRECT, np.int8)
+        self.phase = np.full(speed.size, Phase.DIRECT, np.int8)
         self.waypoint = np.full((speed.size, 2), math.nan)
         self.goal_side = list(goal_sides)  # 0 = top boxes, 1 = bottom boxes
         self.rngs = rngs
@@ -292,14 +291,6 @@ class Crowd:
     def __len__(self) -> int:
         return self.speed.size
 
-    def state(self, i: int) -> PedestrianState:
-        wx, wy = self.waypoint[i].tolist()
-        return PedestrianState(
-            id=i, position=Vec2(*self.position[i].tolist()), velocity=Vec2(*self.velocity[i].tolist()),
-            goal=Vec2(*self.goal[i].tolist()), preferred_speed=float(self.speed[i]),
-            phase=_PHASES[self.phase[i]], waypoint=None if math.isnan(wx) else Vec2(wx, wy),
-        )
-
     def step(self, user: Vec2) -> None:
         """Advance every pedestrian by dt, as `step_pedestrian` followed by a
         goal re-roll on arrival would."""
@@ -307,12 +298,12 @@ class Crowd:
             return
         config, pos, step = self.config, self.position, self._step_length
         phase = self.phase.copy()
-        avoiding = phase == _AVOIDING
+        avoiding = phase == Phase.AVOIDING.value
         target = np.where(avoiding[:, None], self.waypoint, self.goal)
         to_target = target - pos
         t_dist = hypot(to_target[:, 0], to_target[:, 1])
-        with np.errstate(divide="ignore", invalid="ignore"):  # a target this close goes scalar
-            direction = to_target / t_dist[:, None]
+        # a target closer than the margin always goes scalar, which overwrites its row
+        direction = to_target / np.where(t_dist < _MARGIN, 1.0, t_dist)[:, None]
         new_pos = pos + direction * step[:, None]
         velocity = direction * self.speed[:, None]
 
@@ -324,13 +315,13 @@ class Crowd:
         d_user = np.abs(rel)
         reach, lower = config.start_avoidance_distance + _MARGIN, config.start_avoidance_distance - _MARGIN
         scalar = set()
-        for i in (phase == _RETURNING).nonzero()[0].tolist():
+        for i in (phase == Phase.RETURNING.value).nonzero()[0].tolist():
             if d_user[i] > reach:
-                phase[i] = _DIRECT
+                phase[i] = Phase.DIRECT
             elif d_user[i] >= lower:
                 scalar.add(i)
         miss_limit = (config.min_avoidance_distance + _MARGIN) ** 2
-        for i in ((d_user <= reach) & (phase == _DIRECT)).nonzero()[0].tolist():
+        for i in ((d_user <= reach) & (phase == Phase.DIRECT.value)).nonzero()[0].tolist():
             (dx, dy), (rx, ry) = direction[i].tolist(), (rel[i].real, rel[i].imag)
             dist, proj = math.hypot(rx, ry), rx * dx + ry * dy
             if proj > -_MARGIN and dist * dist - proj * proj < miss_limit:
@@ -341,11 +332,7 @@ class Crowd:
             elif t_dist[i] <= step[i]:
                 new_pos[i] = target[i]  # arrives at its goal
         for i in scalar:
-            s = step_pedestrian(self.state(i), user, config)
-            new_pos[i] = s.position.x, s.position.y
-            velocity[i] = s.velocity.x, s.velocity.y
-            phase[i] = _PHASES.index(s.phase)
-            self.waypoint[i] = (math.nan, math.nan) if s.waypoint is None else (s.waypoint.x, s.waypoint.y)
+            new_pos[i], velocity[i], phase[i], self.waypoint[i] = step_pedestrian(self, i, user)
 
         tolerance = config.goal_tolerance
         near_goal = np.abs(new_pos.view(complex)[:, 0] - self.goal.view(complex)[:, 0]) <= tolerance + _MARGIN
@@ -355,7 +342,7 @@ class Crowd:
                 side = self.goal_side[i] = 1 - self.goal_side[i]
                 goal = _draw_goal(self.rngs[i], self.env, side)
                 self.goal[i] = goal.x, goal.y
-                phase[i] = _DIRECT
+                phase[i] = Phase.DIRECT
                 self.waypoint[i] = math.nan, math.nan
         self.position, self.velocity, self.phase = new_pos, velocity, phase
 
@@ -395,43 +382,36 @@ def spawn_flow(config: ScenarioConfig) -> Crowd:
     return Crowd(position, velocity, goal, speed, rngs, sides, env, config)
 
 
-def step_pedestrian(
-    ped: PedestrianState,
-    user: Vec2,
-    config: ScenarioConfig,
-) -> PedestrianState:
-    """Advance one pedestrian by `config.dt` with the three-phase user-dodging rule.
+def step_pedestrian(crowd: Crowd, i: int, user: Vec2) -> tuple[tuple, tuple, int, tuple]:
+    """Advance row i of the crowd by `dt` with the three-phase user-dodging rule.
 
     The pedestrian heads for its goal, deviates to a waypoint when the user
     sits in its way inside the start-avoidance range, and resumes course after
     the waypoint. It never reacts to the agent. Arrival at the goal leaves the
-    pedestrian on the goal point; the caller re-rolls goals.
+    pedestrian on the goal point; the caller re-rolls goals. Returns the
+    row's next position, velocity, phase code and waypoint (NaN when it has
+    none), and writes nothing to the crowd.
     """
-    px, py = ped.position.x, ped.position.y
-    phase = ped.phase
-    waypoint = ped.waypoint
-    speed = ped.preferred_speed
+    config = crowd.config
+    (px, py), goal, (wx, wy) = crowd.position[i].tolist(), crowd.goal[i].tolist(), crowd.waypoint[i].tolist()
+    phase, speed = int(crowd.phase[i]), float(crowd.speed[i])
 
     dist_user = math.hypot(user.x - px, user.y - py)
-    if phase is Phase.RETURNING and dist_user > config.start_avoidance_distance:
+    if phase == Phase.RETURNING and dist_user > config.start_avoidance_distance:
         phase = Phase.DIRECT
 
-    if phase is Phase.AVOIDING and waypoint is not None:
-        target = waypoint
-    else:
-        target = ped.goal
-
-    tx, ty = target.x - px, target.y - py
+    target = (wx, wy) if phase == Phase.AVOIDING and not math.isnan(wx) else goal
+    tx, ty = target[0] - px, target[1] - py
     t_dist = math.hypot(tx, ty)
     if t_dist < 1e-12:
-        dir_x, dir_y = ped.velocity.x, ped.velocity.y
+        dir_x, dir_y = crowd.velocity[i].tolist()
         n = math.hypot(dir_x, dir_y)
         if n > 0.0:
             dir_x, dir_y = dir_x / n, dir_y / n
     else:
         dir_x, dir_y = tx / t_dist, ty / t_dist
 
-    if phase is Phase.DIRECT and dist_user <= config.start_avoidance_distance and dist_user > 0.0:
+    if phase == Phase.DIRECT and dist_user <= config.start_avoidance_distance and dist_user > 0.0:
         proj = (user.x - px) * dir_x + (user.y - py) * dir_y
         if proj > 0.0:
             miss = math.sqrt(max(0.0, dist_user * dist_user - proj * proj))
@@ -439,21 +419,21 @@ def step_pedestrian(
                 geom = avoidance_geometry(Vec2(px, py), user, config)
                 waypoint = choose_waypoint(geom, Vec2(dir_x, dir_y), Vec2(user.x - px, user.y - py))
                 phase = Phase.AVOIDING
-                target = waypoint
-                tx, ty = target.x - px, target.y - py
+                target = wx, wy = waypoint.x, waypoint.y
+                tx, ty = wx - px, wy - py
                 t_dist = math.hypot(tx, ty)
                 if t_dist > 1e-12:
                     dir_x, dir_y = tx / t_dist, ty / t_dist
 
     step = speed * config.dt
     if t_dist <= step:
-        if phase is Phase.AVOIDING:
+        if phase == Phase.AVOIDING:
             # reach the waypoint and spend the leftover resuming toward the goal
             leftover = step - t_dist
-            px, py = target.x, target.y
+            px, py = target
             phase = Phase.RETURNING
-            waypoint = None
-            gx, gy = ped.goal.x - px, ped.goal.y - py
+            wx = wy = math.nan
+            gx, gy = goal[0] - px, goal[1] - py
             g_dist = math.hypot(gx, gy)
             if g_dist > 1e-12:
                 dir_x, dir_y = gx / g_dist, gy / g_dist
@@ -461,20 +441,12 @@ def step_pedestrian(
                 px += dir_x * adv
                 py += dir_y * adv
         else:
-            px, py = target.x, target.y
+            px, py = target
     else:
         px += dir_x * step
         py += dir_y * step
 
-    return PedestrianState(
-        id=ped.id,
-        position=Vec2(px, py),
-        velocity=Vec2(dir_x * speed, dir_y * speed),
-        goal=ped.goal,
-        preferred_speed=speed,
-        phase=phase,
-        waypoint=waypoint,
-    )
+    return (px, py), (dir_x * speed, dir_y * speed), phase, (wx, wy)
 
 
 def step_user(user: Pose, vh: Pose, config: ScenarioConfig) -> Pose:

@@ -3,15 +3,32 @@ seeded random planner scenes, walled test scenarios, and scalar views of a
 predicted path."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from vhsim.geometry import Environment, Pose, Vec2, hypot
 from vhsim.planner import PlanningSnapshot, make_snapshot
-from vhsim.prediction import PHASES, PedestrianState, Prediction, PredictedTrajectory, predict_trajectory
+from vhsim.prediction import Phase, Prediction, PredictedTrajectory, predict_trajectory
 from vhsim.proxemics import Crowdedness, Definiteness, SpatialContext
-from vhsim.simulation import Crowd, ScenarioConfig
+from vhsim.simulation import Crowd, ScenarioConfig, step_pedestrian
+
+
+@dataclass
+class PedestrianState:
+    """One pedestrian of a hand-written scene, as a row of a `Crowd` holds it."""
+
+    id: int
+    position: Vec2
+    velocity: Vec2
+    goal: Vec2
+    preferred_speed: float
+    phase: Phase = Phase.DIRECT
+    waypoint: Vec2 | None = None
+
+
+# What a hand-written crowd reads unless given its own; both are frozen.
+DEFAULT_ENV, DEFAULT_CONFIG = Environment(1.0, 1.0), ScenarioConfig(goal_tolerance=0.0)
 
 
 def crowd_of(pedestrians: list[PedestrianState], rngs=None, goal_sides=None, env=None, config=None) -> Crowd:
@@ -26,18 +43,36 @@ def crowd_of(pedestrians: list[PedestrianState], rngs=None, goal_sides=None, env
         column("position"), column("velocity"), column("goal"),
         np.array([p.preferred_speed for p in pedestrians], float),
         rngs or [None] * n, goal_sides or [0] * n,
-        env or Environment(1.0, 1.0), config or ScenarioConfig(goal_tolerance=0.0),
+        env or DEFAULT_ENV, config or DEFAULT_CONFIG,
     )
     for i, p in enumerate(pedestrians):
-        crowd.phase[i] = PHASES.index(p.phase)
+        crowd.phase[i] = p.phase
         if p.waypoint is not None:
             crowd.waypoint[i] = p.waypoint.x, p.waypoint.y
     return crowd
 
 
+def crowd_of_one(ped: PedestrianState, env=None, config=None) -> Crowd:
+    """A one-row crowd holding `ped`, whatever its id."""
+    return crowd_of([replace(ped, id=0)], env=env, config=config)
+
+
 def states_of(crowd: Crowd) -> list[PedestrianState]:
     """Every pedestrian of the crowd as a `PedestrianState`, in row order."""
-    return [crowd.state(i) for i in range(len(crowd))]
+    states = []
+    for i in range(len(crowd)):
+        (x, y), (vx, vy), (gx, gy), (wx, wy) = (
+            a[i].tolist() for a in (crowd.position, crowd.velocity, crowd.goal, crowd.waypoint))
+        states.append(PedestrianState(i, Vec2(x, y), Vec2(vx, vy), Vec2(gx, gy), float(crowd.speed[i]),
+                                      Phase(crowd.phase[i]), None if math.isnan(wx) else Vec2(wx, wy)))
+    return states
+
+
+def step_state(ped: PedestrianState, user: Vec2, config: ScenarioConfig) -> PedestrianState:
+    """`ped` one tick on, by the crowd's scalar dodge rule `step_pedestrian`."""
+    crowd = crowd_of_one(ped, config=config)
+    crowd.position[0], crowd.velocity[0], crowd.phase[0], crowd.waypoint[0] = step_pedestrian(crowd, 0, user)
+    return replace(states_of(crowd)[0], id=ped.id)
 
 
 def positions_of(pedestrians: list[PedestrianState]) -> np.ndarray:
@@ -47,7 +82,7 @@ def positions_of(pedestrians: list[PedestrianState]) -> np.ndarray:
 def predict_one(ped: PedestrianState, user: Vec2, horizon: float, dt: float,
                 config: ScenarioConfig) -> PredictedTrajectory:
     """One pedestrian's predicted path, through the crowd-wide prediction."""
-    return predict_trajectory(crowd_of([replace(ped, id=0)]), np.array([0]), user, horizon, dt, config)[0]
+    return predict_trajectory(crowd_of_one(ped), np.array([0]), user, horizon, dt, config)[0]
 
 
 def prediction_of(*paths, ids=None) -> Prediction:

@@ -7,16 +7,16 @@ arrangement classifier reads a formation back from two poses.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from crowds import samples_of
+from crowds import PedestrianState, samples_of, states_of
 from vhsim.comfort import COMFORT_OFFSET, COMFORT_SCALE_MM
 from vhsim.geometry import Environment, Pose, Segment, Vec2, distance_point_segment
-from vhsim.prediction import STATIONARY_SPEED, PedestrianState, Phase, _build_legs
+from vhsim.prediction import STATIONARY_SPEED, Phase, _build_legs
 from vhsim.proxemics import CLOSED_MAX_DEG, OPEN_MIN_DEG, _PREFERENCE, ArrangementType, SpatialContext
-from vhsim.simulation import ScenarioConfig, step_pedestrian
+from vhsim.simulation import Crowd, ScenarioConfig, step_pedestrian
 
 
 def angle_between(u: Vec2, v: Vec2) -> float:
@@ -271,13 +271,6 @@ def polygon_disc_rect_area(center: Vec2, radius: float, width: float, height: fl
     return abs(twice) * 0.5
 
 
-@dataclass
-class OracleWalker:
-    state: PedestrianState
-    rng: np.random.Generator
-    goal_side: int  # 0 = top boxes, 1 = bottom boxes
-
-
 def goal_boxes(env: Environment, side: int) -> list[tuple[float, float, float, float]]:
     """The five 0.5 m deep goal boxes side by side along the top (side 0) or
     bottom (side 1) edge, each as (x_min, y_min, x_max, y_max)."""
@@ -286,19 +279,27 @@ def goal_boxes(env: Environment, side: int) -> list[tuple[float, float, float, f
     return [(i * step, y_min, (i + 1) * step, y_max) for i in range(5)]
 
 
-def oracle_crowd_tick(walkers: list[OracleWalker], user: Vec2, env: Environment, config: ScenarioConfig) -> None:
+def oracle_crowd_tick(crowd: Crowd, user: Vec2) -> None:
     """One tick of the crowd, pedestrian by pedestrian: the scalar dodge rule,
     then, within the goal tolerance, the other side's next goal from the
-    pedestrian's own generator: a box, then a uniform point in it."""
-    for w in walkers:
-        s = step_pedestrian(w.state, user, config)
-        if s.position.distance_to(s.goal) <= config.goal_tolerance:
-            w.goal_side = 1 - w.goal_side
-            boxes = goal_boxes(env, w.goal_side)
-            x_min, y_min, x_max, y_max = boxes[int(w.rng.integers(len(boxes)))]
-            goal = Vec2(float(w.rng.uniform(x_min, x_max)), float(w.rng.uniform(y_min, y_max)))
-            s = replace(s, goal=goal, phase=Phase.DIRECT, waypoint=None)
-        w.state = s
+    pedestrian's own generator: a box, then a uniform point in it. Every row
+    is stepped from the tick before; the crowd's arrays are replaced at the
+    end."""
+    rows = [list(step_pedestrian(crowd, i, user)) for i in range(len(crowd))]
+    goals = crowd.goal.tolist()
+    for i, row in enumerate(rows):
+        (x, y), (gx, gy) = row[0], goals[i]
+        if math.hypot(x - gx, y - gy) <= crowd.config.goal_tolerance:
+            side = crowd.goal_side[i] = 1 - crowd.goal_side[i]
+            boxes = goal_boxes(crowd.env, side)
+            rng = crowd.rngs[i]
+            x_min, y_min, x_max, y_max = boxes[int(rng.integers(len(boxes)))]
+            goals[i] = float(rng.uniform(x_min, x_max)), float(rng.uniform(y_min, y_max))
+            row[2:] = Phase.DIRECT, (math.nan, math.nan)
+    if rows:
+        position, velocity, phase, waypoint = zip(*rows)
+        crowd.position, crowd.velocity, crowd.goal = np.array(position), np.array(velocity), np.array(goals)
+        crowd.phase, crowd.waypoint = np.array(phase, np.int8), np.array(waypoint)
 
 
 def _sample_legs(legs: list[tuple[Vec2, Vec2, float]], arc: np.ndarray) -> np.ndarray:
@@ -325,17 +326,17 @@ def _sample_legs(legs: list[tuple[Vec2, Vec2, float]], arc: np.ndarray) -> np.nd
     return pts
 
 
-def oracle_trajectory(ped: PedestrianState, user: Vec2, horizon: float, dt: float,
+def oracle_trajectory(crowd: Crowd, i: int, user: Vec2, horizon: float, dt: float,
                       config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(times, points) of one pedestrian's predicted path: its legs from the
-    scalar `_build_legs`, sampled leg by leg; standing still below
+    """(times, points) of row i's predicted path: its legs from the scalar
+    `_build_legs`, sampled leg by leg; standing still below
     STATIONARY_SPEED."""
     n = int(math.floor(horizon / dt + 1e-9)) + 1
     times = np.arange(n) * dt
-    speed = ped.velocity.norm()
+    speed = math.hypot(*crowd.velocity[i].tolist())
     if speed < STATIONARY_SPEED:
-        return times, np.tile((ped.position.x, ped.position.y), (n, 1))
-    return times, _sample_legs(_build_legs(ped, user, config), times * speed)
+        return times, np.tile(crowd.position[i], (n, 1))
+    return times, _sample_legs(_build_legs(crowd, i, user, config), times * speed)
 
 
 def exit_time_from_disc(ped: PedestrianState, center: Vec2, radius: float) -> float:
@@ -358,17 +359,17 @@ def exit_time_from_disc(ped: PedestrianState, center: Vec2, radius: float) -> fl
     return max(0.0, t2)
 
 
-def oracle_snapshot(pedestrians: list[PedestrianState], user: Vec2, vh: Vec2,
+def oracle_snapshot(crowd: Crowd, user: Vec2, vh: Vec2,
                     config: ScenarioConfig) -> tuple[list[int], float, np.ndarray]:
     """(tracked ids, horizon, points) of `make_snapshot`'s prediction, one
     pedestrian at a time: the ones within the tracking distance of the dyad,
     the time until the last of them leaves the c-space disc (capped, and at
     least dt), and their paths stacked in id order."""
     dyad = Segment(user, vh)
-    tracked = [p for p in pedestrians if distance_point_segment(p.position, dyad) <= config.tracking_distance]
+    tracked = [p for p in states_of(crowd) if distance_point_segment(p.position, dyad) <= config.tracking_distance]
     t = 0.0
     for p in tracked:
         t = max(t, exit_time_from_disc(p, dyad.midpoint(), config.c_space_radius))
     horizon = max(min(t, config.horizon_cap), config.dt)
-    paths = [oracle_trajectory(p, user, horizon, config.dt, config)[1] for p in tracked]
+    paths = [oracle_trajectory(crowd, p.id, user, horizon, config.dt, config)[1] for p in tracked]
     return [p.id for p in tracked], horizon, np.concatenate(paths) if paths else np.empty((0, 2))

@@ -19,12 +19,12 @@ import numpy as np
 import pytest
 
 import vhsim.planner as planner_module
-from crowds import d_min_of, predict_one, random_scene
+from crowds import PedestrianState, d_min_of, predict_one, random_scene
 from oracles import RelativeAngles, classify_arrangement, oracle_utility, relative_angles
 from vhsim.cli import _ablation_points, _run_pairs, _trial_row, emit_csv, run_matrix
 from vhsim.geometry import Environment, Pose, Vec2
 from vhsim.planner import _argbest, score_candidates, search
-from vhsim.prediction import PedestrianState, avoidance_geometry
+from vhsim.prediction import avoidance_geometry
 from vhsim.proxemics import (
     ArrangementType,
     Crowdedness,

@@ -344,6 +344,12 @@ class TestRunMatrix:
         parallel = run_matrix(base, ["square12"], [0.1], replicates=1, seeds=[1], jobs=8)
         assert sizes == [2]
         assert parallel == serial
+        # more distinct trials than usable CPUs, and far more jobs: one worker a CPU
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        sizes.clear()
+        trials = [replace(base, duration=1.0, seed=seed) for seed in range(1, 2 * cpus + 2)]
+        assert len(cli._run_many(trials, jobs=100_000)) == 2 * cpus + 1
+        assert sizes == ([cpus] if cpus > 1 else [])
 
     def test_one_run_trial_call_per_config(self, trial_calls):
         base = ScenarioConfig(**{**FAST, "duration": 5.0})

@@ -12,15 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from crowds import crowd_of, states_of
-from oracles import OracleWalker, oracle_crowd_tick
+from crowds import PedestrianState, crowd_of
+from oracles import oracle_crowd_tick
 from vhsim import simulation
 from vhsim.geometry import Environment, Vec2, hypot
-from vhsim.prediction import PedestrianState, Phase
+from vhsim.prediction import Phase
 from vhsim.simulation import Crowd, ScenarioConfig, spawn_flow
 
 CONFIG = ScenarioConfig()
-PHASE_CODE = {Phase.DIRECT: 0, Phase.AVOIDING: 1, Phase.RETURNING: 2}
 ORIGIN = Vec2(0.0, 0.0)
 
 
@@ -28,25 +27,16 @@ def crowd_rows(crowd: Crowd) -> np.ndarray:
     return np.column_stack([crowd.position, crowd.velocity, crowd.goal, crowd.phase, crowd.waypoint])
 
 
-def oracle_rows(walkers: list[OracleWalker]) -> np.ndarray:
-    rows = []
-    for w in walkers:
-        s = w.state
-        wp = s.waypoint or Vec2(math.nan, math.nan)
-        rows.append((s.position.x, s.position.y, s.velocity.x, s.velocity.y, s.goal.x, s.goal.y,
-                     PHASE_CODE[s.phase], wp.x, wp.y))
-    return np.array(rows, float).reshape(len(walkers), 9)
-
-
-def run_pair(crowd: Crowd, walkers: list[OracleWalker], user: Vec2, ticks: int) -> None:
+def run_pair(crowd: Crowd, oracle: Crowd, user: Vec2, ticks: int) -> None:
+    """Step the crowd and the oracle's copy of it, comparing every row after each tick."""
     for tick in range(ticks):
         crowd.step(user)
-        oracle_crowd_tick(walkers, user, crowd.env, crowd.config)
-        got, want = crowd_rows(crowd).view(np.uint64), oracle_rows(walkers).view(np.uint64)
+        oracle_crowd_tick(oracle, user)
+        got, want = crowd_rows(crowd).view(np.uint64), crowd_rows(oracle).view(np.uint64)
         bad = np.nonzero((got != want).any(axis=1))[0]
         if bad.size:
             pytest.fail(f"tick {tick}: pedestrians {bad.tolist()} differ:\n"
-                        f"{crowd_rows(crowd)[bad]}\nscalar loop:\n{oracle_rows(walkers)[bad]}")
+                        f"{crowd_rows(crowd)[bad]}\nscalar loop:\n{crowd_rows(oracle)[bad]}")
 
 
 @pytest.fixture
@@ -55,9 +45,9 @@ def scalar_calls(monkeypatch):
     calls = []
     original = simulation.step_pedestrian
 
-    def counted(ped, *args):
-        calls.append(ped.id)
-        return original(ped, *args)
+    def counted(crowd, i, *args):
+        calls.append(i)
+        return original(crowd, i, *args)
 
     monkeypatch.setattr(simulation, "step_pedestrian", counted)
     return calls
@@ -68,24 +58,23 @@ def test_matches_scalar_loop_for_6000_ticks(environment, scalar_calls):
     cfg = ScenarioConfig(environment=environment, density=0.25, seed=1)
     user, _ = cfg.initial_poses(cfg.build_environment())
     crowd = spawn_flow(cfg)
-    walkers = [OracleWalker(s, copy.deepcopy(rng), side)
-               for s, rng, side in zip(states_of(crowd), crowd.rngs, crowd.goal_side)]
+    oracle = copy.deepcopy(crowd)
     ticks = 6000
-    run_pair(crowd, walkers, user.position, ticks)
+    run_pair(crowd, oracle, user.position, ticks)
     # the scalar rule ran, but only on the few ticks where a phase could change
     assert 0 < len(scalar_calls) <= 0.02 * len(crowd) * ticks
 
 
-def scene(*states: PedestrianState, goal_tolerance: float = 0.3) -> tuple[Crowd, list[OracleWalker]]:
+def scene(*states: PedestrianState, goal_tolerance: float = 0.3) -> tuple[Crowd, Crowd]:
     """A crowd of the given pedestrians plus a straight walker far from the
-    user, in a 20 m square whose goal boxes take the re-rolls."""
+    user, in a 20 m square whose goal boxes take the re-rolls, and the
+    oracle's copy of it."""
     extra = PedestrianState(id=len(states), position=Vec2(15.0, 2.0), velocity=Vec2(0.0, 1.3),
                             goal=Vec2(15.0, 19.7), preferred_speed=1.3)
     peds = list(states) + [extra]
     rngs = [np.random.default_rng(i) for i in range(len(peds))]
     crowd = crowd_of(peds, rngs, [0] * len(peds), Environment(20.0, 20.0), ScenarioConfig(goal_tolerance=goal_tolerance))
-    walkers = [OracleWalker(s, copy.deepcopy(rng), 0) for s, rng in zip(peds, rngs)]
-    return crowd, walkers
+    return crowd, copy.deepcopy(crowd)
 
 
 def walker(position, goal, speed=1.2, phase=Phase.DIRECT, waypoint=None, velocity=None) -> PedestrianState:
@@ -103,17 +92,17 @@ def test_trigger_at_exactly_the_start_range(scalar_calls):
     # complex offset) reads one ulp beyond it
     dx, dy = 1.7351907623351672, -0.9945416121544143
     assert math.hypot(dx, dy) == CONFIG.start_avoidance_distance < np.abs(complex(dx, dy))
-    crowd, walkers = scene(walker((-dx, -dy), (2.0 * dx, 2.0 * dy)))
-    run_pair(crowd, walkers, ORIGIN, 1)
-    assert scalar_calls == [0] and crowd.phase[0] == PHASE_CODE[Phase.AVOIDING]
-    run_pair(crowd, walkers, ORIGIN, 60)  # on through the detour and back
-    assert crowd.phase[0] == PHASE_CODE[Phase.DIRECT]
+    crowd, oracle = scene(walker((-dx, -dy), (2.0 * dx, 2.0 * dy)))
+    run_pair(crowd, oracle, ORIGIN, 1)
+    assert scalar_calls == [0] and crowd.phase[0] == Phase.AVOIDING
+    run_pair(crowd, oracle, ORIGIN, 60)  # on through the detour and back
+    assert crowd.phase[0] == Phase.DIRECT
 
 
 def test_waypoint_arrival_with_leftover_step(scalar_calls):
-    crowd, walkers = scene(walker((0.5, -0.8), (10.0, -0.8), phase=Phase.AVOIDING, waypoint=(0.55, -0.8)))
-    run_pair(crowd, walkers, ORIGIN, 1)
-    assert scalar_calls == [0] and crowd.phase[0] == PHASE_CODE[Phase.RETURNING]
+    crowd, oracle = scene(walker((0.5, -0.8), (10.0, -0.8), phase=Phase.AVOIDING, waypoint=(0.55, -0.8)))
+    run_pair(crowd, oracle, ORIGIN, 1)
+    assert scalar_calls == [0] and crowd.phase[0] == Phase.RETURNING
     assert crowd.position[0, 0] > 0.55  # spent the leftover toward the goal
 
 
@@ -122,27 +111,27 @@ def test_returning_on_the_start_range_boundary(scalar_calls):
     # crowd's routing distance reads one ulp beyond it
     x, y = 1.376165892632652, 1.4512640820865705
     assert math.hypot(x, y) == CONFIG.start_avoidance_distance < np.abs(complex(-x, -y))
-    crowd, walkers = scene(walker((x, y), (5.0 * x, 5.0 * y), phase=Phase.RETURNING))
-    run_pair(crowd, walkers, ORIGIN, 1)
-    assert scalar_calls == [0] and crowd.phase[0] == PHASE_CODE[Phase.RETURNING]
-    run_pair(crowd, walkers, ORIGIN, 1)
-    assert crowd.phase[0] == PHASE_CODE[Phase.DIRECT]
+    crowd, oracle = scene(walker((x, y), (5.0 * x, 5.0 * y), phase=Phase.RETURNING))
+    run_pair(crowd, oracle, ORIGIN, 1)
+    assert scalar_calls == [0] and crowd.phase[0] == Phase.RETURNING
+    run_pair(crowd, oracle, ORIGIN, 1)
+    assert crowd.phase[0] == Phase.DIRECT
 
 
 def test_standing_on_its_goal(scalar_calls):
-    crowd, walkers = scene(walker((5.0, 5.0), (5.0, 5.0), velocity=(0.6, -0.8)))
+    crowd, oracle = scene(walker((5.0, 5.0), (5.0, 5.0), velocity=(0.6, -0.8)))
     goal = crowd.goal[0].copy()
-    run_pair(crowd, walkers, ORIGIN, 1)
+    run_pair(crowd, oracle, ORIGIN, 1)
     assert scalar_calls == [0] and not np.array_equal(crowd.goal[0], goal)  # re-rolled
-    run_pair(crowd, walkers, ORIGIN, 30)
+    run_pair(crowd, oracle, ORIGIN, 30)
 
 
 def test_zero_spawn_velocity(scalar_calls):
     # spawned on its goal, so the spawn leaves its velocity at zero
-    crowd, walkers = scene(walker((5.0, 5.0), (5.0, 5.0), velocity=(0.0, 0.0)), goal_tolerance=0.0)
-    run_pair(crowd, walkers, ORIGIN, 1)
+    crowd, oracle = scene(walker((5.0, 5.0), (5.0, 5.0), velocity=(0.0, 0.0)), goal_tolerance=0.0)
+    run_pair(crowd, oracle, ORIGIN, 1)
     assert scalar_calls == [0] and crowd.velocity[0].tolist() == [0.0, 0.0]
-    run_pair(crowd, walkers, ORIGIN, 30)
+    run_pair(crowd, oracle, ORIGIN, 30)
 
 
 def test_distance_helper_is_math_hypot_where_numpy_is_not():

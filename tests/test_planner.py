@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import vhsim.planner as planner_module
-from crowds import WALLED, crowd_of, positions_of, prediction_of, random_scene
+from crowds import WALLED, PedestrianState, crowd_of, positions_of, prediction_of, random_scene
 from oracles import (
     context_preference,
     oracle_approach,
@@ -39,7 +39,6 @@ from vhsim.planner import (
     search,
     step_plan,
 )
-from vhsim.prediction import PedestrianState
 from vhsim.proxemics import (
     Crowdedness,
     Definiteness,

@@ -4,11 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from crowds import crowd_of, d_min_of, positions_of, predict_one, samples_of
+from crowds import PedestrianState, crowd_of, d_min_of, positions_of, predict_one, samples_of
 from oracles import oracle_linear, oracle_min_approach
 from vhsim.geometry import Segment, Vec2
 from vhsim.prediction import (
-    PedestrianState,
     Phase,
     anticipated_pedestrians,
     avoidance_geometry,

@@ -11,20 +11,19 @@ import math
 import numpy as np
 import pytest
 
-from crowds import crowd_of, states_of
+from crowds import PedestrianState, crowd_of
 from oracles import oracle_snapshot, oracle_trajectory
 from vhsim import planner
 from vhsim.geometry import Pose, Segment, Vec2
 from vhsim.prediction import (
     STATIONARY_SPEED,
-    PedestrianState,
     Phase,
     _build_legs,
     anticipated_pedestrians,
     predict_trajectory,
     prediction_horizon,
 )
-from vhsim.simulation import ScenarioConfig, run_trial
+from vhsim.simulation import Crowd, ScenarioConfig, run_trial
 
 CONFIG = ScenarioConfig()
 
@@ -33,14 +32,15 @@ def bits(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-def row_kind(ped: PedestrianState, user: Vec2, config: ScenarioConfig) -> str:
-    if ped.velocity.norm() < STATIONARY_SPEED:
+def row_kind(crowd: Crowd, i: int, user: Vec2, config: ScenarioConfig) -> str:
+    if math.hypot(*crowd.velocity[i].tolist()) < STATIONARY_SPEED:
         return "stationary"
-    if ped.phase is Phase.RETURNING:
+    phase = Phase(crowd.phase[i])
+    if phase is Phase.RETURNING:
         return "returning"
-    if ped.phase is Phase.AVOIDING and ped.waypoint is not None:
+    if phase is Phase.AVOIDING and not math.isnan(crowd.waypoint[i, 0]):
         return "avoiding"
-    return {1: "straight", 2: "detour now", 3: "detour ahead"}[len(_build_legs(ped, user, config))]
+    return {1: "straight", 2: "detour now", 3: "detour ahead"}[len(_build_legs(crowd, i, user, config))]
 
 
 @pytest.mark.parametrize("environment", ["square20", "passage"])
@@ -51,8 +51,7 @@ def test_every_check_tick_matches_the_scalar_path(environment, monkeypatch):
 
     def checked(user, vh, env, crowd, config):
         snap = original(user, vh, env, crowd, config)
-        states = states_of(crowd)
-        ids, horizon, points = oracle_snapshot(states, user.position, vh.position, config)
+        ids, horizon, points = oracle_snapshot(crowd, user.position, vh.position, config)
         got = snap.trajectories
         assert got.ids.tolist() == ids
         assert (bits(got.points) == bits(points)).all()
@@ -62,10 +61,10 @@ def test_every_check_tick_matches_the_scalar_path(environment, monkeypatch):
             got_horizon = max(prediction_horizon(crowd.position[rows], crowd.velocity[rows], dyad,
                                                  config.c_space_radius, config.horizon_cap), config.dt)
             assert bits([got_horizon]) == bits([horizon])
-            assert (bits(got.times) == bits(oracle_trajectory(states[ids[0]], user.position, horizon, config.dt,
+            assert (bits(got.times) == bits(oracle_trajectory(crowd, ids[0], user.position, horizon, config.dt,
                                                               config)[0])).all()
         for i in ids:
-            kind = row_kind(states[i], user.position, config)
+            kind = row_kind(crowd, i, user.position, config)
             kinds[kind] = kinds.get(kind, 0) + 1
         checks.append(len(ids))
         return snap
@@ -101,23 +100,24 @@ def hand_built_scene() -> list[PedestrianState]:
 def test_hand_built_rows_match_the_scalar_path():
     peds = hand_built_scene()
     user = Vec2(0.0, 0.0)
-    kinds = [row_kind(p, user, CONFIG) for p in peds]
+    crowd = crowd_of(peds)
+    kinds = [row_kind(crowd, i, user, CONFIG) for i in range(len(peds))]
     assert kinds == ["stationary", "stationary", "straight", "straight", "detour ahead", "detour now",
                      "avoiding", "avoiding", "detour ahead", "returning"]
-    got = predict_trajectory(crowd_of(peds), np.arange(len(peds)), user, 6.0, 0.1, CONFIG)
+    got = predict_trajectory(crowd, np.arange(len(peds)), user, 6.0, 0.1, CONFIG)
     assert len(got) == len(peds) and got.ids.tolist() == list(range(len(peds)))
     for p, view in zip(peds, got):
-        times, points = oracle_trajectory(p, user, 6.0, 0.1, CONFIG)
+        times, points = oracle_trajectory(crowd, p.id, user, 6.0, 0.1, CONFIG)
         assert (bits(view.times) == bits(times)).all()
         assert (bits(view.points) == bits(points)).all(), f"pedestrian {p.id} ({kinds[p.id]})"
     assert (got[0].points == (2.0, 1.0)).all() and (got[1].points == (2.0, -1.0)).all()
 
 
 def test_hand_built_snapshot_matches_the_scalar_path():
-    peds = hand_built_scene()
+    crowd = crowd_of(hand_built_scene())
     user, vh = Vec2(0.0, 0.0), Vec2(0.0, 1.5)
     env = ScenarioConfig(environment="square20").build_environment()
-    snap = planner.make_snapshot(Pose(user, 0.0), Pose(vh, 0.0), env, crowd_of(peds), CONFIG)
-    ids, horizon, points = oracle_snapshot(peds, user, vh, CONFIG)
+    snap = planner.make_snapshot(Pose(user, 0.0), Pose(vh, 0.0), env, crowd, CONFIG)
+    ids, horizon, points = oracle_snapshot(crowd, user, vh, CONFIG)
     assert snap.trajectories.ids.tolist() == ids and horizon == 4.0  # a stationary row inside the disc
     assert (bits(snap.trajectories.points) == bits(points)).all()

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crowds import WALLED, positions_of
+from crowds import WALLED, PedestrianState, positions_of
 from oracles import (
     RelativeAngles,
     classify_arrangement,
@@ -15,7 +15,6 @@ from oracles import (
     relative_angles,
 )
 from vhsim.geometry import Environment, Pose, Segment, Vec2
-from vhsim.prediction import PedestrianState
 from vhsim.proxemics import (
     ArrangementType,
     Crowdedness,

@@ -5,8 +5,9 @@ made while the package loads count too. It then runs short `matrix`,
 `ablate coefficient_c` and traced walled `custom` `simulate` commands and
 records every function it entered. A function that none of them enters is
 dead code: delete it, or move it to the tests when a test uses it as a
-reference. The same commands must leave `numpy.random` unimported: the
-pedestrians draw from `pcg.PCG64Stream`.
+reference. The same commands must leave `numpy.random` unimported, since the
+pedestrians draw from `pcg.PCG64Stream`, and `concurrent.futures`, since
+they run in one process.
 """
 
 import ast
@@ -59,7 +60,8 @@ assert main(["simulate", "--scenario", walled, "--out", out, "--trace"]) == 0
 sys.setprofile(None)
 with open(os.path.join(out, "reached.json"), "w") as f:
     json.dump({"reached": [[c.co_filename, c.co_firstlineno] for c in codes],
-               "numpy_random": "numpy.random" in sys.modules}, f)
+               "numpy_random": "numpy.random" in sys.modules,
+               "concurrent_futures": "concurrent.futures" in sys.modules}, f)
 """
 
 
@@ -84,7 +86,8 @@ def defined_functions() -> dict[tuple[str, int], str]:
 
 @pytest.fixture(scope="module")
 def commands_run(tmp_path_factory) -> dict:
-    """What the commands of `SCRIPT` reached, and whether they imported `numpy.random`."""
+    """What the commands of `SCRIPT` reached, and whether they imported
+    `numpy.random` or `concurrent.futures`."""
     out = tmp_path_factory.mktemp("reachability")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
     result = subprocess.run([sys.executable, "-c", SCRIPT, str(out)], env=env, capture_output=True, text=True,
@@ -107,3 +110,7 @@ def test_every_function_is_reached(commands_run):
 
 def test_no_command_imports_numpy_random(commands_run):
     assert not commands_run["numpy_random"]
+
+
+def test_no_single_process_command_imports_the_process_pool(commands_run):
+    assert not commands_run["concurrent_futures"]

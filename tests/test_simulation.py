@@ -11,13 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crowds import states_of
+from crowds import PedestrianState, states_of, step_state
 from oracles import goal_boxes, inside, relative_angles
 from vhsim import simulation
 from vhsim.geometry import Environment, Pose, Segment, Vec2, points_segment_distance
 from vhsim.planner import generate_candidates
 from vhsim.proxemics import Definiteness, classify_spatial_context
-from vhsim.prediction import PedestrianState, Phase
+from vhsim.prediction import Phase
 from vhsim.simulation import (
     ConflictKind,
     ScenarioConfig,
@@ -25,7 +25,6 @@ from vhsim.simulation import (
     reduction_ratio,
     run_trial,
     spawn_flow,
-    step_pedestrian,
     step_user,
 )
 
@@ -90,7 +89,7 @@ class TestSpawnFlow:
 class TestStepPedestrian:
     def test_straight_walk(self):
         ped = make_ped((0, 0), (10, 0), speed=1.2)
-        out = step_pedestrian(ped, Vec2(50, 50), CONFIG)
+        out = step_state(ped, Vec2(50, 50), CONFIG)
         assert out.position.x == pytest.approx(0.12)
         assert out.position.y == pytest.approx(0.0)
         assert out.phase is Phase.DIRECT
@@ -100,7 +99,7 @@ class TestStepPedestrian:
         user = Vec2(0, 0)
         min_d = math.inf
         for _ in range(100):
-            ped = step_pedestrian(ped, user, CONFIG)
+            ped = step_state(ped, user, CONFIG)
             min_d = min(min_d, ped.position.distance_to(user))
         assert min_d == pytest.approx(CONFIG.min_avoidance_distance, abs=1.4 * 0.1)
 
@@ -109,7 +108,7 @@ class TestStepPedestrian:
         user = Vec2(0, 0)
         seen = [ped.phase]
         for _ in range(90):
-            ped = step_pedestrian(ped, user, CONFIG)
+            ped = step_state(ped, user, CONFIG)
             if ped.phase is not seen[-1]:
                 seen.append(ped.phase)
         assert seen == [Phase.DIRECT, Phase.AVOIDING, Phase.RETURNING, Phase.DIRECT]
@@ -123,7 +122,7 @@ class TestStepPedestrian:
         ped = make_ped((-5, 0.1), (8, -0.2), speed=1.3)
         user = Vec2(0, 0)
         for _ in range(120):
-            nxt = step_pedestrian(ped, user, CONFIG)
+            nxt = step_state(ped, user, CONFIG)
             if nxt.phase is not ped.phase:
                 assert (ped.phase, nxt.phase) in legal
             ped = nxt
@@ -136,7 +135,7 @@ class TestStepPedestrian:
         prev = ped.position
         short_ticks = 0
         for _ in range(60):
-            ped = step_pedestrian(ped, user, CONFIG)
+            ped = step_state(ped, user, CONFIG)
             step = ped.position.distance_to(prev)
             assert step <= 0.15 + 1e-9
             if step < 0.15 - 1e-6:
@@ -146,13 +145,13 @@ class TestStepPedestrian:
 
     def test_ignores_far_user(self):
         ped = make_ped((0, 0), (10, 0), speed=1.0)
-        near = step_pedestrian(ped, Vec2(5, 4), CONFIG)
-        far = step_pedestrian(ped, Vec2(50, 50), CONFIG)
+        near = step_state(ped, Vec2(5, 4), CONFIG)
+        far = step_state(ped, Vec2(50, 50), CONFIG)
         assert near.position == far.position
 
     def test_arrives_at_goal(self):
         ped = make_ped((0, 0), (0.25, 0), speed=1.0)
-        out = step_pedestrian(ped, Vec2(50, 50), replace(CONFIG, dt=0.5))
+        out = step_state(ped, Vec2(50, 50), replace(CONFIG, dt=0.5))
         assert out.position == Vec2(0.25, 0.0)
 
 
@@ -412,7 +411,7 @@ class TestPassThrough:
         ped = make_ped((vh.position.x - 3.0, vh.position.y), (vh.position.x + 4.0, vh.position.y), speed=1.5)
         closest = math.inf
         for _ in range(50):
-            ped = step_pedestrian(ped, user.position, CONFIG)
+            ped = step_state(ped, user.position, CONFIG)
             closest = min(closest, ped.position.distance_to(vh.position))
         assert closest < cfg.body_radius  # occupies the agent's space
 
