@@ -156,9 +156,10 @@ def predict_trajectory(
     than the clearance radius get the detour inserted at the range where they
     would start turning (immediately, if already inside that range).
 
-    Most rows walk straight along their velocity and are sampled in one
-    array step. A detour has up to three constant-speed legs, built by the
-    scalar `_build_legs` and sampled together in `_sample_legs`.
+    This array pass alone decides each row's course. Most rows walk straight
+    along their velocity and are sampled in one array step. The others have
+    up to three constant-speed legs, built from the pass's own values by
+    `_waypoint_legs` or `_detour_legs` and sampled together in `_sample_legs`.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -170,11 +171,11 @@ def predict_trajectory(
     v_dir = np.zeros_like(vel)
     v_dir[moving] = vel[moving] * (1.0 / speed[moving])[:, None]
 
-    # the straight-course rule of `_build_legs`: a row that is neither
-    # returning nor avoiding toward a waypoint detours when it heads toward
-    # the user and would pass inside the clearance
-    phase = crowd.phase[rows]
-    avoiding = (phase == Phase.AVOIDING.value) & ~np.isnan(crowd.waypoint[rows, 0])
+    # a row avoiding toward a waypoint heads there; one that is neither that
+    # nor returning detours when it heads toward the user and would pass
+    # inside the clearance; every other row walks straight
+    phase, waypoint = crowd.phase[rows], crowd.waypoint[rows]
+    avoiding = (phase == Phase.AVOIDING.value) & ~np.isnan(waypoint[:, 0])
     w = np.array([user.x, user.y]) - pos
     rng = hypot(w[:, 0], w[:, 1])
     proj = w[:, 0] * v_dir[:, 0] + w[:, 1] * v_dir[:, 1]
@@ -185,9 +186,15 @@ def predict_trajectory(
     points = pos[:, None, :] + v_dir[:, None, :] * arc[:, :, None]
     legged = np.flatnonzero(moving & (avoiding | detour))
     if legged.size:
-        paths = [_build_legs(crowd, i, user, config) for i in rows[legged].tolist()]
+        paths = [
+            _waypoint_legs(Vec2(*p), Vec2(*d), Vec2(*g), Vec2(*wp)) if a
+            else _detour_legs(Vec2(*p), Vec2(*d), Vec2(*g), r, pr, m, user, config)
+            for p, d, g, wp, a, r, pr, m in zip(
+                pos[legged].tolist(), v_dir[legged].tolist(), crowd.goal[rows[legged]].tolist(),
+                waypoint[legged].tolist(), avoiding[legged].tolist(),
+                rng[legged].tolist(), proj[legged].tolist(), miss[legged].tolist())
+        ]
         points[legged] = _sample_legs(paths, arc[legged])
-    points[~moving] = pos[~moving, None, :]
     return Prediction(rows, times, points.reshape(rows.size * n, 2), user)
 
 
@@ -213,45 +220,32 @@ def _sample_legs(paths: list[list[tuple[Vec2, Vec2, float]]], arc: np.ndarray) -
     return base[row, leg] + direction[row, leg] * (arc - start[row, leg])[:, :, None]
 
 
-def _goal_direction(from_point: Vec2, goal: Vec2, fallback: Vec2) -> Vec2:
-    d = goal - from_point
+def _direction(start: Vec2, end: Vec2, fallback: Vec2) -> Vec2:
+    d = end - start
     n = d.norm()
     if n < 1e-12:
         return fallback
     return d * (1.0 / n)
 
 
-def _build_legs(crowd, i: int, user: Vec2, config: ScenarioConfig) -> list[tuple[Vec2, Vec2, float]]:
-    """Row i of the crowd's predicted legs, each (start point, unit
-    direction, length), the last length infinite."""
-    position, velocity = Vec2(*crowd.position[i].tolist()), Vec2(*crowd.velocity[i].tolist())
-    goal, phase, (wp_x, wp_y) = Vec2(*crowd.goal[i].tolist()), int(crowd.phase[i]), crowd.waypoint[i].tolist()
-    v_dir = velocity * (1.0 / velocity.norm())
+def _waypoint_legs(position: Vec2, v_dir: Vec2, goal: Vec2, waypoint: Vec2) -> list[tuple[Vec2, Vec2, float]]:
+    """Legs of a row avoiding toward `waypoint`, each (start point, unit
+    direction, length), the last length infinite: to the waypoint, then on
+    for the goal."""
+    to_wp = waypoint - position
+    wp_dist = to_wp.norm()
+    if wp_dist < 1e-9:
+        return [(position, _direction(waypoint, goal, v_dir), math.inf)]
+    wp_dir = to_wp * (1.0 / wp_dist)
+    return [(position, wp_dir, wp_dist), (waypoint, _direction(waypoint, goal, wp_dir), math.inf)]
 
-    if phase == Phase.AVOIDING and not math.isnan(wp_x):
-        waypoint = Vec2(wp_x, wp_y)
-        to_wp = waypoint - position
-        wp_dist = to_wp.norm()
-        if wp_dist < 1e-9:
-            out = _goal_direction(waypoint, goal, v_dir)
-            return [(position, out, math.inf)]
-        wp_dir = to_wp * (1.0 / wp_dist)
-        out = _goal_direction(waypoint, goal, wp_dir)
-        return [(position, wp_dir, wp_dist), (waypoint, out, math.inf)]
 
-    if phase == Phase.RETURNING:
-        return [(position, v_dir, math.inf)]
-
-    # straight course; insert the detour if it would cut inside the clearance
-    wx, wy = user.x - position.x, user.y - position.y
-    rng = math.hypot(wx, wy)
-    proj = wx * v_dir.x + wy * v_dir.y
-    if proj <= 0.0:
-        return [(position, v_dir, math.inf)]
-    miss = math.sqrt(max(0.0, rng * rng - proj * proj))
-    if miss >= config.min_avoidance_distance:
-        return [(position, v_dir, math.inf)]
-
+def _detour_legs(
+    position: Vec2, v_dir: Vec2, goal: Vec2, rng: float, proj: float, miss: float, user: Vec2, config: ScenarioConfig
+) -> list[tuple[Vec2, Vec2, float]]:
+    """Legs, as `_waypoint_legs` gives them, of a row on a straight course
+    that would pass `miss` from the user, `rng` away and `proj` ahead: on
+    until the start range, to the tangent waypoint, then on for the goal."""
     if rng <= config.start_avoidance_distance:
         trigger_arc = 0.0
         trigger = position
@@ -260,17 +254,11 @@ def _build_legs(crowd, i: int, user: Vec2, config: ScenarioConfig) -> list[tuple
         trigger_arc = proj - back
         trigger = position + v_dir * trigger_arc
 
-    geom = avoidance_geometry(trigger, user, config)
-    waypoint = choose_waypoint(geom, v_dir, user - trigger)
-    to_wp = waypoint - trigger
-    wp_dist = to_wp.norm()
-    wp_dir = to_wp * (1.0 / wp_dist) if wp_dist > 1e-12 else v_dir
-    out = _goal_direction(waypoint, goal, wp_dir)
-    legs: list[tuple[Vec2, Vec2, float]] = []
-    if trigger_arc > 1e-12:
-        legs.append((position, v_dir, trigger_arc))
-    legs.append((trigger, wp_dir, wp_dist))
-    legs.append((waypoint, out, math.inf))
+    waypoint = choose_waypoint(avoidance_geometry(trigger, user, config), v_dir, user - trigger)
+    wp_dir = _direction(trigger, waypoint, v_dir)
+    legs = [(position, v_dir, trigger_arc)] if trigger_arc > 1e-12 else []
+    legs.append((trigger, wp_dir, waypoint.distance_to(trigger)))
+    legs.append((waypoint, _direction(waypoint, goal, wp_dir), math.inf))
     return legs
 
 

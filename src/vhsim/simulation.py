@@ -299,7 +299,8 @@ class Crowd:
         config, pos, step = self.config, self.position, self._step_length
         phase = self.phase.copy()
         avoiding = phase == Phase.AVOIDING.value
-        target = np.where(avoiding[:, None], self.waypoint, self.goal)
+        # as in `step_pedestrian`, an avoiding row without a waypoint heads for its goal
+        target = np.where((avoiding & ~np.isnan(self.waypoint[:, 0]))[:, None], self.waypoint, self.goal)
         to_target = target - pos
         t_dist = hypot(to_target[:, 0], to_target[:, 1])
         # a target closer than the margin always goes scalar, which overwrites its row

@@ -14,7 +14,7 @@ import numpy as np
 from crowds import PedestrianState, samples_of, states_of
 from vhsim.comfort import COMFORT_OFFSET, COMFORT_SCALE_MM
 from vhsim.geometry import Environment, Pose, Segment, Vec2, distance_point_segment
-from vhsim.prediction import STATIONARY_SPEED, Phase, _build_legs
+from vhsim.prediction import STATIONARY_SPEED, Phase
 from vhsim.proxemics import CLOSED_MAX_DEG, OPEN_MIN_DEG, _PREFERENCE, ArrangementType, SpatialContext
 from vhsim.simulation import Crowd, ScenarioConfig, step_pedestrian
 
@@ -326,17 +326,79 @@ def _sample_legs(legs: list[tuple[Vec2, Vec2, float]], arc: np.ndarray) -> np.nd
     return pts
 
 
-def oracle_trajectory(crowd: Crowd, i: int, user: Vec2, horizon: float, dt: float,
+def _toward(start: Vec2, end: Vec2, fallback: Vec2) -> Vec2:
+    # unit direction from start to end; fallback when they (nearly) coincide
+    dx, dy = end.x - start.x, end.y - start.y
+    d = math.hypot(dx, dy)
+    return fallback if d < 1e-12 else Vec2(dx * (1.0 / d), dy * (1.0 / d))
+
+
+def oracle_course(ped: PedestrianState, user: Vec2,
+                  config: ScenarioConfig) -> tuple[str, list[tuple[Vec2, Vec2, float]]]:
+    """The kind of course the prediction gives a pedestrian, and its legs,
+    each (start point, unit direction, length), the last length infinite.
+
+    Below STATIONARY_SPEED it stands still. A returning pedestrian walks
+    straight on; one avoiding toward a waypoint walks there, then for its
+    goal. Any other walks straight on unless that course heads for the user
+    and passes inside the clearance: then it turns where the user comes
+    within the start range (at once, if already inside it) for the tangent
+    waypoint on its side of the course away from the user, then for its goal.
+    """
+    p, v = ped.position, ped.velocity
+    speed = math.hypot(v.x, v.y)
+    if speed < STATIONARY_SPEED:
+        return "stationary", [(p, Vec2(0.0, 0.0), math.inf)]
+    ux, uy = v.x * (1.0 / speed), v.y * (1.0 / speed)
+    heading = Vec2(ux, uy)
+    if ped.phase is Phase.RETURNING:
+        return "returning", [(p, heading, math.inf)]
+    if ped.phase is Phase.AVOIDING and ped.waypoint is not None:
+        wp = ped.waypoint
+        dist = math.hypot(wp.x - p.x, wp.y - p.y)
+        if dist < 1e-9:
+            return "avoiding", [(p, _toward(wp, ped.goal, heading), math.inf)]
+        to_wp = _toward(p, wp, heading)
+        return "avoiding", [(p, to_wp, dist), (wp, _toward(wp, ped.goal, to_wp), math.inf)]
+
+    wx, wy = user.x - p.x, user.y - p.y
+    rng = math.hypot(wx, wy)
+    proj = wx * ux + wy * uy
+    miss = math.sqrt(max(0.0, rng * rng - proj * proj))
+    if proj <= 0.0 or miss >= config.min_avoidance_distance:
+        return "straight", [(p, heading, math.inf)]
+    turn_at, lead = p, 0.0
+    if rng > config.start_avoidance_distance:
+        lead = proj - math.sqrt(max(0.0, config.start_avoidance_distance**2 - miss * miss))
+        turn_at = Vec2(p.x + ux * lead, p.y + uy * lead)
+
+    tx, ty = user.x - turn_at.x, user.y - turn_at.y
+    r = math.hypot(tx, ty)
+    angle = math.asin(min(1.0, config.min_avoidance_distance / r))
+    reach = config.min_avoidance_distance if math.cos(angle) < 1e-9 else r / math.cos(angle)
+    # the user to the right of the course (negative cross product) means a left turn
+    turn = angle if ux * ty - uy * tx < 0.0 else -angle
+    c, s, dx, dy = math.cos(turn), math.sin(turn), tx * (1.0 / r), ty * (1.0 / r)
+    wp = Vec2(turn_at.x + (c * dx - s * dy) * reach, turn_at.y + (s * dx + c * dy) * reach)
+    to_wp = _toward(turn_at, wp, heading)
+    legs = [(turn_at, to_wp, math.hypot(wp.x - turn_at.x, wp.y - turn_at.y)),
+            (wp, _toward(wp, ped.goal, to_wp), math.inf)]
+    if lead > 1e-12:
+        return "detour ahead", [(p, heading, lead)] + legs
+    return "detour now", legs
+
+
+def oracle_trajectory(ped: PedestrianState, user: Vec2, horizon: float, dt: float,
                       config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(times, points) of row i's predicted path: its legs from the scalar
-    `_build_legs`, sampled leg by leg; standing still below
+    """(times, points) of a pedestrian's predicted path: the legs of
+    `oracle_course`, sampled leg by leg; its position throughout below
     STATIONARY_SPEED."""
     n = int(math.floor(horizon / dt + 1e-9)) + 1
     times = np.arange(n) * dt
-    speed = math.hypot(*crowd.velocity[i].tolist())
-    if speed < STATIONARY_SPEED:
-        return times, np.tile(crowd.position[i], (n, 1))
-    return times, _sample_legs(_build_legs(crowd, i, user, config), times * speed)
+    kind, legs = oracle_course(ped, user, config)
+    if kind == "stationary":
+        return times, np.tile((ped.position.x, ped.position.y), (n, 1))
+    return times, _sample_legs(legs, times * math.hypot(ped.velocity.x, ped.velocity.y))
 
 
 def exit_time_from_disc(ped: PedestrianState, center: Vec2, radius: float) -> float:
@@ -371,5 +433,5 @@ def oracle_snapshot(crowd: Crowd, user: Vec2, vh: Vec2,
     for p in tracked:
         t = max(t, exit_time_from_disc(p, dyad.midpoint(), config.c_space_radius))
     horizon = max(min(t, config.horizon_cap), config.dt)
-    paths = [oracle_trajectory(crowd, p.id, user, horizon, config.dt, config)[1] for p in tracked]
+    paths = [oracle_trajectory(p, user, horizon, config.dt, config)[1] for p in tracked]
     return [p.id for p in tracked], horizon, np.concatenate(paths) if paths else np.empty((0, 2))

@@ -134,6 +134,15 @@ def test_zero_spawn_velocity(scalar_calls):
     run_pair(crowd, oracle, ORIGIN, 30)
 
 
+def test_avoiding_without_a_waypoint_heads_for_its_goal():
+    # the scalar rule heads for the goal while no waypoint is set; only a
+    # hand-built row can be AVOIDING without one
+    crowd = crowd_of([walker((5.0, 5.0), (10.0, 5.0), phase=Phase.AVOIDING)])
+    oracle = copy.deepcopy(crowd)
+    run_pair(crowd, oracle, ORIGIN, 1)
+    assert crowd.position.tolist() == [[5.0 + 1.2 * CONFIG.dt, 5.0]]
+
+
 def test_distance_helper_is_math_hypot_where_numpy_is_not():
     rng = np.random.default_rng(20261018)
     x, y = rng.uniform(-30.0, 30.0, (2, 20_000))

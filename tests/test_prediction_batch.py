@@ -11,36 +11,18 @@ import math
 import numpy as np
 import pytest
 
-from crowds import PedestrianState, crowd_of
-from oracles import oracle_snapshot, oracle_trajectory
+from crowds import PedestrianState, crowd_of, states_of
+from oracles import oracle_course, oracle_snapshot, oracle_trajectory
 from vhsim import planner
 from vhsim.geometry import Pose, Segment, Vec2
-from vhsim.prediction import (
-    STATIONARY_SPEED,
-    Phase,
-    _build_legs,
-    anticipated_pedestrians,
-    predict_trajectory,
-    prediction_horizon,
-)
-from vhsim.simulation import Crowd, ScenarioConfig, run_trial
+from vhsim.prediction import Phase, anticipated_pedestrians, predict_trajectory, prediction_horizon
+from vhsim.simulation import ScenarioConfig, run_trial
 
 CONFIG = ScenarioConfig()
 
 
 def bits(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
-
-
-def row_kind(crowd: Crowd, i: int, user: Vec2, config: ScenarioConfig) -> str:
-    if math.hypot(*crowd.velocity[i].tolist()) < STATIONARY_SPEED:
-        return "stationary"
-    phase = Phase(crowd.phase[i])
-    if phase is Phase.RETURNING:
-        return "returning"
-    if phase is Phase.AVOIDING and not math.isnan(crowd.waypoint[i, 0]):
-        return "avoiding"
-    return {1: "straight", 2: "detour now", 3: "detour ahead"}[len(_build_legs(crowd, i, user, config))]
 
 
 @pytest.mark.parametrize("environment", ["square20", "passage"])
@@ -55,16 +37,17 @@ def test_every_check_tick_matches_the_scalar_path(environment, monkeypatch):
         got = snap.trajectories
         assert got.ids.tolist() == ids
         assert (bits(got.points) == bits(points)).all()
+        states = states_of(crowd)
         if ids:
             dyad = Segment(user.position, vh.position)
             rows = anticipated_pedestrians(crowd.position, dyad, config)
             got_horizon = max(prediction_horizon(crowd.position[rows], crowd.velocity[rows], dyad,
                                                  config.c_space_radius, config.horizon_cap), config.dt)
             assert bits([got_horizon]) == bits([horizon])
-            assert (bits(got.times) == bits(oracle_trajectory(crowd, ids[0], user.position, horizon, config.dt,
-                                                              config)[0])).all()
+            times = oracle_trajectory(states[ids[0]], user.position, horizon, config.dt, config)[0]
+            assert (bits(got.times) == bits(times)).all()
         for i in ids:
-            kind = row_kind(crowd, i, user.position, config)
+            kind = oracle_course(states[i], user.position, config)[0]
             kinds[kind] = kinds.get(kind, 0) + 1
         checks.append(len(ids))
         return snap
@@ -101,13 +84,13 @@ def test_hand_built_rows_match_the_scalar_path():
     peds = hand_built_scene()
     user = Vec2(0.0, 0.0)
     crowd = crowd_of(peds)
-    kinds = [row_kind(crowd, i, user, CONFIG) for i in range(len(peds))]
+    kinds = [oracle_course(p, user, CONFIG)[0] for p in peds]
     assert kinds == ["stationary", "stationary", "straight", "straight", "detour ahead", "detour now",
                      "avoiding", "avoiding", "detour ahead", "returning"]
     got = predict_trajectory(crowd, np.arange(len(peds)), user, 6.0, 0.1, CONFIG)
     assert len(got) == len(peds) and got.ids.tolist() == list(range(len(peds)))
     for p, view in zip(peds, got):
-        times, points = oracle_trajectory(crowd, p.id, user, 6.0, 0.1, CONFIG)
+        times, points = oracle_trajectory(p, user, 6.0, 0.1, CONFIG)
         assert (bits(view.times) == bits(times)).all()
         assert (bits(view.points) == bits(points)).all(), f"pedestrian {p.id} ({kinds[p.id]})"
     assert (got[0].points == (2.0, 1.0)).all() and (got[1].points == (2.0, -1.0)).all()
