@@ -311,6 +311,8 @@ def _load_scenario(path: str | None, overrides: dict) -> ScenarioConfig:
             text = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ScenarioError(f"scenario: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        except OSError as exc:
+            raise ScenarioError(f"scenario: cannot read {path} ({exc.strerror})") from exc
         config = parse_scenario(text)
     return replace(config, **overrides)
 

@@ -23,10 +23,9 @@ SATURATION_DISTANCE_M = COMFORT_SCALE_MM / (1000.0 * (1.0 - COMFORT_OFFSET))
 def comfort_from_distance(distance_m: np.ndarray) -> np.ndarray:
     """Comfort contribution of the nearest disturbance at each given distance.
 
-    Distances are in meters; a distance of zero or less scores 0.
+    Distances are in meters; a distance of zero or less scores 0, since the
+    floor of 1e-12 mm sends the regression far below the lower clamp.
     """
     raw = COMFORT_SCALE_MM / np.maximum(distance_m * 1000.0, 1e-12) + COMFORT_OFFSET
-    comfort = np.clip(raw, 0.0, 1.0)
-    comfort[distance_m <= 0.0] = 0.0
-    return comfort
+    return np.clip(raw, 0.0, 1.0)
 

@@ -92,13 +92,10 @@ def make_snapshot(
     anticipating on a shared sample grid of step `config.dt`."""
     dyad = Segment(user.position, vh.position)
     rows = anticipated_pedestrians(crowd.position, dyad, config)
-    if rows.size:
-        horizon = prediction_horizon(
-            crowd.position[rows], crowd.velocity[rows], dyad, config.c_space_radius, config.horizon_cap
-        )
-        prediction = predict_trajectory(crowd, rows, user.position, max(horizon, config.dt), config.dt, config)
-    else:
-        prediction = Prediction(rows, np.empty(0), np.empty((0, 2)), user.position)
+    horizon = prediction_horizon(
+        crowd.position[rows], crowd.velocity[rows], dyad, config.c_space_radius, config.horizon_cap
+    )
+    prediction = predict_trajectory(crowd, rows, user.position, max(horizon, config.dt), config.dt, config)
     return PlanningSnapshot(user, vh, env, crowd.position, prediction)
 
 
@@ -112,9 +109,7 @@ def detect_potential_conflict(
     if not len(prediction):
         return False, []
     hit = points_segment_distance(prediction.points, dyad) < radius
-    if not hit.any():
-        return False, []
-    return True, prediction.ids[hit.reshape(len(prediction), -1).any(axis=1)].tolist()
+    return bool(hit.any()), prediction.ids[hit.reshape(len(prediction), -1).any(axis=1)].tolist()
 
 
 def grid_shape(config: ScenarioConfig) -> tuple[int, int]:
@@ -193,45 +188,41 @@ def score_candidates(
     # depends on the smallest sample-to-segment distance; samples farther from
     # the user than the farthest candidate plus that margin are dropped up front
     n = len(candidates)
-    outgroup = np.ones(n)
-    approach = np.full(n, np.inf)
-    if points.size:
-        radius = config.territory_radius + config.planning_margin
-        cutoff = math.sqrt(ee.max()) + max(SATURATION_DISTANCE_M, radius) + 1e-6
-        wx = points[:, 0] - u.x
-        wy = points[:, 1] - u.y
-        keep = (wx * wx + wy * wy) <= cutoff * cutoff
-        if keep.any():
-            # each sample's projection on each candidate segment, clamped to
-            # the segment, then the squared distance, for blocks of samples
-            # in two reused (rows, m) buffers, folded into a running
-            # per-candidate minimum; the per-cell operations and their order
-            # fix the result's bits, which the tests compare with the dense
-            # form in tests/oracles.py
-            wx, wy = wx[keep, None], wy[keep, None]
-            ee_safe = np.where(ee == 0.0, 1.0, ee)
-            rows = max(1, BLOCK_CELLS // n)
-            t_block = np.empty((min(rows, len(wx)), n))
-            d_block = np.empty_like(t_block)
-            closest = np.full(n, np.inf)
-            for start in range(0, len(wx), rows):
-                bx, by = wx[start:start + rows], wy[start:start + rows]
-                t, d = t_block[:len(bx)], d_block[:len(bx)]
-                np.multiply(bx, ex, out=t)
-                np.multiply(by, ey, out=d)
-                t += d
-                t /= ee_safe
-                np.clip(t, 0.0, 1.0, out=t)
-                np.multiply(t, ex, out=d)
-                np.subtract(bx, d, out=d)
-                d *= d
-                t *= ey
-                np.subtract(by, t, out=t)
-                t *= t
-                d += t
-                np.minimum(closest, d.min(axis=0), out=closest)
-            approach = np.sqrt(closest)
-            outgroup = comfort_from_distance(approach)
+    radius = config.territory_radius + config.planning_margin
+    cutoff = math.sqrt(ee.max()) + max(SATURATION_DISTANCE_M, radius) + 1e-6
+    wx = points[:, 0] - u.x
+    wy = points[:, 1] - u.y
+    keep = (wx * wx + wy * wy) <= cutoff * cutoff
+    # each sample's projection on each candidate segment, clamped to the
+    # segment, then the squared distance, for blocks of samples in two reused
+    # (rows, m) buffers, folded into a running per-candidate minimum (inf,
+    # which scores comfort 1, when no sample is kept); the per-cell
+    # operations and their order fix the result's bits, which the tests
+    # compare with the dense form in tests/oracles.py
+    wx, wy = wx[keep, None], wy[keep, None]
+    ee_safe = np.where(ee == 0.0, 1.0, ee)
+    rows = max(1, BLOCK_CELLS // n)
+    t_block = np.empty((min(rows, len(wx)), n))
+    d_block = np.empty_like(t_block)
+    closest = np.full(n, np.inf)
+    for start in range(0, len(wx), rows):
+        bx, by = wx[start:start + rows], wy[start:start + rows]
+        t, d = t_block[:len(bx)], d_block[:len(bx)]
+        np.multiply(bx, ex, out=t)
+        np.multiply(by, ey, out=d)
+        t += d
+        t /= ee_safe
+        np.clip(t, 0.0, 1.0, out=t)
+        np.multiply(t, ex, out=d)
+        np.subtract(bx, d, out=d)
+        d *= d
+        t *= ey
+        np.subtract(by, t, out=t)
+        t *= t
+        d += t
+        np.minimum(closest, d.min(axis=0), out=closest)
+    approach = np.sqrt(closest)
+    outgroup = comfort_from_distance(approach)
 
     alpha, ingroup, arrangement = ingroup_choice(candidates, user, context, config)
     move = np.hypot(candidates[:, 0] - current_vh.x, candidates[:, 1] - current_vh.y)
@@ -242,8 +233,6 @@ def score_candidates(
 def _argbest(utility: np.ndarray, move: np.ndarray) -> int:
     """Index of the best candidate: highest utility, then smaller move, then earlier index."""
     ties = np.nonzero(utility == utility.max())[0]
-    if ties.size == 1:
-        return int(ties[0])
     return int(ties[np.argmin(move[ties])])
 
 

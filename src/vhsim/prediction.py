@@ -185,16 +185,15 @@ def predict_trajectory(
     arc = times * speed[:, None]
     points = pos[:, None, :] + v_dir[:, None, :] * arc[:, :, None]
     legged = np.flatnonzero(moving & (avoiding | detour))
-    if legged.size:
-        paths = [
-            _waypoint_legs(Vec2(*p), Vec2(*d), Vec2(*g), Vec2(*wp)) if a
-            else _detour_legs(Vec2(*p), Vec2(*d), Vec2(*g), r, pr, m, user, config)
-            for p, d, g, wp, a, r, pr, m in zip(
-                pos[legged].tolist(), v_dir[legged].tolist(), crowd.goal[rows[legged]].tolist(),
-                waypoint[legged].tolist(), avoiding[legged].tolist(),
-                rng[legged].tolist(), proj[legged].tolist(), miss[legged].tolist())
-        ]
-        points[legged] = _sample_legs(paths, arc[legged])
+    paths = [
+        _waypoint_legs(Vec2(*p), Vec2(*d), Vec2(*g), Vec2(*wp)) if a
+        else _detour_legs(Vec2(*p), Vec2(*d), Vec2(*g), r, pr, m, user, config)
+        for p, d, g, wp, a, r, pr, m in zip(
+            pos[legged].tolist(), v_dir[legged].tolist(), crowd.goal[rows[legged]].tolist(),
+            waypoint[legged].tolist(), avoiding[legged].tolist(),
+            rng[legged].tolist(), proj[legged].tolist(), miss[legged].tolist())
+    ]
+    points[legged] = _sample_legs(paths, arc[legged])
     return Prediction(rows, times, points.reshape(rows.size * n, 2), user)
 
 

@@ -252,14 +252,14 @@ class Crowd:
     """The pedestrians as arrays, one row per pedestrian id.
 
     `step` advances every pedestrian whose tick is a straight walk toward its
-    target (the goal, or the waypoint while avoiding) in one array step, goal
-    arrival and the RETURNING -> DIRECT switch beyond the start range
-    included. Only a pedestrian whose phase could change on the tick goes
-    through the scalar `step_pedestrian`: a possible dodge trigger, a
-    waypoint arrival, a target closer than the routing margin, or a
-    RETURNING pedestrian on the start-range boundary. A pedestrian that
-    reaches its goal draws the next one from its own stream, a
-    `PCG64Stream` (or anything with its `uniform` and `integers` draws).
+    target (the goal, or the waypoint while avoiding) in one array step, the
+    RETURNING -> DIRECT switch beyond the start range included. Only a
+    pedestrian whose phase or course could change on the tick goes through
+    the scalar `step_pedestrian`: a possible dodge trigger, a row that may
+    reach its target this tick, or a RETURNING pedestrian on the start-range
+    boundary. A pedestrian that reaches its goal draws the next one from its
+    own stream, a `PCG64Stream` (or anything with its `uniform` and
+    `integers` draws).
 
     A new crowd walks straight for its goals: every phase is DIRECT and
     every waypoint NaN.
@@ -294,8 +294,6 @@ class Crowd:
     def step(self, user: Vec2) -> None:
         """Advance every pedestrian by dt, as `step_pedestrian` followed by a
         goal re-roll on arrival would."""
-        if not len(self):
-            return
         config, pos, step = self.config, self.position, self._step_length
         phase = self.phase.copy()
         avoiding = phase == Phase.AVOIDING.value
@@ -327,11 +325,7 @@ class Crowd:
             dist, proj = math.hypot(rx, ry), rx * dx + ry * dy
             if proj > -_MARGIN and dist * dist - proj * proj < miss_limit:
                 scalar.add(i)  # a possible dodge trigger
-        for i in (t_dist <= step + _MARGIN).nonzero()[0].tolist():
-            if avoiding[i] or t_dist[i] < _MARGIN:
-                scalar.add(i)
-            elif t_dist[i] <= step[i]:
-                new_pos[i] = target[i]  # arrives at its goal
+        scalar.update((t_dist <= step + _MARGIN).nonzero()[0].tolist())  # may reach its target
         for i in scalar:
             new_pos[i], velocity[i], phase[i], self.waypoint[i] = step_pedestrian(self, i, user)
 
@@ -505,8 +499,7 @@ def _round(x: np.ndarray, digits: int) -> np.ndarray:
     whole = np.rint(scaled)
     out = whole / scale
     near = ~(np.abs(np.abs(scaled - whole) - 0.5) > np.abs(scaled) * 2.0**-44)
-    if near.any():
-        out[near] = [round(v, digits) for v in x[near].tolist()]
+    out[near] = [round(v, digits) for v in x[near].tolist()]
     return out
 
 

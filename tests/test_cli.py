@@ -404,6 +404,13 @@ class TestMainCli:
         err = capsys.readouterr().err
         assert err.startswith("error: scenario:") and str(scenario) in err
 
+    @pytest.mark.parametrize("name", ["missing.txt", "."])
+    def test_unreadable_scenario_names_field(self, tmp_path, capsys, name):
+        scenario = tmp_path / name  # a path that does not exist, or a directory
+        assert main(["simulate", "--scenario", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario:") and str(scenario) in err
+
     def test_scenario_with_byte_order_mark(self, tmp_path, capsys):
         scenario = tmp_path / "bom.txt"
         scenario.write_bytes(b"\xef\xbb\xbfduration: 5\n")

@@ -3,7 +3,10 @@
 `Crowd.step` must leave every pedestrian exactly where `step_pedestrian` and
 the goal re-roll of `oracles.oracle_crowd_tick` leave it: positions,
 velocities, goals, phases and waypoints are compared bit for bit after every
-tick. The hand-built scenes each force one of the scalar routes.
+tick. The hand-built scenes each force one of the scalar routes: a dodge
+trigger at exactly the start range, a waypoint arrival, a RETURNING row on
+the start-range boundary, a row standing on its goal (with or without a
+velocity) and a goal within one step.
 """
 
 import copy
@@ -120,6 +123,17 @@ def test_returning_on_the_start_range_boundary(scalar_calls):
 
 def test_standing_on_its_goal(scalar_calls):
     crowd, oracle = scene(walker((5.0, 5.0), (5.0, 5.0), velocity=(0.6, -0.8)))
+    goal = crowd.goal[0].copy()
+    run_pair(crowd, oracle, ORIGIN, 1)
+    assert scalar_calls == [0] and not np.array_equal(crowd.goal[0], goal)  # re-rolled
+    run_pair(crowd, oracle, ORIGIN, 30)
+
+
+def test_goal_within_one_step(scalar_calls):
+    # a goal tolerance shorter than a step lets a walker come within one step
+    # of its goal; the scalar rule puts it on the goal, which is re-rolled
+    crowd, oracle = scene(walker((5.0, 5.0), (5.0, 5.05)), goal_tolerance=0.0)
+    assert crowd.speed[0] * CONFIG.dt == pytest.approx(0.12)
     goal = crowd.goal[0].copy()
     run_pair(crowd, oracle, ORIGIN, 1)
     assert scalar_calls == [0] and not np.array_equal(crowd.goal[0], goal)  # re-rolled
