@@ -6,8 +6,6 @@ from .prediction import Phase, PredictedTrajectory, Prediction
 from .proxemics import ArrangementType, SpatialContext
 from .planner import ConflictAvoidancePlanner, Decision
 from .simulation import (
-    ConflictEvent,
-    ConflictKind,
     ScenarioConfig,
     TrialMetrics,
     reduction_ratio,

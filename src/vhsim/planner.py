@@ -103,13 +103,9 @@ def detect_potential_conflict(
     dyad: Segment,
     prediction: Prediction,
     radius: float,
-) -> tuple[bool, list[int]]:
-    """Whether any predicted sample intrudes the capsule around the dyad, and
-    the ids of the pedestrians whose samples do."""
-    if not len(prediction):
-        return False, []
-    hit = points_segment_distance(prediction.points, dyad) < radius
-    return bool(hit.any()), prediction.ids[hit.reshape(len(prediction), -1).any(axis=1)].tolist()
+) -> bool:
+    """Whether any predicted sample intrudes the capsule around the dyad."""
+    return bool((points_segment_distance(prediction.points, dyad) < radius).any())
 
 
 def grid_shape(config: ScenarioConfig) -> tuple[int, int]:
@@ -315,7 +311,7 @@ def plan_if_needed(
     """
     dyad = Segment(snapshot.user.position, snapshot.vh.position)
     watched = dyad if plan is None else Segment(snapshot.user.position, plan.target_position)
-    conflicted, _ = detect_potential_conflict(
+    conflicted = detect_potential_conflict(
         watched, snapshot.trajectories, config.territory_radius + config.planning_margin
     )
     if not conflicted:
@@ -331,15 +327,16 @@ class ConflictAvoidancePlanner:
     """Owns the running plan across a simulation run.
 
     Checks for potential conflicts on a fixed cadence and moves the agent
-    every tick while a plan runs. Records the in-group comfort of every
-    decision for downstream metrics.
+    every tick while a plan runs. Counts its decisions and sums their
+    winners' in-group comfort, in decision order, for downstream metrics.
     """
 
     def __init__(self, env: Environment, config: ScenarioConfig) -> None:
         self.env = env
         self.config = config
         self.plan: Decision | None = None
-        self.decision_ingroups: list[float] = []
+        self.decision_count = 0
+        self.ingroup_sum = 0.0
         self._next_check = 0.0
 
     def update(self, t: float, user: Pose, vh: Pose, crowd) -> Pose:
@@ -354,6 +351,7 @@ class ConflictAvoidancePlanner:
             snapshot = make_snapshot(user, vh, self.env, crowd, config)
             self.plan, decision = plan_if_needed(snapshot, self.plan, config)
             if decision is not None:
-                self.decision_ingroups.append(float(decision.ingroup[decision.winner]))
+                self.decision_count += 1
+                self.ingroup_sum += float(decision.ingroup[decision.winner])
         self.plan, vh = step_plan(self.plan, vh, config)
         return vh

@@ -64,16 +64,13 @@ class Prediction:
     points: np.ndarray
     user: Vec2
 
-    def __len__(self) -> int:
-        return self.ids.size
-
     def __getitem__(self, i: int) -> PredictedTrajectory:
-        i = range(len(self))[i]
+        i = range(self.ids.size)[i]
         n = self.times.size
         return PredictedTrajectory(int(self.ids[i]), self.times, self.points[i * n:(i + 1) * n], self.user)
 
     def __iter__(self) -> Iterator[PredictedTrajectory]:
-        return map(self.__getitem__, range(len(self)))
+        return map(self.__getitem__, range(self.ids.size))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Pedestrians stream between goal boxes on the top and bottom edges, dodging the
 user (and only the user; the agent is invisible to them and has no collider).
 The agent either stays put (condition "none") or runs the conflict-avoidance
 planner (condition "proposed"). Conflict events are counted on territory and
-body entry edges, and the split between stable and adjusting time is recorded.
+body entry edges, and the share of ticks the agent spends stable is measured.
 
 Everything is deterministic for a given config: each pedestrian draws from its
 own PCG64 stream keyed by (trial seed, pedestrian id), so spawn order cannot
@@ -15,7 +15,6 @@ what numpy's `Generator` would from the same seed; no trial imports
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
@@ -194,27 +193,15 @@ class ScenarioConfig:
         return user, vh
 
 
-class ConflictKind(enum.Enum):
-    SOCIAL = "social"
-    PHYSICALITY = "physicality"
-
-
-@dataclass(frozen=True)
-class ConflictEvent:
-    kind: ConflictKind
-    time: float
-    pedestrian_id: int
+# The conflict kinds, in the order of `detect_events`' kind index.
+EVENT_KINDS = ("social", "physicality")
 
 
 @dataclass
 class TrialMetrics:
     social_conflicts: int
     physicality_conflicts: int
-    stable_time: float
-    adjusting_time: float
     stable_percentage: float
-    duration: float
-    events: list[ConflictEvent] = field(default_factory=list)
     mean_ingroup: float | None = None
     decision_count: int = 0
 
@@ -461,25 +448,23 @@ def detect_events(
     inside_body: np.ndarray,
     territory_radius: float,
     body_radius: float,
-    times: list[float],
-) -> tuple[list[ConflictEvent], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entry-edge conflict detection over a block of K ticks.
 
     `positions` is (K, n, 2), pedestrian i at tick k in [k, i], so an event's
     pedestrian id is its column. `users` and `agents` are the K dyad ends,
-    the agent's also its body, and `times` the K tick times. A pedestrian
-    dwelling inside produces one event per entry episode. The inside flags
-    of the tick before the block are consumed; its last tick's are returned.
-    Events run in tick order, social before physicality, ids ascending.
+    the agent's also its body. A pedestrian dwelling inside produces one
+    event per entry episode. The inside flags of the tick before the block
+    are consumed; its last tick's are returned. The events are an (E, 3)
+    int array of rows (tick in the block, index into `EVENT_KINDS`,
+    pedestrian id), in tick order, social before physicality, ids ascending.
     """
     ux, uy, vx, vy = users[:, 0, None], users[:, 1, None], agents[:, 0, None], agents[:, 1, None]
     now_territory = points_segment_distance(positions, ((ux, uy), (vx, vy))) < territory_radius
     now_body = np.hypot(positions[..., 0] - vx, positions[..., 1] - vy) < body_radius
     now = np.stack([now_territory, now_body], axis=1)  # (tick, kind, pedestrian)
     before = np.concatenate([np.stack([inside_territory, inside_body])[None], now[:-1]])
-    tick, kind, ped = (a.tolist() for a in np.nonzero(now & ~before))
-    events = [ConflictEvent(tuple(ConflictKind)[c], times[k], i) for k, c, i in zip(tick, kind, ped)]
-    return events, now_territory[-1], now_body[-1]
+    return np.argwhere(now & ~before), now_territory[-1], now_body[-1]
 
 
 def reduction_ratio(dc_none: int, dc_avoid: int) -> float | None:
@@ -505,17 +490,18 @@ def _round(x: np.ndarray, digits: int) -> np.ndarray:
 
 def _trace_rows(first_tick: int, times, positions: np.ndarray, poses: np.ndarray, adjusting, events) -> str:
     """A block's trace rows, byte for byte what `json.dumps(row, sort_keys=True)`
-    gives, since `str` of a list of finite floats is the same as json's."""
-    tick_events: dict[float, list[str]] = {}
-    for e in events:
-        tick_events.setdefault(e.time, []).append(f'["{e.kind.value}", {e.pedestrian_id}]')
-    rows = zip(times, _round(np.array(times), 6).tolist(), _round(poses, 4).tolist(),
-               _round(positions, 4).tolist(), adjusting)
+    gives, since `str` of a list of finite floats is the same as json's.
+    `events` are the block's rows from `detect_events`."""
+    tick_events: dict[int, list[str]] = {}
+    for k, kind, ped in events.tolist():
+        tick_events.setdefault(k, []).append(f'["{EVENT_KINDS[kind]}", {ped}]')
+    rows = zip(_round(np.array(times), 6).tolist(), _round(poses, 4).tolist(), _round(positions, 4).tolist(),
+               adjusting)
     return "".join(
-        f'{{"events": [{", ".join(tick_events.get(t, ()))}], "peds": {peds}, '
+        f'{{"events": [{", ".join(tick_events.get(k, ()))}], "peds": {peds}, '
         f'"phase": "{"adjusting" if adjusted else "stable"}", "t": {stamp!r}, "tick": {first_tick + k}, '
         f'"user": {pose[:3]}, "vh": {pose[3:]}}}\n'
-        for k, (t, stamp, pose, peds, adjusted) in enumerate(rows)
+        for k, (stamp, pose, peds, adjusted) in enumerate(rows)
     )
 
 
@@ -523,9 +509,10 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
     """Run one deterministic trial and accumulate its metrics.
 
     Tick order: pedestrians move, the planner (if enabled) predicts/replans
-    and the agent advances, the user turns, and phase timers accumulate.
-    Every `BLOCK_TICKS` ticks, and at the end, the ticks' kept positions,
-    poses and phases give their entry-edge conflicts and trace rows at once.
+    and the agent advances, the user turns, and a stable tick adds to the
+    stable time. Every `BLOCK_TICKS` ticks, and at the end, the ticks' kept
+    positions, poses and phases give their entry-edge conflicts, counted by
+    kind, and trace rows at once.
     """
     crowd = spawn_flow(config)
     env = crowd.env
@@ -534,9 +521,8 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
     planner = ConflictAvoidancePlanner(env, config) if config.condition == "proposed" else None
     n_ticks = config.tick_count()
     inside_territory = inside_body = np.zeros(len(crowd), dtype=bool)  # replaced, never written
-    events: list[ConflictEvent] = []
+    counts = np.zeros(len(EVENT_KINDS), np.int64)  # events of each kind
     stable_time = 0.0
-    adjusting_time = 0.0
 
     if trace is not None:
         trace.write(json.dumps({"schema": TRACE_SCHEMA, "config": asdict(config)}, sort_keys=True) + "\n")
@@ -552,9 +538,7 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
         user = step_user(user, vh, config)
 
         adjusting = planner is not None and planner.plan is not None
-        if adjusting:
-            adjusting_time += config.dt
-        else:
+        if not adjusting:
             stable_time += config.dt
 
         pose = (user.position.x, user.position.y, user.orientation, vh.position.x, vh.position.y, vh.orientation)
@@ -564,29 +548,19 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
             positions, poses = np.stack(positions), np.array(poses)
             block_events, inside_territory, inside_body = detect_events(
                 positions, poses[:, 0:2], poses[:, 3:5], inside_territory, inside_body,
-                config.territory_radius, config.body_radius, times,
+                config.territory_radius, config.body_radius,
             )
-            events.extend(block_events)
+            counts += np.bincount(block_events[:, 1], minlength=len(EVENT_KINDS))
             if trace is not None:
                 trace.write(_trace_rows(k + 1 - len(block), times, positions, poses, phases, block_events))
             block = []
 
-    social = sum(1 for e in events if e.kind is ConflictKind.SOCIAL)
-    physicality = sum(1 for e in events if e.kind is ConflictKind.PHYSICALITY)
-    duration = n_ticks * config.dt
-    mean_ingroup = None
-    decision_count = 0
-    if planner is not None and planner.decision_ingroups:
-        decision_count = len(planner.decision_ingroups)
-        mean_ingroup = sum(planner.decision_ingroups) / decision_count
+    social, physicality = counts.tolist()
+    decision_count = planner.decision_count if planner is not None else 0
     return TrialMetrics(
         social_conflicts=social,
         physicality_conflicts=physicality,
-        stable_time=stable_time,
-        adjusting_time=adjusting_time,
-        stable_percentage=stable_time / duration,
-        duration=duration,
-        events=events,
-        mean_ingroup=mean_ingroup,
+        stable_percentage=stable_time / (n_ticks * config.dt),
+        mean_ingroup=planner.ingroup_sum / decision_count if decision_count else None,
         decision_count=decision_count,
     )

@@ -52,8 +52,7 @@ def stub_calls(monkeypatch):
 
     def stub_trial(config):
         calls.append(config)
-        return TrialMetrics(social_conflicts=2, physicality_conflicts=1, stable_time=1.0,
-                            adjusting_time=0.0, stable_percentage=1.0, duration=1.0)
+        return TrialMetrics(social_conflicts=2, physicality_conflicts=1, stable_percentage=1.0)
 
     monkeypatch.setattr(cli, "run_trial", stub_trial)
     return calls

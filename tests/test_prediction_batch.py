@@ -88,7 +88,7 @@ def test_hand_built_rows_match_the_scalar_path():
     assert kinds == ["stationary", "stationary", "straight", "straight", "detour ahead", "detour now",
                      "avoiding", "avoiding", "detour ahead", "returning"]
     got = predict_trajectory(crowd, np.arange(len(peds)), user, 6.0, 0.1, CONFIG)
-    assert len(got) == len(peds) and got.ids.tolist() == list(range(len(peds)))
+    assert got.ids.size == len(peds) and got.ids.tolist() == list(range(len(peds)))
     for p, view in zip(peds, got):
         times, points = oracle_trajectory(p, user, 6.0, 0.1, CONFIG)
         assert (bits(view.times) == bits(times)).all()
