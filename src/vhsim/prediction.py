@@ -73,62 +73,29 @@ class Prediction:
         return map(self.__getitem__, range(self.ids.size))
 
 
-@dataclass(frozen=True)
-class AvoidanceGeometry:
-    """Detour construction from a pedestrian's current position.
+def detour_waypoint(position: Vec2, heading: Vec2, user: Vec2, config: ScenarioConfig) -> Vec2:
+    """The detour waypoint of a pedestrian at `position` heading along
+    `heading`, for both the crowd and the prediction.
 
-    Both waypoints lie on tangent lines to the clearance circle around the
-    user; walking to either keeps the closest approach exactly at the
-    clearance radius.
-    """
-
-    angle: float
-    distance: float
-    waypoint_left: Vec2
-    waypoint_right: Vec2
-
-
-def avoidance_geometry(position: Vec2, user: Vec2, config: ScenarioConfig) -> AvoidanceGeometry:
-    """Build both detour waypoints for a pedestrian at `position`.
-
-    The turn angle comes from arcsin(clearance / range) and the waypoint sits
-    at range / cos(angle) along the deviated direction, which places it abeam
-    of the user. When the pedestrian is already at (or inside) the clearance
-    radius the tangent is perpendicular; a short perpendicular hop keeps the
-    clearance invariant.
+    It lies on a tangent to the clearance circle around the user, so walking
+    to it keeps the closest approach at the clearance radius: turned by
+    arcsin(clearance / range) from the user's direction and range /
+    cos(angle) away, abeam of the user. At (or inside) the clearance radius
+    the tangent is perpendicular and the hop is the clearance. It passes on
+    the side of the travel line opposite the user's lateral offset, ties
+    going right; that cross product is constant along a straight approach,
+    so the crowd and the prediction agree even for near-head-on geometry.
     """
     to_user = user - position
     r = to_user.norm()
     if r == 0.0:
         raise ValueError("pedestrian and user coincide")
-    ratio = min(1.0, config.min_avoidance_distance / r)
-    angle = math.asin(ratio)
-    u_dir = to_user * (1.0 / r)
+    angle = math.asin(min(1.0, config.min_avoidance_distance / r))
     cos_a = math.cos(angle)
-    if cos_a < 1e-9:
-        distance = config.min_avoidance_distance
-    else:
-        distance = r / cos_a
-    return AvoidanceGeometry(
-        angle=angle,
-        distance=distance,
-        waypoint_left=position + u_dir.rotated(angle) * distance,
-        waypoint_right=position + u_dir.rotated(-angle) * distance,
-    )
-
-
-def choose_waypoint(geom: AvoidanceGeometry, heading: Vec2, to_user: Vec2) -> Vec2:
-    """Pick the detour side needing the smaller heading change; ties go right.
-
-    Equivalent, robust form: pass on the side of the travel line opposite the
-    user's lateral offset. The cross product of heading and the user offset is
-    constant along a straight approach, so simulation and prediction always
-    agree even for near-head-on geometry.
-    """
-    cross = heading.x * to_user.y - heading.y * to_user.x
-    if cross < 0.0:
-        return geom.waypoint_left
-    return geom.waypoint_right
+    distance = config.min_avoidance_distance if cos_a < 1e-9 else r / cos_a
+    if not heading.x * to_user.y - heading.y * to_user.x < 0.0:
+        angle = -angle
+    return position + (to_user * (1.0 / r)).rotated(angle) * distance
 
 
 def sample_count(horizon: float, dt: float) -> int:
@@ -250,7 +217,7 @@ def _detour_legs(
         trigger_arc = proj - back
         trigger = position + v_dir * trigger_arc
 
-    waypoint = choose_waypoint(avoidance_geometry(trigger, user, config), v_dir, user - trigger)
+    waypoint = detour_waypoint(trigger, v_dir, user, config)
     wp_dir = _direction(trigger, waypoint, v_dir)
     legs = [(position, v_dir, trigger_arc)] if trigger_arc > 1e-12 else []
     legs.append((trigger, wp_dir, waypoint.distance_to(trigger)))

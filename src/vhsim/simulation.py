@@ -34,7 +34,7 @@ from .geometry import (
 )
 from .pcg import PCG64Stream
 from .planner import ConflictAvoidancePlanner, grid_shape
-from .prediction import Phase, avoidance_geometry, choose_waypoint, sample_count
+from .prediction import Phase, detour_waypoint, sample_count
 
 TRACE_SCHEMA = "vhsim-trace/1"
 
@@ -398,8 +398,7 @@ def step_pedestrian(crowd: Crowd, i: int, user: Vec2) -> tuple[tuple, tuple, int
         if proj > 0.0:
             miss = math.sqrt(max(0.0, dist_user * dist_user - proj * proj))
             if miss < config.min_avoidance_distance:
-                geom = avoidance_geometry(Vec2(px, py), user, config)
-                waypoint = choose_waypoint(geom, Vec2(dir_x, dir_y), Vec2(user.x - px, user.y - py))
+                waypoint = detour_waypoint(Vec2(px, py), Vec2(dir_x, dir_y), user, config)
                 phase = Phase.AVOIDING
                 target = wx, wy = waypoint.x, waypoint.y
                 tx, ty = wx - px, wy - py
@@ -509,10 +508,10 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
     """Run one deterministic trial and accumulate its metrics.
 
     Tick order: pedestrians move, the planner (if enabled) predicts/replans
-    and the agent advances, the user turns, and a stable tick adds to the
-    stable time. Every `BLOCK_TICKS` ticks, and at the end, the ticks' kept
-    positions, poses and phases give their entry-edge conflicts, counted by
-    kind, and trace rows at once.
+    and the agent advances, the user turns, and a stable tick is counted.
+    Every `BLOCK_TICKS` ticks, and at the end, the ticks' kept positions,
+    poses and phases give their entry-edge conflicts, counted by kind, and
+    trace rows at once.
     """
     crowd = spawn_flow(config)
     env = crowd.env
@@ -522,7 +521,7 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
     n_ticks = config.tick_count()
     inside_territory = inside_body = np.zeros(len(crowd), dtype=bool)  # replaced, never written
     counts = np.zeros(len(EVENT_KINDS), np.int64)  # events of each kind
-    stable_time = 0.0
+    stable_ticks = 0
 
     if trace is not None:
         trace.write(json.dumps({"schema": TRACE_SCHEMA, "config": asdict(config)}, sort_keys=True) + "\n")
@@ -539,7 +538,7 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
 
         adjusting = planner is not None and planner.plan is not None
         if not adjusting:
-            stable_time += config.dt
+            stable_ticks += 1
 
         pose = (user.position.x, user.position.y, user.orientation, vh.position.x, vh.position.y, vh.orientation)
         block.append((t, crowd.position, pose, adjusting))
@@ -560,7 +559,7 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
     return TrialMetrics(
         social_conflicts=social,
         physicality_conflicts=physicality,
-        stable_percentage=stable_time / (n_ticks * config.dt),
+        stable_percentage=stable_ticks / n_ticks,
         mean_ingroup=planner.ingroup_sum / decision_count if decision_count else None,
         decision_count=decision_count,
     )

@@ -24,7 +24,7 @@ from oracles import RelativeAngles, classify_arrangement, oracle_utility, relati
 from vhsim.cli import _ablation_points, _run_pairs, _trial_row, emit_csv, run_matrix
 from vhsim.geometry import Environment, Pose, Vec2
 from vhsim.planner import _argbest, score_candidates, search
-from vhsim.prediction import avoidance_geometry
+from vhsim.prediction import detour_waypoint
 from vhsim.proxemics import (
     ArrangementType,
     Crowdedness,
@@ -111,8 +111,11 @@ class TestCriterion2AvoidanceGeometry:
             worst = max(worst, abs(d_min_of(traj) - d_min))
             assert d_min - speed * dt - 1e-9 <= d_min_of(traj) <= d_min + speed * dt + 1e-9
 
-            geom = avoidance_geometry(Vec2(-d_start, 0.0), Vec2(0, 0), config)
-            arcsin_err = max(arcsin_err, abs(geom.angle - math.asin(d_min / d_start)))
+            # the turn angle, read from the waypoint against the user's direction
+            wp = detour_waypoint(Vec2(-d_start, 0.0), Vec2(1.0, 0.0), Vec2(0, 0), config)
+            to_user, to_wp = Vec2(d_start, 0.0), wp - Vec2(-d_start, 0.0)
+            turn = math.atan2(to_user.x * to_wp.y - to_user.y * to_wp.x, to_user.x * to_wp.x + to_user.y * to_wp.y)
+            arcsin_err = max(arcsin_err, abs(abs(turn) - math.asin(d_min / d_start)))
         ok = arcsin_err <= 1e-12
         report(2, "avoidance geometry", ok, f"max |angle err|={arcsin_err:.2e}, max |d_min err|={worst:.3f}")
 

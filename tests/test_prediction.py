@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from crowds import PedestrianState, crowd_of, d_min_of, positions_of, predict_one, samples_of
-from oracles import oracle_linear, oracle_min_approach
+from oracles import oracle_course, oracle_linear, oracle_min_approach
 from vhsim.geometry import Segment, Vec2
 from vhsim.prediction import (
     Phase,
     anticipated_pedestrians,
-    avoidance_geometry,
-    choose_waypoint,
+    detour_waypoint,
     prediction_horizon,
 )
 from vhsim.simulation import ScenarioConfig
@@ -69,12 +68,22 @@ class TestBelowStationarySpeed:
         assert all(p == ped.position for _, p in samples_of(traj))
 
 
+def turn_of(position: Vec2, user: Vec2, waypoint: Vec2) -> float:
+    """Signed angle from the direction to the user to the direction to the
+    waypoint, positive counter-clockwise (a left turn)."""
+    to_user, to_wp = user - position, waypoint - position
+    cross = to_user.x * to_wp.y - to_user.y * to_wp.x
+    return math.atan2(cross, to_user.x * to_wp.x + to_user.y * to_wp.y)
+
+
 class TestAvoidanceGeometry:
+    """Where `detour_waypoint` puts the waypoint."""
+
     def test_arcsin_half(self):
         config = ScenarioConfig(min_avoidance_distance=0.67, start_avoidance_distance=1.34)
         ped = make_ped((-1.34, 0), (1, 0))
-        geom = avoidance_geometry(ped.position, Vec2(0, 0), config)
-        assert geom.angle == pytest.approx(math.radians(30.0), abs=1e-12)
+        wp = detour_waypoint(ped.position, ped.velocity, Vec2(0, 0), config)
+        assert abs(turn_of(ped.position, Vec2(0, 0), wp)) == pytest.approx(math.radians(30.0), abs=1e-12)
 
     def test_sixty_degrees_doubles_range(self):
         # sin 60 ratio makes the waypoint leg twice the trigger range
@@ -82,17 +91,20 @@ class TestAvoidanceGeometry:
         d_min = d_start * math.sin(math.radians(60.0))
         config = ScenarioConfig(min_avoidance_distance=d_min, start_avoidance_distance=d_start)
         ped = make_ped((-d_start, 0), (1, 0))
-        geom = avoidance_geometry(ped.position, Vec2(0, 0), config)
-        assert geom.distance == pytest.approx(2.0 * d_start, rel=1e-12)
+        wp = detour_waypoint(ped.position, ped.velocity, Vec2(0, 0), config)
+        assert wp.distance_to(ped.position) == pytest.approx(2.0 * d_start, rel=1e-12)
 
     def test_waypoints_tangent_to_clearance_circle(self):
-        user = Vec2(0, 0)
         ped = make_ped((-2, 0), (1, 0))
         config = ScenarioConfig(min_avoidance_distance=0.67, start_avoidance_distance=2.0)
-        geom = avoidance_geometry(ped.position, user, config)
-        for wp in (geom.waypoint_left, geom.waypoint_right):
+        turns = []
+        for offset in (0.1, -0.1):  # the user left, then right, of the travel line
+            user = Vec2(0, offset)
+            wp = detour_waypoint(ped.position, ped.velocity, user, config)
+            turns.append(turn_of(ped.position, user, wp))
             realized = min_distance_on_segment(ped.position, wp, user)
             assert realized == pytest.approx(0.67, abs=1e-6)
+        assert turns[0] < 0.0 < turns[1]
 
     def test_waypoints_mirror_across_approach_line(self):
         rng = random.Random(13)
@@ -101,40 +113,70 @@ class TestAvoidanceGeometry:
             angle = rng.uniform(0, 2 * math.pi)
             r = rng.uniform(0.7, 2.0)
             pos = Vec2(r * math.cos(angle), r * math.sin(angle))
-            ped = make_ped((pos.x, pos.y), (-math.cos(angle), -math.sin(angle)))
-            geom = avoidance_geometry(ped.position, user, CONFIG)
+            # headings just either side of the user: one detours left, the other right
+            toward = Vec2(-math.cos(angle), -math.sin(angle))
+            left = detour_waypoint(pos, toward.rotated(0.01), user, CONFIG)
+            right = detour_waypoint(pos, toward.rotated(-0.01), user, CONFIG)
+            assert turn_of(pos, user, right) < 0.0 < turn_of(pos, user, left)
             # reflect the left waypoint across the pedestrian-to-user line
-            axis = user - ped.position
+            axis = user - pos
             axis = axis * (1.0 / axis.norm())
-            rel = geom.waypoint_left - ped.position
+            rel = left - pos
             proj = axis * (rel.x * axis.x + rel.y * axis.y)
-            mirrored = ped.position + proj * 2.0 - rel
-            assert mirrored.x == pytest.approx(geom.waypoint_right.x, abs=1e-9)
-            assert mirrored.y == pytest.approx(geom.waypoint_right.y, abs=1e-9)
+            mirrored = pos + proj * 2.0 - rel
+            assert mirrored.x == pytest.approx(right.x, abs=1e-9)
+            assert mirrored.y == pytest.approx(right.y, abs=1e-9)
 
     def test_coincident_rejected(self):
         with pytest.raises(ValueError):
-            avoidance_geometry(Vec2(0, 0), Vec2(0, 0), CONFIG)
+            detour_waypoint(Vec2(0, 0), Vec2(1, 0), Vec2(0, 0), CONFIG)
+
+    def test_matches_oracle_course_bit_for_bit(self):
+        # the waypoint of the reference course's detour, from the point where
+        # it turns; a fifth of the cases head exactly for the user (a tie)
+        rng = random.Random(27)
+        checked = 0
+        for case in range(1200):
+            d_min = rng.uniform(0.2, 1.5)
+            config = ScenarioConfig(min_avoidance_distance=d_min,
+                                    start_avoidance_distance=d_min + rng.uniform(0.0, 2.0))
+            user = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
+            if case % 5 == 0:
+                pos, vel = Vec2(user.x - rng.uniform(0.1, 5.0), user.y), (rng.uniform(1.0, 1.5), 0.0)
+            else:
+                bearing, r = rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 5.0)
+                pos = Vec2(user.x + r * math.cos(bearing), user.y + r * math.sin(bearing))
+                aim = Vec2(user.x + rng.uniform(-0.95, 0.95) * d_min, user.y) - pos
+                vel = (aim.x * (1.2 / aim.norm()), aim.y * (1.2 / aim.norm()))
+            ped = make_ped((pos.x, pos.y), vel)
+            kind, legs = oracle_course(ped, user, config)
+            if not kind.startswith("detour"):
+                continue
+            speed = math.hypot(*vel)
+            heading = Vec2(vel[0] * (1.0 / speed), vel[1] * (1.0 / speed))
+            (turn_at, _, _), (waypoint, _, _) = legs[-2:]
+            assert detour_waypoint(turn_at, heading, user, config) == waypoint
+            checked += 1
+        assert checked >= 1000
 
 
 class TestChooseWaypoint:
+    """Which side `detour_waypoint` passes the user on."""
+
     def test_user_offset_left_passes_right(self):
         ped = make_ped((-2, -0.1), (1, 0))  # user slightly left of travel line
-        geom = avoidance_geometry(ped.position, Vec2(0, 0), CONFIG)
-        chosen = choose_waypoint(geom, ped.velocity, Vec2(0, 0) - ped.position)
-        assert chosen == geom.waypoint_right
+        wp = detour_waypoint(ped.position, ped.velocity, Vec2(0, 0), CONFIG)
+        assert turn_of(ped.position, Vec2(0, 0), wp) < 0.0
 
     def test_user_offset_right_passes_left(self):
         ped = make_ped((-2, 0.1), (1, 0))
-        geom = avoidance_geometry(ped.position, Vec2(0, 0), CONFIG)
-        chosen = choose_waypoint(geom, ped.velocity, Vec2(0, 0) - ped.position)
-        assert chosen == geom.waypoint_left
+        wp = detour_waypoint(ped.position, ped.velocity, Vec2(0, 0), CONFIG)
+        assert turn_of(ped.position, Vec2(0, 0), wp) > 0.0
 
     def test_exact_tie_goes_right(self):
         ped = make_ped((-2, 0), (1, 0))
-        geom = avoidance_geometry(ped.position, Vec2(0, 0), CONFIG)
-        chosen = choose_waypoint(geom, ped.velocity, Vec2(0, 0) - ped.position)
-        assert chosen == geom.waypoint_right
+        wp = detour_waypoint(ped.position, ped.velocity, Vec2(0, 0), CONFIG)
+        assert turn_of(ped.position, Vec2(0, 0), wp) < 0.0
 
 
 class TestPredictTrajectory:
