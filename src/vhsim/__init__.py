@@ -2,7 +2,7 @@
 human sharing a public space with pedestrians who cannot see it."""
 
 from .geometry import Environment, Pose, Segment, Vec2
-from .prediction import Phase, PredictedTrajectory, Prediction
+from .prediction import Phase, Prediction
 from .proxemics import ArrangementType, SpatialContext
 from .planner import ConflictAvoidancePlanner, Decision
 from .simulation import (

@@ -18,7 +18,6 @@ import numpy as np
 
 from .comfort import SATURATION_DISTANCE_M, comfort_from_distance
 from .geometry import (
-    Environment,
     Pose,
     Segment,
     Vec2,
@@ -53,7 +52,6 @@ class PlanningSnapshot:
 
     user: Pose
     vh: Pose
-    env: Environment
     positions: np.ndarray
     trajectories: Prediction
 
@@ -81,13 +79,7 @@ class Decision:
     target_orientation: float
 
 
-def make_snapshot(
-    user: Pose,
-    vh: Pose,
-    env: Environment,
-    crowd,
-    config: ScenarioConfig,
-) -> PlanningSnapshot:
+def make_snapshot(user: Pose, vh: Pose, crowd, config: ScenarioConfig) -> PlanningSnapshot:
     """Predict every pedestrian of the crowd (a `simulation.Crowd`) worth
     anticipating on a shared sample grid of step `config.dt`."""
     dyad = Segment(user.position, vh.position)
@@ -96,7 +88,7 @@ def make_snapshot(
         crowd.position[rows], crowd.velocity[rows], dyad, config.c_space_radius, config.horizon_cap
     )
     prediction = predict_trajectory(crowd, rows, user.position, max(horizon, config.dt), config.dt, config)
-    return PlanningSnapshot(user, vh, env, crowd.position, prediction)
+    return PlanningSnapshot(user, vh, crowd.position, prediction)
 
 
 def detect_potential_conflict(
@@ -115,12 +107,7 @@ def grid_shape(config: ScenarioConfig) -> tuple[int, int]:
             int(round(360.0 / config.candidate_angular_step)))
 
 
-def generate_candidates(
-    user: Pose,
-    current_vh: Vec2,
-    env: Environment,
-    config: ScenarioConfig,
-) -> np.ndarray:
+def generate_candidates(user: Pose, current_vh: Vec2, config: ScenarioConfig) -> np.ndarray:
     """Polar grid of target positions around the user, plus the current spot,
     as an (m, 2) array.
 
@@ -131,12 +118,12 @@ def generate_candidates(
     counter-clockwise from +x. The current position is always the last row,
     so holding still is always an option.
     """
-    lattice = _lattice(user.position, env, config)
+    lattice = _lattice(user.position, config)
     return np.vstack((lattice, (current_vh.x, current_vh.y)))
 
 
 @functools.lru_cache(maxsize=16)
-def _lattice(center: Vec2, env: Environment, config: ScenarioConfig) -> np.ndarray:
+def _lattice(center: Vec2, config: ScenarioConfig) -> np.ndarray:
     """`generate_candidates`' polar grid without the current spot, as a
     read-only (m - 1, 2) array. The user never moves during a trial, so one
     trial builds it once."""
@@ -146,6 +133,7 @@ def _lattice(center: Vec2, env: Environment, config: ScenarioConfig) -> np.ndarr
     x = center.x + r * np.array([math.cos(b) for b in bearings])
     y = center.y + r * np.array([math.sin(b) for b in bearings])
     grid = np.column_stack((x.ravel(), y.ravel()))
+    env = config.build_environment()
     keep = (0.0 <= grid[:, 0]) & (grid[:, 0] <= env.width) & (0.0 <= grid[:, 1]) & (grid[:, 1] <= env.height)
     if env.side_walls:
         keep &= ~(np.minimum(grid[:, 0], env.width - grid[:, 0]) < config.wall_clearance)
@@ -267,7 +255,7 @@ def search(snapshot: PlanningSnapshot, context: SpatialContext, config: Scenario
     foreseen territory intrusion.
     """
     user, current = snapshot.user, snapshot.vh.position
-    candidates = generate_candidates(user, current, snapshot.env, config)
+    candidates = generate_candidates(user, current, config)
     scores = score_candidates(candidates, user, current, context, snapshot.trajectories.points, config)
     utility, _, _, move, approach, alpha, arrangement = scores
     # Relocation pruning, an out-group mechanism (inert at zero out-group
@@ -316,7 +304,7 @@ def plan_if_needed(
     )
     if not conflicted:
         return plan, None
-    context = classify_spatial_context(snapshot.env, dyad, snapshot.positions, config)
+    context = classify_spatial_context(dyad, snapshot.positions, config)
     decision = search(snapshot, context, config)
     if decision.move[decision.winner] <= 1e-12:
         return None, decision
@@ -331,8 +319,7 @@ class ConflictAvoidancePlanner:
     winners' in-group comfort, in decision order, for downstream metrics.
     """
 
-    def __init__(self, env: Environment, config: ScenarioConfig) -> None:
-        self.env = env
+    def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
         self.plan: Decision | None = None
         self.decision_count = 0
@@ -348,7 +335,7 @@ class ConflictAvoidancePlanner:
         config = self.config
         if t >= self._next_check - 1e-9:
             self._next_check = t + config.replan_interval
-            snapshot = make_snapshot(user, vh, self.env, crowd, config)
+            snapshot = make_snapshot(user, vh, crowd, config)
             self.plan, decision = plan_if_needed(snapshot, self.plan, config)
             if decision is not None:
                 self.decision_count += 1

@@ -41,22 +41,12 @@ class Phase(enum.IntEnum):
 
 
 @dataclass(frozen=True)
-class PredictedTrajectory:
-    """One pedestrian's sampled future positions, a view into a `Prediction`."""
-
-    pedestrian_id: int
-    times: np.ndarray
-    points: np.ndarray
-    user: Vec2
-
-
-@dataclass(frozen=True)
 class Prediction:
     """Every tracked pedestrian's future positions on one shared time grid.
 
     `points` holds len(ids) blocks of len(times) rows: block i is pedestrian
-    ids[i]'s path. As a sequence it yields one `PredictedTrajectory` per
-    pedestrian.
+    ids[i]'s path. As a sequence it yields one one-row `Prediction` per
+    pedestrian, whose arrays are views into this one's.
     """
 
     ids: np.ndarray
@@ -64,12 +54,12 @@ class Prediction:
     points: np.ndarray
     user: Vec2
 
-    def __getitem__(self, i: int) -> PredictedTrajectory:
+    def __getitem__(self, i: int) -> Prediction:
         i = range(self.ids.size)[i]
         n = self.times.size
-        return PredictedTrajectory(int(self.ids[i]), self.times, self.points[i * n:(i + 1) * n], self.user)
+        return Prediction(self.ids[i:i + 1], self.times, self.points[i * n:(i + 1) * n], self.user)
 
-    def __iter__(self) -> Iterator[PredictedTrajectory]:
+    def __iter__(self) -> Iterator[Prediction]:
         return map(self.__getitem__, range(self.ids.size))
 
 

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .geometry import (
-    Environment,
     Pose,
     Segment,
     Vec2,
@@ -157,12 +156,7 @@ def agent_orientation_for(user: Pose, position: Vec2, arrangement: ArrangementTy
     return (to_user + math.radians(beta)) % (2.0 * math.pi)
 
 
-def classify_spatial_context(
-    env: Environment,
-    dyad: Segment,
-    positions: np.ndarray,
-    config: ScenarioConfig,
-) -> SpatialContext:
+def classify_spatial_context(dyad: Segment, positions: np.ndarray, config: ScenarioConfig) -> SpatialContext:
     """Classify the dyad's surroundings by definiteness and crowdedness.
 
     Near-wall when a side wall comes within the personal-space radius of the
@@ -173,6 +167,7 @@ def classify_spatial_context(
     disc (centered on the dyad midpoint, clipped to the environment bounds)
     divided by the clipped disc area reaches the density threshold.
     """
+    env = config.build_environment()
     ends = (dyad.a.x, dyad.b.x)
     wall_dist = min(*ends, *(env.width - x for x in ends)) if env.side_walls else math.inf
     definiteness = Definiteness.NEAR_WALL if wall_dist < config.personal_space else Definiteness.OPEN_SPACE

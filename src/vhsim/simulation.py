@@ -138,9 +138,9 @@ class ScenarioConfig:
             if problem is not None:
                 raise ScenarioError(f"{f.name}: {problem}")
         env = self.build_environment()
-        user, vh = self.initial_poses(env)
+        user, vh = self.initial_poses()
         ticks = self.tick_count()
-        pedestrians = self.pedestrian_count(env)
+        pedestrians = self.pedestrian_count()
         samples = sample_count(max(self.horizon_cap, self.dt), self.dt)
         radii, bearings = grid_shape(self)
         candidates = radii * bearings + 1
@@ -178,13 +178,14 @@ class ScenarioConfig:
         """Ticks in a trial: duration / dt, rounded."""
         return round(self.duration / self.dt)
 
-    def pedestrian_count(self, env: Environment) -> int:
+    def pedestrian_count(self) -> int:
         """Pedestrians in the crowd: density times the environment's area, rounded."""
+        env = self.build_environment()
         return round(self.density * env.width * env.height)
 
-    def initial_poses(self, env: Environment) -> tuple[Pose, Pose]:
+    def initial_poses(self) -> tuple[Pose, Pose]:
         """User and agent face each other across the middle of the environment."""
-        center = env.center()
+        center = self.build_environment().center()
         half = 0.5 * self.interpersonal_distance
         user_pos = Vec2(center.x, center.y - half)
         vh_pos = Vec2(center.x, center.y + half)
@@ -246,7 +247,9 @@ class Crowd:
     reach its target this tick, or a RETURNING pedestrian on the start-range
     boundary. A pedestrian that reaches its goal draws the next one from its
     own stream, a `PCG64Stream` (or anything with its `uniform` and
-    `integers` draws).
+    `integers` draws), in the band opposite the one holding the goal it
+    leaves: the bottom band after a top-band goal (y >= height -
+    GOAL_DEPTH), the top band after any other.
 
     A new crowd walks straight for its goals: every phase is DIRECT and
     every waypoint NaN.
@@ -262,16 +265,12 @@ class Crowd:
         goal: np.ndarray,
         speed: np.ndarray,
         rngs: list[PCG64Stream],
-        goal_sides: list[int],
-        env: Environment,
         config: ScenarioConfig,
     ) -> None:
         self.position, self.velocity, self.goal, self.speed = position, velocity, goal, speed
         self.phase = np.full(speed.size, Phase.DIRECT, np.int8)
         self.waypoint = np.full((speed.size, 2), math.nan)
-        self.goal_side = list(goal_sides)  # 0 = top boxes, 1 = bottom boxes
         self.rngs = rngs
-        self.env = env
         self.config = config
         self._step_length = self.speed * config.dt
 
@@ -321,8 +320,8 @@ class Crowd:
         for i in near_goal.nonzero()[0].tolist():
             (x, y), (gx, gy) = new_pos[i].tolist(), self.goal[i].tolist()
             if math.hypot(x - gx, y - gy) <= tolerance:
-                side = self.goal_side[i] = 1 - self.goal_side[i]
-                goal = _draw_goal(self.rngs[i], self.env, side)
+                env = config.build_environment()
+                goal = _draw_goal(self.rngs[i], env, int(gy >= env.height - GOAL_DEPTH))
                 self.goal[i] = goal.x, goal.y
                 phase[i] = Phase.DIRECT
                 self.waypoint[i] = math.nan, math.nan
@@ -334,13 +333,12 @@ def spawn_flow(config: ScenarioConfig) -> Crowd:
     from its own stream, a position at least `spawn_exclusion` from the
     dyad, a goal on a random edge and a speed."""
     env = config.build_environment()
-    user, vh = config.initial_poses(env)
+    user, vh = config.initial_poses()
     dyad = Segment(user.position, vh.position)
-    count = config.pedestrian_count(env)
+    count = config.pedestrian_count()
     position, velocity, goal = np.zeros((count, 2)), np.zeros((count, 2)), np.zeros((count, 2))
     speed = np.zeros(count)
     rngs = [_pedestrian_rng(config.seed, ped_id) for ped_id in range(count)]
-    sides: list[int] = []
     for ped_id, rng in enumerate(rngs):
         exclusion = config.spawn_exclusion
         p = None
@@ -352,16 +350,14 @@ def spawn_flow(config: ScenarioConfig) -> Crowd:
                     break
             else:
                 exclusion *= 0.5  # area too tight; relax rather than fail
-        side = int(rng.integers(2))
-        g = _draw_goal(rng, env, side)
+        g = _draw_goal(rng, env, int(rng.integers(2)))
         pace = float(rng.uniform(config.speed_min, config.speed_max))
         dx, dy = g.x - p.x, g.y - p.y
         n = math.hypot(dx, dy)
         if n > 1e-12:
             velocity[ped_id] = dx * (pace / n), dy * (pace / n)
         position[ped_id], goal[ped_id], speed[ped_id] = (p.x, p.y), (g.x, g.y), pace
-        sides.append(side)
-    return Crowd(position, velocity, goal, speed, rngs, sides, env, config)
+    return Crowd(position, velocity, goal, speed, rngs, config)
 
 
 def step_pedestrian(crowd: Crowd, i: int, user: Vec2) -> tuple[tuple, tuple, int, tuple]:
@@ -514,10 +510,9 @@ def run_trial(config: ScenarioConfig, trace: IO[str] | None = None) -> TrialMetr
     trace rows at once.
     """
     crowd = spawn_flow(config)
-    env = crowd.env
-    user, vh = config.initial_poses(env)
+    user, vh = config.initial_poses()
 
-    planner = ConflictAvoidancePlanner(env, config) if config.condition == "proposed" else None
+    planner = ConflictAvoidancePlanner(config) if config.condition == "proposed" else None
     n_ticks = config.tick_count()
     inside_territory = inside_body = np.zeros(len(crowd), dtype=bool)  # replaced, never written
     counts = np.zeros(len(EVENT_KINDS), np.int64)  # events of each kind

@@ -7,9 +7,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vhsim.geometry import Environment, Pose, Vec2, hypot
+from vhsim.geometry import Pose, Vec2, hypot
 from vhsim.planner import PlanningSnapshot, make_snapshot
-from vhsim.prediction import Phase, Prediction, PredictedTrajectory, predict_trajectory
+from vhsim.prediction import Phase, Prediction, predict_trajectory
 from vhsim.proxemics import Crowdedness, Definiteness, SpatialContext
 from vhsim.simulation import Crowd, ScenarioConfig, step_pedestrian
 
@@ -27,11 +27,11 @@ class PedestrianState:
     waypoint: Vec2 | None = None
 
 
-# What a hand-written crowd reads unless given its own; both are frozen.
-DEFAULT_ENV, DEFAULT_CONFIG = Environment(1.0, 1.0), ScenarioConfig(goal_tolerance=0.0)
+# What a hand-written crowd reads unless given its own; it is frozen.
+DEFAULT_CONFIG = ScenarioConfig(goal_tolerance=0.0)
 
 
-def crowd_of(pedestrians: list[PedestrianState], rngs=None, goal_sides=None, env=None, config=None) -> Crowd:
+def crowd_of(pedestrians: list[PedestrianState], rngs=None, config=None) -> Crowd:
     """A crowd whose row i is pedestrians[i]; their ids must be 0..n-1."""
     n = len(pedestrians)
     assert [p.id for p in pedestrians] == list(range(n)), "ids must equal the row indices"
@@ -42,8 +42,7 @@ def crowd_of(pedestrians: list[PedestrianState], rngs=None, goal_sides=None, env
     crowd = Crowd(
         column("position"), column("velocity"), column("goal"),
         np.array([p.preferred_speed for p in pedestrians], float),
-        rngs or [None] * n, goal_sides or [0] * n,
-        env or DEFAULT_ENV, config or DEFAULT_CONFIG,
+        rngs or [None] * n, config or DEFAULT_CONFIG,
     )
     for i, p in enumerate(pedestrians):
         crowd.phase[i] = p.phase
@@ -52,9 +51,9 @@ def crowd_of(pedestrians: list[PedestrianState], rngs=None, goal_sides=None, env
     return crowd
 
 
-def crowd_of_one(ped: PedestrianState, env=None, config=None) -> Crowd:
+def crowd_of_one(ped: PedestrianState, config=None) -> Crowd:
     """A one-row crowd holding `ped`, whatever its id."""
-    return crowd_of([replace(ped, id=0)], env=env, config=config)
+    return crowd_of([replace(ped, id=0)], config=config)
 
 
 def states_of(crowd: Crowd) -> list[PedestrianState]:
@@ -80,7 +79,7 @@ def positions_of(pedestrians: list[PedestrianState]) -> np.ndarray:
 
 
 def predict_one(ped: PedestrianState, user: Vec2, horizon: float, dt: float,
-                config: ScenarioConfig) -> PredictedTrajectory:
+                config: ScenarioConfig) -> Prediction:
     """One pedestrian's predicted path, through the crowd-wide prediction."""
     return predict_trajectory(crowd_of_one(ped), np.array([0]), user, horizon, dt, config)[0]
 
@@ -94,12 +93,12 @@ def prediction_of(*paths, ids=None) -> Prediction:
     return Prediction(ids, np.arange(n) * 0.1, points, Vec2(0.0, 0.0))
 
 
-def samples_of(traj: PredictedTrajectory) -> list[tuple[float, Vec2]]:
+def samples_of(traj: Prediction) -> list[tuple[float, Vec2]]:
     """The path's (time, position) samples as scalars."""
     return [(float(t), Vec2(float(p[0]), float(p[1]))) for t, p in zip(traj.times, traj.points)]
 
 
-def d_min_of(traj: PredictedTrajectory) -> float:
+def d_min_of(traj: Prediction) -> float:
     """The path's closest predicted approach to the user."""
     return float(hypot(traj.points[:, 0] - traj.user.x, traj.points[:, 1] - traj.user.y).min())
 
@@ -113,9 +112,10 @@ WALLED = {
 }
 
 
-def random_scene(rng, env: Environment, config: ScenarioConfig) -> tuple[PlanningSnapshot, SpatialContext]:
-    """A user at 8-12 m on both axes of `env`, the agent 0.6-1.5 m away, 1-6
-    pedestrians walking within 5 m of the user, and a random context."""
+def random_scene(rng, config: ScenarioConfig) -> tuple[PlanningSnapshot, SpatialContext]:
+    """A user at 8-12 m on both axes, the agent 0.6-1.5 m away, 1-6
+    pedestrians walking within 5 m of the user, and a random context. In a
+    20 m square every candidate around the user lies inside."""
     user = Pose(Vec2(rng.uniform(8, 12), rng.uniform(8, 12)), rng.uniform(0, 2 * math.pi))
     angle = rng.uniform(0, 2 * math.pi)
     r = rng.uniform(0.6, 1.5)
@@ -132,5 +132,5 @@ def random_scene(rng, env: Environment, config: ScenarioConfig) -> tuple[Plannin
             goal=Vec2(px + 20 * math.cos(heading), py + 20 * math.sin(heading)),
             preferred_speed=speed,
         ))
-    snapshot = make_snapshot(user, vh, env, crowd_of(peds), config)
+    snapshot = make_snapshot(user, vh, crowd_of(peds), config)
     return snapshot, SpatialContext(rng.choice(list(Definiteness)), rng.choice(list(Crowdedness)))

@@ -220,10 +220,11 @@ def inside(env: Environment, p: Vec2) -> bool:
     return 0.0 <= p.x <= env.width and 0.0 <= p.y <= env.height
 
 
-def oracle_candidates(user: Pose, current_vh: Vec2, env: Environment, config: ScenarioConfig) -> list[Vec2]:
+def oracle_candidates(user: Pose, current_vh: Vec2, config: ScenarioConfig) -> list[Vec2]:
     """The planner's candidate grid, point by point: radius by radius and
-    bearing by bearing, dropping points outside the bounds or closer than
-    the wall clearance to a wall segment, then the current spot."""
+    bearing by bearing, dropping points outside the config's environment or
+    closer than the wall clearance to a wall segment, then the current spot."""
+    env = config.build_environment()
     walls = side_walls(env)
     candidates = []
     radial_step, angular_step = config.candidate_radial_step, config.candidate_angular_step
@@ -281,17 +282,19 @@ def goal_boxes(env: Environment, side: int) -> list[tuple[float, float, float, f
 
 def oracle_crowd_tick(crowd: Crowd, user: Vec2) -> None:
     """One tick of the crowd, pedestrian by pedestrian: the scalar dodge rule,
-    then, within the goal tolerance, the other side's next goal from the
-    pedestrian's own generator: a box, then a uniform point in it. Every row
+    then, within the goal tolerance, the next goal from the pedestrian's own
+    generator: a box on the other side from the goal reached (the bottom
+    boxes after a goal in the top boxes' strip, the top boxes after any
+    other goal), then a uniform point in it. Every row
     is stepped from the tick before; the crowd's arrays are replaced at the
     end."""
     rows = [list(step_pedestrian(crowd, i, user)) for i in range(len(crowd))]
     goals = crowd.goal.tolist()
+    env = crowd.config.build_environment()
     for i, row in enumerate(rows):
         (x, y), (gx, gy) = row[0], goals[i]
         if math.hypot(x - gx, y - gy) <= crowd.config.goal_tolerance:
-            side = crowd.goal_side[i] = 1 - crowd.goal_side[i]
-            boxes = goal_boxes(crowd.env, side)
+            boxes = goal_boxes(env, 1 if gy >= env.height - 0.5 else 0)
             rng = crowd.rngs[i]
             x_min, y_min, x_max, y_max = boxes[int(rng.integers(len(boxes)))]
             goals[i] = float(rng.uniform(x_min, x_max)), float(rng.uniform(y_min, y_max))

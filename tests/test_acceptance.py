@@ -22,7 +22,7 @@ import vhsim.planner as planner_module
 from crowds import PedestrianState, d_min_of, predict_one, random_scene
 from oracles import RelativeAngles, classify_arrangement, oracle_utility, relative_angles
 from vhsim.cli import _ablation_points, _run_pairs, _trial_row, emit_csv, run_matrix
-from vhsim.geometry import Environment, Pose, Vec2
+from vhsim.geometry import Pose, Vec2
 from vhsim.planner import _argbest, score_candidates, search
 from vhsim.prediction import detour_waypoint
 from vhsim.proxemics import (
@@ -162,18 +162,22 @@ class TestCriterion3ArrangementClassifier:
                f"{checked} decisions, {mismatches} mismatches")
 
 
+# Criterion 4's scenes, whose users stand 8-12 m in on both axes. The scenes
+# bring their own pedestrians; without a crowd the work bounds also admit the
+# 4x-finer grid on this square.
+SQUARE20 = ScenarioConfig(environment="square20", density=0.0)
+
+
 @pytest.fixture(scope="class")
 def planner_snapshots():
     """100 random scenes: user, agent, 1-6 pedestrians nearby, a random context."""
     rng = random.Random(99)
-    env = Environment(20.0, 20.0)
-    config = ScenarioConfig()
-    return [random_scene(rng, env, config) for _ in range(100)]
+    return [random_scene(rng, SQUARE20) for _ in range(100)]
 
 
 class TestCriterion4PlannerOracle:
     def test_4a_production_decision_matches_oracle(self, planner_snapshots):
-        config = ScenarioConfig()
+        config = SQUARE20
         t0 = time.perf_counter()
         worst_exact = 0.0
         for snap, context in planner_snapshots:
@@ -198,7 +202,7 @@ class TestCriterion4PlannerOracle:
         # 2.06 s, under the 10 s budget), but turned Criterion 7's out-group
         # sweep red; that conflict, not runtime, keeps this red. Reported
         # honestly rather than loosened.
-        config = ScenarioConfig()
+        config = SQUARE20
         fine = replace(config, candidate_radial_step=0.0375, candidate_angular_step=3.75)
         worst_fine = math.inf
         fine_violations = 0

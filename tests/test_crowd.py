@@ -18,9 +18,9 @@ import pytest
 from crowds import PedestrianState, crowd_of
 from oracles import oracle_crowd_tick
 from vhsim import simulation
-from vhsim.geometry import Environment, Vec2, hypot
+from vhsim.geometry import Vec2, hypot
 from vhsim.prediction import Phase
-from vhsim.simulation import Crowd, ScenarioConfig, spawn_flow
+from vhsim.simulation import GOAL_DEPTH, Crowd, ScenarioConfig, spawn_flow
 
 CONFIG = ScenarioConfig()
 ORIGIN = Vec2(0.0, 0.0)
@@ -59,13 +59,32 @@ def scalar_calls(monkeypatch):
 @pytest.mark.parametrize("environment", ["square20", "passage"])
 def test_matches_scalar_loop_for_6000_ticks(environment, scalar_calls):
     cfg = ScenarioConfig(environment=environment, density=0.25, seed=1)
-    user, _ = cfg.initial_poses(cfg.build_environment())
+    user, _ = cfg.initial_poses()
     crowd = spawn_flow(cfg)
     oracle = copy.deepcopy(crowd)
     ticks = 6000
     run_pair(crowd, oracle, user.position, ticks)
     # the scalar rule ran, but only on the few ticks where a phase could change
     assert 0 < len(scalar_calls) <= 0.02 * len(crowd) * ticks
+
+
+@pytest.mark.parametrize("environment", ["square20", "passage"])
+def test_every_new_goal_lies_in_the_other_band(environment):
+    # read from the goals alone: a goal in the top band (y >= height -
+    # GOAL_DEPTH) is followed by one in the bottom band, and the other way
+    cfg = ScenarioConfig(environment=environment, density=0.25, seed=1)
+    height = cfg.build_environment().height
+    user, _ = cfg.initial_poses()
+    crowd = spawn_flow(cfg)
+    changes = 0
+    for tick in range(6000):
+        before = crowd.goal[:, 1].copy()
+        crowd.step(user.position)
+        changed = (crowd.goal[:, 1] != before).nonzero()[0]
+        was_top, now_y = before[changed] >= height - GOAL_DEPTH, crowd.goal[changed, 1]
+        assert np.where(was_top, now_y < GOAL_DEPTH, now_y >= height - GOAL_DEPTH).all(), f"tick {tick}"
+        changes += changed.size
+    assert changes > 100
 
 
 def scene(*states: PedestrianState, goal_tolerance: float = 0.3) -> tuple[Crowd, Crowd]:
@@ -76,7 +95,7 @@ def scene(*states: PedestrianState, goal_tolerance: float = 0.3) -> tuple[Crowd,
                             goal=Vec2(15.0, 19.7), preferred_speed=1.3)
     peds = list(states) + [extra]
     rngs = [np.random.default_rng(i) for i in range(len(peds))]
-    crowd = crowd_of(peds, rngs, [0] * len(peds), Environment(20.0, 20.0), ScenarioConfig(goal_tolerance=goal_tolerance))
+    crowd = crowd_of(peds, rngs, ScenarioConfig(environment="square20", goal_tolerance=goal_tolerance))
     return crowd, copy.deepcopy(crowd)
 
 
@@ -148,6 +167,14 @@ def test_zero_spawn_velocity(scalar_calls):
     run_pair(crowd, oracle, ORIGIN, 30)
 
 
+def test_mid_field_goal_rerolls_into_the_top_band():
+    # only a hand-built row can hold a goal in neither band; like any goal
+    # outside the top band, it is followed by one in the top band
+    crowd, oracle = scene(walker((5.0, 5.0), (5.0, 5.1)))
+    run_pair(crowd, oracle, ORIGIN, 1)
+    assert crowd.goal[0, 1] >= 20.0 - GOAL_DEPTH
+
+
 def test_avoiding_without_a_waypoint_heads_for_its_goal():
     # the scalar rule heads for the goal while no waypoint is set; only a
     # hand-built row can be AVOIDING without one
@@ -170,7 +197,7 @@ def test_distance_helper_is_math_hypot_where_numpy_is_not():
 def test_step_leaves_earlier_position_arrays_unchanged(scalar_calls):
     # run_trial keeps a block of past position arrays by reference, not by copy
     cfg = ScenarioConfig(environment="square12", density=0.25, seed=2)
-    user, _ = cfg.initial_poses(cfg.build_environment())
+    user, _ = cfg.initial_poses()
     crowd = spawn_flow(cfg)
     kept, copies = [], []
     for _ in range(300):  # long enough for dodges, waypoint arrivals and goal re-rolls

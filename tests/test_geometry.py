@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from vhsim.geometry import (
 from vhsim.proxemics import Definiteness, classify_spatial_context
 from vhsim.simulation import ScenarioConfig, _draw_goal
 
-PASSAGE = ScenarioConfig(environment="passage").build_environment()
+PASSAGE = ScenarioConfig(environment="passage")
 
 
 class TestDistancePointSegment:
@@ -81,30 +82,29 @@ class TestAngles:
         assert p.orientation == pytest.approx(1.5 * math.pi)
 
 
-def near_wall(env: Environment, dyad: Segment, personal_space: float) -> bool:
-    context = classify_spatial_context(env, dyad, np.empty((0, 2)), ScenarioConfig(personal_space=personal_space))
+def near_wall(config: ScenarioConfig, dyad: Segment, personal_space: float) -> bool:
+    context = classify_spatial_context(dyad, np.empty((0, 2)), replace(config, personal_space=personal_space))
     return context.definiteness is Definiteness.NEAR_WALL
 
 
 class TestEnvironment:
     def test_narrow_passage_centerline(self):
-        env = PASSAGE
+        env = PASSAGE.build_environment()
         assert env == Environment(3.0, 20.0, side_walls=True)
         assert env.center() == Vec2(1.5, 10.0)
         # the centerline is 1.5 m from either wall
         centerline = Segment(Vec2(1.5, 9.0), Vec2(1.5, 11.0))
-        assert near_wall(env, centerline, 1.5 + 1e-9) and not near_wall(env, centerline, 1.5)
+        assert near_wall(PASSAGE, centerline, 1.5 + 1e-9) and not near_wall(PASSAGE, centerline, 1.5)
 
     def test_half_meter_from_wall(self):
-        env = PASSAGE
         for x in (0.5, 2.5):
             dyad = Segment(Vec2(x, 4.0), Vec2(1.5, 4.0))
-            assert near_wall(env, dyad, 0.5 + 1e-9) and not near_wall(env, dyad, 0.5)
+            assert near_wall(PASSAGE, dyad, 0.5 + 1e-9) and not near_wall(PASSAGE, dyad, 0.5)
 
     def test_open_square_has_no_walls(self):
-        env = ScenarioConfig(environment="square20").build_environment()
-        assert env == Environment(20.0, 20.0, side_walls=False)
-        assert not near_wall(env, Segment(Vec2(0.0, 10.0), Vec2(20.0, 10.0)), 100.0)
+        square = ScenarioConfig(environment="square20")
+        assert square.build_environment() == Environment(20.0, 20.0, side_walls=False)
+        assert not near_wall(square, Segment(Vec2(0.0, 10.0), Vec2(20.0, 10.0)), 100.0)
 
     def test_goal_boxes_cover_edges(self):
         # every draw lies in its edge's 0.5 m strip, and the five 2.4 m boxes
@@ -118,9 +118,8 @@ class TestEnvironment:
 
     def test_segment_wall_distance(self):
         # the dyad's nearer end is 0.75 m from the left wall
-        env = PASSAGE
         dyad = Segment(Vec2(0.75, 10.0), Vec2(2.25, 10.0))
-        assert near_wall(env, dyad, 0.75 + 1e-9) and not near_wall(env, dyad, 0.75)
+        assert near_wall(PASSAGE, dyad, 0.75 + 1e-9) and not near_wall(PASSAGE, dyad, 0.75)
 
 
 def np_distance_point_segment(p: Vec2, s: Segment) -> float:

@@ -101,11 +101,11 @@ def test_crowd_is_what_numpy_streams_give(monkeypatch):
     monkeypatch.setattr(simulation, "_pedestrian_rng", numpy_stream)
     theirs = spawn_flow(config)
     assert isinstance(theirs.rngs[0], np.random.Generator)
-    user, _ = config.initial_poses(ours.env)
+    user, _ = config.initial_poses()
 
     def rows(crowd):
-        return np.column_stack([crowd.position, crowd.velocity, crowd.goal, crowd.speed, crowd.goal_side,
-                                crowd.phase, crowd.waypoint]).view(np.uint64)
+        return np.column_stack([crowd.position, crowd.velocity, crowd.goal, crowd.speed, crowd.phase,
+                                crowd.waypoint]).view(np.uint64)
 
     assert (rows(ours) == rows(theirs)).all()
     rerolls = 0

@@ -19,7 +19,6 @@ from oracles import (
 )
 from vhsim.comfort import SATURATION_DISTANCE_M, comfort_from_distance
 from vhsim.geometry import (
-    Environment,
     Pose,
     Segment,
     Vec2,
@@ -48,6 +47,9 @@ from vhsim.proxemics import (
 from vhsim.simulation import ScenarioConfig, run_trial
 
 CONFIG = ScenarioConfig()
+# hand-built scenes bring their own pedestrians; without a crowd the work
+# bounds also admit the 4x-finer grid on this square
+SQUARE20 = ScenarioConfig(environment="square20", density=0.0)
 CTX_OPEN = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
 
 
@@ -98,16 +100,14 @@ class TestDetectConflict:
 
 class TestGenerateCandidates:
     def test_open_square_full_grid(self):
-        env = Environment(20.0, 20.0)
         user = Pose(Vec2(10, 10), 0.0)
-        cands = generate_candidates(user, Vec2(10, 11.5), env, CONFIG)
+        cands = generate_candidates(user, Vec2(10, 11.5), SQUARE20)
         assert len(cands) == 7 * 24 + 1
         assert cands[-1].tolist() == [10, 11.5]
 
     def test_wall_filtering_matches_hand_rule(self):
-        env = ScenarioConfig(environment="passage").build_environment()
         user = Pose(Vec2(0.5, 10.0), 0.0)
-        cands = generate_candidates(user, Vec2(1.5, 10.0), env, CONFIG)
+        cands = generate_candidates(user, Vec2(1.5, 10.0), ScenarioConfig(environment="passage"))
         # independent count: keep grid points inside bounds and at least
         # 0.3 m from both long walls (x in [0.3, 2.7])
         expected = 0
@@ -138,36 +138,41 @@ class TestGenerateCandidates:
             # the second call at a user position reuses the first's lattice
             for _ in range(2):
                 current = Vec2(rng.uniform(0.0, env.width), rng.uniform(0.0, env.height))
-                got = generate_candidates(user, current, env, config)
-                want = np.array([(c.x, c.y) for c in oracle_candidates(user, current, env, config)])
+                got = generate_candidates(user, current, config)
+                want = np.array([(c.x, c.y) for c in oracle_candidates(user, current, config)])
                 assert got.shape == want.shape and (got.view(np.uint64) == want.view(np.uint64)).all()
 
     def test_lattice_cache_keyed_by_what_it_reads(self):
         # equal inputs share one cached grid, and a change to any input the
-        # grid reads builds its own, never a stale one
-        center = Vec2(0.5, 10.0)
-        open_env, walled = Environment(3.0, 20.0), Environment(3.0, 20.0, side_walls=True)
-        lattice = planner_module._lattice(center, open_env, CONFIG)
-        assert planner_module._lattice(Vec2(0.5, 10.0), Environment(3.0, 20.0), CONFIG) is lattice
+        # grid reads builds its own, never a stale one: the grid step, the
+        # environment preset (the 12 m square cuts the rings above y = 12),
+        # the side walls and their clearance
+        center = Vec2(0.5, 11.0)
+        strip = ScenarioConfig(environment="custom", env_width=3.0, env_height=20.0)
+        lattice = planner_module._lattice(center, strip)
+        assert planner_module._lattice(Vec2(0.5, 11.0), replace(strip)) is lattice
         variants = [
-            (open_env, replace(CONFIG, candidate_angular_step=30.0)),
-            (walled, CONFIG),
-            (walled, replace(CONFIG, wall_clearance=0.5)),
+            replace(strip, candidate_angular_step=30.0),
+            replace(strip, environment="square12"),
+            replace(strip, env_side_walls=True),
+            replace(strip, env_side_walls=True, wall_clearance=0.5),
         ]
         grids = [lattice]
-        for env, config in variants:
-            grid = planner_module._lattice(center, env, config)
-            want = np.array([(c.x, c.y) for c in oracle_candidates(Pose(center, 0.0), center, env, config)[:-1]])
+        for config in variants:
+            grid = planner_module._lattice(center, config)
+            want = np.array([(c.x, c.y) for c in oracle_candidates(Pose(center, 0.0), center, config)[:-1]])
             assert grid.shape == want.shape and (grid.view(np.uint64) == want.view(np.uint64)).all()
             grids.append(grid)
         assert len({grid.shape for grid in grids}) == len(grids)
 
     def test_degenerate_env_keeps_only_current(self):
-        # corner distance 0.57 m < smallest ring radius, so the grid is empty
-        env = Environment(width=0.8, height=0.8)
-        user = Pose(Vec2(0.4, 0.4), 0.0)
-        cands = generate_candidates(user, Vec2(0.5, 0.4), env, CONFIG)
-        assert cands.tolist() == [[0.5, 0.4]]
+        # no point of a 1 m wide strip lies 0.6 m from both side walls, so
+        # the grid is empty
+        config = ScenarioConfig(environment="custom", env_width=1.0, env_height=20.0, env_side_walls=True,
+                                wall_clearance=0.6)
+        user = Pose(Vec2(0.5, 10.0), 0.0)
+        cands = generate_candidates(user, Vec2(0.5, 10.4), config)
+        assert cands.tolist() == [[0.5, 10.4]]
 
 
 def score_one(cand, user, current, trajectories):
@@ -324,7 +329,7 @@ class TestScoreKernelExact:
         # every sample is kept, so the kernel sees exactly one full block,
         # then one full block and a block of one sample
         user = Pose(Vec2(10.0, 10.0), 0.0)
-        candidates = generate_candidates(user, Vec2(10.0, 11.5), Environment(20.0, 20.0), CONFIG)
+        candidates = generate_candidates(user, Vec2(10.0, 11.5), SQUARE20)
         rows = planner_module.BLOCK_CELLS // len(candidates)
         points = np.random.default_rng(7 + extra).uniform(9.0, 11.0, (rows + extra, 2))
         approach = self.hand_call(candidates, points, user=user)[4]
@@ -333,8 +338,8 @@ class TestScoreKernelExact:
     def test_criterion_4b_grid(self):
         # 2 401 candidates: four samples a block, the last block partial
         user = Pose(Vec2(10.0, 10.0), 0.0)
-        fine = replace(CONFIG, candidate_radial_step=0.0375, candidate_angular_step=3.75)
-        candidates = generate_candidates(user, Vec2(10.0, 11.5), Environment(20.0, 20.0), fine)
+        fine = replace(SQUARE20, candidate_radial_step=0.0375, candidate_angular_step=3.75)
+        candidates = generate_candidates(user, Vec2(10.0, 11.5), fine)
         assert len(candidates) == 2401
         points = np.random.default_rng(13).uniform(7.5, 12.5, (50, 2))
         approach = self.hand_call(candidates, points, fine, user)[4]
@@ -358,7 +363,7 @@ def score_peak(cells):
     """The traced allocation peak, in bytes, of scoring the default grid
     against about `cells` / 169 kept samples."""
     user = Pose(Vec2(10.0, 10.0), 0.0)
-    candidates = generate_candidates(user, Vec2(10.0, 11.5), Environment(20.0, 20.0), CONFIG)
+    candidates = generate_candidates(user, Vec2(10.0, 11.5), SQUARE20)
     samples = -(-cells // len(candidates))
     points = np.random.default_rng(3).uniform(8.5, 11.5, (samples, 2))
     tracemalloc.start()
@@ -469,26 +474,25 @@ class TestStepPlan:
             assert moved <= CONFIG.vh_max_speed * dt + 1e-9
 
 
-def build_snapshot(user, vh, env, trajectories, pedestrians=None):
-    return PlanningSnapshot(user, vh, env, positions_of(pedestrians or []), cloud(*trajectories))
+def build_snapshot(user, vh, trajectories, pedestrians=None):
+    return PlanningSnapshot(user, vh, positions_of(pedestrians or []), cloud(*trajectories))
 
 
 class TestPlanIfNeeded:
     def setup_method(self):
-        self.env = Environment(20.0, 20.0)
         self.user = Pose(Vec2(10, 9.25), math.pi / 2)
         self.vh = Pose(Vec2(10, 10.75), 1.5 * math.pi)
 
     def test_no_conflict_stays_stable(self):
-        snap = build_snapshot(self.user, self.vh, self.env, [])
-        plan, decision = plan_if_needed(snap, None, CONFIG)
+        snap = build_snapshot(self.user, self.vh, [])
+        plan, decision = plan_if_needed(snap, None, SQUARE20)
         assert plan is None and decision is None
 
     def test_conflict_elsewhere_adjusts(self):
         # a pedestrian will walk straight through the current agent position
         t = straight_traj((6.0, 10.75), (1.4, 0.0), n=80, pid=5)
-        snap = build_snapshot(self.user, self.vh, self.env, [t])
-        plan, decision = plan_if_needed(snap, None, CONFIG)
+        snap = build_snapshot(self.user, self.vh, [t])
+        plan, decision = plan_if_needed(snap, None, SQUARE20)
         assert plan is decision is not None
         assert decision.move[decision.winner] > 0.0
         # the chosen target is itself clear of the predicted path
@@ -497,7 +501,7 @@ class TestPlanIfNeeded:
         )
         seg_clear = detect_potential_conflict(
             Segment(self.user.position, decision.target_position), cloud(t),
-            CONFIG.territory_radius + CONFIG.planning_margin,
+            SQUARE20.territory_radius + SQUARE20.planning_margin,
         )
         assert seg_clear is False
 
@@ -508,8 +512,8 @@ class TestPlanIfNeeded:
         # as closed
         user = Pose(Vec2(9.0, 10.0), math.radians(30.0))
         vh = Pose(Vec2(10.0, 11.0), 0.0)
-        snap = build_snapshot(user, vh, self.env, [traj([(9.5, 10.5)])])
-        _, plan = plan_if_needed(snap, None, CONFIG)
+        snap = build_snapshot(user, vh, [traj([(9.5, 10.5)])])
+        _, plan = plan_if_needed(snap, None, SQUARE20)
         arrangement, ingroup = plan.arrangement[plan.winner], plan.ingroup[plan.winner]
         assert relative_angles(user, Pose(plan.target_position, 0.0)).alpha == pytest.approx(60.0, abs=1e-9)
         assert (arrangement is None) == (ingroup == 0.0)
@@ -518,17 +522,17 @@ class TestPlanIfNeeded:
     def oracle_target(self, trajectories):
         """The oracle's pick for this scene and its utility."""
         dyad = Segment(self.user.position, self.vh.position)
-        ctx = classify_spatial_context(self.env, dyad, positions_of([]), CONFIG)
-        cands = [Vec2(*c) for c in generate_candidates(self.user, self.vh.position, self.env, CONFIG).tolist()]
+        ctx = classify_spatial_context(dyad, positions_of([]), SQUARE20)
+        cands = [Vec2(*c) for c in generate_candidates(self.user, self.vh.position, SQUARE20).tolist()]
         paths = cloud(*trajectories)
-        i = oracle_decision(cands, self.user, self.vh.position, ctx, paths, CONFIG)
-        return cands[i], oracle_utility(cands[i], self.user, self.vh.position, ctx, paths, CONFIG)
+        i = oracle_decision(cands, self.user, self.vh.position, ctx, paths, SQUARE20)
+        return cands[i], oracle_utility(cands[i], self.user, self.vh.position, ctx, paths, SQUARE20)
 
     def test_decision_matches_hand_scored_candidates(self):
         # safe branch: some candidates clear the pedestrian's path
         t = straight_traj((6.0, 10.75), (1.4, 0.0), n=80, pid=5)
-        snap = build_snapshot(self.user, self.vh, self.env, [t])
-        _, decision = plan_if_needed(snap, None, CONFIG)
+        snap = build_snapshot(self.user, self.vh, [t])
+        _, decision = plan_if_needed(snap, None, SQUARE20)
         target, utility = self.oracle_target([t])
         assert decision.target_position == target
         assert decision.utility[decision.winner] == pytest.approx(utility, abs=1e-9)
@@ -539,8 +543,8 @@ class TestPlanIfNeeded:
         # outside the best-clearance band but within territory - rest margin
         below = straight_traj((6.0, 8.80), (1.4, 0.0), n=80, pid=1)
         above = straight_traj((6.0, 11.07), (1.4, 0.0), n=80, pid=2)
-        snap = build_snapshot(self.user, self.vh, self.env, [below, above])
-        plan, decision = plan_if_needed(snap, None, CONFIG)
+        snap = build_snapshot(self.user, self.vh, [below, above])
+        plan, decision = plan_if_needed(snap, None, SQUARE20)
         target, utility = self.oracle_target([below, above])
         assert decision.target_position == target
         assert decision.utility[decision.winner] == pytest.approx(utility, abs=1e-9)
@@ -551,8 +555,8 @@ class TestPlanIfNeeded:
         # rest margin into the territory, so holding still is dropped
         below = straight_traj((6.0, 8.80), (1.4, 0.0), n=80, pid=1)
         above = straight_traj((6.0, 10.95), (1.4, 0.0), n=80, pid=2)
-        snap = build_snapshot(self.user, self.vh, self.env, [below, above])
-        plan, decision = plan_if_needed(snap, None, CONFIG)
+        snap = build_snapshot(self.user, self.vh, [below, above])
+        plan, decision = plan_if_needed(snap, None, SQUARE20)
         target, utility = self.oracle_target([below, above])
         assert decision.target_position == target
         assert decision.utility[decision.winner] == pytest.approx(utility, abs=1e-9)
@@ -570,8 +574,8 @@ class TestPlanIfNeeded:
                   for a in range(lo, lo + 21)], pid=pid)
             for pid, lo in ((1, 40), (2, 120))
         ]
-        snap = build_snapshot(self.user, self.vh, self.env, arcs)
-        _, decision = plan_if_needed(snap, None, CONFIG)
+        snap = build_snapshot(self.user, self.vh, arcs)
+        _, decision = plan_if_needed(snap, None, SQUARE20)
         target, utility = self.oracle_target(arcs)
         assert decision.target_position == target
         assert decision.utility[decision.winner] == pytest.approx(utility, abs=1e-9)
@@ -580,18 +584,18 @@ class TestPlanIfNeeded:
     def test_hold_when_outgroup_ignored(self):
         # with zero out-group weight the plain argmax keeps the agent stable
         t = straight_traj((6.0, 10.75), (1.4, 0.0), n=80, pid=5)
-        snap = build_snapshot(self.user, self.vh, self.env, [t])
-        config = replace(CONFIG, coefficient_c=0.0, coefficient_d=0.5)
+        snap = build_snapshot(self.user, self.vh, [t])
+        config = replace(SQUARE20, coefficient_c=0.0, coefficient_d=0.5)
         plan, decision = plan_if_needed(snap, None, config)
         assert plan is None
         assert decision is not None and decision.move[decision.winner] == 0.0
 
     def test_keeps_clean_active_plan(self):
         t = straight_traj((6.0, 10.75), (1.4, 0.0), n=80, pid=5)
-        snap = build_snapshot(self.user, self.vh, self.env, [t])
-        plan, decision = plan_if_needed(snap, None, CONFIG)
+        snap = build_snapshot(self.user, self.vh, [t])
+        plan, decision = plan_if_needed(snap, None, SQUARE20)
         assert plan is decision is not None
-        again, decision2 = plan_if_needed(snap, plan, CONFIG)
+        again, decision2 = plan_if_needed(snap, plan, SQUARE20)
         assert again is plan and decision2 is None
 
 
@@ -600,12 +604,11 @@ class TestSearchOnRandomScenes:
         # the acceptance suite's scene generator, other seeds: the pruned
         # winner and its utility against the scalar decision rule
         rng = random.Random(7)
-        env = Environment(20.0, 20.0)
         for _ in range(30):
-            snap, context = random_scene(rng, env, CONFIG)
-            decision = search(snap, context, CONFIG)
+            snap, context = random_scene(rng, SQUARE20)
+            decision = search(snap, context, SQUARE20)
             cands = [Vec2(*c) for c in decision.candidates.tolist()]
-            args = (snap.user, snap.vh.position, context, snap.trajectories, CONFIG)
+            args = (snap.user, snap.vh.position, context, snap.trajectories, SQUARE20)
             assert decision.winner == oracle_decision(cands, *args)
             assert decision.utility[decision.winner] == pytest.approx(
                 oracle_utility(cands[decision.winner], *args), abs=1e-9
@@ -614,8 +617,7 @@ class TestSearchOnRandomScenes:
 
 class TestPlannerLoop:
     def test_never_leaves_stable_without_pedestrians(self):
-        env = Environment(12.0, 12.0)
-        planner = ConflictAvoidancePlanner(env, CONFIG)
+        planner = ConflictAvoidancePlanner(CONFIG)
         user = Pose(Vec2(6, 5.25), math.pi / 2)
         vh = Pose(Vec2(6, 6.75), 1.5 * math.pi)
         start = vh
@@ -628,7 +630,6 @@ class TestPlannerLoop:
         # a candidate with positive in-group and out-group should beat every
         # no-formation candidate whenever its utility is higher
         rng = random.Random(131)
-        env = Environment(20.0, 20.0)
         user = Pose(Vec2(10, 10), rng.uniform(0, 6.28))
         vh = Pose(Vec2(10, 11.5), 0.0)
         for _ in range(20):
@@ -640,7 +641,7 @@ class TestPlannerLoop:
                 )
                 for i in range(3)
             ]
-            d = search(build_snapshot(user, vh, env, trajs), CTX_OPEN, CONFIG)
+            d = search(build_snapshot(user, vh, trajs), CTX_OPEN, SQUARE20)
             utility, ingroup, outgroup = d.utility, d.ingroup, d.outgroup
             winner = _argbest(utility, d.move)
             zero_in_max = utility[ingroup == 0.0].max(initial=0.0)
@@ -650,23 +651,21 @@ class TestPlannerLoop:
 
 class TestMakeSnapshot:
     def test_only_anticipated_predicted(self):
-        env = Environment(20.0, 20.0)
         user = Pose(Vec2(10, 9.25), math.pi / 2)
         vh = Pose(Vec2(10, 10.75), 1.5 * math.pi)
         near = PedestrianState(0, Vec2(12, 10), Vec2(-1, 0), Vec2(0, 10), 1.0)
         far = PedestrianState(1, Vec2(19, 19), Vec2(-1, 0), Vec2(0, 19), 1.0)
-        snap = make_snapshot(user, vh, env, crowd_of([near, far]), CONFIG)
-        assert [t.pedestrian_id for t in snap.trajectories] == [0]
+        snap = make_snapshot(user, vh, crowd_of([near, far]), CONFIG)
+        assert [int(t.ids[0]) for t in snap.trajectories] == [0]
 
     def test_shared_sample_grid(self):
-        env = Environment(20.0, 20.0)
         user = Pose(Vec2(10, 9.25), math.pi / 2)
         vh = Pose(Vec2(10, 10.75), 1.5 * math.pi)
         peds = [
             PedestrianState(0, Vec2(12, 10), Vec2(-1.2, 0), Vec2(0, 10), 1.2),
             PedestrianState(1, Vec2(8, 12), Vec2(0.5, -1.0), Vec2(12, 0), 1.118),
         ]
-        snap = make_snapshot(user, vh, env, crowd_of(peds), CONFIG)
+        snap = make_snapshot(user, vh, crowd_of(peds), CONFIG)
         assert snap.trajectories.ids.size == 2
         t0, t1 = snap.trajectories
         assert np.array_equal(t0.times, t1.times)

@@ -31,8 +31,8 @@ def test_every_check_tick_matches_the_scalar_path(environment, monkeypatch):
     kinds: dict[str, int] = {}
     checks = []
 
-    def checked(user, vh, env, crowd, config):
-        snap = original(user, vh, env, crowd, config)
+    def checked(user, vh, crowd, config):
+        snap = original(user, vh, crowd, config)
         ids, horizon, points = oracle_snapshot(crowd, user.position, vh.position, config)
         got = snap.trajectories
         assert got.ids.tolist() == ids
@@ -99,8 +99,7 @@ def test_hand_built_rows_match_the_scalar_path():
 def test_hand_built_snapshot_matches_the_scalar_path():
     crowd = crowd_of(hand_built_scene())
     user, vh = Vec2(0.0, 0.0), Vec2(0.0, 1.5)
-    env = ScenarioConfig(environment="square20").build_environment()
-    snap = planner.make_snapshot(Pose(user, 0.0), Pose(vh, 0.0), env, crowd, CONFIG)
+    snap = planner.make_snapshot(Pose(user, 0.0), Pose(vh, 0.0), crowd, CONFIG)
     ids, horizon, points = oracle_snapshot(crowd, user, vh, CONFIG)
     assert snap.trajectories.ids.tolist() == ids and horizon == 4.0  # a stationary row inside the disc
     assert (bits(snap.trajectories.points) == bits(points)).all()

@@ -14,7 +14,7 @@ from oracles import (
     oracle_wall_distance,
     relative_angles,
 )
-from vhsim.geometry import Environment, Pose, Segment, Vec2
+from vhsim.geometry import Pose, Segment, Vec2
 from vhsim.proxemics import (
     ArrangementType,
     Crowdedness,
@@ -26,7 +26,7 @@ from vhsim.proxemics import (
 from vhsim.simulation import ScenarioConfig
 
 CONFIG = ScenarioConfig()
-PASSAGE = ScenarioConfig(environment="passage").build_environment()
+PASSAGE = ScenarioConfig(environment="passage")
 CTX_OPEN = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
 CONTEXTS = [SpatialContext(d, c) for d in Definiteness for c in Crowdedness]
 
@@ -192,23 +192,20 @@ class TestFeasibleArrangements:
 
 class TestSpatialContext:
     def test_open_square_sparse(self):
-        env = Environment(20.0, 20.0)
         dyad = Segment(Vec2(10, 9.25), Vec2(10, 10.75))
         peds = [_ped(0, Vec2(1, 1)), _ped(1, Vec2(19, 19))]
-        ctx = classify_spatial_context(env, dyad, positions_of(peds), CONFIG)
+        ctx = classify_spatial_context(dyad, positions_of(peds), ScenarioConfig(environment="square20"))
         assert ctx == SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
 
     def test_passage_dyad_across_corridor_is_near_wall(self):
-        env = PASSAGE
         dyad = Segment(Vec2(0.75, 10.0), Vec2(2.25, 10.0))
-        ctx = classify_spatial_context(env, dyad, positions_of([]), CONFIG)
+        ctx = classify_spatial_context(dyad, positions_of([]), PASSAGE)
         # nearest wall at 0.75 m < 1.2 m personal space
         assert ctx.definiteness is Definiteness.NEAR_WALL
 
     def test_passage_centerline_dyad_is_open_space(self):
-        env = PASSAGE
         dyad = Segment(Vec2(1.5, 9.25), Vec2(1.5, 10.75))
-        ctx = classify_spatial_context(env, dyad, positions_of([]), CONFIG)
+        ctx = classify_spatial_context(dyad, positions_of([]), PASSAGE)
         # 1.5 m to both walls exceeds the 1.2 m threshold
         assert ctx.definiteness is Definiteness.OPEN_SPACE
 
@@ -231,11 +228,10 @@ class TestSpatialContext:
             d = oracle_wall_distance(env, dyad)
             at = replace(config, personal_space=d)
             above = replace(config, personal_space=math.nextafter(d, math.inf))
-            assert classify_spatial_context(env, dyad, none, at).definiteness is Definiteness.OPEN_SPACE
-            assert classify_spatial_context(env, dyad, none, above).definiteness is Definiteness.NEAR_WALL
+            assert classify_spatial_context(dyad, none, at).definiteness is Definiteness.OPEN_SPACE
+            assert classify_spatial_context(dyad, none, above).definiteness is Definiteness.NEAR_WALL
 
     def test_crowded_at_quarter_density(self):
-        env = Environment(12.0, 12.0)
         dyad = Segment(Vec2(6, 5.25), Vec2(6, 6.75))
         rng = random.Random(31)
         # 0.25 p/m^2 over the whole square; the c-space disc sees about that
@@ -243,13 +239,12 @@ class TestSpatialContext:
             _ped(i, Vec2(rng.uniform(0, 12), rng.uniform(0, 12)))
             for i in range(36)
         ]
-        ctx = classify_spatial_context(env, dyad, positions_of(peds), CONFIG)
+        ctx = classify_spatial_context(dyad, positions_of(peds), CONFIG)
         assert ctx.crowdedness is Crowdedness.CROWDED
 
     def test_empty_scene_uncrowded(self):
-        env = Environment(12.0, 12.0)
         dyad = Segment(Vec2(6, 5.25), Vec2(6, 6.75))
-        ctx = classify_spatial_context(env, dyad, positions_of([]), CONFIG)
+        ctx = classify_spatial_context(dyad, positions_of([]), CONFIG)
         assert ctx.crowdedness is Crowdedness.UNCROWDED
 
     def test_count_inclusive_where_numpy_hypot_is_not(self):
@@ -261,10 +256,9 @@ class TestSpatialContext:
         assert math.hypot(x, y) == CONFIG.c_space_radius < np.hypot(x, y)
         assert CONFIG.c_space_radius < math.sqrt(x * x + y * y)
         config = ScenarioConfig(crowd_threshold=0.03)
-        env = Environment(12.0, 12.0)
         dyad = Segment(Vec2(0.0, -0.75), Vec2(0.0, 0.75))  # midpoint at the origin
-        on_circle = classify_spatial_context(env, dyad, np.array([[x, y]]), config)
-        beyond = classify_spatial_context(env, dyad, np.array([[math.nextafter(x, math.inf), y]]), config)
+        on_circle = classify_spatial_context(dyad, np.array([[x, y]]), config)
+        beyond = classify_spatial_context(dyad, np.array([[math.nextafter(x, math.inf), y]]), config)
         assert on_circle.crowdedness is Crowdedness.CROWDED
         assert beyond.crowdedness is Crowdedness.UNCROWDED
 

@@ -57,7 +57,7 @@ class TestSpawnFlow:
     def test_spawn_respects_exclusion_and_bounds(self):
         cfg = ScenarioConfig(environment="square12", density=0.25, seed=3)
         env = cfg.build_environment()
-        user, vh = cfg.initial_poses(env)
+        user, vh = cfg.initial_poses()
         dyad = Segment(user.position, vh.position)
         from vhsim.geometry import distance_point_segment
 
@@ -410,8 +410,7 @@ class TestPassThrough:
     def test_pedestrian_walks_through_static_agent(self):
         # under condition none the agent has no collider for pedestrians
         cfg = ScenarioConfig(environment="square12", density=0.0, duration=1.0, condition="none")
-        env = cfg.build_environment()
-        user, vh = cfg.initial_poses(env)
+        user, vh = cfg.initial_poses()
         ped = make_ped((vh.position.x - 3.0, vh.position.y), (vh.position.x + 4.0, vh.position.y), speed=1.5)
         closest = math.inf
         for _ in range(50):
@@ -456,24 +455,22 @@ class TestScenarioConfig:
     def test_side_walls_are_the_left_and_right_edges(self):
         # on a wide environment the walls are its short edges, x = 0 and x = 20
         cfg = ScenarioConfig(environment="custom", env_width=20.0, env_height=4.0, env_side_walls=True)
-        env = cfg.build_environment()
         none = np.empty((0, 2))
 
         def definiteness(a: Vec2, b: Vec2) -> Definiteness:
-            return classify_spatial_context(env, Segment(a, b), none, cfg).definiteness
+            return classify_spatial_context(Segment(a, b), none, cfg).definiteness
 
         assert definiteness(Vec2(0.5, 2.0), Vec2(2.0, 2.0)) is Definiteness.NEAR_WALL
         assert definiteness(Vec2(18.0, 2.0), Vec2(19.5, 2.0)) is Definiteness.NEAR_WALL
         # 0.3 m from the long bottom edge, 9 m from either wall
         assert definiteness(Vec2(9.0, 0.3), Vec2(11.0, 0.3)) is Definiteness.OPEN_SPACE
         # candidates keep 0.3 m from the left wall but not from the bottom edge
-        grid = generate_candidates(Pose(Vec2(1.0, 0.7), 0.0), Vec2(1.0, 2.2), env, cfg)[:-1]
+        grid = generate_candidates(Pose(Vec2(1.0, 0.7), 0.0), Vec2(1.0, 2.2), cfg)[:-1]
         assert grid[:, 0].min() >= cfg.wall_clearance > grid[:, 1].min()
 
     def test_initial_poses_face_each_other(self):
         cfg = ScenarioConfig(environment="square12")
-        env = cfg.build_environment()
-        user, vh = cfg.initial_poses(env)
+        user, vh = cfg.initial_poses()
         assert user.position.distance_to(vh.position) == pytest.approx(cfg.interpersonal_distance)
         angles = relative_angles(user, vh)
         assert angles.alpha == pytest.approx(0.0, abs=1e-9)
