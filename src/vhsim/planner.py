@@ -282,7 +282,7 @@ def search(snapshot: PlanningSnapshot, context: SpatialContext, config: Scenario
         pool = np.arange(len(candidates))
     i = int(pool[_argbest(utility[pool], move[pool])])
     target = Vec2(*candidates[i].tolist())
-    orientation = agent_orientation_for(user, target, arrangement[i], float(alpha[i]))
+    orientation = agent_orientation_for(user, target, int(arrangement[i]), float(alpha[i]))
     return Decision(context, candidates, *scores, pool, i, target, orientation)
 
 

@@ -42,22 +42,21 @@ class Phase(enum.IntEnum):
 
 @dataclass(frozen=True)
 class Prediction:
-    """Every tracked pedestrian's future positions on one shared time grid.
+    """Every tracked pedestrian's future positions on one shared time grid,
+    sample k at k * dt.
 
-    `points` holds len(ids) blocks of len(times) rows: block i is pedestrian
-    ids[i]'s path. As a sequence it yields one one-row `Prediction` per
-    pedestrian, whose arrays are views into this one's.
+    `points` holds len(ids) equal blocks, one row per sample time: block i is
+    pedestrian ids[i]'s path. As a sequence it yields one one-row
+    `Prediction` per pedestrian, whose arrays are views into this one's.
     """
 
     ids: np.ndarray
-    times: np.ndarray
     points: np.ndarray
-    user: Vec2
 
     def __getitem__(self, i: int) -> Prediction:
         i = range(self.ids.size)[i]
-        n = self.times.size
-        return Prediction(self.ids[i:i + 1], self.times, self.points[i * n:(i + 1) * n], self.user)
+        n = self.points.shape[0] // self.ids.size
+        return Prediction(self.ids[i:i + 1], self.points[i * n:(i + 1) * n])
 
     def __iter__(self) -> Iterator[Prediction]:
         return map(self.__getitem__, range(self.ids.size))
@@ -148,7 +147,7 @@ def predict_trajectory(
             rng[legged].tolist(), proj[legged].tolist(), miss[legged].tolist())
     ]
     points[legged] = _sample_legs(paths, arc[legged])
-    return Prediction(rows, times, points.reshape(rows.size * n, 2), user)
+    return Prediction(rows, points.reshape(rows.size * n, 2))
 
 
 def _sample_legs(paths: list[list[tuple[Vec2, Vec2, float]]], arc: np.ndarray) -> np.ndarray:

@@ -30,62 +30,32 @@ if TYPE_CHECKING:
     from .simulation import ScenarioConfig
 
 
-class ArrangementType(enum.Enum):
-    CLOSED = "closed"
-    L_SHAPED = "l_shaped"
-    OPEN = "open"
+class ArrangementType(enum.IntEnum):
+    """A dyad's arrangement, as the code `ingroup_choice` returns, in tie
+    order: of two equally preferred, the more closed wins. -1 codes no
+    formation."""
 
-
-class Definiteness(enum.Enum):
-    OPEN_SPACE = "open_space"
-    NEAR_WALL = "near_wall"
-
-
-class Crowdedness(enum.Enum):
-    UNCROWDED = "uncrowded"
-    CROWDED = "crowded"
+    CLOSED = 0
+    L_SHAPED = 1
+    OPEN = 2
 
 
 @dataclass(frozen=True)
 class SpatialContext:
-    definiteness: Definiteness
-    crowdedness: Crowdedness
+    near_wall: bool
+    crowded: bool
 
 
-# Preference of a dyad for each arrangement under each spatial context
+# Preference of a dyad for each arrangement, indexed [near_wall][crowded][code]
 # (high = 1.0, middle = 0.6, low = 0.2).
-_PREFERENCE = {
-    (Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED): {
-        ArrangementType.CLOSED: 1.0,
-        ArrangementType.L_SHAPED: 0.6,
-        ArrangementType.OPEN: 0.2,
-    },
-    (Definiteness.OPEN_SPACE, Crowdedness.CROWDED): {
-        ArrangementType.CLOSED: 0.2,
-        ArrangementType.L_SHAPED: 1.0,
-        ArrangementType.OPEN: 0.2,
-    },
-    (Definiteness.NEAR_WALL, Crowdedness.UNCROWDED): {
-        ArrangementType.CLOSED: 0.6,
-        ArrangementType.L_SHAPED: 0.6,
-        ArrangementType.OPEN: 1.0,
-    },
-    (Definiteness.NEAR_WALL, Crowdedness.CROWDED): {
-        ArrangementType.CLOSED: 0.2,
-        ArrangementType.L_SHAPED: 1.0,
-        ArrangementType.OPEN: 0.6,
-    },
-}
+_PREFERENCE = np.array([
+    [[1.0, 0.6, 0.2], [0.2, 1.0, 0.2]],  # open space: uncrowded, crowded
+    [[0.6, 0.6, 1.0], [0.2, 1.0, 0.6]],  # near a wall: uncrowded, crowded
+])
 
-# Summed-angle band of each arrangement, in degrees: [0, 60] closed,
-# (60, 120) L-shaped, [120, 180] open.
-ARRANGEMENT_BANDS = {
-    ArrangementType.CLOSED: (0.0, 60.0),
-    ArrangementType.L_SHAPED: (60.0, 120.0),
-    ArrangementType.OPEN: (120.0, 180.0),
-}
-CLOSED_MAX_DEG = ARRANGEMENT_BANDS[ArrangementType.CLOSED][1]
-OPEN_MIN_DEG = ARRANGEMENT_BANDS[ArrangementType.OPEN][0]
+# Summed-angle band of each arrangement in degrees, indexed by code: [0, 60]
+# closed, (60, 120) L-shaped, [120, 180] open.
+ARRANGEMENT_BANDS = ((0.0, 60.0), (60.0, 120.0), (120.0, 180.0))
 
 # The agent may freely pick its own body orientation up to this angle from
 # the partner direction while still holding a formation.
@@ -94,10 +64,6 @@ MAX_AGENT_ANGLE_DEG = 90.0
 # absorbs last-ulp drift when distances are recomputed from coordinates, so
 # grid points constructed exactly on a bound stay inside it
 DISTANCE_TOL = 1e-9
-
-
-# the arrangements in tie order: of two equally preferred, the more closed wins
-_BY_OPENNESS = np.array([ArrangementType.CLOSED, ArrangementType.L_SHAPED, ArrangementType.OPEN], dtype=object)
 
 
 def ingroup_choice(
@@ -117,8 +83,8 @@ def ingroup_choice(
     the more closed.
 
     Returns (alpha, preference, arrangement) in candidate order: alpha in
-    degrees, the best arrangement's preference, and the best arrangement as
-    an object array; where no formation is available they are 0 and None.
+    degrees, the best arrangement's preference, and the best arrangement's
+    `ArrangementType` code; where no formation is available they are 0 and -1.
     """
     ex = candidates[:, 0] - user.position.x
     ey = candidates[:, 1] - user.position.y
@@ -130,25 +96,25 @@ def ingroup_choice(
         & (alpha <= MAX_AGENT_ANGLE_DEG)
     )
     # one column per arrangement in tie order; -1 marks an infeasible one
-    table = _PREFERENCE[(context.definiteness, context.crowdedness)]
+    closed, l_shaped, open_ = _PREFERENCE[int(context.near_wall), int(context.crowded)].tolist()
     feasible = np.empty((len(candidates), 3))
-    feasible[:, 0] = np.where(alpha <= CLOSED_MAX_DEG, table[ArrangementType.CLOSED], -1.0)
-    feasible[:, 1] = table[ArrangementType.L_SHAPED]
+    feasible[:, 0] = np.where(alpha <= ARRANGEMENT_BANDS[0][1], closed, -1.0)
+    feasible[:, 1] = l_shaped
     # compared with the exact 30.0, since alpha + 90 rounds to 120 an ulp below 30
-    feasible[:, 2] = np.where(alpha >= OPEN_MIN_DEG - MAX_AGENT_ANGLE_DEG, table[ArrangementType.OPEN], -1.0)
+    feasible[:, 2] = np.where(alpha >= ARRANGEMENT_BANDS[2][0] - MAX_AGENT_ANGLE_DEG, open_, -1.0)
     preference = np.where(available, feasible.max(axis=1), 0.0)
-    arrangement = np.where(available, _BY_OPENNESS[feasible.argmax(axis=1)], None)
+    arrangement = np.where(available, feasible.argmax(axis=1), -1)
     return alpha, preference, arrangement
 
 
-def agent_orientation_for(user: Pose, position: Vec2, arrangement: ArrangementType | None, alpha: float) -> float:
-    """Body orientation realizing an arrangement at a position, in radians,
-    given the user's angle alpha to that position in degrees.
+def agent_orientation_for(user: Pose, position: Vec2, arrangement: int, alpha: float) -> float:
+    """Body orientation realizing an arrangement code at a position, in
+    radians, given the user's angle alpha to that position in degrees.
 
     Targets the midpoint of the arrangement's band, clamping the agent's own
-    share to [0, 90] degrees. With no arrangement the agent faces the user.
+    share to [0, 90] degrees. With no arrangement (-1) the agent faces the user.
     """
-    if arrangement is None:
+    if arrangement < 0:
         return (user.position - position).angle() if position != user.position else 0.0
     band_mid = sum(ARRANGEMENT_BANDS[arrangement]) / 2.0
     beta = max(0.0, min(MAX_AGENT_ANGLE_DEG, band_mid - alpha))
@@ -157,7 +123,7 @@ def agent_orientation_for(user: Pose, position: Vec2, arrangement: ArrangementTy
 
 
 def classify_spatial_context(dyad: Segment, positions: np.ndarray, config: ScenarioConfig) -> SpatialContext:
-    """Classify the dyad's surroundings by definiteness and crowdedness.
+    """Classify the dyad's surroundings: near a wall or not, crowded or not.
 
     Near-wall when a side wall comes within the personal-space radius of the
     dyad segment. The dyad lies inside the environment and the side walls
@@ -170,12 +136,10 @@ def classify_spatial_context(dyad: Segment, positions: np.ndarray, config: Scena
     env = config.build_environment()
     ends = (dyad.a.x, dyad.b.x)
     wall_dist = min(*ends, *(env.width - x for x in ends)) if env.side_walls else math.inf
-    definiteness = Definiteness.NEAR_WALL if wall_dist < config.personal_space else Definiteness.OPEN_SPACE
 
     mid = dyad.midpoint()
     r = config.c_space_radius
     count = int((hypot(positions[:, 0] - mid.x, positions[:, 1] - mid.y) <= r).sum())
     area = disc_rect_intersection_area(mid, r, env.width, env.height)
     crowded = area > 0.0 and (count / area) >= config.crowd_threshold
-    crowdedness = Crowdedness.CROWDED if crowded else Crowdedness.UNCROWDED
-    return SpatialContext(definiteness, crowdedness)
+    return SpatialContext(wall_dist < config.personal_space, crowded)

@@ -10,7 +10,7 @@ import numpy as np
 from vhsim.geometry import Pose, Vec2, hypot
 from vhsim.planner import PlanningSnapshot, make_snapshot
 from vhsim.prediction import Phase, Prediction, predict_trajectory
-from vhsim.proxemics import Crowdedness, Definiteness, SpatialContext
+from vhsim.proxemics import SpatialContext
 from vhsim.simulation import Crowd, ScenarioConfig, step_pedestrian
 
 
@@ -86,21 +86,22 @@ def predict_one(ped: PedestrianState, user: Vec2, horizon: float, dt: float,
 
 def prediction_of(*paths, ids=None) -> Prediction:
     """A prediction holding the given sample paths, which must be equally
-    long, 0.1 s apart, around a user at the origin; ids default to 0, 1, ..."""
+    long; ids default to 0, 1, ..."""
     points = np.array(paths, float).reshape(-1, 2)
-    n = len(paths[0]) if paths else 0
     ids = np.arange(len(paths)) if ids is None else np.array(ids, int)
-    return Prediction(ids, np.arange(n) * 0.1, points, Vec2(0.0, 0.0))
+    return Prediction(ids, points)
 
 
-def samples_of(traj: Prediction) -> list[tuple[float, Vec2]]:
-    """The path's (time, position) samples as scalars."""
-    return [(float(t), Vec2(float(p[0]), float(p[1]))) for t, p in zip(traj.times, traj.points)]
+def samples_of(traj: Prediction, dt: float) -> list[tuple[float, Vec2]]:
+    """The path's (time, position) samples as scalars, the path predicted at
+    step dt."""
+    times = np.arange(len(traj.points)) * dt
+    return [(float(t), Vec2(float(p[0]), float(p[1]))) for t, p in zip(times, traj.points)]
 
 
-def d_min_of(traj: Prediction) -> float:
+def d_min_of(traj: Prediction, user: Vec2) -> float:
     """The path's closest predicted approach to the user."""
-    return float(hypot(traj.points[:, 0] - traj.user.x, traj.points[:, 1] - traj.user.y).min())
+    return float(hypot(traj.points[:, 0] - user.x, traj.points[:, 1] - user.y).min())
 
 
 # Walled scenes beside the passage: a wide one, whose walls are its short
@@ -133,4 +134,4 @@ def random_scene(rng, config: ScenarioConfig) -> tuple[PlanningSnapshot, Spatial
             preferred_speed=speed,
         ))
     snapshot = make_snapshot(user, vh, crowd_of(peds), config)
-    return snapshot, SpatialContext(rng.choice(list(Definiteness)), rng.choice(list(Crowdedness)))
+    return snapshot, SpatialContext(rng.choice([False, True]), rng.choice([False, True]))

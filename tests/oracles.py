@@ -15,7 +15,7 @@ from crowds import PedestrianState, samples_of, states_of
 from vhsim.comfort import COMFORT_OFFSET, COMFORT_SCALE_MM
 from vhsim.geometry import Environment, Pose, Segment, Vec2, distance_point_segment
 from vhsim.prediction import STATIONARY_SPEED, Phase
-from vhsim.proxemics import CLOSED_MAX_DEG, OPEN_MIN_DEG, _PREFERENCE, ArrangementType, SpatialContext
+from vhsim.proxemics import ArrangementType, SpatialContext
 from vhsim.simulation import Crowd, ScenarioConfig, step_pedestrian
 
 
@@ -59,8 +59,19 @@ def relative_angles(user: Pose, agent: Pose) -> RelativeAngles:
     return RelativeAngles(alpha=min(alpha, 180.0), beta=min(beta, 180.0))
 
 
+# hand-transcribed preference table: rows (near_wall, crowded), columns
+# closed / L-shaped / open
+PREFERENCE_ORACLE = {
+    (False, False): (1.0, 0.6, 0.2),
+    (False, True): (0.2, 1.0, 0.2),
+    (True, False): (0.6, 0.6, 1.0),
+    (True, True): (0.2, 1.0, 0.6),
+}
+
+
 def classify_arrangement(angles: RelativeAngles) -> ArrangementType:
-    """Map the summed angles onto their class in `proxemics.ARRANGEMENT_BANDS`.
+    """Map the summed angles onto their class: [0, 60] closed, (60, 120)
+    L-shaped, [120, 180] open.
 
     The planner never classifies a pose: `proxemics.ingroup_choice` picks an
     arrangement and `agent_orientation_for` realizes it. This classifier
@@ -70,42 +81,51 @@ def classify_arrangement(angles: RelativeAngles) -> ArrangementType:
     total = angles.alpha + angles.beta
     if total > 180.0:
         raise ValueError(f"alpha + beta exceeds 180 degrees: {total}")
-    if total <= CLOSED_MAX_DEG:
+    if total <= 60.0:
         return ArrangementType.CLOSED
-    if total < OPEN_MIN_DEG:
+    if total < 120.0:
         return ArrangementType.L_SHAPED
     return ArrangementType.OPEN
 
 
-def context_preference(context: SpatialContext, arrangement: ArrangementType) -> float:
-    """Preference weight of an arrangement under a spatial context."""
-    return _PREFERENCE[(context.definiteness, context.crowdedness)][arrangement]
+def context_preference(context: SpatialContext, arrangement: int) -> float:
+    """Preference weight of an arrangement code under a spatial context."""
+    return PREFERENCE_ORACLE[(context.near_wall, context.crowded)][arrangement]
 
 
-def oracle_ingroup(candidate: Vec2, user: Pose, context: SpatialContext, config: ScenarioConfig) -> float:
-    """Independent in-group scoring: raw trigonometry plus the banded table."""
+def oracle_arrangement(candidate: Vec2, user: Pose, context: SpatialContext, config: ScenarioConfig) -> int:
+    """Independent in-group choice, from raw trigonometry and the banded
+    table: the feasible arrangement the context prefers most, ties going to
+    the more closed; -1 without a formation."""
     dx, dy = candidate.x - user.position.x, candidate.y - user.position.y
     dist = math.hypot(dx, dy)
     if dist == 0.0 or not (config.formation_min - 1e-9 <= dist <= config.interpersonal_distance + 1e-9):
-        return 0.0
+        return -1
     bearing = math.atan2(dy, dx)
     alpha = abs(math.degrees(math.atan2(math.sin(bearing - user.orientation),
                                         math.cos(bearing - user.orientation))))
     if alpha > 90.0:
-        return 0.0
+        return -1
     feasible = [ArrangementType.L_SHAPED]
     if alpha <= 60.0:
-        feasible.append(ArrangementType.CLOSED)
+        feasible.insert(0, ArrangementType.CLOSED)
     if alpha >= 30.0:
         feasible.append(ArrangementType.OPEN)
-    return max(context_preference(context, a) for a in feasible)
+    return max(feasible, key=lambda a: context_preference(context, a))
+
+
+def oracle_ingroup(candidate: Vec2, user: Pose, context: SpatialContext, config: ScenarioConfig) -> float:
+    """Independent in-group scoring: the preference of `oracle_arrangement`'s
+    choice, 0 without a formation."""
+    arrangement = oracle_arrangement(candidate, user, context, config)
+    return 0.0 if arrangement == -1 else context_preference(context, arrangement)
 
 
 def oracle_utility(candidate, user, current_vh, context, trajectories, config):
     seg = Segment(user.position, candidate)
     d_best = math.inf
     for traj in trajectories:
-        for _, p in samples_of(traj):
+        for _, p in samples_of(traj, config.dt):
             d_best = min(d_best, distance_point_segment(p, seg))
     if math.isinf(d_best):
         out = 1.0
@@ -134,7 +154,7 @@ def oracle_decision(candidates, user, current_vh, context, trajectories, config)
     for cand in candidates:
         seg = Segment(user.position, cand)
         clearance.append(min(
-            (distance_point_segment(p, seg) for traj in trajectories for _, p in samples_of(traj)),
+            (distance_point_segment(p, seg) for traj in trajectories for _, p in samples_of(traj, config.dt)),
             default=math.inf,
         ))
     hold = [cand.distance_to(current_vh) <= 1e-12 for cand in candidates]

@@ -25,12 +25,7 @@ from vhsim.cli import _ablation_points, _run_pairs, _trial_row, emit_csv, run_ma
 from vhsim.geometry import Pose, Vec2
 from vhsim.planner import _argbest, score_candidates, search
 from vhsim.prediction import detour_waypoint
-from vhsim.proxemics import (
-    ArrangementType,
-    Crowdedness,
-    Definiteness,
-    SpatialContext,
-)
+from vhsim.proxemics import ArrangementType, SpatialContext
 from vhsim.simulation import ScenarioConfig, run_trial
 
 DENSITIES = (0.05, 0.10, 0.15, 0.20, 0.25)
@@ -76,7 +71,7 @@ class TestCriterion1ComfortEndpoints:
             sample = np.array([[0.75, height]])
             _, _, out, *_ = score_candidates(
                 np.array([[cand.x, cand.y]]), user, cand,
-                SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED),
+                SpatialContext(near_wall=False, crowded=False),
                 sample, ScenarioConfig(),
             )
             return float(out[0])
@@ -108,8 +103,8 @@ class TestCriterion2AvoidanceGeometry:
             )
             horizon = (start_range + 8.0) / speed
             traj = predict_one(ped, Vec2(0, 0), horizon, dt, config)
-            worst = max(worst, abs(d_min_of(traj) - d_min))
-            assert d_min - speed * dt - 1e-9 <= d_min_of(traj) <= d_min + speed * dt + 1e-9
+            worst = max(worst, abs(d_min_of(traj, Vec2(0, 0)) - d_min))
+            assert d_min - speed * dt - 1e-9 <= d_min_of(traj, Vec2(0, 0)) <= d_min + speed * dt + 1e-9
 
             # the turn angle, read from the waypoint against the user's direction
             wp = detour_waypoint(Vec2(-d_start, 0.0), Vec2(1.0, 0.0), Vec2(0, 0), config)
@@ -135,7 +130,7 @@ class TestCriterion3ArrangementClassifier:
             for beta in range(0, 181 - alpha):
                 cases += 1
                 got = classify_arrangement(RelativeAngles(float(alpha), float(beta)))
-                if got is not oracle(alpha + beta):
+                if got != oracle(alpha + beta):
                     mismatches += 1
         report(3, "arrangement classifier", mismatches == 0, f"{cases} cases, {mismatches} mismatches")
 
@@ -149,10 +144,10 @@ class TestCriterion3ArrangementClassifier:
             nonlocal checked, mismatches
             decision = search(snapshot, context, config)
             chosen = decision.arrangement[decision.winner]
-            if chosen is not None:
+            if chosen != -1:
                 target = Pose(decision.target_position, decision.target_orientation)
                 checked += 1
-                mismatches += classify_arrangement(relative_angles(snapshot.user, target)) is not chosen
+                mismatches += classify_arrangement(relative_angles(snapshot.user, target)) != chosen
             return decision
 
         monkeypatch.setattr(planner_module, "search", checking_search)

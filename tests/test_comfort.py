@@ -7,11 +7,11 @@ import pytest
 from vhsim.comfort import comfort_from_distance
 from vhsim.geometry import Pose, Segment, Vec2, distance_point_segment, distance_points_segment, points_segment_distance
 from vhsim.planner import score_candidates
-from vhsim.proxemics import ArrangementType, Crowdedness, Definiteness, SpatialContext, ingroup_choice
+from vhsim.proxemics import ArrangementType, SpatialContext, ingroup_choice
 from vhsim.simulation import ScenarioConfig
 
 CONFIG = ScenarioConfig()
-CTX_OPEN = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
+CTX_OPEN = SpatialContext(near_wall=False, crowded=False)
 
 
 def traj_from_points(points):
@@ -162,18 +162,18 @@ class TestPointsSegmentDistance:
 class TestIngroupComfort:
     def test_open_uncrowded_alpha_zero(self):
         user = Pose(Vec2(0, 0), 0.0)
-        ctx = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
+        ctx = SpatialContext(near_wall=False, crowded=False)
         score = ingroup(Vec2(1.0, 0.0), user, ctx)
         assert score == 1.0  # closed feasible and preferred
 
     def test_out_of_range_candidate(self):
         user = Pose(Vec2(0, 0), 0.0)
-        ctx = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
+        ctx = SpatialContext(near_wall=False, crowded=False)
         assert ingroup(Vec2(2.0, 0.0), user, ctx) == 0.0
 
     def test_near_wall_crowded_l_and_open(self):
         user = Pose(Vec2(0, 0), math.radians(80))
-        ctx = SpatialContext(Definiteness.NEAR_WALL, Crowdedness.CROWDED)
+        ctx = SpatialContext(near_wall=True, crowded=True)
         # alpha = 80: closed out of reach, feasible {L-shaped, open} -> max(1.0, 0.6)
         score = ingroup(Vec2(1.0, 0.0), user, ctx)
         assert score == 1.0
@@ -181,12 +181,7 @@ class TestIngroupComfort:
     def test_value_set(self):
         rng = random.Random(73)
         user = Pose(Vec2(0, 0), 0.0)
-        for key in (
-            (Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED),
-            (Definiteness.OPEN_SPACE, Crowdedness.CROWDED),
-            (Definiteness.NEAR_WALL, Crowdedness.UNCROWDED),
-            (Definiteness.NEAR_WALL, Crowdedness.CROWDED),
-        ):
+        for key in ((False, False), (False, True), (True, False), (True, True)):
             ctx = SpatialContext(*key)
             for _ in range(100):
                 cand = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -205,14 +200,14 @@ def best_arrangement(candidate, user, context):
 class TestBestArrangement:
     def test_tie_prefers_more_closed(self):
         user = Pose(Vec2(0, 0), 0.0)
-        ctx = SpatialContext(Definiteness.NEAR_WALL, Crowdedness.UNCROWDED)
+        ctx = SpatialContext(near_wall=True, crowded=False)
         # alpha = 0: feasible {closed, L}; both score 0.6 near a wall uncrowded
         arrangement, score = best_arrangement(Vec2(1.0, 0.0), user, ctx)
-        assert arrangement is ArrangementType.CLOSED
+        assert arrangement == ArrangementType.CLOSED
         assert score == 0.6
 
     def test_no_formation(self):
         user = Pose(Vec2(0, 0), 0.0)
-        ctx = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
+        ctx = SpatialContext(near_wall=False, crowded=False)
         arrangement, score = best_arrangement(Vec2(-1.0, 0.0), user, ctx)
-        assert arrangement is None and score == 0.0
+        assert arrangement == -1 and score == 0.0

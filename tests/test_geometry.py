@@ -18,7 +18,7 @@ from vhsim.geometry import (
     normalize_angle,
     points_segment_distance,
 )
-from vhsim.proxemics import Definiteness, classify_spatial_context
+from vhsim.proxemics import classify_spatial_context
 from vhsim.simulation import ScenarioConfig, _draw_goal
 
 PASSAGE = ScenarioConfig(environment="passage")
@@ -84,7 +84,7 @@ class TestAngles:
 
 def near_wall(config: ScenarioConfig, dyad: Segment, personal_space: float) -> bool:
     context = classify_spatial_context(dyad, np.empty((0, 2)), replace(config, personal_space=personal_space))
-    return context.definiteness is Definiteness.NEAR_WALL
+    return context.near_wall
 
 
 class TestEnvironment:

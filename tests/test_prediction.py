@@ -55,8 +55,8 @@ class TestBelowStationarySpeed:
     def test_prediction_stands_still(self, speed):
         ped = self.ped(speed)
         traj = predict_one(ped, Vec2(0, 0), 2.0, 0.5, CONFIG)
-        assert all(p == ped.position for _, p in samples_of(traj))
-        assert d_min_of(traj) == ped.position.distance_to(Vec2(0, 0))
+        assert all(p == ped.position for _, p in samples_of(traj, 0.5))
+        assert d_min_of(traj, Vec2(0, 0)) == ped.position.distance_to(Vec2(0, 0))
 
     def test_min_approach_rejected(self, speed):
         # heading straight for the user, yet too slow to have an approach
@@ -65,7 +65,7 @@ class TestBelowStationarySpeed:
         with pytest.raises(ValueError):
             oracle_min_approach(ped, user)
         traj = predict_one(ped, user, 2.0, 0.5, CONFIG)
-        assert all(p == ped.position for _, p in samples_of(traj))
+        assert all(p == ped.position for _, p in samples_of(traj, 0.5))
 
 
 def turn_of(position: Vec2, user: Vec2, waypoint: Vec2) -> float:
@@ -183,49 +183,49 @@ class TestPredictTrajectory:
     def test_far_miss_equals_linear(self):
         ped = make_ped((-5, 2), (1.2, 0), goal=(10, 2))
         traj = predict_one(ped, Vec2(0, 0), horizon=5.0, dt=0.1, config=CONFIG)
-        for t, p in samples_of(traj):
+        for t, p in samples_of(traj, 0.1):
             expected = oracle_linear(ped, t)
             assert p.x == pytest.approx(expected.x, abs=1e-9)
             assert p.y == pytest.approx(expected.y, abs=1e-9)
-        assert d_min_of(traj) == pytest.approx(oracle_min_approach(ped, Vec2(0, 0)), abs=1.2 * 0.1)
+        assert d_min_of(traj, Vec2(0, 0)) == pytest.approx(oracle_min_approach(ped, Vec2(0, 0)), abs=1.2 * 0.1)
 
     def test_head_on_keeps_clearance(self):
         ped = make_ped((-5, 0.05), (1.3, 0), goal=(10, 0.05))
         traj = predict_one(ped, Vec2(0, 0), horizon=9.0, dt=0.1, config=CONFIG)
         v_dt = 1.3 * 0.1
-        assert d_min_of(traj) == pytest.approx(CONFIG.min_avoidance_distance, abs=v_dt)
+        assert d_min_of(traj, Vec2(0, 0)) == pytest.approx(CONFIG.min_avoidance_distance, abs=v_dt)
 
     def test_already_inside_start_range(self):
         ped = make_ped((-1.2, 0.0), (1.0, 0), goal=(10, 0))
         traj = predict_one(ped, Vec2(0, 0), horizon=6.0, dt=0.05, config=CONFIG)
-        assert d_min_of(traj) == pytest.approx(CONFIG.min_avoidance_distance, abs=1.0 * 0.05)
+        assert d_min_of(traj, Vec2(0, 0)) == pytest.approx(CONFIG.min_avoidance_distance, abs=1.0 * 0.05)
         # detour starts immediately: the second sample already deviates
-        p1 = samples_of(traj)[1][1]
+        p1 = samples_of(traj, 0.05)[1][1]
         assert abs(p1.y) > 1e-6
 
     def test_degenerate_equal_distances(self):
         config = ScenarioConfig(min_avoidance_distance=0.67, start_avoidance_distance=0.67)
         ped = make_ped((-0.67, 0.0), (1.0, 0), goal=(10, 0))
         traj = predict_one(ped, Vec2(0, 0), horizon=3.0, dt=0.05, config=config)
-        assert d_min_of(traj) >= 0.67 - 1.0 * 0.05
+        assert d_min_of(traj, Vec2(0, 0)) >= 0.67 - 1.0 * 0.05
 
     def test_deterministic(self):
         ped = make_ped((-4, 0.3), (1.1, -0.05), goal=(9, -1))
         a = predict_one(ped, Vec2(0, 0), 8.0, 0.1, CONFIG)
         b = predict_one(ped, Vec2(0, 0), 8.0, 0.1, CONFIG)
         assert np.array_equal(a.points, b.points)
-        assert d_min_of(a) == d_min_of(b)
+        assert d_min_of(a, Vec2(0, 0)) == d_min_of(b, Vec2(0, 0))
 
     def test_d_min_matches_samples(self):
         ped = make_ped((-5, 0.4), (1.25, 0), goal=(10, 0.4))
         traj = predict_one(ped, Vec2(0, 0), 8.0, 0.1, CONFIG)
-        d = min(Vec2(0, 0).distance_to(p) for _, p in samples_of(traj))
-        assert d_min_of(traj) == pytest.approx(d, abs=1e-12)
+        d = min(Vec2(0, 0).distance_to(p) for _, p in samples_of(traj, 0.1))
+        assert d_min_of(traj, Vec2(0, 0)) == pytest.approx(d, abs=1e-12)
 
     def test_stationary_pedestrian(self):
         ped = make_ped((2, 1), (0, 0))
         traj = predict_one(ped, Vec2(0, 0), 2.0, 0.5, CONFIG)
-        assert all(p == ped.position for _, p in samples_of(traj))
+        assert all(p == ped.position for _, p in samples_of(traj, 0.5))
 
     def test_avoiding_phase_heads_to_waypoint_then_goal(self):
         wp = Vec2(0.5, 0.8)
@@ -234,13 +234,13 @@ class TestPredictTrajectory:
         pts = traj.points
         d_wp = np.hypot(pts[:, 0] - wp.x, pts[:, 1] - wp.y)
         assert d_wp.min() < 0.06  # passes through the waypoint
-        end = samples_of(traj)[-1][1]
+        end = samples_of(traj, 0.1)[-1][1]
         assert end.distance_to(Vec2(5, 0)) < end.distance_to(Vec2(0, 0))
 
     def test_sample_grid(self):
         ped = make_ped((0, 0), (1, 0))
         traj = predict_one(ped, Vec2(10, 10), 1.0, 0.25, CONFIG)
-        assert [round(t, 6) for t, _ in samples_of(traj)] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert [round(t, 6) for t, _ in samples_of(traj, 0.25)] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 class TestRealizedClearanceSweep:
@@ -261,8 +261,8 @@ class TestRealizedClearanceSweep:
             dt = 0.1
             horizon = (start_range + 8.0) / speed
             traj = predict_one(ped, Vec2(0, 0), horizon, dt, config)
-            assert d_min_of(traj) >= d_min - speed * dt - 1e-9
-            assert d_min_of(traj) <= d_min + speed * dt + 1e-9
+            assert d_min_of(traj, Vec2(0, 0)) >= d_min - speed * dt - 1e-9
+            assert d_min_of(traj, Vec2(0, 0)) <= d_min + speed * dt + 1e-9
 
 
 class TestAnticipated:

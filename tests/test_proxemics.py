@@ -7,19 +7,22 @@ import pytest
 
 from crowds import WALLED, PedestrianState, positions_of
 from oracles import (
+    PREFERENCE_ORACLE,
     RelativeAngles,
     classify_arrangement,
     context_preference,
+    oracle_arrangement,
     oracle_ingroup,
     oracle_wall_distance,
     relative_angles,
 )
+from vhsim import proxemics
 from vhsim.geometry import Pose, Segment, Vec2
+from vhsim.planner import generate_candidates
 from vhsim.proxemics import (
     ArrangementType,
-    Crowdedness,
-    Definiteness,
     SpatialContext,
+    agent_orientation_for,
     classify_spatial_context,
     ingroup_choice,
 )
@@ -27,24 +30,24 @@ from vhsim.simulation import ScenarioConfig
 
 CONFIG = ScenarioConfig()
 PASSAGE = ScenarioConfig(environment="passage")
-CTX_OPEN = SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
-CONTEXTS = [SpatialContext(d, c) for d in Definiteness for c in Crowdedness]
+CTX_OPEN = SpatialContext(near_wall=False, crowded=False)
+CONTEXTS = [SpatialContext(near_wall, crowded) for near_wall in (False, True) for crowded in (False, True)]
 
 
 def arrangement_at(user, position, context=CTX_OPEN):
-    """`ingroup_choice`'s best arrangement at one position; None without a formation."""
-    return ingroup_choice(np.array([[position.x, position.y]]), user, context, CONFIG)[2][0]
+    """`ingroup_choice`'s best arrangement code at one position; -1 without a formation."""
+    return int(ingroup_choice(np.array([[position.x, position.y]]), user, context, CONFIG)[2][0])
 
 
 def formation_available(user, candidate):
-    return arrangement_at(user, candidate.position) is not None
+    return arrangement_at(user, candidate.position) != -1
 
 
 def feasible_set(user, position):
     """The arrangements `ingroup_choice` picks at a position across the four
     contexts. Each feasible arrangement is the favorite of some context, so
     this is the feasible set."""
-    return {arrangement_at(user, position, ctx) for ctx in CONTEXTS} - {None}
+    return {arrangement_at(user, position, ctx) for ctx in CONTEXTS} - {-1}
 
 
 def arrangement_oracle(total: float) -> ArrangementType:
@@ -56,16 +59,6 @@ def arrangement_oracle(total: float) -> ArrangementType:
     if 120 <= total <= 180:
         return ArrangementType.OPEN
     raise AssertionError(total)
-
-
-# hand-transcribed preference table: rows (definiteness, crowdedness),
-# columns closed / L-shaped / open
-PREFERENCE_ORACLE = {
-    (Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED): (1.0, 0.6, 0.2),
-    (Definiteness.OPEN_SPACE, Crowdedness.CROWDED): (0.2, 1.0, 0.2),
-    (Definiteness.NEAR_WALL, Crowdedness.UNCROWDED): (0.6, 0.6, 1.0),
-    (Definiteness.NEAR_WALL, Crowdedness.CROWDED): (0.2, 1.0, 0.6),
-}
 
 
 class TestRelativeAngles:
@@ -136,15 +129,16 @@ class TestArrangement:
             (0, 60, ArrangementType.CLOSED),
             (0, 120, ArrangementType.OPEN),
         ],
+        ids=lambda v: f"ArrangementType.{v.name}" if isinstance(v, ArrangementType) else None,
     )
     def test_examples(self, alpha, beta, expected):
-        assert classify_arrangement(RelativeAngles(alpha, beta)) is expected
+        assert classify_arrangement(RelativeAngles(alpha, beta)) == expected
 
     def test_exhaustive_against_oracle(self):
         for alpha in range(0, 181):
             for beta in range(0, 181 - alpha):
                 got = classify_arrangement(RelativeAngles(float(alpha), float(beta)))
-                assert got is arrangement_oracle(alpha + beta), (alpha, beta)
+                assert got == arrangement_oracle(alpha + beta), (alpha, beta)
 
     def test_over_180_rejected(self):
         with pytest.raises(ValueError):
@@ -184,10 +178,38 @@ class TestFeasibleArrangements:
         # a wall, where open scores 1.0, the closed arrangement's 0.6 is best
         user = Pose(Vec2(0, 0), 0.0)
         cand = Vec2(0.8660254037844387, 0.49999999999999994)
-        ctx = SpatialContext(Definiteness.NEAR_WALL, Crowdedness.UNCROWDED)
+        ctx = SpatialContext(near_wall=True, crowded=False)
         alpha, preference, arrangement = ingroup_choice(np.array([[cand.x, cand.y]]), user, ctx, CONFIG)
-        assert alpha[0] < 30.0 and arrangement[0] is ArrangementType.CLOSED
+        assert alpha[0] < 30.0 and arrangement[0] == ArrangementType.CLOSED
         assert preference[0] == oracle_ingroup(cand, user, ctx, CONFIG) == 0.6
+
+
+class TestArrangementCodes:
+    def test_codes_are_integers(self):
+        user = Pose(Vec2(0, 0), 0.0)
+        arrangement = ingroup_choice(np.array([[1.0, 0.0], [3.0, 0.0]]), user, CTX_OPEN, CONFIG)[2]
+        assert arrangement.dtype.kind == "i"
+        assert arrangement.tolist() == [ArrangementType.CLOSED, -1]
+
+    @pytest.mark.parametrize("orientation", [0.0, 1.0])
+    @pytest.mark.parametrize("context", CONTEXTS, ids=lambda c: f"near_wall={c.near_wall}-crowded={c.crowded}")
+    def test_default_grid_matches_oracle(self, context, orientation):
+        # the planner's grid around a user at the square's center, the agent
+        # 1.2 m away: outside the formation bounds or behind the user, -1.
+        # Facing +x, grid bearings fall on the 30 and 60 degree band edges.
+        # (Facing +y, the oracle's trigonometry reads one of them an ulp below
+        # 30 degrees and `ingroup_choice`'s an ulp above.)
+        user = Pose(Vec2(6.0, 6.0), orientation)
+        candidates = generate_candidates(user, Vec2(6.0, 7.2), CONFIG)
+        arrangement = ingroup_choice(candidates, user, context, CONFIG)[2]
+        expected = [oracle_arrangement(Vec2(*c), user, context, CONFIG) for c in candidates.tolist()]
+        assert arrangement.tolist() == expected
+        assert -1 in expected and {0, 1, 2} & set(expected)
+
+    def test_no_formation_faces_the_user(self):
+        user = Pose(Vec2(1.0, 2.0), 0.3)
+        position = Vec2(3.0, 4.0)
+        assert agent_orientation_for(user, position, -1, 45.0) == (user.position - position).angle()
 
 
 class TestSpatialContext:
@@ -195,19 +217,19 @@ class TestSpatialContext:
         dyad = Segment(Vec2(10, 9.25), Vec2(10, 10.75))
         peds = [_ped(0, Vec2(1, 1)), _ped(1, Vec2(19, 19))]
         ctx = classify_spatial_context(dyad, positions_of(peds), ScenarioConfig(environment="square20"))
-        assert ctx == SpatialContext(Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED)
+        assert ctx == SpatialContext(near_wall=False, crowded=False)
 
     def test_passage_dyad_across_corridor_is_near_wall(self):
         dyad = Segment(Vec2(0.75, 10.0), Vec2(2.25, 10.0))
         ctx = classify_spatial_context(dyad, positions_of([]), PASSAGE)
         # nearest wall at 0.75 m < 1.2 m personal space
-        assert ctx.definiteness is Definiteness.NEAR_WALL
+        assert ctx.near_wall is True
 
     def test_passage_centerline_dyad_is_open_space(self):
         dyad = Segment(Vec2(1.5, 9.25), Vec2(1.5, 10.75))
         ctx = classify_spatial_context(dyad, positions_of([]), PASSAGE)
         # 1.5 m to both walls exceeds the 1.2 m threshold
-        assert ctx.definiteness is Definiteness.OPEN_SPACE
+        assert ctx.near_wall is False
 
     @pytest.mark.parametrize("config", [pytest.param(ScenarioConfig(environment="passage"), id="passage")]
                              + [pytest.param(config, id=name) for name, config in WALLED.items()])
@@ -228,8 +250,8 @@ class TestSpatialContext:
             d = oracle_wall_distance(env, dyad)
             at = replace(config, personal_space=d)
             above = replace(config, personal_space=math.nextafter(d, math.inf))
-            assert classify_spatial_context(dyad, none, at).definiteness is Definiteness.OPEN_SPACE
-            assert classify_spatial_context(dyad, none, above).definiteness is Definiteness.NEAR_WALL
+            assert classify_spatial_context(dyad, none, at).near_wall is False
+            assert classify_spatial_context(dyad, none, above).near_wall is True
 
     def test_crowded_at_quarter_density(self):
         dyad = Segment(Vec2(6, 5.25), Vec2(6, 6.75))
@@ -240,12 +262,12 @@ class TestSpatialContext:
             for i in range(36)
         ]
         ctx = classify_spatial_context(dyad, positions_of(peds), CONFIG)
-        assert ctx.crowdedness is Crowdedness.CROWDED
+        assert ctx.crowded is True
 
     def test_empty_scene_uncrowded(self):
         dyad = Segment(Vec2(6, 5.25), Vec2(6, 6.75))
         ctx = classify_spatial_context(dyad, positions_of([]), CONFIG)
-        assert ctx.crowdedness is Crowdedness.UNCROWDED
+        assert ctx.crowded is False
 
     def test_count_inclusive_where_numpy_hypot_is_not(self):
         # exactly on the c-space circle by math.hypot, the distance the count
@@ -259,17 +281,17 @@ class TestSpatialContext:
         dyad = Segment(Vec2(0.0, -0.75), Vec2(0.0, 0.75))  # midpoint at the origin
         on_circle = classify_spatial_context(dyad, np.array([[x, y]]), config)
         beyond = classify_spatial_context(dyad, np.array([[math.nextafter(x, math.inf), y]]), config)
-        assert on_circle.crowdedness is Crowdedness.CROWDED
-        assert beyond.crowdedness is Crowdedness.UNCROWDED
+        assert on_circle.crowded is True
+        assert beyond.crowded is False
 
 
 class TestPreferenceTable:
     def test_all_cells_match_oracle(self):
-        arrangements = (ArrangementType.CLOSED, ArrangementType.L_SHAPED, ArrangementType.OPEN)
-        for key, row in PREFERENCE_ORACLE.items():
-            ctx = SpatialContext(*key)
-            for arrangement, expected in zip(arrangements, row):
-                assert context_preference(ctx, arrangement) == expected
+        # the production table, indexed [near_wall][crowded][code]
+        assert proxemics._PREFERENCE.shape == (2, 2, 3)
+        for (near_wall, crowded), row in PREFERENCE_ORACLE.items():
+            for arrangement in ArrangementType:
+                assert proxemics._PREFERENCE[int(near_wall), int(crowded), arrangement] == row[arrangement]
 
     def test_values_are_the_three_levels(self):
         for key in PREFERENCE_ORACLE:
@@ -278,16 +300,16 @@ class TestPreferenceTable:
                 assert context_preference(ctx, arrangement) in (1.0, 0.6, 0.2)
 
     @pytest.mark.parametrize(
-        "definiteness,crowdedness,arrangement,expected",
+        "near_wall,crowded,arrangement,expected",
         [
-            (Definiteness.OPEN_SPACE, Crowdedness.UNCROWDED, ArrangementType.CLOSED, 1.0),
-            (Definiteness.OPEN_SPACE, Crowdedness.CROWDED, ArrangementType.L_SHAPED, 1.0),
-            (Definiteness.NEAR_WALL, Crowdedness.UNCROWDED, ArrangementType.OPEN, 1.0),
-            (Definiteness.NEAR_WALL, Crowdedness.CROWDED, ArrangementType.CLOSED, 0.2),
+            pytest.param(False, False, ArrangementType.CLOSED, 1.0, id="open_space-uncrowded-CLOSED-1.0"),
+            pytest.param(False, True, ArrangementType.L_SHAPED, 1.0, id="open_space-crowded-L_SHAPED-1.0"),
+            pytest.param(True, False, ArrangementType.OPEN, 1.0, id="near_wall-uncrowded-OPEN-1.0"),
+            pytest.param(True, True, ArrangementType.CLOSED, 0.2, id="near_wall-crowded-CLOSED-0.2"),
         ],
     )
-    def test_named_cells(self, definiteness, crowdedness, arrangement, expected):
-        assert context_preference(SpatialContext(definiteness, crowdedness), arrangement) == expected
+    def test_named_cells(self, near_wall, crowded, arrangement, expected):
+        assert context_preference(SpatialContext(near_wall, crowded), arrangement) == expected
 
 
 def _ped(pid: int, pos: Vec2) -> PedestrianState:

@@ -16,7 +16,7 @@ from oracles import goal_boxes, inside, relative_angles
 from vhsim import simulation
 from vhsim.geometry import Environment, Pose, Segment, Vec2, points_segment_distance
 from vhsim.planner import generate_candidates
-from vhsim.proxemics import Definiteness, classify_spatial_context
+from vhsim.proxemics import classify_spatial_context
 from vhsim.prediction import Phase
 from vhsim.simulation import (
     EVENT_KINDS,
@@ -457,13 +457,13 @@ class TestScenarioConfig:
         cfg = ScenarioConfig(environment="custom", env_width=20.0, env_height=4.0, env_side_walls=True)
         none = np.empty((0, 2))
 
-        def definiteness(a: Vec2, b: Vec2) -> Definiteness:
-            return classify_spatial_context(Segment(a, b), none, cfg).definiteness
+        def near_wall(a: Vec2, b: Vec2) -> bool:
+            return classify_spatial_context(Segment(a, b), none, cfg).near_wall
 
-        assert definiteness(Vec2(0.5, 2.0), Vec2(2.0, 2.0)) is Definiteness.NEAR_WALL
-        assert definiteness(Vec2(18.0, 2.0), Vec2(19.5, 2.0)) is Definiteness.NEAR_WALL
+        assert near_wall(Vec2(0.5, 2.0), Vec2(2.0, 2.0)) is True
+        assert near_wall(Vec2(18.0, 2.0), Vec2(19.5, 2.0)) is True
         # 0.3 m from the long bottom edge, 9 m from either wall
-        assert definiteness(Vec2(9.0, 0.3), Vec2(11.0, 0.3)) is Definiteness.OPEN_SPACE
+        assert near_wall(Vec2(9.0, 0.3), Vec2(11.0, 0.3)) is False
         # candidates keep 0.3 m from the left wall but not from the bottom edge
         grid = generate_candidates(Pose(Vec2(1.0, 0.7), 0.0), Vec2(1.0, 2.2), cfg)[:-1]
         assert grid[:, 0].min() >= cfg.wall_clearance > grid[:, 1].min()
